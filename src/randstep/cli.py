@@ -38,6 +38,16 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_schemes(text: str) -> tuple[StepScheme, ...]:
     try:
         return tuple(StepScheme.parse(tok) for tok in text.split(","))
@@ -55,7 +65,7 @@ def _add_common(sub, pde: bool = False):
     )
     sub.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=harness.default_workers(),
         help="parallel replica workers (default: available cores)",
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -122,6 +121,10 @@ def assemble_stiffness(mesh: Mesh) -> TriDiag:
 
 def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix @ x = rhs by LAPACK tridiagonal elimination (dgtsv)."""
+    # imported here, not at module level: scipy.linalg is most of the
+    # package's import time, and only this solve uses it
+    from scipy.linalg import lapack
+
     rhs = np.asarray(rhs, dtype=float)
     if matrix.size == 1:
         if matrix.diag[0] == 0.0:

@@ -162,55 +162,60 @@ def _build_pde_problem(spec: ExperimentSpec):
     return problems.semilinear_heat_problem(saw, bspec), Mesh(spec.mesh_dof)
 
 
+def _chunk_failure(err, scheme, exponent, replica):
+    step = getattr(err, "step", None)
+    return ExperimentError(
+        f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {err}"
+    )
+
+
 def _ode_chunk(spec, scheme_token, exponent, lo, hi):
-    """Per-replica (final, max, mean-newton) errors for replicas lo..hi-1."""
+    """Per-replica (final, max, mean-newton) errors for replicas lo..hi-1.
+
+    The replicas march together as one batch; a deterministic scheme
+    marches once and its errors are repeated for every replica.
+    """
     scheme = StepScheme.parse(scheme_token)
     problem = _build_ode_problem(spec)
-    n_steps = 2**exponent
-    grid = TimeGrid(problem.final_time, n_steps)
-    exact_grid = np.array([problem.exact(grid.node(n)) for n in range(n_steps + 1)])
-    e_final = np.empty(hi - lo)
-    e_max = np.empty(hi - lo)
-    iters = np.empty(hi - lo)
-    cfg = NewtonConfig()
-    for idx, replica in enumerate(range(lo, hi)):
-        stream = NodeStream(SeedSpec(spec.master_seed, replica))
-        try:
-            path = solve(problem, grid, scheme, stream, cfg)
-        except (NonConvergence, ValueError) as err:
-            step = getattr(err, "step", None)
-            raise ExperimentError(
-                f"scheme={scheme.token} k=2^-{exponent} replica={replica} "
-                f"step={step}: {err}"
-            ) from err
-        diff = np.abs(path.states[:, 0] - exact_grid)
-        e_final[idx] = diff[-1]
-        e_max[idx] = diff.max()
-        iters[idx] = path.newton_iteration_counts.mean()
-    return e_final, e_max, iters
+    grid = TimeGrid(problem.final_time, 2**exponent)
+    streams = None
+    if scheme.is_randomized:
+        streams = [NodeStream(SeedSpec(spec.master_seed, r)) for r in range(lo, hi)]
+    try:
+        path = solve(problem, grid, scheme, streams, NewtonConfig())
+    except (NonConvergence, ValueError) as err:
+        offset = getattr(err, "replica", None) or 0
+        raise _chunk_failure(err, scheme, exponent, lo + offset) from err
+    # error of every replica at every grid point, in place of the states
+    diff = path.states
+    diff -= problem.exact(grid.nodes())[:, None]
+    np.abs(diff, out=diff)
+    errors = (diff[-1], diff.max(axis=0), path.newton_iteration_counts.mean(axis=0))
+    if streams is None:
+        return tuple(np.repeat(e, hi - lo) for e in errors)
+    return errors
 
 
 def _pde_chunk(spec, scheme_token, exponent, lo, hi):
+    """As _ode_chunk, one replica at a time; a deterministic scheme marches once."""
     scheme = StepScheme.parse(scheme_token)
     problem, mesh = _build_pde_problem(spec)
-    n_steps = 2**exponent
-    grid = TimeGrid(problem.final_time, n_steps)
-    times = [grid.node(n) for n in range(n_steps + 1)]
+    grid = TimeGrid(problem.final_time, 2**exponent)
+    times = grid.nodes().tolist()
     exact = problem.exact
-    e_final = np.empty(hi - lo)
-    e_max = np.empty(hi - lo)
-    iters = np.empty(hi - lo)
+    replicas = range(lo, hi) if scheme.is_randomized else range(lo, lo + 1)
+    e_final = np.empty(len(replicas))
+    e_max = np.empty(len(replicas))
+    iters = np.empty(len(replicas))
     cfg = NewtonConfig()
-    for idx, replica in enumerate(range(lo, hi)):
-        stream = NodeStream(SeedSpec(spec.master_seed, replica))
+    for idx, replica in enumerate(replicas):
+        stream = None
+        if scheme.is_randomized:
+            stream = NodeStream(SeedSpec(spec.master_seed, replica))
         try:
             path = pde_solve(problem, mesh, grid, scheme, stream, cfg)
         except (NonConvergence, ValueError) as err:
-            step = getattr(err, "step", None)
-            raise ExperimentError(
-                f"scheme={scheme.token} k=2^-{exponent} replica={replica} "
-                f"step={step}: {err}"
-            ) from err
+            raise _chunk_failure(err, scheme, exponent, replica) from err
         errs = np.array(
             [
                 l2_error(mesh, path.fields[n], lambda x, t=t: exact(t, x))
@@ -220,6 +225,8 @@ def _pde_chunk(spec, scheme_token, exponent, lo, hi):
         e_final[idx] = errs[-1]
         e_max[idx] = errs.max()
         iters[idx] = path.newton_iteration_counts.mean()
+    if not scheme.is_randomized:
+        return tuple(np.repeat(e, hi - lo) for e in (e_final, e_max, iters))
     return e_final, e_max, iters
 
 
@@ -255,7 +262,8 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     try:
         for scheme in spec.schemes:
             for exponent in spec.step_exponents:
-                if pool is None:
+                # a deterministic scheme marches once per cell, in process
+                if pool is None or not scheme.is_randomized:
                     e_final, e_max, iters = chunk_fn(
                         spec, scheme.token, exponent, 0, replicas
                     )
@@ -378,22 +386,14 @@ def residual_study(
         n_steps = 2**exponent
         grid = TimeGrid(problem.final_time, n_steps)
         k = grid.step_size
-        times = [grid.node(n) for n in range(n_steps + 1)]
-        exact_grid = [problem.exact(t) for t in times]
-        rhs = problem.rhs
+        exact_grid = problem.exact(grid.nodes())
+        v_prev, v_n = exact_grid[:-1], exact_grid[1:]
         sum_sq = np.empty(replicas)
         for replica in range(replicas):
-            stream = NodeStream(SeedSpec(master_seed, replica))
-            tau = stream.taus(n_steps).tolist()
-            acc = 0.0
-            for n in range(1, n_steps + 1):
-                xi = times[n - 1] + k * tau[n - 1]
-                if xi >= times[n]:
-                    xi = math.nextafter(times[n], times[n - 1])
-                v_n = exact_grid[n]
-                rho = k * rhs(xi, v_n) - v_n + exact_grid[n - 1]
-                acc += rho * rho
-            sum_sq[replica] = acc
+            xi = grid.random_nodes([NodeStream(SeedSpec(master_seed, replica))])[0]
+            rho = k * problem.rhs(xi, v_n) - v_n + v_prev
+            # cumsum adds in step order, as the scalar recursion does
+            sum_sq[replica] = np.cumsum(rho * rho)[-1]
         panels = max(1, 2 ** max(sawtooth_exponent - exponent, 0))
         mean_norms = [
             abs(
@@ -589,28 +589,27 @@ def write_error_csv(table: ErrorTable, path) -> None:
 
 
 def read_error_csv(path) -> ErrorTable:
+    """Parse an error table; a malformed row raises ValueError naming its line."""
+    fields = (str, int, float, int, float, float, float, float)
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ERROR_CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            rows.append(
-                ErrorRow(
-                    scheme=parts[0],
-                    steps=int(parts[1]),
-                    step_size=float(parts[2]),
-                    replicas=int(parts[3]),
-                    rms_error_final=float(parts[4]),
-                    rms_error_max=float(parts[5]),
-                    mc_stderr_final=float(parts[6]),
-                    mean_newton_iters=float(parts[7]),
+            if len(parts) != len(fields):
+                raise ValueError(
+                    f"{path}, line {lineno}: expected {len(fields)} fields, "
+                    f"got {len(parts)}"
                 )
-            )
+            try:
+                rows.append(ErrorRow(*(kind(v) for kind, v in zip(fields, parts))))
+            except ValueError as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from None
     return ErrorTable(rows)
 
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,9 +57,13 @@ class StepScheme(Enum):
 class NonConvergence(RuntimeError):
     """Newton failed to reduce the step residual below tolerance."""
 
-    def __init__(self, message: str, step: Optional[int] = None):
+    def __init__(
+        self, message: str, step: Optional[int] = None, replica: Optional[int] = None
+    ):
         super().__init__(message)
         self.step = step
+        #: position of the failing replica in its batch, for batched solves
+        self.replica = replica
 
 
 class StepRestrictionViolated(ValueError):
@@ -90,8 +94,9 @@ class OdeProblem:
 
     ``rhs`` must be callable at every floating-point t in [0, T]; how an
     almost-everywhere-defined right-hand side is represented is the
-    caller's choice.  For dimension 1 the callbacks operate on plain
-    floats.  ``one_sided_constant`` is the nu of the one-sided Lipschitz
+    caller's choice.  For dimension 1 the callbacks act elementwise on
+    floats or on arrays that hold one entry per replica.
+    ``one_sided_constant`` is the nu of the one-sided Lipschitz
     condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive values
     impose no step restriction.  ``exact`` is an optional reference
     solution used by benchmarks.
@@ -114,12 +119,17 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """One computed path: states[n] = U^n, plus the nodes consumed."""
+    """Computed paths: states[n] = U^n, plus the nodes consumed.
+
+    A batch of R replicas of a scalar problem holds replica r's path in
+    states[:, r], its nodes in row r of the (R, N) node block and its
+    iteration counts in column r of the (N, R) counts.
+    """
 
     grid: TimeGrid
-    states: np.ndarray  # (N+1, d)
-    nodes_used: np.ndarray  # (N,) for randomized schemes, () for classical
-    newton_iteration_counts: np.ndarray  # (N,), zeros for the explicit scheme
+    states: np.ndarray  # (N+1, d); (N+1, R) for a batch
+    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical
+    newton_iteration_counts: np.ndarray  # (N,), (N, R) for a batch; zeros if explicit
     scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
 
 
@@ -141,45 +151,90 @@ def check_step_restriction(k: float, nu: float) -> None:
 
 
 def _newton_scalar(rhs, jac, t_eval, u_prev, k, cfg):
-    """Damped Newton for x = u_prev + k*rhs(t_eval, x), scalar state.
+    """Damped Newton for x = u_prev + k*rhs(t_eval, x), one scalar per replica.
 
-    Returns (root, iterations).  The initial guess is u_prev, an
-    O(k)-accurate predictor.
+    ``t_eval`` and ``u_prev`` are (R,) arrays; returns (roots, iterations),
+    both (R,).  Every replica runs exactly the scalar iteration: its own
+    tolerance test, derivative, damping halvings and iteration count, so
+    its bits do not depend on which replicas share the batch.  Converged
+    replicas leave the batch, and only replicas whose trial step fails to
+    reduce the residual are retried with a halved step.  A failure raises
+    NonConvergence naming the first failing replica's batch position.
+    The initial guess is u_prev, an O(k)-accurate predictor.
     """
     x = u_prev
     fx = rhs(t_eval, x)
     r = x - u_prev - k * fx
-    rnorm = abs(r)
+    rnorm = np.abs(r)
+    roots = iters = None
+    live = None  # batch positions still iterating; None while it is all of them
+
+    def finish(x, it):
+        if live is None:
+            return x, np.full(x.shape, it)
+        roots[live], iters[live] = x, it
+        return roots, iters
+
+    def fail(message, pos):
+        pos = int(pos)
+        raise NonConvergence(message, replica=pos if live is None else int(live[pos]))
+
     for it in range(cfg.max_iterations):
-        if rnorm <= cfg.abs_tol + cfg.rel_tol * abs(x):
-            return x, it
+        done = rnorm <= cfg.abs_tol + cfg.rel_tol * np.abs(x)
+        if done.all():
+            return finish(x, it)
+        if done.any():
+            if live is None:
+                live = np.arange(x.size)
+                roots, iters = np.empty_like(x), np.empty(x.shape, dtype=np.int64)
+            roots[live[done]], iters[live[done]] = x[done], it
+            keep = ~done
+            live, x, r, rnorm = live[keep], x[keep], r[keep], rnorm[keep]
+            t_eval, u_prev = t_eval[keep], u_prev[keep]
+            fx = fx[keep] if np.ndim(fx) else fx  # the rhs may return a scalar
         if jac is not None:
             df = jac(t_eval, x)
         else:
-            dx = cfg.fd_jacobian_step * (1.0 + abs(x))
+            dx = cfg.fd_jacobian_step * (1.0 + np.abs(x))
             df = (rhs(t_eval, x + dx) - fx) / dx
         deriv = 1.0 - k * df
-        if deriv == 0.0:
-            raise NonConvergence("singular Newton derivative")
+        singular = deriv == 0.0
+        # a Jacobian callback returning a float gives a plain bool here
+        if singular is not False and np.any(singular):
+            fail("singular Newton derivative",
+                 np.flatnonzero(np.broadcast_to(singular, x.shape))[0])
         delta = r / deriv
-        alpha = 1.0
-        for _ in range(MAX_DAMPING_HALVINGS + 1):
-            xt = x - alpha * delta
-            ft = rhs(t_eval, xt)
-            rt = xt - u_prev - k * ft
-            if abs(rt) < rnorm:
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergence(
-                "residual not reduced after damped retries"
-            )
-        x, fx, r, rnorm = xt, ft, rt, abs(rt)
-    if rnorm <= cfg.abs_tol + cfg.rel_tol * abs(x):
-        return x, cfg.max_iterations
-    raise NonConvergence(
-        f"residual {rnorm:.3e} above tolerance after {cfg.max_iterations} iterations"
-    )
+        xt = x - delta
+        ft = rhs(t_eval, xt)
+        rt = xt - u_prev - k * ft
+        rtnorm = np.abs(rt)
+        reduced = rtnorm < rnorm
+        if not reduced.all():
+            retry = np.flatnonzero(~reduced)
+            ft = np.array(np.broadcast_to(ft, x.shape))
+            alpha = 1.0
+            for _ in range(MAX_DAMPING_HALVINGS):
+                alpha *= 0.5
+                xb = x[retry] - alpha * delta[retry]
+                fb = rhs(t_eval[retry], xb)
+                rb = xb - u_prev[retry] - k * fb
+                nb = np.abs(rb)
+                xt[retry], ft[retry], rt[retry], rtnorm[retry] = xb, fb, rb, nb
+                retry = retry[~(nb < rnorm[retry])]
+                if not retry.size:
+                    break
+            else:
+                fail("residual not reduced after damped retries", retry[0])
+        x, fx, r, rnorm = xt, ft, rt, rtnorm
+    done = rnorm <= cfg.abs_tol + cfg.rel_tol * np.abs(x)
+    if not done.all():
+        first = np.flatnonzero(~done)[0]
+        fail(
+            f"residual {rnorm[first]:.3e} above tolerance after "
+            f"{cfg.max_iterations} iterations",
+            first,
+        )
+    return finish(x, cfg.max_iterations)
 
 
 def _fd_jacobian(rhs, t, x, fx, step):
@@ -234,9 +289,10 @@ def implicit_step(problem, t_eval, u_prev, k, cfg: Optional[NewtonConfig] = None
     cfg = cfg or NewtonConfig()
     check_step_restriction(k, problem.one_sided_constant)
     if problem.dimension == 1:
-        u0 = float(np.asarray(u_prev, dtype=float).reshape(()))
-        x, _ = _newton_scalar(problem.rhs, problem.jacobian, t_eval, u0, k, cfg)
-        return np.array([x])
+        u0 = np.array(u_prev, dtype=float).reshape(1)
+        t = np.array([t_eval], dtype=float)
+        x, _ = _newton_scalar(problem.rhs, problem.jacobian, t, u0, k, cfg)
+        return x
     u0 = np.asarray(u_prev, dtype=float).reshape(problem.dimension)
     x, _ = _newton_vector(problem.rhs, problem.jacobian, t_eval, u0, k, cfg)
     return x
@@ -248,7 +304,7 @@ def explicit_step(problem, t_eval, u_prev, k):
         raise ValueError("step size must be positive")
     u0 = np.asarray(u_prev, dtype=float).reshape(problem.dimension)
     if problem.dimension == 1:
-        return np.array([u0[0] + k * problem.rhs(t_eval, u0[0])])
+        return u0 + k * problem.rhs(np.array([t_eval], dtype=float), u0)
     return u0 + k * np.asarray(problem.rhs(t_eval, u0), dtype=float)
 
 
@@ -256,81 +312,103 @@ def solve(
     problem: OdeProblem,
     grid: TimeGrid,
     scheme: StepScheme,
-    stream: Optional[NodeStream] = None,
+    stream: Union[NodeStream, Sequence[NodeStream], None] = None,
     cfg: Optional[NewtonConfig] = None,
 ) -> Trajectory:
     """March the selected one-step rule over the grid.
 
-    Randomized schemes consume exactly one draw per step, in step order.
-    Step failures are re-raised with the failing step index attached.
+    ``stream`` is one NodeStream, or for a scalar problem a sequence of R
+    streams: the R replicas then march together, replica r as column r of
+    an (R,) state, with its nodes drawn from stream r.  Every replica
+    gets the same bits as when marched alone.  Randomized schemes consume
+    exactly one draw per step and replica, in step order; the classical
+    scheme draws nothing.  Step failures are re-raised with the failing
+    step index attached (and, for a batch, the replica's position).
     """
     if not math.isclose(grid.final_time, problem.final_time, rel_tol=1e-12):
         raise ValueError("grid final time does not match the problem")
+    batched = stream is not None and not isinstance(stream, NodeStream)
+    streams = list(stream) if batched else [stream]
+    if batched and not streams:
+        raise ValueError("need at least one node stream")
     if scheme.is_randomized and stream is None:
         raise ValueError(f"scheme {scheme.token} needs a node stream")
     cfg = cfg or NewtonConfig()
-    n_steps = grid.steps
     k = grid.step_size
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
+    if problem.dimension > 1:
+        if batched:
+            raise ValueError("replica batches need a scalar problem")
+        return _solve_vector(problem, grid, scheme, stream, cfg)
 
-    times = [grid.node(n) for n in range(n_steps + 1)]
+    n_steps = grid.steps
+    replicas = len(streams)
+    times = grid.nodes()
     if scheme.is_randomized:
-        tau = stream.taus(n_steps).tolist()
-        nodes_used = np.empty(n_steps)
+        nodes_used = grid.random_nodes(streams)
+        evals = nodes_used.T
     else:
         nodes_used = np.empty(0)
-    counts = np.zeros(n_steps, dtype=np.int64)
+        evals = np.broadcast_to(times[1:, None], (n_steps, replicas))
+    counts = np.zeros((n_steps, replicas), dtype=np.int64)
+    states = np.empty((n_steps + 1, replicas))
+    states[0] = float(np.asarray(problem.initial_value, dtype=float).reshape(()))
 
+    rhs, jac = problem.rhs, problem.jacobian
+    u = states[0]
+    for n in range(1, n_steps + 1):
+        t_eval = evals[n - 1]
+        try:
+            if scheme.is_implicit:
+                u, counts[n - 1] = _newton_scalar(rhs, jac, t_eval, u, k, cfg)
+            else:
+                u = u + k * rhs(t_eval, u)
+        except NonConvergence as err:
+            raise NonConvergence(
+                f"step {n}: {err}", step=n, replica=err.replica if batched else None
+            ) from err
+        states[n] = u
+
+    if not batched:
+        nodes_used = nodes_used.reshape(-1)
+        counts = counts[:, 0]
+    return Trajectory(
+        grid=grid,
+        states=states,
+        nodes_used=nodes_used,
+        newton_iteration_counts=counts,
+        scheme=scheme,
+    )
+
+
+def _solve_vector(problem, grid, scheme, stream, cfg) -> Trajectory:
+    """One replica of a d > 1 problem, marched as a d-vector state."""
+    n_steps = grid.steps
+    k = grid.step_size
     d = problem.dimension
-    states = np.empty((n_steps + 1, d))
-
-    if d == 1:
-        u = float(np.asarray(problem.initial_value, dtype=float).reshape(()))
-        states[0, 0] = u
-        rhs, jac = problem.rhs, problem.jacobian
-        for n in range(1, n_steps + 1):
-            if scheme.is_randomized:
-                t_prev = times[n - 1]
-                t_eval = t_prev + k * tau[n - 1]
-                if t_eval >= times[n]:
-                    t_eval = math.nextafter(times[n], t_prev)
-                nodes_used[n - 1] = t_eval
-            else:
-                t_eval = times[n]
-            try:
-                if scheme.is_implicit:
-                    u, iters = _newton_scalar(rhs, jac, t_eval, u, k, cfg)
-                    counts[n - 1] = iters
-                else:
-                    u = u + k * rhs(t_eval, u)
-            except NonConvergence as err:
-                raise NonConvergence(f"step {n}: {err}", step=n) from err
-            states[n, 0] = u
+    if scheme.is_randomized:
+        nodes_used = grid.random_nodes([stream])[0]
+        evals = nodes_used.tolist()
     else:
-        u = np.asarray(problem.initial_value, dtype=float).reshape(d)
-        states[0] = u
-        for n in range(1, n_steps + 1):
-            if scheme.is_randomized:
-                t_prev = times[n - 1]
-                t_eval = t_prev + k * tau[n - 1]
-                if t_eval >= times[n]:
-                    t_eval = math.nextafter(times[n], t_prev)
-                nodes_used[n - 1] = t_eval
+        nodes_used = np.empty(0)
+        evals = grid.nodes()[1:].tolist()
+    counts = np.zeros(n_steps, dtype=np.int64)
+    states = np.empty((n_steps + 1, d))
+    u = np.asarray(problem.initial_value, dtype=float).reshape(d)
+    states[0] = u
+    for n in range(1, n_steps + 1):
+        t_eval = evals[n - 1]
+        try:
+            if scheme.is_implicit:
+                u, counts[n - 1] = _newton_vector(
+                    problem.rhs, problem.jacobian, t_eval, u, k, cfg
+                )
             else:
-                t_eval = times[n]
-            try:
-                if scheme.is_implicit:
-                    u, iters = _newton_vector(
-                        problem.rhs, problem.jacobian, t_eval, u, k, cfg
-                    )
-                    counts[n - 1] = iters
-                else:
-                    u = u + k * np.asarray(problem.rhs(t_eval, u), dtype=float)
-            except NonConvergence as err:
-                raise NonConvergence(f"step {n}: {err}", step=n) from err
-            states[n] = u
-
+                u = u + k * np.asarray(problem.rhs(t_eval, u), dtype=float)
+        except NonConvergence as err:
+            raise NonConvergence(f"step {n}: {err}", step=n) from err
+        states[n] = u
     return Trajectory(
         grid=grid,
         states=states,

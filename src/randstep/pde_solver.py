@@ -165,23 +165,17 @@ def pde_solve(
     fields[0] = l2_project(mesh, problem.initial).coefficients
     energy = np.empty((n_steps, 3))
     counts = np.zeros(n_steps, dtype=np.int64)
-    times = [grid.node(n) for n in range(n_steps + 1)]
     if scheme.is_randomized:
-        tau = stream.taus(n_steps)
-        nodes_used = np.empty(n_steps)
+        nodes_used = grid.random_nodes([stream])[0]
+        evals = nodes_used.tolist()
     else:
         nodes_used = np.empty(0)
+        evals = grid.nodes()[1:].tolist()
 
     forcing = problem.forcing
     u = fields[0].copy()
     for n in range(1, n_steps + 1):
-        if scheme.is_randomized:
-            t_eval = times[n - 1] + k * float(tau[n - 1])
-            if t_eval >= times[n]:
-                t_eval = np.nextafter(times[n], times[n - 1])
-            nodes_used[n - 1] = t_eval
-        else:
-            t_eval = times[n]
+        t_eval = evals[n - 1]
         rhs = mass.matvec(u) + k * load_vector(mesh, lambda x: forcing(t_eval, x))
         try:
             u_next, iters = _newton_fem(system, mass, k, mesh, problem, rhs, u, cfg)

@@ -62,34 +62,47 @@ class TruncatedPowerSpec:
             raise ValueError("power must be at least 2")
 
 
-def _interval_index(t: float, exponent: int) -> tuple[int, float]:
+def _interval_index(t, exponent: int):
     """Index i of [i*p, (i+1)*p) containing t, and the local coordinate.
 
-    t*2^exponent is an exact float scaling, so grid-aligned inputs pick
-    their interval bit-exactly; i is clamped to the last interval at t=1.
+    t is a float or an array of times; arrays give arrays of the same
+    shape.  t*2^exponent is an exact float scaling, so grid-aligned inputs
+    pick their interval bit-exactly; i is clamped to the last interval at
+    t=1.
     """
+    top = (1 << exponent) - 1
+    if isinstance(t, np.ndarray):
+        if not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails both
+            raise ValueError(f"t outside [0, 1]: min {t.min()!r}, max {t.max()!r}")
+        scaled = t * (1 << exponent)
+        i = np.minimum(scaled.astype(np.int64), top)
+        return i, scaled - i
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t!r} outside [0, 1]")
     scaled = t * (1 << exponent)
-    i = int(scaled)
-    top = (1 << exponent) - 1
-    if i > top:
-        i = top
+    i = min(int(scaled), top)
     return i, scaled - i
 
 
-def sawtooth_g(spec: SawtoothSpec, t: float) -> float:
+def _g_and_parity(spec: SawtoothSpec, t):
+    """(g(t), i mod 2) for the interval i of t; floats or arrays.
+
+    g is p*frac on even intervals and p*(1 - frac) on odd ones; |frac - 1|
+    is exactly 1 - frac for frac in [0, 1], so one expression serves both.
+    """
+    i, frac = _interval_index(t, spec.exponent)
+    odd = i & 1
+    return spec.half_period * abs(frac - odd), odd
+
+
+def sawtooth_g(spec: SawtoothSpec, t):
     """g with g(i*p) = p for odd i, 0 for even i, affine in between."""
     if spec.amplitude_mode is not AmplitudeMode.ODE:
         raise ValueError("sawtooth_g needs the ODE amplitude mode")
-    i, frac = _interval_index(t, spec.exponent)
-    p = spec.half_period
-    if i % 2 == 0:
-        return p * frac
-    return p * (1.0 - frac)
+    return _g_and_parity(spec, t)[0]
 
 
-def sawtooth_gdot(spec: SawtoothSpec, t: float) -> float:
+def sawtooth_gdot(spec: SawtoothSpec, t):
     """Representation of dg/dt: +1 on even intervals, -1 on odd ones.
 
     The value at t = 1 is taken from the last half-open interval.
@@ -97,14 +110,17 @@ def sawtooth_gdot(spec: SawtoothSpec, t: float) -> float:
     if spec.amplitude_mode is not AmplitudeMode.ODE:
         raise ValueError("sawtooth_gdot needs the ODE amplitude mode")
     i, _ = _interval_index(t, spec.exponent)
-    return -1.0 if i % 2 else 1.0
+    return 1.0 - 2.0 * (i & 1)
 
 
-def pr_rhs(spec: ProtheroRobinsonSpec, t: float, x: float) -> float:
-    """f(t, x) = lam*(x - g(t)) + g'(t); the exact solution is u = g."""
-    return spec.lam * (x - sawtooth_g(spec.sawtooth, t)) + sawtooth_gdot(
-        spec.sawtooth, t
-    )
+def pr_rhs(spec: ProtheroRobinsonSpec, t, x):
+    """f(t, x) = lam*(x - g(t)) + g'(t); the exact solution is u = g.
+
+    t and x are floats or arrays of one shape; the interval of t is
+    looked up once for g and g'.
+    """
+    g, odd = _g_and_parity(spec.sawtooth, t)
+    return spec.lam * (x - g) + (1.0 - 2.0 * odd)
 
 
 def pde_w(spec: SawtoothSpec, t: float) -> float:

@@ -62,7 +62,27 @@ class TimeGrid:
         return n * self.final_time / self.steps
 
     def nodes(self) -> np.ndarray:
-        return np.array([self.node(n) for n in range(self.steps + 1)])
+        """All grid points t_0..t_N; entry n equals node(n) bit for bit."""
+        t = np.arange(self.steps + 1) * self.final_time / self.steps
+        t[-1] = self.final_time
+        return t
+
+    def random_nodes(self, streams) -> np.ndarray:
+        """(R, N) block of randomized nodes xi_n; row r draws from streams[r].
+
+        Each stream supplies its next N draws, so row r holds exactly the
+        nodes ``node(self, n, tau)`` would give for that stream.  The block
+        costs R*N*8 bytes.
+        """
+        t = self.nodes()
+        block = np.empty((len(streams), self.steps))
+        for row, stream in zip(block, streams):
+            row[:] = stream.taus(self.steps)
+        block *= self.step_size
+        block += t[:-1]
+        # k*tau can round up to k: keep every node strictly below t_n
+        np.minimum(block, np.nextafter(t[1:], t[:-1]), out=block)
+        return block
 
 
 class NodeStream:

@@ -128,3 +128,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "randstep" in proc.stdout
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_is_usage_error(tmp_path, capsys, workers):
+    code = main(
+        ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:1",
+         "--mc", "2", "--workers", workers, "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_rates_truncated_row_names_line(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    assert main(
+        ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:2",
+         "--mc", "2", "--workers", "1", "--out", str(table)]
+    ) == 0
+    lines = table.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:4])  # drop the error columns
+    table.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["rates", "--in", str(table), "--scheme", "rbe", "--window", "0:2",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_read_error_csv_rejects_truncated_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "scheme,N,k,replicas,rms_error_final,rms_error_max,mc_stderr_final,"
+        "mean_newton_iters\nrbe,4,2.5e-01\n"
+    )
+    with pytest.raises(ValueError, match="line 2"):
+        read_error_csv(path)

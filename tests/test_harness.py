@@ -202,3 +202,25 @@ def test_residual_study_columns_scale(residual_rows_desk):
     # the resolved point n = K collapses far below the sqrt(k) trend
     by_n = {r.exponent: r.rms_residual for r in rows}
     assert by_n[8] < 0.1 * by_n[7]
+
+
+def test_failing_replica_named_in_experiment_error(monkeypatch):
+    # x = u + k*(x^2 + 10) has no root at k = 1/4; the rhs switches to it
+    # only at replica 5's node of step 2, so exactly one replica fails
+    from randstep import harness
+    from randstep.ode_solver import OdeProblem
+    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+
+    grid = TimeGrid(1.0, 4)
+    tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
+    target = grid.node(1) + grid.step_size * tau
+
+    def rhs(t, x):
+        return np.where(t == target, x * x + 10.0, -x)
+
+    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
+    with pytest.raises(harness.ExperimentError) as err:
+        harness._ode_chunk(spec, "rbe", 2, 3, 8)
+    assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")

@@ -282,3 +282,54 @@ def test_scheme_tokens():
     assert StepScheme.parse("be").token == "be"
     with pytest.raises(ValueError):
         StepScheme.parse("euler")
+
+
+def test_batched_solve_matches_single_replicas_bitwise():
+    # x + k*c(t)*atan(x) = u overshoots from a large start, so some steps
+    # need damping and the replicas' iteration counts differ
+    calls = []
+
+    def rhs(t, x):
+        calls.append(np.size(x))
+        return -50.0 * (1.0 + t) * np.arctan(x)
+
+    p = OdeProblem(1, rhs, 20.0, 1.0,
+                   jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
+    grid = TimeGrid(1.0, 4)
+    seeds = [SeedSpec(11, r) for r in range(6)]
+    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                  [NodeStream(s) for s in seeds])
+    assert batch.states.shape == (5, 6) and batch.nodes_used.shape == (6, 4)
+    assert batch.newton_iteration_counts.shape == (4, 6)
+    damped = []
+    for r, seed in enumerate(seeds):
+        calls.clear()
+        one = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(seed))
+        assert np.array_equal(one.states[:, 0], batch.states[:, r])
+        assert np.array_equal(one.nodes_used, batch.nodes_used[r])
+        assert np.array_equal(one.newton_iteration_counts,
+                              batch.newton_iteration_counts[:, r])
+        # one rhs call per step plus one per full Newton step; more means halvings
+        damped.append(len(calls) > 4 + one.newton_iteration_counts.sum())
+    assert any(damped)
+    assert len(np.unique(batch.newton_iteration_counts)) > 1
+
+
+def test_batched_nonconvergence_names_replica():
+    grid = TimeGrid(1.0, 4)
+    streams = [NodeStream(SeedSpec(3, r)) for r in range(5)]
+    target = grid.random_nodes([NodeStream(SeedSpec(3, 2))])[0, 0]
+    # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
+    p = OdeProblem(1, lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0)
+    with pytest.raises(NonConvergence) as err:
+        solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, streams)
+    assert (err.value.step, err.value.replica) == (1, 2)
+
+
+def test_random_nodes_match_scalar_rule():
+    grid = TimeGrid(1.0, 64)
+    block = grid.random_nodes([make_stream(SeedSpec(4, r)) for r in range(3)])
+    for r in range(3):
+        taus = make_stream(SeedSpec(4, r)).taus(64)
+        assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
+    assert grid.nodes().tolist() == [grid.node(n) for n in range(65)]

@@ -91,6 +91,30 @@ def test_pr_rhs_values():
     )
 
 
+def test_array_arguments_match_scalar_calls_bitwise():
+    # grid points, both ends, points just below breakpoints, random times
+    rng = np.random.default_rng(3)
+    t = np.concatenate([
+        np.arange(65) / 64.0,
+        np.nextafter(np.arange(1, 65) * P, 0.0),
+        rng.uniform(0.0, 1.0, 200),
+    ])
+    x = rng.normal(size=t.size)
+    spec = ProtheroRobinsonSpec(-1000.0, SAW)
+    for fn, args in (
+        (sawtooth_g, (SAW, t)),
+        (sawtooth_gdot, (SAW, t)),
+        (pr_rhs, (spec, t, x)),
+    ):
+        batch = fn(*args)
+        single = [fn(*(a if not isinstance(a, np.ndarray) else a[j] for a in args))
+                  for j in range(t.size)]
+        assert batch.tolist() == [float(v) for v in single], fn.__name__
+    for bad in (np.array([0.5, -1e-300]), np.array([1.0 + 2**-52]), np.array([np.nan])):
+        with pytest.raises(ValueError):
+            sawtooth_g(SAW, bad)
+
+
 PSAW = SawtoothSpec(5, AmplitudeMode.PDE)
 PP = PSAW.half_period
 
