@@ -32,7 +32,7 @@ from .ode_solver import (
     StepScheme,
     solve,
 )
-from .pde_solver import pde_solve
+from .pde_solver import STEP_BLOCK, pde_solve
 from .rand_nodes import DEFAULT_MASTER_SEED, NodeStream, SeedSpec, TimeGrid
 
 
@@ -196,38 +196,50 @@ def _ode_chunk(spec, scheme_token, exponent, lo, hi):
     return errors
 
 
+#: Bytes of stored fields per PDE batch.  A chunk whose paths need more
+#: (paper scale) marches in several batches; desk scale is one batch.
+PDE_BATCH_BYTES = 64 * 2**20
+
+
 def _pde_chunk(spec, scheme_token, exponent, lo, hi):
-    """As _ode_chunk, one replica at a time; a deterministic scheme marches once."""
+    """As _ode_chunk, with L2 errors of the (R, m) fields of a PDE batch."""
     scheme = StepScheme.parse(scheme_token)
     problem, mesh = _build_pde_problem(spec)
     grid = TimeGrid(problem.final_time, 2**exponent)
-    times = grid.nodes().tolist()
-    exact = problem.exact
-    replicas = range(lo, hi) if scheme.is_randomized else range(lo, lo + 1)
-    e_final = np.empty(len(replicas))
-    e_max = np.empty(len(replicas))
-    iters = np.empty(len(replicas))
-    cfg = NewtonConfig()
-    for idx, replica in enumerate(replicas):
-        stream = None
-        if scheme.is_randomized:
-            stream = NodeStream(SeedSpec(spec.master_seed, replica))
-        try:
-            path = pde_solve(problem, mesh, grid, scheme, stream, cfg)
-        except (NonConvergence, ValueError) as err:
-            raise _chunk_failure(err, scheme, exponent, replica) from err
-        errs = np.array(
-            [
-                l2_error(mesh, path.fields[n], lambda x, t=t: exact(t, x))
-                for n, t in enumerate(times)
-            ]
-        )
-        e_final[idx] = errs[-1]
-        e_max[idx] = errs.max()
-        iters[idx] = path.newton_iteration_counts.mean()
     if not scheme.is_randomized:
-        return tuple(np.repeat(e, hi - lo) for e in (e_final, e_max, iters))
-    return e_final, e_max, iters
+        errors = _pde_errors(problem, mesh, grid, scheme, exponent, lo, None)
+        return tuple(np.repeat(e, hi - lo) for e in errors)
+    width = max(1, PDE_BATCH_BYTES // ((grid.steps + 1) * mesh.interior_nodes * 8))
+    parts = [
+        _pde_errors(problem, mesh, grid, scheme, exponent, a,
+                    [NodeStream(SeedSpec(spec.master_seed, r))
+                     for r in range(a, min(a + width, hi))])
+        for a in range(lo, hi, width)
+    ]
+    return tuple(np.concatenate(e) for e in zip(*parts))
+
+
+def _pde_errors(problem, mesh, grid, scheme, exponent, lo, streams):
+    """(final, max, mean-newton) per replica of one batch starting at lo.
+
+    The exact solution is evaluated once per block of time nodes and
+    shared by every replica of the batch.
+    """
+    try:
+        path = pde_solve(problem, mesh, grid, scheme, streams, NewtonConfig())
+    except (NonConvergence, ValueError) as err:
+        offset = getattr(err, "replica", None) or 0
+        raise _chunk_failure(err, scheme, exponent, lo + offset) from err
+    fields = path.fields if streams else path.fields[:, None]
+    times = grid.nodes()
+    exact = problem.exact
+    errs = np.empty(fields.shape[:2])
+    for n in range(0, len(times), STEP_BLOCK):
+        t = times[n : n + STEP_BLOCK, None, None, None]
+        errs[n : n + STEP_BLOCK] = l2_error(
+            mesh, fields[n : n + STEP_BLOCK], lambda x: exact(t, x)
+        )
+    return errs[-1], errs.max(axis=0), path.newton_iteration_counts.mean(axis=0)
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -333,6 +345,8 @@ def fit_rate(
     if len(rows) < 2:
         raise ValueError(f"window {window} holds {len(rows)} rows; need at least 2")
     errors = np.array([r.error(error_mode) for r in rows])
+    if not np.isfinite(errors).all():
+        raise ValueError(f"non-finite error in fit window {window} for {scheme}")
     if np.any(errors <= 0.0):
         if not clamp_zero:
             raise ValueError(
@@ -589,9 +603,14 @@ def write_error_csv(table: ErrorTable, path) -> None:
 
 
 def read_error_csv(path) -> ErrorTable:
-    """Parse an error table; a malformed row raises ValueError naming its line."""
+    """Parse an error table; a malformed row raises ValueError naming its line.
+
+    Malformed means a short or unparsable row, a step count N that is not
+    a power of two, or a second row for the same (scheme, N).
+    """
     fields = (str, int, float, int, float, float, float, float)
     rows = []
+    seen = set()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ERROR_CSV_HEADER:
@@ -607,9 +626,20 @@ def read_error_csv(path) -> ErrorTable:
                     f"got {len(parts)}"
                 )
             try:
-                rows.append(ErrorRow(*(kind(v) for kind, v in zip(fields, parts))))
+                row = ErrorRow(*(kind(v) for kind, v in zip(fields, parts)))
             except ValueError as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from None
+            if row.steps < 1 or row.steps & (row.steps - 1):
+                raise ValueError(
+                    f"{path}, line {lineno}: N = {row.steps} is not a power of two"
+                )
+            if (row.scheme, row.steps) in seen:
+                raise ValueError(
+                    f"{path}, line {lineno}: duplicate row for scheme={row.scheme} "
+                    f"N={row.steps}"
+                )
+            seen.add((row.scheme, row.steps))
+            rows.append(row)
     return ErrorTable(rows)
 
 

@@ -13,6 +13,7 @@ restriction k*nu < 1 the per-step root is unique.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -426,6 +427,12 @@ def local_residual(problem, exact_at_grid, n, xi_n, k):
     return k * problem.rhs(xi_n, v_n) - v_n + exact_at_grid[n - 1]
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(points)
+
+
 def conditional_mean_residual(
     problem, exact, n, grid: TimeGrid, quad_points: int = 4, panels: int = 1
 ):
@@ -448,15 +455,19 @@ def conditional_mean_residual(
     t0 = grid.node(n - 1)
     t1 = grid.node(n)
     u_n = exact(t1)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = _leggauss(quad_points)
     edges = np.linspace(t0, t1, panels + 1)
-    total = 0.0 if problem.dimension == 1 else np.zeros(problem.dimension)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for s_hat, w in zip(nodes, weights):
-            s = mid + half * s_hat
-            total = total + (half * w) * (
-                problem.rhs(s, u_n) - problem.rhs(s, exact(s))
-            )
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    # every point of every panel at once, panel by panel in order
+    s = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    u_s = np.array([exact(p) for p in s])
+    if problem.dimension == 1:
+        terms = w * (problem.rhs(s, u_n) - problem.rhs(s, u_s))
+    else:
+        terms = w[:, None] * np.array(
+            [problem.rhs(p, u_n) - problem.rhs(p, u) for p, u in zip(s, u_s)]
+        )
+    # cumsum adds in point order, as the scalar recursion did
+    return np.cumsum(terms, axis=0)[-1]

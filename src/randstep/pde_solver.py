@@ -14,7 +14,7 @@ assembler can be swapped in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .fem1d import (
     Mesh,
     TriDiag,
     _coeffs,
+    _element_points,
+    _gauss_01,
     assemble_mass,
     assemble_nonlinearity,
     assemble_nonlinearity_jacobian,
@@ -44,10 +46,14 @@ from .rand_nodes import NodeStream, TimeGrid
 class PdeProblem:
     """Semilinear parabolic data: u_t - u_xx + b(u) = f, zero Dirichlet BC.
 
-    ``forcing``/``initial``/``exact`` must accept numpy arrays of spatial
-    points; ``nonlinearity`` and its derivative act pointwise.  The
-    structural constants (monotonicity mu, Lipschitz bound, bound on the
-    operator at zero) are metadata for diagnostics.
+    ``forcing(t, x)``, ``initial(x)`` and ``exact(t, x)`` must accept
+    numpy arrays of spatial points; ``nonlinearity`` and its derivative
+    act pointwise.  ``pde_solve`` passes ``t`` to ``forcing`` as an array
+    of shape (steps, replicas, 1, 1), and the sweep passes it to
+    ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
+    the points.  A forcing that ignores ``t`` may return the points'
+    shape; ``pde_step`` passes a float.  The structural constants
+    (monotonicity mu, Lipschitz bound) are metadata for diagnostics.
     """
 
     forcing: Callable
@@ -58,7 +64,6 @@ class PdeProblem:
     exact: Optional[Callable] = None
     monotonicity: float = 1.0
     lipschitz: Optional[float] = None
-    rhs_bound: Optional[float] = None
 
     def __post_init__(self):
         if not self.final_time > 0:
@@ -73,48 +78,101 @@ class PdeTrajectory:
 
     energy_log[n-1] = (|U^n|_M^2, |U^n - U^{n-1}|_M^2, |U^n|_S^2) where
     |.|_M is the L2 norm and |.|_S the H1 seminorm of the P1 function.
+    A batch of R replicas holds replica r in fields[:, r], row r of the
+    (R, N) nodes, column r of the (N, R) counts and energy_log[:, r].
     """
 
     grid: TimeGrid
-    fields: np.ndarray  # (N+1, m)
-    nodes_used: np.ndarray
-    energy_log: np.ndarray  # (N, 3)
-    newton_iteration_counts: np.ndarray
+    fields: np.ndarray  # (N+1, m); (N+1, R, m) for a batch
+    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical
+    energy_log: np.ndarray  # (N, 3); (N, R, 3) for a batch
+    newton_iteration_counts: np.ndarray  # (N,); (N, R) for a batch
     scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
 
     def field(self, n: int) -> DiscreteField:
         return DiscreteField(self.fields[n])
 
 
-def _newton_fem(system, mass, k, mesh, problem, rhs, u_start, cfg):
-    """Damped Newton for system @ U + k N(U) = rhs; returns (U, iterations)."""
+#: Steps per block of forcing loads and energy terms (and of time nodes
+#: per error evaluation in the sweeps).  A block holds (block, R, m+1, q)
+#: quadrature temporaries: longer blocks save numpy calls but cost memory.
+STEP_BLOCK = 16
+
+
+def _newton_fem(system, k, mesh, problem, rhs, u_start, cfg):
+    """Damped Newton for system @ U + k N(U) = rhs, one row of U per replica.
+
+    ``rhs`` and ``u_start`` are (R, m); returns (U, iterations) with
+    iterations (R,).  Every replica runs exactly the single-field
+    iteration: its own tolerance test, damping halvings and iteration
+    count, so its bits do not depend on which replicas share the batch.
+    Converged replicas leave the batch, and only replicas whose trial
+    step fails to reduce the residual are retried with a halved step.  A
+    failure raises NonConvergence naming the first failing replica's
+    batch position.
+    """
     b = problem.nonlinearity
     b_prime = problem.nonlinearity_prime
-    tol = cfg.abs_tol + cfg.rel_tol * float(np.abs(rhs).max())
-    u = u_start.copy()
+    tol = cfg.abs_tol + cfg.rel_tol * np.abs(rhs).max(axis=1)
+    u = u_start
     r = system.matvec(u) + k * assemble_nonlinearity(mesh, b, u) - rhs
-    rnorm = float(np.abs(r).max())
+    rnorm = np.abs(r).max(axis=1)
+    roots = iters = None
+    live = None  # batch positions still iterating; None while it is all of them
+
+    def finish(u, it):
+        if live is None:
+            return u, np.full(len(u), it)
+        roots[live], iters[live] = u, it
+        return roots, iters
+
+    def fail(message, pos):
+        pos = int(pos)
+        raise NonConvergence(message, replica=pos if live is None else int(live[pos]))
+
     for it in range(cfg.max_iterations):
-        if rnorm <= tol:
-            return u, it
+        done = rnorm <= tol
+        if done.all():
+            return finish(u, it)
+        if done.any():
+            if live is None:
+                live = np.arange(len(u))
+                roots, iters = np.empty_like(u), np.empty(len(u), dtype=np.int64)
+            roots[live[done]], iters[live[done]] = u[done], it
+            keep = ~done
+            live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
+            rhs, tol = rhs[keep], tol[keep]
         jac = system.plus(assemble_nonlinearity_jacobian(mesh, b_prime, u), scale=k)
         delta = tridiag_solve(jac, r)
-        alpha = 1.0
-        for _ in range(MAX_DAMPING_HALVINGS + 1):
-            ut = u - alpha * delta
-            rt = system.matvec(ut) + k * assemble_nonlinearity(mesh, b, ut) - rhs
-            rtnorm = float(np.abs(rt).max())
-            if rtnorm < rnorm:
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergence("residual not reduced after damped retries")
+        ut = u - delta
+        rt = system.matvec(ut) + k * assemble_nonlinearity(mesh, b, ut) - rhs
+        rtnorm = np.abs(rt).max(axis=1)
+        reduced = rtnorm < rnorm
+        if not reduced.all():
+            retry = np.flatnonzero(~reduced)
+            alpha = 1.0
+            for _ in range(MAX_DAMPING_HALVINGS):
+                alpha *= 0.5
+                ub = u[retry] - alpha * delta[retry]
+                rb = (system.matvec(ub) + k * assemble_nonlinearity(mesh, b, ub)
+                      - rhs[retry])
+                nb = np.abs(rb).max(axis=1)
+                ut[retry], rt[retry], rtnorm[retry] = ub, rb, nb
+                retry = retry[~(nb < rnorm[retry])]
+                if not retry.size:
+                    break
+            else:
+                fail("residual not reduced after damped retries", retry[0])
         u, r, rnorm = ut, rt, rtnorm
-    if rnorm <= tol:
-        return u, cfg.max_iterations
-    raise NonConvergence(
-        f"residual {rnorm:.3e} above tolerance after {cfg.max_iterations} iterations"
-    )
+    done = rnorm <= tol
+    if not done.all():
+        first = np.flatnonzero(~done)[0]
+        fail(
+            f"residual {rnorm[first]:.3e} above tolerance after "
+            f"{cfg.max_iterations} iterations",
+            first,
+        )
+    return finish(u, cfg.max_iterations)
 
 
 def pde_step(
@@ -134,8 +192,8 @@ def pde_step(
     u0 = _coeffs(u_prev)
     system = mass.plus(stiffness, scale=k)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
-    u, _ = _newton_fem(system, mass, k, mesh, problem, rhs, u0, cfg)
-    return DiscreteField(u)
+    u, _ = _newton_fem(system, k, mesh, problem, rhs[None], u0[None], cfg)
+    return DiscreteField(u[0].copy())
 
 
 def pde_solve(
@@ -143,54 +201,70 @@ def pde_solve(
     mesh: Mesh,
     grid: TimeGrid,
     scheme: StepScheme,
-    stream: Optional[NodeStream] = None,
+    stream: Union[NodeStream, Sequence[NodeStream], None] = None,
     cfg: Optional[NewtonConfig] = None,
 ) -> PdeTrajectory:
-    """March the scheme from U^0 = P_h u0; one node draw per step."""
+    """March the scheme from U^0 = P_h u0; one node draw per step.
+
+    ``stream`` is one NodeStream, or a sequence of R streams: the R
+    replicas then march together as an (R, m) field, replica r with its
+    nodes drawn from stream r, and every replica gets the same bits as
+    when marched alone.  The loads of STEP_BLOCK steps are assembled at
+    once, before their Newton solves.  Step failures are re-raised with
+    the failing step index attached (and, for a batch, the replica's
+    position).
+    """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
     if not np.isclose(grid.final_time, problem.final_time, rtol=1e-12, atol=0.0):
         raise ValueError("grid final time does not match the problem")
+    batched = stream is not None and not isinstance(stream, NodeStream)
+    streams = list(stream) if batched else [stream]
+    if batched and not streams:
+        raise ValueError("need at least one node stream")
     if scheme.is_randomized and stream is None:
         raise ValueError(f"scheme {scheme.token} needs a node stream")
     cfg = cfg or NewtonConfig()
 
     n_steps = grid.steps
     k = grid.step_size
+    replicas, m = len(streams), mesh.interior_nodes
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
     system = mass.plus(stiffness, scale=k)
 
-    fields = np.empty((n_steps + 1, mesh.interior_nodes))
+    fields = np.empty((n_steps + 1, replicas, m))
     fields[0] = l2_project(mesh, problem.initial).coefficients
-    energy = np.empty((n_steps, 3))
-    counts = np.zeros(n_steps, dtype=np.int64)
+    counts = np.zeros((n_steps, replicas), dtype=np.int64)
     if scheme.is_randomized:
-        nodes_used = grid.random_nodes([stream])[0]
-        evals = nodes_used.tolist()
+        nodes_used = grid.random_nodes(streams)
+        evals = nodes_used.T
     else:
         nodes_used = np.empty(0)
-        evals = grid.nodes()[1:].tolist()
+        evals = np.broadcast_to(grid.nodes()[1:, None], (n_steps, replicas))
 
     forcing = problem.forcing
-    u = fields[0].copy()
-    for n in range(1, n_steps + 1):
-        t_eval = evals[n - 1]
-        rhs = mass.matvec(u) + k * load_vector(mesh, lambda x: forcing(t_eval, x))
-        try:
-            u_next, iters = _newton_fem(system, mass, k, mesh, problem, rhs, u, cfg)
-        except NonConvergence as err:
-            raise NonConvergence(f"step {n}: {err}", step=n) from err
-        counts[n - 1] = iters
-        diff = u_next - u
-        energy[n - 1] = (
-            float(u_next @ mass.matvec(u_next)),
-            float(diff @ mass.matvec(diff)),
-            float(u_next @ stiffness.matvec(u_next)),
-        )
-        fields[n] = u_next
-        u = u_next
+    u = fields[0]
+    for lo in range(0, n_steps, STEP_BLOCK):
+        t = evals[lo : lo + STEP_BLOCK, :, None, None]
+        load = load_vector(mesh, lambda x: forcing(t, x))
+        # a forcing that ignores t gives one load for every step and replica
+        load = k * np.broadcast_to(load, t.shape[:2] + (m,))
+        for n, load_n in enumerate(load, start=lo + 1):
+            rhs = mass.matvec(u) + load_n
+            try:
+                u, counts[n - 1] = _newton_fem(system, k, mesh, problem, rhs, u, cfg)
+            except NonConvergence as err:
+                raise NonConvergence(
+                    f"step {n}: {err}", step=n, replica=err.replica if batched else None
+                ) from err
+            fields[n] = u
+    energy = _energy_log(mass, stiffness, fields)
 
+    if not batched:
+        fields, energy = fields[:, 0], energy[:, 0]
+        nodes_used = nodes_used.reshape(-1)
+        counts = counts[:, 0]
     return PdeTrajectory(
         grid=grid,
         fields=fields,
@@ -199,6 +273,19 @@ def pde_solve(
         newton_iteration_counts=counts,
         scheme=scheme,
     )
+
+
+def _energy_log(mass, stiffness, fields):
+    """(N, R, 3) energy terms of an (N+1, R, m) path, STEP_BLOCK steps at a time."""
+    energy = np.empty((len(fields) - 1,) + fields.shape[1:-1] + (3,))
+    for lo in range(0, len(energy), STEP_BLOCK):
+        u = fields[lo + 1 : lo + 1 + STEP_BLOCK]
+        diff = u - fields[lo : lo + len(u)]
+        block = energy[lo : lo + len(u)]
+        block[..., 0] = (u * mass.matvec(u)).sum(axis=-1)
+        block[..., 1] = (diff * mass.matvec(diff)).sum(axis=-1)
+        block[..., 2] = (u * stiffness.matvec(u)).sum(axis=-1)
+    return energy
 
 
 @dataclass(frozen=True)
@@ -234,25 +321,21 @@ ENERGY_FLAG_FACTOR = 1e6
 def forcing_energy(
     problem: PdeProblem, mesh: Mesh, grid: TimeGrid, quad_points: int = 4
 ) -> float:
-    """Quadrature estimate of the squared L2(0,T; L2(0,1)) forcing norm."""
-    s, w = np.polynomial.legendre.leggauss(quad_points)
-    s = 0.5 * (s + 1.0)
-    w = 0.5 * w
-    sx, wx = np.polynomial.legendre.leggauss(quad_points)
-    sx = 0.5 * (sx + 1.0)
-    wx = 0.5 * wx
-    h = mesh.spacing
-    e = np.arange(mesh.interior_nodes + 1)[:, None]
-    x = (e + sx[None, :]) * h
+    """Quadrature estimate of the squared L2(0,T; L2(0,1)) forcing norm.
+
+    Gauss rules per step in time and per element in space; the forcing
+    is evaluated at the time points of STEP_BLOCK steps at once.
+    """
+    s, w = _gauss_01(quad_points)
+    x = _element_points(mesh, s)
     k = grid.step_size
+    starts = grid.nodes()[:-1, None]
     total = 0.0
-    for n in range(grid.steps):
-        t0 = grid.node(n)
-        for s_hat, w_hat in zip(s, w):
-            t = t0 + k * s_hat
-            f_vals = np.asarray(problem.forcing(t, x), dtype=float)
-            space = h * float((f_vals * f_vals @ wx).sum())
-            total += k * w_hat * space
+    for lo in range(0, grid.steps, STEP_BLOCK):
+        t = (starts[lo : lo + STEP_BLOCK] + k * s)[..., None, None]
+        f = np.broadcast_to(problem.forcing(t, x), t.shape[:2] + x.shape)
+        space = mesh.spacing * (f * f @ w).sum(axis=-1)
+        total += k * float((space @ w).sum())
     return total
 
 
@@ -263,6 +346,8 @@ def energy_bound_check(trajectory: PdeTrajectory, problem: PdeProblem) -> Energy
     no closed-form constant is available, so this is a growth alarm, not
     a sharp bound.
     """
+    if trajectory.fields.ndim != 2:
+        raise ValueError("energy_bound_check takes the path of a single replica")
     mesh = Mesh(trajectory.fields.shape[1])
     mass = assemble_mass(mesh)
     u0 = trajectory.fields[0]

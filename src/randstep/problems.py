@@ -123,28 +123,29 @@ def pr_rhs(spec: ProtheroRobinsonSpec, t, x):
     return spec.lam * (x - g) + (1.0 - 2.0 * odd)
 
 
-def pde_w(spec: SawtoothSpec, t: float) -> float:
-    """w with w(i*P) = i*P^2 for odd i, 0 for even i, affine in between."""
+def pde_w(spec: SawtoothSpec, t):
+    """w with w(i*P) = i*P^2 for odd i, 0 for even i, affine in between.
+
+    t is a float or an array of times; arrays give arrays of its shape.
+    """
     if spec.amplitude_mode is not AmplitudeMode.PDE:
         raise ValueError("pde_w needs the PDE amplitude mode")
     j, frac = _interval_index(t, spec.exponent)
     p2 = spec.half_period * spec.half_period
-    if j % 2 == 0:
-        # rising toward w((j+1)P) = (j+1)P^2
-        return (j + 1) * p2 * frac
-    # falling from w(jP) = jP^2 to zero
-    return j * p2 * (1.0 - frac)
+    # even j: rising toward w((j+1)P) = (j+1)P^2; odd j: falling from
+    # w(jP) = jP^2 to zero
+    w = np.where(j & 1, j * p2 * (1.0 - frac), (j + 1) * p2 * frac)
+    return w if isinstance(t, np.ndarray) else float(w)
 
 
-def pde_wdot(spec: SawtoothSpec, t: float) -> float:
+def pde_wdot(spec: SawtoothSpec, t):
     """a.e. derivative of w: i*P on [(i-1)P, iP) for odd i, -(i-1)P for even."""
     if spec.amplitude_mode is not AmplitudeMode.PDE:
         raise ValueError("pde_wdot needs the PDE amplitude mode")
     j, _ = _interval_index(t, spec.exponent)
     p = spec.half_period
-    if j % 2 == 0:
-        return (j + 1) * p
-    return -j * p
+    wdot = np.where(j & 1, -j * p, (j + 1) * p)
+    return wdot if isinstance(t, np.ndarray) else float(wdot)
 
 
 def b_trunc(spec: TruncatedPowerSpec, x):
@@ -169,13 +170,15 @@ def pde_initial(x):
     return np.sin(np.pi * x) / np.pi**2
 
 
-def pde_exact(spec: SawtoothSpec, t: float, x):
-    """u(t, x) = (x^2 - x^3) w(t) + pi^-2 sin(pi x)."""
+def pde_exact(spec: SawtoothSpec, t, x):
+    """u(t, x) = (x^2 - x^3) w(t) + pi^-2 sin(pi x); t may be an array
+    that broadcasts against x."""
     return (x**2 - x**3) * pde_w(spec, t) + np.sin(np.pi * x) / np.pi**2
 
 
-def pde_forcing(spec: SawtoothSpec, bspec: TruncatedPowerSpec, t: float, x):
-    """Forcing manufactured so u_t - u_xx + b(u) = f with the u above."""
+def pde_forcing(spec: SawtoothSpec, bspec: TruncatedPowerSpec, t, x):
+    """Forcing manufactured so u_t - u_xx + b(u) = f with the u above;
+    t may be an array that broadcasts against x."""
     w = pde_w(spec, t)
     wdot = pde_wdot(spec, t)
     bump = x**2 - x**3
@@ -245,5 +248,4 @@ def semilinear_heat_problem(
         exact=lambda t, x: pde_exact(saw, t, x),
         monotonicity=1.0,
         lipschitz=1.0 + lipschitz_b,
-        rhs_bound=0.0,
     )

@@ -167,3 +167,46 @@ def test_read_error_csv_rejects_truncated_row(tmp_path):
     )
     with pytest.raises(ValueError, match="line 2"):
         read_error_csv(path)
+
+
+def _table_text(rows):
+    header = ("scheme,N,k,replicas,rms_error_final,rms_error_max,mc_stderr_final,"
+              "mean_newton_iters")
+    return "\n".join([header] + rows) + "\n"
+
+
+def test_rates_infinite_error_exits_1(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text(_table_text([
+        "rfe,8,1.25e-01,2,5.0e-01,5.0e-01,0.0e+00,0.0e+00",
+        "rfe,16,6.25e-02,2,inf,inf,inf,0.0e+00",
+        "rfe,32,3.125e-02,2,1.25e-01,1.25e-01,0.0e+00,0.0e+00",
+    ]))
+    code = main(["rates", "--in", str(path), "--scheme", "rfe", "--window", "3:5",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_read_error_csv_rejects_duplicate_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_table_text([
+        "rbe,8,1.25e-01,2,5.0e-01,5.0e-01,0.0e+00,1.0e+00",
+        "rbe,16,6.25e-02,2,2.5e-01,2.5e-01,0.0e+00,1.0e+00",
+        "rbe,8,1.25e-01,2,4.0e-01,4.0e-01,0.0e+00,1.0e+00",
+    ]))
+    with pytest.raises(ValueError, match="line 4.*duplicate"):
+        read_error_csv(path)
+
+
+def test_read_error_csv_rejects_non_power_of_two_steps(tmp_path):
+    # N = 48 would pass as exponent round(log2 48) = 6 and fit at k = 1/64
+    path = tmp_path / "t.csv"
+    path.write_text(_table_text([
+        "rbe,32,3.125e-02,2,5.0e-01,5.0e-01,0.0e+00,1.0e+00",
+        "rbe,48,2.0833333333333332e-02,2,2.5e-01,2.5e-01,0.0e+00,1.0e+00",
+    ]))
+    with pytest.raises(ValueError, match="line 3.*power of two"):
+        read_error_csv(path)

@@ -119,6 +119,42 @@ def test_tridiag_solve_residual_bound():
     assert np.abs(a.matvec(x) - rhs).max() <= 1e3 * eps * np.abs(rhs).max()
 
 
+def test_batched_tridiag_solve_equals_each_block():
+    # one dgtsv on the block-diagonal system must give every block the
+    # bits of its own dgtsv call, for batched bands and for shared bands
+    rng = np.random.default_rng(11)
+    r, m = 6, 17
+    sub = rng.uniform(0.1, 0.9, (r, m - 1))
+    sup = rng.uniform(0.1, 0.9, (r, m - 1))
+    diag = rng.uniform(1.0, 4.0, (r, m))
+    rhs = rng.normal(size=(r, m))
+    x = tridiag_solve(TriDiag(sub, diag, sup), rhs)
+    shared = tridiag_solve(TriDiag(sub[0], diag[0], sup[0]), rhs)
+    for i in range(r):
+        own = scipy.linalg.lapack.dgtsv(sub[i], diag[i], sup[i], rhs[i])[3]
+        assert np.array_equal(x[i], own)
+        own = scipy.linalg.lapack.dgtsv(sub[0], diag[0], sup[0], rhs[i])[3]
+        assert np.array_equal(shared[i], own)
+
+
+def test_batched_assembly_equals_single_rows():
+    spec = TruncatedPowerSpec(cap=0.8, power=4.0)
+    mesh = Mesh(13)
+    c = np.random.default_rng(9).normal(size=(2, 3, 13))
+    b = lambda u: b_trunc(spec, u)
+    nv = assemble_nonlinearity(mesh, b, c)
+    jac = assemble_nonlinearity_jacobian(mesh, lambda u: b_trunc_prime(spec, u), c)
+    err = l2_error(mesh, c, lambda x: np.sin(np.pi * x))
+    mass = assemble_mass(mesh)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(nv[i], assemble_nonlinearity(mesh, b, c[i]))
+        one = assemble_nonlinearity_jacobian(mesh, lambda u: b_trunc_prime(spec, u), c[i])
+        for band in ("sub", "diag", "sup"):
+            assert np.array_equal(getattr(jac, band)[i], getattr(one, band))
+        assert err[i] == l2_error(mesh, c[i], lambda x: np.sin(np.pi * x))
+        assert np.array_equal(mass.matvec(c)[i], mass.matvec(c[i]))
+
+
 def test_tridiag_singular_system_raises():
     # rank-deficient [[1, 1], [1, 1]] hits a zero pivot in the elimination
     a = TriDiag(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))

@@ -53,3 +53,12 @@ def test_ode_worker_invariance_uneven_chunks(tmp_path):
     one = render(argv + ["--workers", "1"], tmp_path / "w1.csv")
     three = render(argv + ["--workers", "3"], tmp_path / "w3.csv")
     assert one == three
+
+
+def test_pde_worker_invariance_uneven_chunks(tmp_path):
+    # as above for the PDE: each chunk of 3, 3 and 1 replicas is one batch
+    argv = ["pde", "--problem", "semilinear-heat", "--K", "4", "--dof", "15",
+            "--scheme", "rbe,be", "--n", "2:5", "--mc", "7", "--seed", "42"]
+    one = render(argv + ["--workers", "1"], tmp_path / "w1.csv")
+    three = render(argv + ["--workers", "3"], tmp_path / "w3.csv")
+    assert one == three

@@ -91,6 +91,18 @@ def test_fit_rate_guards():
         fit_rate(ErrorTable(rows), "x", (5, 9))
 
 
+def test_fit_rate_rejects_infinite_error():
+    # an rfe blow-up can write inf errors; the fit must refuse, not return nan
+    rows = [
+        ErrorRow("x", 2**n, 2.0**-n, 1, err, err, 0.0, 1.0)
+        for n, err in ((3, 0.5), (4, math.inf), (5, 0.125))
+    ]
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_rate(ErrorTable(rows), "x", (3, 5))
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_rate(ErrorTable(rows), "x", (3, 5), clamp_zero=True)
+
+
 def test_mc_stderr_halves_with_quadrupled_replicas():
     small = ExperimentSpec("time-integral", (RBE,), (0,), 400, master_seed=7)
     large = ExperimentSpec("time-integral", (RBE,), (0,), 1600, master_seed=7)
@@ -224,3 +236,47 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     with pytest.raises(harness.ExperimentError) as err:
         harness._ode_chunk(spec, "rbe", 2, 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
+
+
+def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
+    # the forcing is NaN only at replica 5's node of step 2, so Newton
+    # fails for that one replica of the batch of replicas 3..7
+    from randstep import harness
+    from randstep.fem1d import Mesh
+    from randstep.pde_solver import PdeProblem
+    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+
+    grid = TimeGrid(1.0, 4)
+    tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
+    target = grid.node(1) + grid.step_size * tau
+
+    problem = PdeProblem(
+        forcing=lambda t, x: np.where(t == target, np.nan, 0.0) + 0.0 * x,
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.zeros_like(x),
+        final_time=1.0,
+        exact=lambda t, x: 0.0 * t * x,
+    )
+    monkeypatch.setattr(harness, "_build_pde_problem", lambda spec: (problem, Mesh(7)))
+    spec = ExperimentSpec("semilinear-heat", (RBE,), (2,), 8, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=7)
+    with pytest.raises(harness.ExperimentError) as err:
+        harness._pde_chunk(spec, "rbe", 2, 3, 8)
+    assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
+
+
+def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
+    # a chunk whose stored paths pass PDE_BATCH_BYTES marches in batches;
+    # that must not change any replica's errors
+    from randstep import harness
+
+    spec = ExperimentSpec("semilinear-heat", (RBE,), (3,), 5, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=15)
+    whole = harness._pde_chunk(spec, "rbe", 3, 0, 5)
+    # 8 steps of 15 unknowns: room for two replicas per batch
+    monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
+    split = harness._pde_chunk(spec, "rbe", 3, 0, 5)
+    for a, b in zip(whole, split):
+        assert a.shape == (5,)
+        assert np.array_equal(a, b)

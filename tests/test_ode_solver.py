@@ -260,6 +260,21 @@ def test_conditional_mean_residual_closed_form():
     assert abs(quad - closed) < 1e-14
 
 
+def test_conditional_mean_residual_vector_problem():
+    # a diagonal system: each component equals the scalar problem's value
+    rates = (1.0, 2.0)
+    p = OdeProblem(
+        2, lambda t, x: -np.array(rates) * x, [1.0, 1.0], 1.0,
+        exact=lambda t: np.array([math.exp(-r * t) for r in rates]),
+    )
+    grid = TimeGrid(1.0, 8)
+    quad = conditional_mean_residual(p, p.exact, 3, grid, quad_points=4, panels=3)
+    assert quad.shape == (2,)
+    for i, r in enumerate(rates):
+        q = OdeProblem(1, lambda t, x: -r * x, 1.0, 1.0, exact=lambda t: math.exp(-r * t))
+        assert quad[i] == conditional_mean_residual(q, q.exact, 3, grid, 4, 3)
+
+
 def test_conditional_mean_residual_state_independent_zero():
     p = time_integral_problem()
     grid = TimeGrid(1.0, 8)

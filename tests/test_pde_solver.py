@@ -18,7 +18,7 @@ from randstep.problems import (
     pde_exact,
     semilinear_heat_problem,
 )
-from randstep.rand_nodes import SeedSpec, TimeGrid, make_stream
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, make_stream
 
 BSPEC = TruncatedPowerSpec(cap=10.0, power=4.0)
 
@@ -183,6 +183,11 @@ def test_energy_bound_check():
     assert report.right_side_data > 0
     assert not report.flagged
 
+    batch = pde_solve(problem, mesh, TimeGrid(1.0, 4),
+                      StepScheme.RANDOMIZED_BACKWARD_EULER, [make_stream(SeedSpec(7, 0))])
+    with pytest.raises(ValueError, match="single replica"):
+        energy_bound_check(batch, problem)
+
     zero_traj = pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
                           StepScheme.CLASSICAL_BACKWARD_EULER)
     zero_report = energy_bound_check(zero_traj, zero_problem())
@@ -202,3 +207,70 @@ def test_energy_stable_under_refinement():
                          make_stream(SeedSpec(11, 0)))
         vals.append(energy_bound_check(traj, problem).max_state_energy)
     assert abs(vals[1] - vals[0]) < 0.5 * vals[0]
+
+
+def autonomous_problem():
+    # the forcing ignores t and returns one value per quadrature point
+    return PdeProblem(
+        forcing=lambda t, x: np.sin(np.pi * x),
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.sin(np.pi * x) / np.pi**2,
+        final_time=1.0,
+    )
+
+
+@pytest.mark.parametrize("problem_fn", [autonomous_problem, lambda: heat_problem()[0]])
+@pytest.mark.parametrize("scheme", [StepScheme.RANDOMIZED_BACKWARD_EULER,
+                                    StepScheme.CLASSICAL_BACKWARD_EULER])
+def test_solve_equals_loop_of_steps(problem_fn, scheme):
+    # the blocked loads of pde_solve must give each step exactly the load
+    # pde_step assembles at that step's node, for a forcing with or
+    # without t; 40 steps cover two full blocks and a partial one
+    problem = problem_fn()
+    mesh = Mesh(31)
+    grid = TimeGrid(1.0, 40)
+    stream = make_stream(SeedSpec(5, 0)) if scheme.is_randomized else None
+    path = pde_solve(problem, mesh, grid, scheme, stream)
+    evals = path.nodes_used if scheme.is_randomized else grid.nodes()[1:]
+    mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
+    u = path.fields[0]
+    for n, xi in enumerate(evals.tolist(), start=1):
+        u = pde_step(mass, stiff, grid.step_size, xi, u, problem).coefficients
+        assert np.array_equal(u, path.fields[n]), f"step {n}"
+
+
+def test_batch_replicas_equal_single_solves():
+    # a large forcing that swings with t: Newton takes 3 to 7 iterations,
+    # with damped retries, and differently in every replica
+    problem = PdeProblem(
+        forcing=lambda t, x: 1000.0 * np.cos(40.0 * t) * np.sin(np.pi * x),
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.sin(np.pi * x),
+        final_time=1.0,
+    )
+    mesh = Mesh(31)
+    grid = TimeGrid(1.0, 37)
+    scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
+    replicas = range(2, 7)
+    batch = pde_solve(problem, mesh, grid, scheme,
+                      [NodeStream(SeedSpec(3, r)) for r in replicas])
+    assert batch.fields.shape == (38, 5, 31)
+    assert batch.newton_iteration_counts.shape == (37, 5)
+    assert batch.energy_log.shape == (37, 5, 3)
+    counts = set()
+    for col, r in enumerate(replicas):
+        alone = pde_solve(problem, mesh, grid, scheme, NodeStream(SeedSpec(3, r)))
+        assert np.array_equal(batch.fields[:, col], alone.fields)
+        assert np.array_equal(batch.newton_iteration_counts[:, col],
+                              alone.newton_iteration_counts)
+        assert np.array_equal(batch.nodes_used[col], alone.nodes_used)
+        counts.add(tuple(alone.newton_iteration_counts))
+    assert len(counts) == len(replicas)  # no two replicas iterated alike
+
+
+def test_solve_rejects_empty_stream_batch():
+    with pytest.raises(ValueError):
+        pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
+                  StepScheme.RANDOMIZED_BACKWARD_EULER, [])
