@@ -193,6 +193,7 @@ def pde_step(
     system = mass.plus(stiffness, scale=k)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
     u, _ = _newton_fem(system, k, mesh, problem, rhs[None], u0[None], cfg)
+    # a converged start iterate comes back as is: a view of the caller's u_prev
     return DiscreteField(u[0].copy())
 
 
