@@ -218,7 +218,6 @@ def _dispatch(args) -> int:
             master_seed=seed,
             lam=args.lam,
             sawtooth_exponent=args.K,
-            error_mode=ErrorMode(args.error_mode),
         )
         _echo(
             dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),
@@ -241,7 +240,6 @@ def _dispatch(args) -> int:
             cap=args.R,
             power=args.ptilde,
             mesh_dof=args.dof,
-            error_mode=ErrorMode(args.error_mode),
         )
         _echo(
             dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),

@@ -134,10 +134,10 @@ def _coeffs(field) -> np.ndarray:
 
 
 def _sqrt_clip(value):
-    # guards tiny negative round-off in the quadrature sums
+    # clips tiny negative round-off in the quadrature sums; NaN stays NaN
     if np.ndim(value):
-        return np.sqrt(np.where(value > 0.0, value, 0.0))
-    return float(np.sqrt(value)) if value > 0.0 else 0.0
+        return np.sqrt(np.where(value <= 0.0, 0.0, value))
+    return 0.0 if value <= 0.0 else float(np.sqrt(value))
 
 
 def assemble_mass(mesh: Mesh) -> TriDiag:

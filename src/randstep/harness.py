@@ -68,7 +68,6 @@ class ExperimentSpec:
     cap: float = 10.0
     power: float = 4.0
     mesh_dof: Optional[int] = None
-    error_mode: ErrorMode = ErrorMode.FINAL_TIME
 
     def __post_init__(self):
         if self.mc_replicas < 1:
@@ -162,38 +161,63 @@ def _build_pde_problem(spec: ExperimentSpec):
     return problems.semilinear_heat_problem(saw, bspec), Mesh(spec.mesh_dof)
 
 
-def _chunk_failure(err, scheme, exponent, replica):
+def _batch_nodes(spec, schemes, grid, lo, hi):
+    """The (rows, N) evaluation nodes of one batch, and each scheme's rows.
+
+    A randomized scheme holds one row per replica lo..hi-1, drawn from
+    the replica's substream; the classical scheme holds one row of grid
+    points, its one path for every replica.
+    """
+    blocks, rows, start = [], {}, 0
+    for scheme in schemes:
+        if scheme.is_randomized:
+            streams = [NodeStream(SeedSpec(spec.master_seed, r)) for r in range(lo, hi)]
+            blocks.append(grid.random_nodes(streams))
+        else:
+            blocks.append(grid.nodes()[None, 1:])
+        rows[scheme] = range(start, start + len(blocks[-1]))
+        start += len(blocks[-1])
+    return np.concatenate(blocks), rows
+
+
+def _batch_failure(err, rows, exponent, lo):
+    """ExperimentError naming the scheme and replica of a batch's failing row."""
+    pos = getattr(err, "replica", None) or 0
+    scheme = next(s for s, r in rows.items() if pos in r)
+    replica = lo + pos - rows[scheme].start if scheme.is_randomized else 0
     step = getattr(err, "step", None)
     return ExperimentError(
         f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {err}"
     )
 
 
-def _ode_chunk(spec, scheme_token, exponent, lo, hi):
-    """Per-replica (final, max, mean-newton) errors for replicas lo..hi-1.
+def _by_scheme(errors, rows):
+    """Split per-row (final, max, mean-newton) errors into each scheme's rows."""
+    return {s.token: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
 
-    The replicas march together as one batch; a deterministic scheme
-    marches once and its errors are repeated for every replica.
+
+def _ode_chunk(spec, scheme_tokens, exponent, lo, hi):
+    """Per-replica (final, max, mean-newton) errors of one batch, by scheme token.
+
+    ``scheme_tokens`` is a comma list of the schemes that march together
+    as one batch: implicit ones, or one explicit.  A randomized scheme
+    gives the errors of replicas lo..hi-1, the classical scheme those of
+    its one path.
     """
-    scheme = StepScheme.parse(scheme_token)
+    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
     problem = _build_ode_problem(spec)
     grid = TimeGrid(problem.final_time, 2**exponent)
-    streams = None
-    if scheme.is_randomized:
-        streams = [NodeStream(SeedSpec(spec.master_seed, r)) for r in range(lo, hi)]
+    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
-        path = solve(problem, grid, scheme, streams, NewtonConfig())
+        path = solve(problem, grid, schemes[0], nodes, NewtonConfig())
     except (NonConvergence, ValueError) as err:
-        offset = getattr(err, "replica", None) or 0
-        raise _chunk_failure(err, scheme, exponent, lo + offset) from err
-    # error of every replica at every grid point, in place of the states
+        raise _batch_failure(err, rows, exponent, lo) from err
+    # error of every row at every grid point, in place of the states
     diff = path.states
     diff -= problem.exact(grid.nodes())[:, None]
     np.abs(diff, out=diff)
     errors = (diff[-1], diff.max(axis=0), path.newton_iteration_counts.mean(axis=0))
-    if streams is None:
-        return tuple(np.repeat(e, hi - lo) for e in errors)
-    return errors
+    return _by_scheme(errors, rows)
 
 
 #: Bytes of stored fields per PDE batch.  A chunk whose paths need more
@@ -201,36 +225,36 @@ def _ode_chunk(spec, scheme_token, exponent, lo, hi):
 PDE_BATCH_BYTES = 64 * 2**20
 
 
-def _pde_chunk(spec, scheme_token, exponent, lo, hi):
-    """As _ode_chunk, with L2 errors of the (R, m) fields of a PDE batch."""
-    scheme = StepScheme.parse(scheme_token)
+def _pde_chunk(spec, scheme_tokens, exponent, lo, hi):
+    """As _ode_chunk, with L2 errors of the (R, m) fields of PDE batches.
+
+    The classical row rides in the first batch.
+    """
+    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
+    randomized = [s for s in schemes if s.is_randomized]
     problem, mesh = _build_pde_problem(spec)
     grid = TimeGrid(problem.final_time, 2**exponent)
-    if not scheme.is_randomized:
-        errors = _pde_errors(problem, mesh, grid, scheme, exponent, lo, None)
-        return tuple(np.repeat(e, hi - lo) for e in errors)
     width = max(1, PDE_BATCH_BYTES // ((grid.steps + 1) * mesh.interior_nodes * 8))
-    parts = [
-        _pde_errors(problem, mesh, grid, scheme, exponent, a,
-                    [NodeStream(SeedSpec(spec.master_seed, r))
-                     for r in range(a, min(a + width, hi))])
-        for a in range(lo, hi, width)
-    ]
-    return tuple(np.concatenate(e) for e in zip(*parts))
+    starts = range(lo, hi, width) or [lo]
+    return _merge([
+        _pde_errors(spec, problem, mesh, grid, schemes if a == lo else randomized,
+                    exponent, a, min(a + width, hi))
+        for a in starts
+    ])
 
 
-def _pde_errors(problem, mesh, grid, scheme, exponent, lo, streams):
-    """(final, max, mean-newton) per replica of one batch starting at lo.
+def _pde_errors(spec, problem, mesh, grid, schemes, exponent, lo, hi):
+    """(final, max, mean-newton) errors of one batch, by scheme token.
 
     The exact solution is evaluated once per block of time nodes and
-    shared by every replica of the batch.
+    shared by every row of the batch.
     """
+    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
-        path = pde_solve(problem, mesh, grid, scheme, streams, NewtonConfig())
+        path = pde_solve(problem, mesh, grid, schemes[0], nodes, NewtonConfig())
     except (NonConvergence, ValueError) as err:
-        offset = getattr(err, "replica", None) or 0
-        raise _chunk_failure(err, scheme, exponent, lo + offset) from err
-    fields = path.fields if streams else path.fields[:, None]
+        raise _batch_failure(err, rows, exponent, lo) from err
+    fields = path.fields
     times = grid.nodes()
     exact = problem.exact
     errs = np.empty(fields.shape[:2])
@@ -239,12 +263,54 @@ def _pde_errors(problem, mesh, grid, scheme, exponent, lo, streams):
         errs[n : n + STEP_BLOCK] = l2_error(
             mesh, fields[n : n + STEP_BLOCK], lambda x: exact(t, x)
         )
-    return errs[-1], errs.max(axis=0), path.newton_iteration_counts.mean(axis=0)
+    errors = (errs[-1], errs.max(axis=0), path.newton_iteration_counts.mean(axis=0))
+    return _by_scheme(errors, rows)
+
+
+def _merge(parts):
+    """Concatenate each scheme's errors over batches, in batch order."""
+    merged = {}
+    for part in parts:
+        for token, errors in part.items():
+            merged.setdefault(token, []).append(errors)
+    return {
+        token: tuple(np.concatenate(e) for e in zip(*batches))
+        for token, batches in merged.items()
+    }
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     width = -(-total // workers)
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+
+
+def _cell_errors(chunk_fn, spec, schemes, exponent, pool, workers):
+    """Per-replica errors at one step size of schemes that march as one batch.
+
+    The replicas of the randomized scheme are split into one chunk per
+    worker; the classical row rides in the chunk that holds replica 0,
+    and its one path's errors are repeated for every replica.
+    """
+    replicas = spec.mc_replicas
+    tokens = ",".join(s.token for s in schemes)
+    randomized = ",".join(s.token for s in schemes if s.is_randomized)
+    if pool is None or not randomized:
+        # one chunk; with no randomized scheme it holds no replica rows
+        parts = [chunk_fn(spec, tokens, exponent, 0, replicas if randomized else 0)]
+    else:
+        futures = [
+            pool.submit(chunk_fn, spec, tokens if lo == 0 else randomized,
+                        exponent, lo, hi)
+            for lo, hi in _chunk_bounds(replicas, workers)
+        ]
+        parts = [fut.result() for fut in futures]
+    errors = _merge(parts)
+    for scheme in schemes:
+        if not scheme.is_randomized:
+            errors[scheme.token] = tuple(
+                np.repeat(e, replicas) for e in errors[scheme.token]
+            )
+    return errors
 
 
 def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
@@ -254,7 +320,9 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     solution (absolute value for the ODE, quadrature L2 norm for the
     PDE), at the final time and maximal over the grid.  The Monte Carlo
     standard error of the rms estimate comes from the sample variance of
-    e_r^2 via the delta method.
+    e_r^2 via the delta method.  The implicit schemes of one step size
+    march as one batch, and the explicit scheme as another; the rows
+    follow the order of ``spec.schemes``.
     """
     is_pde = spec.problem == "semilinear-heat"
     chunk_fn = _pde_chunk if is_pde else _ode_chunk
@@ -268,46 +336,36 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
                 raise StepRestrictionViolated(
                     f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
                 )
-    replicas = spec.mc_replicas
-    rows: list[ErrorRow] = []
+    groups = {}  # implicit or not -> schemes, in order of first appearance
+    for scheme in dict.fromkeys(spec.schemes):
+        groups.setdefault(scheme.is_implicit, []).append(scheme)
+    cells = {}
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for scheme in spec.schemes:
+        for schemes in groups.values():
             for exponent in spec.step_exponents:
-                # a deterministic scheme marches once per cell, in process
-                if pool is None or not scheme.is_randomized:
-                    e_final, e_max, iters = chunk_fn(
-                        spec, scheme.token, exponent, 0, replicas
-                    )
-                else:
-                    bounds = _chunk_bounds(replicas, workers)
-                    futures = [
-                        pool.submit(chunk_fn, spec, scheme.token, exponent, lo, hi)
-                        for lo, hi in bounds
-                    ]
-                    e_final = np.empty(replicas)
-                    e_max = np.empty(replicas)
-                    iters = np.empty(replicas)
-                    for (lo, hi), fut in zip(bounds, futures):
-                        cf, cm, ci = fut.result()
-                        e_final[lo:hi] = cf
-                        e_max[lo:hi] = cm
-                        iters[lo:hi] = ci
-                rows.append(
-                    ErrorRow(
-                        scheme=scheme.token,
-                        steps=2**exponent,
-                        step_size=2.0 ** (-exponent),
-                        replicas=replicas,
-                        rms_error_final=_rms(e_final),
-                        rms_error_max=_rms(e_max),
-                        mc_stderr_final=_rms_stderr(e_final),
-                        mean_newton_iters=float(iters.mean()),
-                    )
-                )
+                errors = _cell_errors(chunk_fn, spec, schemes, exponent, pool, workers)
+                for token, cell in errors.items():
+                    cells[token, exponent] = cell
     finally:
         if pool is not None:
             pool.shutdown()
+    rows: list[ErrorRow] = []
+    for scheme in spec.schemes:
+        for exponent in spec.step_exponents:
+            e_final, e_max, iters = cells[scheme.token, exponent]
+            rows.append(
+                ErrorRow(
+                    scheme=scheme.token,
+                    steps=2**exponent,
+                    step_size=2.0 ** (-exponent),
+                    replicas=spec.mc_replicas,
+                    rms_error_final=_rms(e_final),
+                    rms_error_max=_rms(e_max),
+                    mc_stderr_final=_rms_stderr(e_final),
+                    mean_newton_iters=float(iters.mean()),
+                )
+            )
     return ErrorTable(rows)
 
 
@@ -395,19 +453,21 @@ def residual_study(
     """
     from .ode_solver import conditional_mean_residual
 
-    rows = []
-    for exponent in step_exponents:
-        n_steps = 2**exponent
-        grid = TimeGrid(problem.final_time, n_steps)
-        k = grid.step_size
-        exact_grid = problem.exact(grid.nodes())
-        v_prev, v_n = exact_grid[:-1], exact_grid[1:]
-        sum_sq = np.empty(replicas)
-        for replica in range(replicas):
-            xi = grid.random_nodes([NodeStream(SeedSpec(master_seed, replica))])[0]
-            rho = k * problem.rhs(xi, v_n) - v_n + v_prev
+    grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
+    exact_grids = [problem.exact(grid.nodes()) for grid in grids]
+    longest = max((grid.steps for grid in grids), default=0)
+    sum_sq = np.empty((len(grids), replicas))
+    for replica in range(replicas):
+        # each replica seeds its stream once: every grid's nodes come from
+        # a prefix of the same draws, as a fresh stream would give them
+        taus = NodeStream(SeedSpec(master_seed, replica)).taus(longest)
+        for i, (grid, v) in enumerate(zip(grids, exact_grids)):
+            xi = grid.nodes_from_taus(taus[: grid.steps])
+            rho = grid.step_size * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
             # cumsum adds in step order, as the scalar recursion does
-            sum_sq[replica] = np.cumsum(rho * rho)[-1]
+            sum_sq[i, replica] = np.cumsum(rho * rho)[-1]
+    rows = []
+    for exponent, grid, path_sq in zip(step_exponents, grids, sum_sq):
         panels = max(1, 2 ** max(sawtooth_exponent - exponent, 0))
         mean_norms = [
             abs(
@@ -415,13 +475,13 @@ def residual_study(
                     problem, problem.exact, n, grid, quad_points=4, panels=panels
                 )
             )
-            for n in range(1, n_steps + 1)
+            for n in range(1, grid.steps + 1)
         ]
         rows.append(
             ResidualRow(
                 exponent=exponent,
-                step_size=k,
-                rms_residual=float(np.sqrt(sum_sq.mean())),
+                step_size=grid.step_size,
+                rms_residual=float(np.sqrt(path_sq.mean())),
                 mean_residual=float(max(mean_norms)),
             )
         )

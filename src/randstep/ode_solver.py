@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -122,14 +122,14 @@ class OdeProblem:
 class Trajectory:
     """Computed paths: states[n] = U^n, plus the nodes consumed.
 
-    A batch of R replicas of a scalar problem holds replica r's path in
-    states[:, r], its nodes in row r of the (R, N) node block and its
-    iteration counts in column r of the (N, R) counts.
+    A batch of R rows of a scalar problem holds row r's path in
+    states[:, r], its nodes in row r of the (R, N) node block it marched
+    and its iteration counts in column r of the (N, R) counts.
     """
 
     grid: TimeGrid
     states: np.ndarray  # (N+1, d); (N+1, R) for a batch
-    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical
+    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical alone
     newton_iteration_counts: np.ndarray  # (N,), (N, R) for a batch; zeros if explicit
     scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
 
@@ -313,27 +313,27 @@ def solve(
     problem: OdeProblem,
     grid: TimeGrid,
     scheme: StepScheme,
-    stream: Union[NodeStream, Sequence[NodeStream], None] = None,
+    nodes: Union[NodeStream, np.ndarray, None] = None,
     cfg: Optional[NewtonConfig] = None,
 ) -> Trajectory:
     """March the selected one-step rule over the grid.
 
-    ``stream`` is one NodeStream, or for a scalar problem a sequence of R
-    streams: the R replicas then march together, replica r as column r of
-    an (R,) state, with its nodes drawn from stream r.  Every replica
-    gets the same bits as when marched alone.  Randomized schemes consume
-    exactly one draw per step and replica, in step order; the classical
-    scheme draws nothing.  Step failures are re-raised with the failing
-    step index attached (and, for a batch, the replica's position).
+    ``nodes`` is the NodeStream a randomized scheme draws its nodes from
+    (the classical scheme needs none), or for a scalar problem an (R, N)
+    block of evaluation nodes: the R rows then march together, row r as
+    column r of an (R,) state, and step n of row r evaluates f at
+    nodes[r, n-1].  Rows from ``TimeGrid.random_nodes`` march randomized
+    replicas and a row of grid points t_1..t_N the classical scheme, so
+    one batch can hold both; with a block, ``scheme`` only chooses
+    between implicit and explicit steps.  Every row gets the same bits as
+    when marched alone.  A randomized scheme consumes exactly one draw
+    per step from its stream, in step order.  Step failures are
+    re-raised with the failing step index attached (and, for a batch,
+    the row's position).
     """
     if not math.isclose(grid.final_time, problem.final_time, rel_tol=1e-12):
         raise ValueError("grid final time does not match the problem")
-    batched = stream is not None and not isinstance(stream, NodeStream)
-    streams = list(stream) if batched else [stream]
-    if batched and not streams:
-        raise ValueError("need at least one node stream")
-    if scheme.is_randomized and stream is None:
-        raise ValueError(f"scheme {scheme.token} needs a node stream")
+    block, batched = _node_block(grid, scheme, nodes)
     cfg = cfg or NewtonConfig()
     k = grid.step_size
     if scheme.is_implicit:
@@ -341,25 +341,17 @@ def solve(
     if problem.dimension > 1:
         if batched:
             raise ValueError("replica batches need a scalar problem")
-        return _solve_vector(problem, grid, scheme, stream, cfg)
+        return _solve_vector(problem, grid, scheme, block[0], cfg)
 
     n_steps = grid.steps
-    replicas = len(streams)
-    times = grid.nodes()
-    if scheme.is_randomized:
-        nodes_used = grid.random_nodes(streams)
-        evals = nodes_used.T
-    else:
-        nodes_used = np.empty(0)
-        evals = np.broadcast_to(times[1:, None], (n_steps, replicas))
+    replicas = len(block)
     counts = np.zeros((n_steps, replicas), dtype=np.int64)
     states = np.empty((n_steps + 1, replicas))
     states[0] = float(np.asarray(problem.initial_value, dtype=float).reshape(()))
 
     rhs, jac = problem.rhs, problem.jacobian
     u = states[0]
-    for n in range(1, n_steps + 1):
-        t_eval = evals[n - 1]
+    for n, t_eval in enumerate(block.T, start=1):
         try:
             if scheme.is_implicit:
                 u, counts[n - 1] = _newton_scalar(rhs, jac, t_eval, u, k, cfg)
@@ -371,8 +363,10 @@ def solve(
             ) from err
         states[n] = u
 
-    if not batched:
-        nodes_used = nodes_used.reshape(-1)
+    if batched:
+        nodes_used = block
+    else:
+        nodes_used = block[0] if scheme.is_randomized else np.empty(0)
         counts = counts[:, 0]
     return Trajectory(
         grid=grid,
@@ -383,17 +377,33 @@ def solve(
     )
 
 
-def _solve_vector(problem, grid, scheme, stream, cfg) -> Trajectory:
-    """One replica of a d > 1 problem, marched as a d-vector state."""
+def _node_block(grid: TimeGrid, scheme: StepScheme, nodes) -> tuple[np.ndarray, bool]:
+    """The (R, N) evaluation nodes of a solve, and whether it is a batch.
+
+    ``nodes`` is a node block, returned as is after a shape check, or the
+    NodeStream of one randomized replica (one row of drawn nodes), or
+    None for the classical scheme (one row of grid points t_1..t_N).
+    """
+    if isinstance(nodes, np.ndarray):
+        if nodes.ndim != 2 or not len(nodes) or nodes.shape[1] != grid.steps:
+            raise ValueError(
+                f"need an (R, {grid.steps}) node block with R >= 1, got {nodes.shape}"
+            )
+        return nodes, True
+    if not scheme.is_randomized:
+        return grid.nodes()[None, 1:], False
+    if not isinstance(nodes, NodeStream):
+        raise ValueError(f"scheme {scheme.token} needs a node stream or a node block")
+    return grid.random_nodes([nodes]), False
+
+
+def _solve_vector(problem, grid, scheme, nodes, cfg) -> Trajectory:
+    """One replica of a d > 1 problem at its (N,) nodes, as a d-vector state."""
     n_steps = grid.steps
     k = grid.step_size
     d = problem.dimension
-    if scheme.is_randomized:
-        nodes_used = grid.random_nodes([stream])[0]
-        evals = nodes_used.tolist()
-    else:
-        nodes_used = np.empty(0)
-        evals = grid.nodes()[1:].tolist()
+    nodes_used = nodes if scheme.is_randomized else np.empty(0)
+    evals = nodes.tolist()
     counts = np.zeros(n_steps, dtype=np.int64)
     states = np.empty((n_steps + 1, d))
     u = np.asarray(problem.initial_value, dtype=float).reshape(d)

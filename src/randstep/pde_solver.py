@@ -14,7 +14,7 @@ assembler can be swapped in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .ode_solver import (
     NewtonConfig,
     NonConvergence,
     StepScheme,
+    _node_block,
 )
 from .rand_nodes import NodeStream, TimeGrid
 
@@ -78,13 +79,13 @@ class PdeTrajectory:
 
     energy_log[n-1] = (|U^n|_M^2, |U^n - U^{n-1}|_M^2, |U^n|_S^2) where
     |.|_M is the L2 norm and |.|_S the H1 seminorm of the P1 function.
-    A batch of R replicas holds replica r in fields[:, r], row r of the
-    (R, N) nodes, column r of the (N, R) counts and energy_log[:, r].
+    A batch of R rows holds row r in fields[:, r], row r of the (R, N)
+    node block, column r of the (N, R) counts and energy_log[:, r].
     """
 
     grid: TimeGrid
     fields: np.ndarray  # (N+1, m); (N+1, R, m) for a batch
-    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical
+    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical alone
     energy_log: np.ndarray  # (N, 3); (N, R, 3) for a batch
     newton_iteration_counts: np.ndarray  # (N,); (N, R) for a batch
     scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
@@ -202,34 +203,31 @@ def pde_solve(
     mesh: Mesh,
     grid: TimeGrid,
     scheme: StepScheme,
-    stream: Union[NodeStream, Sequence[NodeStream], None] = None,
+    nodes: Union[NodeStream, np.ndarray, None] = None,
     cfg: Optional[NewtonConfig] = None,
 ) -> PdeTrajectory:
     """March the scheme from U^0 = P_h u0; one node draw per step.
 
-    ``stream`` is one NodeStream, or a sequence of R streams: the R
-    replicas then march together as an (R, m) field, replica r with its
-    nodes drawn from stream r, and every replica gets the same bits as
-    when marched alone.  The loads of STEP_BLOCK steps are assembled at
-    once, before their Newton solves.  Step failures are re-raised with
-    the failing step index attached (and, for a batch, the replica's
-    position).
+    ``nodes`` is the NodeStream a randomized scheme draws its nodes from
+    (the classical scheme needs none), or, as for ``ode_solver.solve``,
+    an (R, N) block of evaluation nodes: the R rows then march together
+    as an (R, m) field, row r evaluating the forcing of step n at
+    nodes[r, n-1], so randomized replicas and the classical row of grid
+    points can share one batch.  Every row gets the same bits as when
+    marched alone.  The loads of STEP_BLOCK steps are assembled at once,
+    before their Newton solves.  Step failures are re-raised with the
+    failing step index attached (and, for a batch, the row's position).
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
     if not np.isclose(grid.final_time, problem.final_time, rtol=1e-12, atol=0.0):
         raise ValueError("grid final time does not match the problem")
-    batched = stream is not None and not isinstance(stream, NodeStream)
-    streams = list(stream) if batched else [stream]
-    if batched and not streams:
-        raise ValueError("need at least one node stream")
-    if scheme.is_randomized and stream is None:
-        raise ValueError(f"scheme {scheme.token} needs a node stream")
+    block, batched = _node_block(grid, scheme, nodes)
     cfg = cfg or NewtonConfig()
 
     n_steps = grid.steps
     k = grid.step_size
-    replicas, m = len(streams), mesh.interior_nodes
+    replicas, m = len(block), mesh.interior_nodes
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
     system = mass.plus(stiffness, scale=k)
@@ -237,12 +235,7 @@ def pde_solve(
     fields = np.empty((n_steps + 1, replicas, m))
     fields[0] = l2_project(mesh, problem.initial).coefficients
     counts = np.zeros((n_steps, replicas), dtype=np.int64)
-    if scheme.is_randomized:
-        nodes_used = grid.random_nodes(streams)
-        evals = nodes_used.T
-    else:
-        nodes_used = np.empty(0)
-        evals = np.broadcast_to(grid.nodes()[1:, None], (n_steps, replicas))
+    evals = block.T
 
     forcing = problem.forcing
     u = fields[0]
@@ -262,9 +255,11 @@ def pde_solve(
             fields[n] = u
     energy = _energy_log(mass, stiffness, fields)
 
-    if not batched:
+    if batched:
+        nodes_used = block
+    else:
         fields, energy = fields[:, 0], energy[:, 0]
-        nodes_used = nodes_used.reshape(-1)
+        nodes_used = block[0] if scheme.is_randomized else np.empty(0)
         counts = counts[:, 0]
     return PdeTrajectory(
         grid=grid,

@@ -74,15 +74,23 @@ class TimeGrid:
         nodes ``node(self, n, tau)`` would give for that stream.  The block
         costs R*N*8 bytes.
         """
-        t = self.nodes()
         block = np.empty((len(streams), self.steps))
         for row, stream in zip(block, streams):
             row[:] = stream.taus(self.steps)
-        block *= self.step_size
-        block += t[:-1]
+        return self.nodes_from_taus(block, out=block)
+
+    def nodes_from_taus(self, taus, out=None) -> np.ndarray:
+        """Randomized nodes xi_n = t_{n-1} + k*tau_n of (..., N) draws.
+
+        Entry n-1 of the last axis equals ``node(self, n, tau_n)`` bit for
+        bit; ``out`` may be ``taus`` itself.
+        """
+        t = self.nodes()
+        xi = np.multiply(taus, self.step_size, out=out)
+        xi += t[:-1]
         # k*tau can round up to k: keep every node strictly below t_n
-        np.minimum(block, np.nextafter(t[1:], t[:-1]), out=block)
-        return block
+        np.minimum(xi, np.nextafter(t[1:], t[:-1]), out=xi)
+        return xi
 
 
 class NodeStream:

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import randstep
 from randstep.cli import main
 from randstep.harness import read_error_csv
 
@@ -122,9 +125,12 @@ def test_help_documents_default_seed(capsys):
 
 
 def test_module_entry_point():
+    # the child must import the package these tests import, installed or not
+    src = str(Path(randstep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "randstep", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "randstep" in proc.stdout

@@ -285,3 +285,16 @@ def test_mesh_validation():
         Mesh(4).node(5)
     with pytest.raises(ValueError):
         TriDiag(np.zeros(3), np.ones(3), np.zeros(2))
+
+
+def test_error_norms_keep_nan():
+    # a NaN in the field must surface as a NaN error, not be clipped to 0
+    mesh = Mesh(7)
+    f = np.zeros(7)
+    f[3] = np.nan
+    assert np.isnan(l2_error(mesh, f, lambda x: np.sin(np.pi * x)))
+    assert np.isnan(h1_seminorm_error(mesh, f, lambda x: np.pi * np.cos(np.pi * x)))
+    batch = l2_error(mesh, np.stack([f, np.zeros(7)]), lambda x: np.sin(np.pi * x))
+    assert np.isnan(batch[0]) and batch[1] > 0.0
+    # an exact field still gives exactly 0
+    assert l2_error(mesh, np.zeros(7), lambda x: 0.0 * x) == 0.0

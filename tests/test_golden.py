@@ -62,3 +62,18 @@ def test_pde_worker_invariance_uneven_chunks(tmp_path):
     one = render(argv + ["--workers", "1"], tmp_path / "w1.csv")
     three = render(argv + ["--workers", "3"], tmp_path / "w3.csv")
     assert one == three
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_rows_follow_scheme_order(tmp_path, workers):
+    # rbe and be march as one batch, yet --scheme be,rbe writes the be rows
+    # first, with the same bytes as the golden's rbe,be rows
+    argv = list(CASES["fig1_left"])
+    argv[argv.index("rbe,be")] = "be,rbe"
+    argv[argv.index("--workers") + 1] = workers
+    got = render(argv, tmp_path / "be_rbe.csv").decode().splitlines()
+    header, *rows = (GOLDEN / "fig1_left.csv").read_text().splitlines()
+    rbe = [r for r in rows if r.startswith("rbe,")]
+    be = [r for r in rows if r.startswith("be,")]
+    assert len(rbe) == len(be) == 9
+    assert got == [header] + be + rbe

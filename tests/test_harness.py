@@ -273,10 +273,65 @@ def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
 
     spec = ExperimentSpec("semilinear-heat", (RBE,), (3,), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
-    whole = harness._pde_chunk(spec, "rbe", 3, 0, 5)
+    whole = harness._pde_chunk(spec, "rbe", 3, 0, 5)["rbe"]
     # 8 steps of 15 unknowns: room for two replicas per batch
     monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
-    split = harness._pde_chunk(spec, "rbe", 3, 0, 5)
+    split = harness._pde_chunk(spec, "rbe", 3, 0, 5)["rbe"]
     for a, b in zip(whole, split):
         assert a.shape == (5,)
         assert np.array_equal(a, b)
+
+
+def test_failing_classical_row_named_in_experiment_error(monkeypatch):
+    # x = u + k*(x^2 + 10) has no root at k = 1/4; the rhs switches to it
+    # only at the grid point t_2, which only the classical row evaluates
+    from randstep import harness
+    from randstep.ode_solver import OdeProblem
+
+    def rhs(t, x):
+        return np.where(t == 0.5, x * x + 10.0, -x)
+
+    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    spec = ExperimentSpec("time-integral", (RBE, BE), (2,), 8, master_seed=42)
+    with pytest.raises(harness.ExperimentError) as err:
+        run_mc(spec)
+    assert str(err.value).startswith("scheme=be k=2^-2 replica=0 step=2: ")
+
+
+def test_failing_classical_pde_row_named_in_experiment_error(monkeypatch):
+    from randstep import harness
+    from randstep.fem1d import Mesh
+    from randstep.pde_solver import PdeProblem
+
+    problem = PdeProblem(
+        forcing=lambda t, x: np.where(t == 0.5, np.nan, 0.0) + 0.0 * x,
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.zeros_like(x),
+        final_time=1.0,
+        exact=lambda t, x: 0.0 * t * x,
+    )
+    monkeypatch.setattr(harness, "_build_pde_problem", lambda spec: (problem, Mesh(7)))
+    spec = ExperimentSpec("semilinear-heat", (RBE, BE), (2,), 8, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=7)
+    with pytest.raises(harness.ExperimentError) as err:
+        run_mc(spec)
+    assert str(err.value).startswith("scheme=be k=2^-2 replica=0 step=2: ")
+
+
+@pytest.mark.parametrize("problem", ["prothero-robinson", "semilinear-heat"])
+def test_fused_chunk_equals_separate_chunks(problem):
+    # a chunk that marches rbe and be as one batch gives each scheme the
+    # errors of the chunks that march them apart
+    from randstep import harness
+
+    spec = ExperimentSpec(problem, (RBE, BE), (4,), 5, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=15)
+    chunk = harness._pde_chunk if problem == "semilinear-heat" else harness._ode_chunk
+    fused = chunk(spec, "rbe,be", 4, 0, 5)
+    assert list(fused) == ["rbe", "be"]
+    for token, lo, hi in (("rbe", 0, 5), ("be", 0, 0)):
+        for a, b in zip(fused[token], chunk(spec, token, 4, lo, hi)[token]):
+            assert a.shape == (hi - lo if token == "rbe" else 1,)
+            assert np.array_equal(a, b)

@@ -313,7 +313,7 @@ def test_batched_solve_matches_single_replicas_bitwise():
     grid = TimeGrid(1.0, 4)
     seeds = [SeedSpec(11, r) for r in range(6)]
     batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  [NodeStream(s) for s in seeds])
+                  grid.random_nodes([NodeStream(s) for s in seeds]))
     assert batch.states.shape == (5, 6) and batch.nodes_used.shape == (6, 4)
     assert batch.newton_iteration_counts.shape == (4, 6)
     damped = []
@@ -337,7 +337,7 @@ def test_batched_nonconvergence_names_replica():
     # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
     p = OdeProblem(1, lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0)
     with pytest.raises(NonConvergence) as err:
-        solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, streams)
+        solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(streams))
     assert (err.value.step, err.value.replica) == (1, 2)
 
 
@@ -348,3 +348,39 @@ def test_random_nodes_match_scalar_rule():
         taus = make_stream(SeedSpec(4, r)).taus(64)
         assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
     assert grid.nodes().tolist() == [grid.node(n) for n in range(65)]
+
+
+@pytest.mark.parametrize("with_jacobian", [True, False])
+def test_classical_row_beside_replicas_equals_classical_alone(with_jacobian):
+    # the classical scheme is one more row of nodes, the grid points: in a
+    # batch with randomized rows it keeps its bits and Newton counts, and
+    # the randomized rows keep theirs
+    def rhs(t, x):
+        return -50.0 * (1.0 + t) * np.arctan(x)
+
+    jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
+    p = OdeProblem(1, rhs, 20.0, 1.0, jacobian=jac)
+    grid = TimeGrid(1.0, 8)
+    randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
+    block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    alone = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
+    assert np.array_equal(batch.states[:, 4], alone.states[:, 0])
+    assert np.array_equal(batch.newton_iteration_counts[:, 4],
+                          alone.newton_iteration_counts)
+    assert alone.newton_iteration_counts.max() > alone.newton_iteration_counts.min()
+    replicas = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, randomized)
+    assert np.array_equal(batch.states[:, :4], replicas.states)
+    assert np.array_equal(batch.newton_iteration_counts[:, :4],
+                          replicas.newton_iteration_counts)
+
+
+def test_solve_rejects_bad_node_blocks():
+    p = linear_decay()
+    grid = TimeGrid(1.0, 4)
+    rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
+    for bad in (np.empty((0, 4)), np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="node block"):
+            solve(p, grid, rbe, bad)
+    with pytest.raises(ValueError, match="node stream"):
+        solve(p, grid, rbe, [make_stream(SeedSpec(1, 0))])

@@ -183,8 +183,9 @@ def test_energy_bound_check():
     assert report.right_side_data > 0
     assert not report.flagged
 
-    batch = pde_solve(problem, mesh, TimeGrid(1.0, 4),
-                      StepScheme.RANDOMIZED_BACKWARD_EULER, [make_stream(SeedSpec(7, 0))])
+    grid = TimeGrid(1.0, 4)
+    batch = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                      grid.random_nodes([make_stream(SeedSpec(7, 0))]))
     with pytest.raises(ValueError, match="single replica"):
         energy_bound_check(batch, problem)
 
@@ -255,7 +256,7 @@ def test_batch_replicas_equal_single_solves():
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
     replicas = range(2, 7)
     batch = pde_solve(problem, mesh, grid, scheme,
-                      [NodeStream(SeedSpec(3, r)) for r in replicas])
+                      grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas]))
     assert batch.fields.shape == (38, 5, 31)
     assert batch.newton_iteration_counts.shape == (37, 5)
     assert batch.energy_log.shape == (37, 5, 3)
@@ -273,4 +274,32 @@ def test_batch_replicas_equal_single_solves():
 def test_solve_rejects_empty_stream_batch():
     with pytest.raises(ValueError):
         pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
-                  StepScheme.RANDOMIZED_BACKWARD_EULER, [])
+                  StepScheme.RANDOMIZED_BACKWARD_EULER, np.empty((0, 4)))
+
+
+def test_classical_row_beside_replicas_equals_classical_alone():
+    # as for the ODE: the row of grid points marches with randomized rows
+    # and keeps its fields and Newton counts, and theirs stay as they were
+    problem = PdeProblem(
+        forcing=lambda t, x: 1000.0 * np.cos(40.0 * t) * np.sin(np.pi * x),
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.sin(np.pi * x),
+        final_time=1.0,
+    )
+    mesh = Mesh(31)
+    grid = TimeGrid(1.0, 37)
+    randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
+    block = np.concatenate([grid.nodes()[None, 1:], randomized])
+    batch = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER, block)
+    alone = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
+    assert np.array_equal(batch.fields[:, 0], alone.fields)
+    assert np.array_equal(batch.newton_iteration_counts[:, 0],
+                          alone.newton_iteration_counts)
+    assert np.array_equal(batch.energy_log[:, 0], alone.energy_log)
+    assert len(set(alone.newton_iteration_counts.tolist())) > 1
+    replicas = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                         randomized)
+    assert np.array_equal(batch.fields[:, 1:], replicas.fields)
+    assert np.array_equal(batch.newton_iteration_counts[:, 1:],
+                          replicas.newton_iteration_counts)

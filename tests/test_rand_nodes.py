@@ -141,3 +141,22 @@ def test_node_matrix_pure_function_of_seed():
 
     assert np.array_equal(matrix(42), matrix(42))
     assert not np.array_equal(matrix(42), matrix(43))
+
+
+def test_draws_of_a_shorter_grid_are_a_prefix():
+    # residual_study draws each replica's longest grid once and gives every
+    # shorter grid a prefix: that must equal a fresh stream's draws
+    seed = SeedSpec(42, 3)
+    longest = NodeStream(seed).taus(256)
+    for n in range(4, 9):
+        assert np.array_equal(longest[: 2**n], NodeStream(seed).taus(2**n))
+
+
+def test_nodes_from_taus_match_scalar_rule():
+    grid = TimeGrid(1.0, 16)
+    taus = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)] * 5 + [0.25])
+    xi = grid.nodes_from_taus(taus)
+    assert xi.tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 17)]
+    assert np.all(xi < grid.nodes()[1:])
+    block = np.stack([taus, taus[::-1]])
+    assert np.array_equal(grid.nodes_from_taus(block)[1], grid.nodes_from_taus(taus[::-1]))
