@@ -67,7 +67,8 @@ def _add_common(sub, pde: bool = False):
         "--workers",
         type=_positive_int,
         default=harness.default_workers(),
-        help="parallel replica workers (default: available cores)",
+        help="worker processes, each marching one step size's batch at a time "
+        "(default: available cores)",
     )
     sub.add_argument(
         "--error-mode",

@@ -2,7 +2,8 @@
 
 Replica r always consumes the substream (master_seed, r), and reductions
 run over arrays assembled in ascending replica order, so results are
-byte-identical across reruns and across worker counts.
+byte-identical across reruns and across worker counts: a pool runs the
+batches that one worker runs (see ``_plan``), largest first.
 
 CSV schema (one row per (scheme, step size), '.' decimal, 17 significant
 digits in scientific notation):
@@ -78,6 +79,8 @@ class ExperimentSpec:
             b <= a for a, b in zip(self.step_exponents, self.step_exponents[1:])
         ):
             raise ValueError("step exponents must be strictly increasing")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError("each scheme may appear only once")
         if self.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
             raise ValueError(f"unknown problem id {self.problem!r}")
         if self.problem == "semilinear-heat":
@@ -216,39 +219,21 @@ def _ode_chunk(spec, scheme_tokens, exponent, lo, hi):
     diff = path.states
     diff -= problem.exact(grid.nodes())[:, None]
     np.abs(diff, out=diff)
-    errors = (diff[-1], diff.max(axis=0), path.newton_iteration_counts.mean(axis=0))
+    # a view of the last row would keep the whole path alive in the result
+    errors = (diff[-1].copy(), diff.max(axis=0),
+              path.newton_iteration_counts.mean(axis=0))
     return _by_scheme(errors, rows)
 
 
-#: Bytes of stored fields per PDE batch.  A chunk whose paths need more
-#: (paper scale) marches in several batches; desk scale is one batch.
-PDE_BATCH_BYTES = 64 * 2**20
-
-
 def _pde_chunk(spec, scheme_tokens, exponent, lo, hi):
-    """As _ode_chunk, with L2 errors of the (R, m) fields of PDE batches.
-
-    The classical row rides in the first batch.
-    """
-    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
-    randomized = [s for s in schemes if s.is_randomized]
-    problem, mesh = _build_pde_problem(spec)
-    grid = TimeGrid(problem.final_time, 2**exponent)
-    width = max(1, PDE_BATCH_BYTES // ((grid.steps + 1) * mesh.interior_nodes * 8))
-    starts = range(lo, hi, width) or [lo]
-    return _merge([
-        _pde_errors(spec, problem, mesh, grid, schemes if a == lo else randomized,
-                    exponent, a, min(a + width, hi))
-        for a in starts
-    ])
-
-
-def _pde_errors(spec, problem, mesh, grid, schemes, exponent, lo, hi):
-    """(final, max, mean-newton) errors of one batch, by scheme token.
+    """As _ode_chunk, with L2 errors of the (R, m) fields of a PDE batch.
 
     The exact solution is evaluated once per block of time nodes and
     shared by every row of the batch.
     """
+    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
+    problem, mesh = _build_pde_problem(spec)
+    grid = TimeGrid(problem.final_time, 2**exponent)
     nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
         path = pde_solve(problem, mesh, grid, schemes[0], nodes, NewtonConfig())
@@ -267,50 +252,66 @@ def _pde_errors(spec, problem, mesh, grid, schemes, exponent, lo, hi):
     return _by_scheme(errors, rows)
 
 
-def _merge(parts):
-    """Concatenate each scheme's errors over batches, in batch order."""
-    merged = {}
-    for part in parts:
-        for token, errors in part.items():
-            merged.setdefault(token, []).append(errors)
-    return {
-        token: tuple(np.concatenate(e) for e in zip(*batches))
-        for token, batches in merged.items()
-    }
+#: Bytes of stored fields per PDE batch.  A cell whose paths need more
+#: (paper scale) is planned as several batches; desk scale is one batch.
+PDE_BATCH_BYTES = 64 * 2**20
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    width = -(-total // workers)
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+def _plan(spec):
+    """The sweep's tasks, (scheme tokens, exponent, lo, hi), in the order run.
 
-
-def _cell_errors(chunk_fn, spec, schemes, exponent, pool, workers):
-    """Per-replica errors at one step size of schemes that march as one batch.
-
-    The replicas of the randomized scheme are split into one chunk per
-    worker; the classical row rides in the chunk that holds replica 0,
-    and its one path's errors are repeated for every replica.
+    A task is one batch as the solver marches it: the schemes of one group
+    (implicit, or explicit) at one step size, over replicas lo..hi-1.  An
+    ODE cell is one task; a PDE cell is split into batches of at most
+    PDE_BATCH_BYTES of stored fields, with the classical row in the first.
     """
-    replicas = spec.mc_replicas
-    tokens = ",".join(s.token for s in schemes)
-    randomized = ",".join(s.token for s in schemes if s.is_randomized)
-    if pool is None or not randomized:
-        # one chunk; with no randomized scheme it holds no replica rows
-        parts = [chunk_fn(spec, tokens, exponent, 0, replicas if randomized else 0)]
-    else:
-        futures = [
-            pool.submit(chunk_fn, spec, tokens if lo == 0 else randomized,
-                        exponent, lo, hi)
-            for lo, hi in _chunk_bounds(replicas, workers)
-        ]
-        parts = [fut.result() for fut in futures]
-    errors = _merge(parts)
-    for scheme in schemes:
-        if not scheme.is_randomized:
-            errors[scheme.token] = tuple(
-                np.repeat(e, replicas) for e in errors[scheme.token]
-            )
-    return errors
+    groups = {}  # implicit or not -> schemes, in order of first appearance
+    for scheme in spec.schemes:
+        groups.setdefault(scheme.is_implicit, []).append(scheme)
+    tasks = []
+    for schemes in groups.values():
+        tokens = ",".join(s.token for s in schemes)
+        randomized = ",".join(s.token for s in schemes if s.is_randomized)
+        replicas = spec.mc_replicas if randomized else 0
+        for exponent in spec.step_exponents:
+            width = replicas or 1
+            if spec.problem == "semilinear-heat":
+                path_bytes = (2**exponent + 1) * spec.mesh_dof * 8
+                width = max(1, PDE_BATCH_BYTES // path_bytes)
+            for lo in range(0, replicas, width) or [0]:
+                batch = tokens if lo == 0 else randomized
+                tasks.append((batch, exponent, lo, min(lo + width, replicas)))
+    return tasks
+
+
+def _task_size(task):
+    """Steps times rows of a task: its share of the sweep's work."""
+    tokens, exponent, lo, hi = task
+    schemes = [StepScheme.parse(token) for token in tokens.split(",")]
+    return 2**exponent * sum(hi - lo if s.is_randomized else 1 for s in schemes)
+
+
+def _run_tasks(chunk_fn, spec, tasks, workers):
+    """Each task's result, in task order, from up to ``workers`` processes.
+
+    With a pool every task is submitted at once, largest first, and the
+    results are still taken in task order: the first failing task in that
+    order raises, as it does in-process, and the tasks not yet started
+    are cancelled.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [chunk_fn(spec, *task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            task: pool.submit(chunk_fn, spec, *task)
+            for task in sorted(tasks, key=_task_size, reverse=True)
+        }
+        try:
+            return [futures[task].result() for task in tasks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
@@ -325,7 +326,6 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     follow the order of ``spec.schemes``.
     """
     is_pde = spec.problem == "semilinear-heat"
-    chunk_fn = _pde_chunk if is_pde else _ode_chunk
     if not is_pde:
         problem = _build_ode_problem(spec)
         nu = problem.one_sided_constant
@@ -336,24 +336,21 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
                 raise StepRestrictionViolated(
                     f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
                 )
-    groups = {}  # implicit or not -> schemes, in order of first appearance
-    for scheme in dict.fromkeys(spec.schemes):
-        groups.setdefault(scheme.is_implicit, []).append(scheme)
-    cells = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for schemes in groups.values():
-            for exponent in spec.step_exponents:
-                errors = _cell_errors(chunk_fn, spec, schemes, exponent, pool, workers)
-                for token, cell in errors.items():
-                    cells[token, exponent] = cell
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    tasks = _plan(spec)
+    results = _run_tasks(_pde_chunk if is_pde else _ode_chunk, spec, tasks, workers)
+    parts = {}  # (token, exponent) -> errors of each batch, in replica order
+    for (_, exponent, _, _), errors in zip(tasks, results):
+        for token, part in errors.items():
+            parts.setdefault((token, exponent), []).append(part)
     rows: list[ErrorRow] = []
     for scheme in spec.schemes:
+        # the classical scheme's one path stands for every replica
+        copies = 1 if scheme.is_randomized else spec.mc_replicas
         for exponent in spec.step_exponents:
-            e_final, e_max, iters = cells[scheme.token, exponent]
+            e_final, e_max, iters = (
+                np.repeat(np.concatenate(e), copies)
+                for e in zip(*parts[scheme.token, exponent])
+            )
             rows.append(
                 ErrorRow(
                     scheme=scheme.token,
@@ -737,4 +734,7 @@ def write_residual_csv(rows: Sequence[ResidualRow], path) -> None:
 
 
 def default_workers() -> int:
+    """Cores this process may run on; all of the host's where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -216,3 +216,15 @@ def test_read_error_csv_rejects_non_power_of_two_steps(tmp_path):
     ]))
     with pytest.raises(ValueError, match="line 3.*power of two"):
         read_error_csv(path)
+
+
+def test_repeated_scheme_is_usage_error(tmp_path, capsys):
+    # a repeated scheme would write every row twice, a table rates refuses
+    out = tmp_path / "t.csv"
+    code = main(
+        ["ode", "--problem", "time-integral", "--scheme", "rbe,rbe", "--n", "0:2",
+         "--mc", "2", "--workers", "1", "--out", str(out)]
+    )
+    assert code == 1
+    assert "once" in capsys.readouterr().err
+    assert not out.exists()

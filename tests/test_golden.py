@@ -46,8 +46,9 @@ def test_golden_bytes(name, tmp_path):
 
 
 def test_ode_worker_invariance_uneven_chunks(tmp_path):
-    # 7 replicas over 3 workers gives chunks of 3, 3 and 1 replicas: the
-    # batch a replica marches in must not touch any of its bits
+    # 5 step sizes over 3 workers: each worker marches whole cells of all
+    # 7 replicas, largest first, so cells may finish out of plan order; the
+    # process a cell marches in must not touch any of its bits
     argv = ["ode", "--problem", "prothero-robinson", "--lambda", "2", "--K", "6",
             "--scheme", "rbe,be", "--n", "4:8", "--mc", "7", "--seed", "42"]
     one = render(argv + ["--workers", "1"], tmp_path / "w1.csv")
@@ -56,12 +57,24 @@ def test_ode_worker_invariance_uneven_chunks(tmp_path):
 
 
 def test_pde_worker_invariance_uneven_chunks(tmp_path):
-    # as above for the PDE: each chunk of 3, 3 and 1 replicas is one batch
+    # as above for the PDE: each of the 4 cells is one batch of 7 replicas
+    # and the be row
     argv = ["pde", "--problem", "semilinear-heat", "--K", "4", "--dof", "15",
             "--scheme", "rbe,be", "--n", "2:5", "--mc", "7", "--seed", "42"]
     one = render(argv + ["--workers", "1"], tmp_path / "w1.csv")
     three = render(argv + ["--workers", "3"], tmp_path / "w3.csv")
     assert one == three
+
+
+def test_worker_invariance_more_workers_than_tasks(tmp_path):
+    # one step size of rbe,rfe is two tasks; a third worker gets none
+    argv = ["ode", "--problem", "prothero-robinson", "--lambda", "-1000",
+            "--K", "6", "--scheme", "rbe,rfe", "--n", "7:7", "--mc", "5",
+            "--seed", "42"]
+    one, two, three = (
+        render(argv + ["--workers", w], tmp_path / f"w{w}.csv") for w in "123"
+    )
+    assert one == two == three
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -147,6 +147,8 @@ def test_spec_validation():
             (StepScheme.RANDOMIZED_FORWARD_EULER,),
             (4,), 2, sawtooth_exponent=5, mesh_dof=15,
         )
+    with pytest.raises(ValueError, match="once"):
+        ExperimentSpec("time-integral", (RBE, BE, RBE), (0,), 2)
 
 
 def test_error_modes_both_populated():
@@ -267,16 +269,24 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
 
 
 def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
-    # a chunk whose stored paths pass PDE_BATCH_BYTES marches in batches;
-    # that must not change any replica's errors
+    # a cell whose stored paths pass PDE_BATCH_BYTES is planned as several
+    # batch tasks; that must not change any replica's errors
     from randstep import harness
 
     spec = ExperimentSpec("semilinear-heat", (RBE,), (3,), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
-    whole = harness._pde_chunk(spec, "rbe", 3, 0, 5)["rbe"]
+
+    def cell():
+        tasks = harness._plan(spec)
+        parts = [harness._pde_chunk(spec, *task)["rbe"] for task in tasks]
+        return tasks, [np.concatenate(e) for e in zip(*parts)]
+
+    tasks, whole = cell()
+    assert tasks == [("rbe", 3, 0, 5)]
     # 8 steps of 15 unknowns: room for two replicas per batch
     monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
-    split = harness._pde_chunk(spec, "rbe", 3, 0, 5)["rbe"]
+    tasks, split = cell()
+    assert tasks == [("rbe", 3, 0, 2), ("rbe", 3, 2, 4), ("rbe", 3, 4, 5)]
     for a, b in zip(whole, split):
         assert a.shape == (5,)
         assert np.array_equal(a, b)
@@ -335,3 +345,80 @@ def test_fused_chunk_equals_separate_chunks(problem):
         for a, b in zip(fused[token], chunk(spec, token, 4, lo, hi)[token]):
             assert a.shape == (hi - lo if token == "rbe" else 1,)
             assert np.array_equal(a, b)
+
+
+def test_split_pde_cell_worker_invariant(monkeypatch):
+    # the classical row rides in the first of a cell's batch tasks; at one
+    # worker or two the CSV is the one of the unsplit cells
+    from randstep import harness
+
+    spec = ExperimentSpec("semilinear-heat", (RBE, BE), (2, 3), 5, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=15)
+    whole = render_error_csv(run_mc(spec, workers=1))
+    # room for two replicas per batch at n = 3, three at n = 2
+    monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
+    assert len(harness._plan(spec)) == 5
+    assert render_error_csv(run_mc(spec, workers=1)) == whole
+    assert render_error_csv(run_mc(spec, workers=2)) == whole
+
+
+def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
+    # be fails at t = 1/8, the first step of the n = 3 cell, and, after a
+    # pause, at t = 3/4, step 3 of the n = 2 cell.  A pool finishes n = 3
+    # first, yet must raise the n = 2 error, as one worker does.
+    import time
+
+    from randstep import harness
+    from randstep.ode_solver import OdeProblem
+
+    paused = []
+
+    def rhs(t, x):
+        if np.any(t == 0.75) and not paused:
+            paused.append(True)
+            time.sleep(0.5)
+        return np.where((t == 0.125) | (t == 0.75), x * x + 10.0, -x)
+
+    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    spec = ExperimentSpec("time-integral", (BE,), (2, 3), 2, master_seed=42)
+    messages = []
+    for workers in (1, 2):
+        paused.clear()
+        with pytest.raises(harness.ExperimentError) as err:
+            run_mc(spec, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0].startswith("scheme=be k=2^-2 replica=0 step=3: ")
+    assert messages[1] == messages[0]
+
+
+def test_pool_only_for_several_tasks(monkeypatch):
+    # a pool gets min(workers, tasks) processes, and none for one task
+    from randstep import harness
+
+    pools = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    one = ExperimentSpec("time-integral", (RBE, BE), (3,), 4, master_seed=1)
+    assert harness._plan(one) == [("rbe,be", 3, 0, 4)]
+    run_mc(one, workers=4)
+    assert pools == []
+    two = ExperimentSpec("time-integral", (RBE, BE), (3, 4), 4, master_seed=1)
+    assert render_error_csv(run_mc(two, workers=4)) == render_error_csv(run_mc(two))
+    assert pools == [2]
+
+
+def test_default_workers_counts_usable_cores(monkeypatch):
+    from randstep import harness
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    assert harness.default_workers() == 1
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness.default_workers() == 8
