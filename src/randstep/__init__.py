@@ -58,6 +58,7 @@ from .problems import (
     pde_initial,
     pde_w,
     pde_wdot,
+    pr_freeze,
     pr_rhs,
     prothero_robinson_problem,
     sawtooth_g,

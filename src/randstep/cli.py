@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     ode.add_argument("--lambda", dest="lam", type=float, default=2.0,
                      help="stiffness parameter (default 2)")
     ode.add_argument("--K", type=int, default=10,
-                     help="sawtooth exponent, half period 2^-K (default 10)")
+                     help="sawtooth exponent in 1..53, half period 2^-K (default 10)")
     ode.add_argument("--n", required=True, type=_parse_range,
                      help="step exponents lo:hi, k = 2^-n")
     ode.add_argument("--mc", type=int, default=200,
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     pde.add_argument("--scheme", required=True, type=_parse_schemes,
                      help="comma list from rbe,be")
     pde.add_argument("--K", type=int, default=7,
-                     help="oscillation exponent, half period 2^-K (default 7)")
+                     help="oscillation exponent in 1..53, half period 2^-K (default 7)")
     pde.add_argument("--R", type=float, default=10.0,
                      help="truncation cap of the nonlinearity (default 10)")
     pde.add_argument("--ptilde", type=float, default=4.0,
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--lambda", dest="lam", type=float, default=2.0,
                      help="stiffness parameter (default 2)")
     res.add_argument("--K", type=int, default=8,
-                     help="sawtooth exponent (default 8)")
+                     help="sawtooth exponent in 1..53 (default 8)")
     res.add_argument("--n", required=True, type=_parse_range,
                      help="step exponents lo:hi")
     res.add_argument("--mc", type=int, default=1000,

@@ -83,6 +83,8 @@ class ExperimentSpec:
             raise ValueError("each scheme may appear only once")
         if self.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
             raise ValueError(f"unknown problem id {self.problem!r}")
+        if self.mesh_dof is not None and self.mesh_dof < 1:
+            raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
         if self.problem == "semilinear-heat":
             if self.mesh_dof is None:
                 raise ValueError("semilinear-heat needs mesh_dof")
@@ -424,6 +426,11 @@ def fit_rate(
 # residual scaling study
 
 
+#: Replicas per block of the residual study: one rhs call per step size
+#: evaluates their (block, N) residuals; the temporaries grow with it.
+RESIDUAL_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class ResidualRow:
     exponent: int
@@ -446,23 +453,29 @@ def residual_study(
     sums in the error analysis), so it scales like k^(1/2) on the stiff
     sawtooth benchmark; the conditional-mean column is evaluated by
     quadrature with panels aligned to the sawtooth breakpoints and
-    scales like k.
+    scales like k.  ``problem.rhs`` gets the (block, N) nodes of up to
+    RESIDUAL_BLOCK replicas at once, with the (N,) exact values.
     """
     from .ode_solver import conditional_mean_residual
 
+    if replicas < 1:
+        raise ValueError(f"need at least one replica, got {replicas}")
     grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
     longest = max((grid.steps for grid in grids), default=0)
     sum_sq = np.empty((len(grids), replicas))
-    for replica in range(replicas):
+    for lo in range(0, replicas, RESIDUAL_BLOCK):
         # each replica seeds its stream once: every grid's nodes come from
         # a prefix of the same draws, as a fresh stream would give them
-        taus = NodeStream(SeedSpec(master_seed, replica)).taus(longest)
+        taus = np.array([
+            NodeStream(SeedSpec(master_seed, r)).taus(longest)
+            for r in range(lo, min(lo + RESIDUAL_BLOCK, replicas))
+        ])
         for i, (grid, v) in enumerate(zip(grids, exact_grids)):
-            xi = grid.nodes_from_taus(taus[: grid.steps])
+            xi = grid.nodes_from_taus(taus[:, : grid.steps])
             rho = grid.step_size * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
-            # cumsum adds in step order, as the scalar recursion does
-            sum_sq[i, replica] = np.cumsum(rho * rho)[-1]
+            # a row-wise cumsum adds in step order, as the scalar recursion does
+            sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
     rows = []
     for exponent, grid, path_sq in zip(step_exponents, grids, sum_sq):
         panels = max(1, 2 ** max(sawtooth_exponent - exponent, 0))
@@ -542,6 +555,13 @@ def rate_windows(scale: ExperimentScale) -> dict[str, tuple[int, int]]:
     return {"pre": (lo, min(k_exp - 2, hi)), "post": (min(k_exp, hi), hi)}
 
 
+def _window_fits(table: ErrorTable, sc: ExperimentScale) -> dict:
+    """rbe and be slopes over the pre- and post-resolution windows."""
+    windows = rate_windows(sc)
+    return {(scheme, name): fit_rate(table, scheme, window)
+            for scheme in ("rbe", "be") for name, window in windows.items()}
+
+
 def reproduce_fig1_left(
     scale: str = "desk", master_seed: int = DEFAULT_MASTER_SEED, workers: int = 1
 ):
@@ -549,10 +569,7 @@ def reproduce_fig1_left(
     sc = _scale(FIG1_LEFT_SCALES, scale)
     spec = ExperimentSpec(
         problem="prothero-robinson",
-        schemes=(
-            StepScheme.RANDOMIZED_BACKWARD_EULER,
-            StepScheme.CLASSICAL_BACKWARD_EULER,
-        ),
+        schemes=tuple(map(StepScheme.parse, ("rbe", "be"))),
         step_exponents=sc.step_exponents,
         mc_replicas=sc.mc_replicas,
         master_seed=master_seed,
@@ -560,13 +577,7 @@ def reproduce_fig1_left(
         sawtooth_exponent=sc.sawtooth_exponent,
     )
     table = run_mc(spec, workers)
-    windows = rate_windows(sc)
-    fits = {
-        (scheme, name): fit_rate(table, scheme, window)
-        for scheme in ("rbe", "be")
-        for name, window in windows.items()
-    }
-    return table, fits
+    return table, _window_fits(table, sc)
 
 
 def reproduce_fig1_right(
@@ -576,10 +587,7 @@ def reproduce_fig1_right(
     sc = _scale(FIG1_RIGHT_SCALES, scale)
     spec = ExperimentSpec(
         problem="prothero-robinson",
-        schemes=(
-            StepScheme.RANDOMIZED_BACKWARD_EULER,
-            StepScheme.RANDOMIZED_FORWARD_EULER,
-        ),
+        schemes=tuple(map(StepScheme.parse, ("rbe", "rfe"))),
         step_exponents=sc.step_exponents,
         mc_replicas=sc.mc_replicas,
         master_seed=master_seed,
@@ -607,10 +615,7 @@ def reproduce_fig2(
     sc = _scale(FIG2_SCALES, scale)
     spec = ExperimentSpec(
         problem="semilinear-heat",
-        schemes=(
-            StepScheme.RANDOMIZED_BACKWARD_EULER,
-            StepScheme.CLASSICAL_BACKWARD_EULER,
-        ),
+        schemes=tuple(map(StepScheme.parse, ("rbe", "be"))),
         step_exponents=sc.step_exponents,
         mc_replicas=sc.mc_replicas,
         master_seed=master_seed,
@@ -620,13 +625,7 @@ def reproduce_fig2(
         mesh_dof=sc.mesh_dof,
     )
     table = run_mc(spec, workers)
-    windows = rate_windows(sc)
-    fits = {
-        (scheme, name): fit_rate(table, scheme, window)
-        for scheme in ("rbe", "be")
-        for name, window in windows.items()
-    }
-    return table, fits
+    return table, _window_fits(table, sc)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 #: Damped Newton halves the update at most this many times per iteration.
 MAX_DAMPING_HALVINGS = 30
 
+#: Steps whose nodes ``solve`` freezes at once; a block's frozen data are
+#: (block, R, ...) temporaries, so longer blocks cost memory.
+FREEZE_BLOCK = 64
+
 
 class StepScheme(Enum):
     RANDOMIZED_BACKWARD_EULER = "rbe"
@@ -101,6 +105,12 @@ class OdeProblem:
     condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive values
     impose no step restriction.  ``exact`` is an optional reference
     solution used by benchmarks.
+
+    The optional ``split = (freeze, rhs_frozen)`` separates f's time
+    dependence: ``freeze`` maps an array of times to the data f needs,
+    times' axes first, and ``rhs_frozen(freeze(t), x)`` equals
+    ``rhs(t, x)`` bit for bit.  ``solve`` then hands each step's frozen
+    data to ``rhs_frozen`` and ``jacobian``; without a split, the times.
     """
 
     dimension: int
@@ -110,6 +120,7 @@ class OdeProblem:
     jacobian: Optional[Callable] = None
     one_sided_constant: float = 0.0
     exact: Optional[Callable] = None
+    split: Optional[tuple[Callable, Callable]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -154,12 +165,13 @@ def check_step_restriction(k: float, nu: float) -> None:
 def _newton_scalar(rhs, jac, t_eval, u_prev, k, cfg):
     """Damped Newton for x = u_prev + k*rhs(t_eval, x), one scalar per replica.
 
-    ``t_eval`` and ``u_prev`` are (R,) arrays; returns (roots, iterations),
-    both (R,).  Every replica runs exactly the scalar iteration: its own
-    tolerance test, derivative, damping halvings and iteration count, so
-    its bits do not depend on which replicas share the batch.  Converged
-    replicas leave the batch, and only replicas whose trial step fails to
-    reduce the residual are retried with a halved step.  A failure raises
+    ``u_prev`` is (R,) and ``t_eval`` the step's (R,) times or their
+    frozen data, first axis R; returns (roots, iterations), both (R,).
+    Every replica runs exactly the scalar iteration: its own tolerance
+    test, derivative, damping halvings and iteration count, so its bits
+    do not depend on which replicas share the batch.  Converged replicas
+    leave the batch, and only replicas whose trial step fails to reduce
+    the residual are retried with a halved step.  A failure raises
     NonConvergence naming the first failing replica's batch position.
     The initial guess is u_prev, an O(k)-accurate predictor.
     """
@@ -326,10 +338,12 @@ def solve(
     replicas and a row of grid points t_1..t_N the classical scheme, so
     one batch can hold both; with a block, ``scheme`` only chooses
     between implicit and explicit steps.  Every row gets the same bits as
-    when marched alone.  A randomized scheme consumes exactly one draw
-    per step from its stream, in step order.  Step failures are
-    re-raised with the failing step index attached (and, for a batch,
-    the row's position).
+    when marched alone.  A problem's ``split`` freezes the nodes of
+    FREEZE_BLOCK steps at once (a node outside its domain raises there),
+    and Newton evaluates only f's state dependence.  A randomized scheme
+    consumes exactly one draw per step from its stream, in step order.
+    Step failures are re-raised with the failing step index attached
+    (and, for a batch, the row's position).
     """
     if not math.isclose(grid.final_time, problem.final_time, rel_tol=1e-12):
         raise ValueError("grid final time does not match the problem")
@@ -349,19 +363,22 @@ def solve(
     states = np.empty((n_steps + 1, replicas))
     states[0] = float(np.asarray(problem.initial_value, dtype=float).reshape(()))
 
-    rhs, jac = problem.rhs, problem.jacobian
+    freeze, rhs = problem.split or (lambda t: t, problem.rhs)
+    jac = problem.jacobian
     u = states[0]
-    for n, t_eval in enumerate(block.T, start=1):
-        try:
-            if scheme.is_implicit:
-                u, counts[n - 1] = _newton_scalar(rhs, jac, t_eval, u, k, cfg)
-            else:
-                u = u + k * rhs(t_eval, u)
-        except NonConvergence as err:
-            raise NonConvergence(
-                f"step {n}: {err}", step=n, replica=err.replica if batched else None
-            ) from err
-        states[n] = u
+    for lo in range(0, n_steps, FREEZE_BLOCK):
+        frozen = freeze(block[:, lo : lo + FREEZE_BLOCK].T)
+        for n, at in enumerate(frozen, start=lo + 1):
+            try:
+                if scheme.is_implicit:
+                    u, counts[n - 1] = _newton_scalar(rhs, jac, at, u, k, cfg)
+                else:
+                    u = u + k * rhs(at, u)
+            except NonConvergence as err:
+                raise NonConvergence(
+                    f"step {n}: {err}", step=n, replica=err.replica if batched else None
+                ) from err
+            states[n] = u
 
     if batched:
         nodes_used = block

@@ -22,6 +22,11 @@ class AmplitudeMode(Enum):
     PDE = "pde"  # peak i*P^2 at node i*P
 
 
+#: Largest sawtooth exponent: interval indices below 2^53 are exact as
+#: float64, beyond it g(1) rounds to p instead of 0 (at 63, int64 overflows).
+MAX_EXPONENT = 53
+
+
 @dataclass(frozen=True)
 class SawtoothSpec:
     """Piecewise-linear zigzag with half-period 2^-exponent on [0, 1]."""
@@ -30,8 +35,10 @@ class SawtoothSpec:
     amplitude_mode: AmplitudeMode = AmplitudeMode.ODE
 
     def __post_init__(self):
-        if self.exponent < 1:
-            raise ValueError("exponent must be a positive integer")
+        if not 1 <= self.exponent <= MAX_EXPONENT:
+            raise ValueError(
+                f"sawtooth exponent must be in 1..{MAX_EXPONENT}, got {self.exponent}"
+            )
 
     @property
     def half_period(self) -> float:
@@ -44,6 +51,8 @@ class ProtheroRobinsonSpec:
     sawtooth: SawtoothSpec
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.sawtooth.amplitude_mode is not AmplitudeMode.ODE:
             raise ValueError("Prothero-Robinson uses the ODE-amplitude sawtooth")
 
@@ -113,14 +122,22 @@ def sawtooth_gdot(spec: SawtoothSpec, t):
     return 1.0 - 2.0 * (i & 1)
 
 
-def pr_rhs(spec: ProtheroRobinsonSpec, t, x):
-    """f(t, x) = lam*(x - g(t)) + g'(t); the exact solution is u = g.
+def pr_freeze(spec: ProtheroRobinsonSpec, t):
+    """g(t) and g'(t), the time dependence of f, stacked on a last axis.
 
-    t and x are floats or arrays of one shape; the interval of t is
-    looked up once for g and g'.
+    t is a float or an array; the interval of t is looked up once.
     """
     g, odd = _g_and_parity(spec.sawtooth, t)
-    return spec.lam * (x - g) + (1.0 - 2.0 * odd)
+    return np.stack([g, 1.0 - 2.0 * odd], axis=-1)
+
+
+def pr_rhs(spec: ProtheroRobinsonSpec, frozen, x):
+    """f(t, x) = lam*(x - g(t)) + g'(t); the exact solution is u = g.
+
+    ``frozen`` is ``pr_freeze(spec, t)`` and x of t's shape: only the
+    state-dependent arithmetic runs, however often f is evaluated at t.
+    """
+    return spec.lam * (x - frozen[..., 0]) + frozen[..., 1]
 
 
 def pde_w(spec: SawtoothSpec, t):
@@ -192,7 +209,7 @@ def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:
     saw = spec.sawtooth
 
     def rhs(t, x):
-        return pr_rhs(spec, t, x)
+        return pr_rhs(spec, pr_freeze(spec, t), x)
 
     def jacobian(t, x):
         return lam
@@ -208,6 +225,8 @@ def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:
         jacobian=jacobian,
         one_sided_constant=max(lam, 0.0),
         exact=exact,
+        # closures look pr_rhs up per call, so a wrapper on the module sees it
+        split=(lambda t: pr_freeze(spec, t), lambda frozen, x: pr_rhs(spec, frozen, x)),
     )
 
 

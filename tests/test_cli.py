@@ -228,3 +228,26 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ode", "--problem", "prothero-robinson", "--K", "70", "--scheme", "rbe",
+      "--n", "2:3", "--mc", "2"], "1..53"),
+    (["residual", "--K", "64", "--n", "2:3", "--mc", "2"], "1..53"),
+    (["pde", "--problem", "semilinear-heat", "--K", "70", "--dof", "7",
+      "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "1..53"),
+    (["residual", "--lambda", "nan", "--K", "4", "--n", "2:3", "--mc", "2"], "finite"),
+    (["ode", "--problem", "prothero-robinson", "--lambda", "inf", "--K", "4",
+      "--scheme", "rfe", "--n", "2:3", "--mc", "2"], "finite"),
+    (["residual", "--K", "4", "--n", "2:3", "--mc", "0"], "at least one replica"),
+    (["pde", "--problem", "semilinear-heat", "--K", "4", "--dof", "0",
+      "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "mesh_dof"),
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
+    # each of these once raised a traceback or wrote NaN/inf columns
+    out = tmp_path / "x.csv"
+    workers = [] if argv[0] == "residual" else ["--workers", "1"]
+    assert main(argv + workers + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("randstep: error:") and message in err
+    assert not out.exists()

@@ -14,6 +14,7 @@ from randstep.harness import (
     run_mc,
 )
 from randstep.ode_solver import StepRestrictionViolated, StepScheme
+from randstep.problems import AmplitudeMode, ProtheroRobinsonSpec, SawtoothSpec
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -170,6 +171,25 @@ def test_residual_study_state_independent_mean_zero():
     for row in rows:
         assert row.mean_residual < 1e-15
         assert row.rms_residual > 0.0
+
+
+def test_residual_study_blocks_do_not_change_bits(monkeypatch):
+    # one replica per block is the per-replica loop; 70 replicas in blocks
+    # of 7 or of the default size (a full block and a partial one) must
+    # give the same bits
+    from randstep import harness
+    from randstep.problems import prothero_robinson_problem
+
+    problem = prothero_robinson_problem(
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+    )
+    assert harness.RESIDUAL_BLOCK < 70
+    default = harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9)
+    for block in (1, 7):
+        monkeypatch.setattr(harness, "RESIDUAL_BLOCK", block)
+        assert harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9) == default
+    with pytest.raises(ValueError, match="at least one replica"):
+        harness.residual_study(problem, 6, (2, 5), 0)
 
 
 # --- desk-scale sweeps (session fixtures, shared with acceptance) ---

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randstep.ode_solver import (
+    FREEZE_BLOCK,
     NewtonConfig,
     NonConvergence,
     OdeProblem,
@@ -384,3 +385,73 @@ def test_solve_rejects_bad_node_blocks():
             solve(p, grid, rbe, bad)
     with pytest.raises(ValueError, match="node stream"):
         solve(p, grid, rbe, [make_stream(SeedSpec(1, 0))])
+
+
+def test_solve_off_block_length_matches_implicit_steps_bitwise():
+    # N is not a multiple of FREEZE_BLOCK, so the last block is partial;
+    # the oracle steps through implicit_step, which evaluates rhs(t, x)
+    problem = prothero_robinson_problem(
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+    )
+    grid = TimeGrid(1.0, 2 * FREEZE_BLOCK + 22)
+    k = grid.step_size
+    randomized = grid.random_nodes([NodeStream(SeedSpec(5, r)) for r in range(3)])
+    block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+    batch = solve(problem, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    explicit = solve(problem, grid, StepScheme.RANDOMIZED_FORWARD_EULER, block)
+    for row, nodes in enumerate(block):  # three rbe rows, then the be row
+        u = v = problem.initial_value
+        implicit_path, explicit_path = [u], [v]
+        for t in nodes:
+            u = implicit_step(problem, t, u, k)[0]
+            v = explicit_step(problem, t, v, k)[0]
+            implicit_path.append(u)
+            explicit_path.append(v)
+        assert batch.states[:, row].tolist() == implicit_path
+        assert explicit.states[:, row].tolist() == explicit_path
+
+
+def test_split_problem_marches_like_unsplit_bitwise():
+    # damping and uneven iteration counts make Newton subset the frozen
+    # data with [keep] and [retry], as it subsets the times
+    calls = []
+
+    def rhs(t, x):
+        return -500.0 * (1.0 + t) * np.arctan(x)
+
+    def rhs_frozen(c, x):
+        calls.append(np.size(x))
+        return c[..., 0] * np.arctan(x)
+
+    plain = OdeProblem(1, rhs, 20.0, 1.0,
+                       jacobian=lambda t, x: -500.0 * (1.0 + t) / (1.0 + x * x))
+    split = OdeProblem(
+        1, rhs, 20.0, 1.0,
+        jacobian=lambda c, x: c[..., 0] / (1.0 + x * x),
+        split=(lambda t: (-500.0 * (1.0 + t))[..., None], rhs_frozen),
+    )
+    grid = TimeGrid(1.0, FREEZE_BLOCK + 7)
+    block = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
+    a = solve(plain, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    b = solve(split, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.newton_iteration_counts, b.newton_iteration_counts)
+    counts = b.newton_iteration_counts
+    assert (counts.min(axis=1) < counts.max(axis=1)).any()
+    # one call per step plus one per full Newton step; more means halvings
+    assert len(calls) > grid.steps + counts.max(axis=1).sum()
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+@pytest.mark.parametrize("step", [0, FREEZE_BLOCK + 3])
+def test_solve_rejects_a_node_outside_the_domain(bad, step):
+    problem = prothero_robinson_problem(
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+    )
+    grid = TimeGrid(1.0, FREEZE_BLOCK + 10)
+    block = grid.random_nodes([NodeStream(SeedSpec(2, r)) for r in range(3)])
+    block[1, step] = bad
+    for scheme in (StepScheme.RANDOMIZED_BACKWARD_EULER,
+                   StepScheme.RANDOMIZED_FORWARD_EULER):
+        with pytest.raises(ValueError, match="outside"):
+            solve(problem, grid, scheme, block)

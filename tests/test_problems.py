@@ -15,7 +15,9 @@ from randstep.problems import (
     pde_initial,
     pde_w,
     pde_wdot,
+    pr_freeze,
     pr_rhs,
+    prothero_robinson_problem,
     sawtooth_g,
     sawtooth_gdot,
 )
@@ -77,34 +79,43 @@ def test_fooling_property():
             assert sawtooth_gdot(SAW, j * k) == 1.0
 
 
+def pr_f(spec, t, x):
+    """f(t, x) of Prothero-Robinson through its frozen time dependence."""
+    return pr_rhs(spec, pr_freeze(spec, t), x)
+
+
 def test_pr_rhs_values():
     spec = ProtheroRobinsonSpec(2.0, SAW)
-    assert pr_rhs(spec, 0.0, 1.0) == 3.0  # 2*(1-0) + 1
+    assert pr_f(spec, 0.0, 1.0) == 3.0  # 2*(1-0) + 1
     rng = np.random.default_rng(1)
     for t in rng.uniform(0, 1, 50):
         # solution property f(t, g(t)) = g'(t)
-        assert pr_rhs(spec, t, sawtooth_g(SAW, t)) == sawtooth_gdot(SAW, t)
+        assert pr_f(spec, t, sawtooth_g(SAW, t)) == sawtooth_gdot(SAW, t)
     # one-sided constant: (f(t,x)-f(t,y))(x-y) = lam (x-y)^2
     x, y, t = 0.3, -1.2, 0.5
     assert math.isclose(
-        (pr_rhs(spec, t, x) - pr_rhs(spec, t, y)) * (x - y), 2.0 * (x - y) ** 2
+        (pr_f(spec, t, x) - pr_f(spec, t, y)) * (x - y), 2.0 * (x - y) ** 2
     )
 
 
-def test_array_arguments_match_scalar_calls_bitwise():
-    # grid points, both ends, points just below breakpoints, random times
-    rng = np.random.default_rng(3)
-    t = np.concatenate([
+def edge_case_times(rng):
+    """Grid points, both ends, points just below breakpoints, random times."""
+    return np.concatenate([
         np.arange(65) / 64.0,
         np.nextafter(np.arange(1, 65) * P, 0.0),
         rng.uniform(0.0, 1.0, 200),
     ])
+
+
+def test_array_arguments_match_scalar_calls_bitwise():
+    rng = np.random.default_rng(3)
+    t = edge_case_times(rng)
     x = rng.normal(size=t.size)
     spec = ProtheroRobinsonSpec(-1000.0, SAW)
     for fn, args in (
         (sawtooth_g, (SAW, t)),
         (sawtooth_gdot, (SAW, t)),
-        (pr_rhs, (spec, t, x)),
+        (pr_f, (spec, t, x)),
     ):
         batch = fn(*args)
         single = [fn(*(a if not isinstance(a, np.ndarray) else a[j] for a in args))
@@ -113,6 +124,48 @@ def test_array_arguments_match_scalar_calls_bitwise():
     for bad in (np.array([0.5, -1e-300]), np.array([1.0 + 2**-52]), np.array([np.nan])):
         with pytest.raises(ValueError):
             sawtooth_g(SAW, bad)
+
+
+@pytest.mark.parametrize("lam", [2.0, -1000.0])
+def test_frozen_rhs_matches_rhs_bitwise(lam):
+    # the edge-case times, frozen as a whole and as a (steps, rows) block
+    # the way solve freezes them, then subset as Newton does
+    rng = np.random.default_rng(3)
+    t = edge_case_times(rng)
+    x = rng.normal(size=t.size)
+    spec = ProtheroRobinsonSpec(lam, SAW)
+    problem = prothero_robinson_problem(spec)
+    freeze, rhs_frozen = problem.split
+    expected = lam * (x - sawtooth_g(SAW, t)) + sawtooth_gdot(SAW, t)
+    assert problem.rhs(t, x).tolist() == expected.tolist()
+    assert rhs_frozen(freeze(t), x).tolist() == expected.tolist()
+    for j in (0, 64, 65, 128, 300):
+        assert rhs_frozen(freeze(t[j]), x[j]) == expected[j] == problem.rhs(t[j], x[j])
+    nodes = np.stack([t, t[::-1]])  # (R, N), as solve gets them
+    states, values = np.stack([x, x[::-1]]), np.stack([expected, expected[::-1]])
+    frozen = freeze(nodes.T)
+    assert frozen.shape == (t.size, 2, 2)
+    keep = np.array([False, True])
+    for n, at in enumerate(frozen):
+        assert rhs_frozen(at, states[:, n]).tolist() == values[:, n].tolist()
+        assert rhs_frozen(at[keep], states[keep, n]).tolist() == values[keep, n].tolist()
+
+
+def test_prothero_robinson_rejects_non_finite_lambda():
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProtheroRobinsonSpec(lam, SAW)
+
+
+def test_sawtooth_exponent_limit():
+    # up to 2^53 intervals the local coordinate is exact: g(1) = 0 and
+    # g'(1) = -1 as on every coarser sawtooth
+    top = SawtoothSpec(53, AmplitudeMode.ODE)
+    assert sawtooth_g(top, 1.0) == 0.0 and sawtooth_gdot(top, 1.0) == -1.0
+    assert sawtooth_g(top, np.array([1.0, 0.5])).tolist() == [0.0, 0.0]
+    for exponent in (0, 54, 63, 70):
+        with pytest.raises(ValueError, match="1..53"):
+            SawtoothSpec(exponent, AmplitudeMode.ODE)
 
 
 PSAW = SawtoothSpec(5, AmplitudeMode.PDE)
