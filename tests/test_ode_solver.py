@@ -455,3 +455,56 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
                    StepScheme.RANDOMIZED_FORWARD_EULER):
         with pytest.raises(ValueError, match="outside"):
             solve(problem, grid, scheme, block)
+
+
+def coupled_arctan(with_jacobian):
+    # f = (-50(1+t) atan(x0) + x1, -x0 - 2 x1^3): the off-diagonal terms
+    # cancel in the symmetric part, so nu <= 0; the large start needs damping
+    def rhs(t, x):
+        return np.array([-50.0 * (1.0 + t) * np.arctan(x[0]) + x[1],
+                         -x[0] - 2.0 * x[1] ** 3])
+
+    def jacobian(t, x):
+        return np.array([[-50.0 * (1.0 + t) / (1.0 + x[0] ** 2), 1.0],
+                         [-1.0, -6.0 * x[1] ** 2]])
+
+    jac = jacobian if with_jacobian else None
+    return OdeProblem(2, rhs, np.array([20.0, 1.0]), 1.0, jacobian=jac)
+
+
+# float.hex() of the final states and the sum of Newton counts, rendered
+# before the ODE Newton loops were merged into one core
+PINNED_BITS = {
+    ("rbe", True): (["-0x1.1637b3ee4ac92p-8", "-0x1.a66c3a529b7fap-2"], 29),
+    ("rbe", False): (["-0x1.1637b3ee4ab69p-8", "-0x1.a66c3a529b63ap-2"], 29),
+    ("be", True): (["-0x1.bf8ebce000ce8p-9", "-0x1.5aeebb0d57f20p-2"], 30),
+    ("be", False): (["-0x1.bf8ebce000e29p-9", "-0x1.5aeebb0d58017p-2"], 30),
+    ("rfe", True): (["-0x1.22387fcaac35cp+3", "-0x1.7e0beb7d76190p-1"], 0),
+    ("rfe", False): (["-0x1.22387fcaac35cp+3", "-0x1.7e0beb7d76190p-1"], 0),
+    # five damped rbe replicas and the be row, finite-difference derivative
+    ("batch", False): ([
+        "0x1.15a07a1024d1cp-12", "0x1.4082bbe12f42cp-12", "0x1.650a5c3d9c42dp-12",
+        "0x1.7b2567cd87773p-12", "0x1.1f01f2d7faff7p-12", "0x1.868a37e12463bp-13",
+    ], 107),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BITS))
+def test_solve_bits_are_pinned(case):
+    scheme, with_jacobian = case
+    if scheme == "batch":
+        p = OdeProblem(1, lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0)
+        grid = TimeGrid(1.0, 4)
+        randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
+        block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+        path = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+        counts = path.newton_iteration_counts
+        assert (counts.min(axis=1) < counts.max(axis=1)).any()
+    else:
+        scheme = StepScheme.parse(scheme)
+        stream = NodeStream(SeedSpec(7, 0)) if scheme.is_randomized else None
+        path = solve(coupled_arctan(with_jacobian), TimeGrid(1.0, 8), scheme, stream)
+        assert path.states.shape == (9, 2)
+    states, iterations = PINNED_BITS[case]
+    assert [v.hex() for v in path.states[-1]] == states
+    assert int(path.newton_iteration_counts.sum()) == iterations
