@@ -7,8 +7,6 @@ from .rand_nodes import (
     NodeStream,
     SeedSpec,
     TimeGrid,
-    make_stream,
-    next_tau,
     node,
 )
 from .ode_solver import (
@@ -71,11 +69,10 @@ from .harness import (
     ErrorRow,
     ErrorTable,
     ExperimentSpec,
+    FIGURES,
     RateFit,
     fit_rate,
-    reproduce_fig1_left,
-    reproduce_fig1_right,
-    reproduce_fig2,
+    reproduce_figure,
     residual_study,
     run_mc,
 )

@@ -146,12 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--error-mode", choices=["final", "max"], default="final")
     rates.add_argument("--out", required=True, help="output CSV path")
 
-    for name, help_text in (
-        ("fig1-left", "stiff sawtooth sweep, lambda=2 (rbe vs be)"),
-        ("fig1-right", "dissipative sweep, lambda=-1000 (rbe vs rfe)"),
-        ("fig2", "semilinear heat sweep (rbe vs be)"),
-    ):
-        fig = subs.add_parser(name, help=help_text)
+    for name, figure in harness.FIGURES.items():
+        fig = subs.add_parser(name, help=figure.title)
         fig.add_argument("--scale", choices=["desk", "paper"], default="desk",
                          help="desk: reduced grids and replica counts (minutes); "
                          "paper: full-size grids and replica counts (slow)")
@@ -287,24 +283,18 @@ def _dispatch(args) -> int:
     seed = _resolve_seed(args)
     _echo(dict(figure=command, scale=args.scale, seed=seed,
                error_mode=args.error_mode, workers=args.workers))
-    if command == "fig1-left":
-        table, fits = harness.reproduce_fig1_left(args.scale, seed, args.workers)
-    elif command == "fig1-right":
-        table, summary = harness.reproduce_fig1_right(args.scale, seed, args.workers)
-        fits = None
-        for key, value in summary.items():
-            print(f"{key}: {value}")
-    elif command == "fig2":
-        table, fits = harness.reproduce_fig2(args.scale, seed, args.workers)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown command {command!r}")
-    if fits:
-        for (scheme, name), fit in fits.items():
+    fits_rates = harness.FIGURES[command].fits_rates
+    table, result = harness.reproduce_figure(command, args.scale, seed, args.workers)
+    for key, value in result.items():
+        if fits_rates:
+            scheme, name = key
             print(
-                f"{scheme} {name}-resolution slope: {fit.slope:.4f} "
-                f"(n in {fit.window[0]}..{fit.window[1]})"
+                f"{scheme} {name}-resolution slope: {value.slope:.4f} "
+                f"(n in {value.window[0]}..{value.window[1]})"
             )
-    _write_outputs(table, args, fits)
+        else:
+            print(f"{key}: {value}")
+    _write_outputs(table, args, result if fits_rates else None)
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -517,31 +517,53 @@ def fit_residual_slopes(
 
 @dataclass(frozen=True)
 class ExperimentScale:
+    """The ExperimentSpec fields that a figure sets per scale."""
+
     sawtooth_exponent: int
     step_exponents: tuple[int, ...]
     mc_replicas: int
     mesh_dof: Optional[int] = None
 
 
-FIG1_LEFT_SCALES = {
-    "desk": ExperimentScale(10, tuple(range(4, 13)), 200),
-    "paper": ExperimentScale(12, tuple(range(5, 15)), 1000),
-}
-FIG1_RIGHT_SCALES = {
-    "desk": ExperimentScale(10, tuple(range(5, 13)), 200),
-    "paper": ExperimentScale(12, tuple(range(5, 15)), 1000),
-}
-FIG2_SCALES = {
-    "desk": ExperimentScale(7, tuple(range(3, 10)), 50, mesh_dof=127),
-    "paper": ExperimentScale(9, tuple(range(4, 12)), 200, mesh_dof=500),
-}
+@dataclass(frozen=True)
+class Figure:
+    """One of the paper's figures: its fixed sweep settings and its scales.
+
+    ``fixed`` holds the ExperimentSpec fields that do not vary with the
+    scale.  Without an explicit scheme the figure's result is its rbe and
+    be rate fits; with one, the stability summary.
+    """
+
+    title: str
+    schemes: tuple[str, ...]
+    fixed: dict
+    scales: dict
+
+    @property
+    def fits_rates(self) -> bool:
+        return "rfe" not in self.schemes
 
 
-def _scale(table: dict, scale: str) -> ExperimentScale:
-    try:
-        return table[scale]
-    except KeyError:
-        raise ValueError(f"scale must be one of {sorted(table)}") from None
+FIGURES = {
+    "fig1-left": Figure(
+        "stiff sawtooth sweep, lambda=2 (rbe vs be)", ("rbe", "be"),
+        dict(problem="prothero-robinson", lam=2.0), {
+            "desk": ExperimentScale(10, tuple(range(4, 13)), 200),
+            "paper": ExperimentScale(12, tuple(range(5, 15)), 1000),
+        }),
+    "fig1-right": Figure(
+        "dissipative sweep, lambda=-1000 (rbe vs rfe)", ("rbe", "rfe"),
+        dict(problem="prothero-robinson", lam=-1000.0), {
+            "desk": ExperimentScale(10, tuple(range(5, 13)), 200),
+            "paper": ExperimentScale(12, tuple(range(5, 15)), 1000),
+        }),
+    "fig2": Figure(
+        "semilinear heat sweep (rbe vs be)", ("rbe", "be"),
+        dict(problem="semilinear-heat", cap=10.0, power=4.0), {
+            "desk": ExperimentScale(7, tuple(range(3, 10)), 50, mesh_dof=127),
+            "paper": ExperimentScale(9, tuple(range(4, 12)), 200, mesh_dof=500),
+        }),
+}
 
 
 def rate_windows(scale: ExperimentScale) -> dict[str, tuple[int, int]]:
@@ -555,77 +577,45 @@ def rate_windows(scale: ExperimentScale) -> dict[str, tuple[int, int]]:
     return {"pre": (lo, min(k_exp - 2, hi)), "post": (min(k_exp, hi), hi)}
 
 
-def _window_fits(table: ErrorTable, sc: ExperimentScale) -> dict:
-    """rbe and be slopes over the pre- and post-resolution windows."""
-    windows = rate_windows(sc)
-    return {(scheme, name): fit_rate(table, scheme, window)
-            for scheme in ("rbe", "be") for name, window in windows.items()}
-
-
-def reproduce_fig1_left(
-    scale: str = "desk", master_seed: int = DEFAULT_MASTER_SEED, workers: int = 1
+def reproduce_figure(
+    name: str,
+    scale: str = "desk",
+    master_seed: int = DEFAULT_MASTER_SEED,
+    workers: int = 1,
 ):
-    """Stiff sawtooth sweep, lambda = 2: randomized vs classical implicit."""
-    sc = _scale(FIG1_LEFT_SCALES, scale)
+    """Run the sweep of ``FIGURES[name]`` at a scale; returns (table, result).
+
+    The result of a figure that fits rates maps (scheme, window name) to
+    the RateFit over each ``rate_windows`` window; that of fig1-right, the
+    implicit scheme's largest rms error and, per step exponent, the
+    explicit rms error and the amplification factor |1 + k*lambda|.
+    """
+    figure = FIGURES[name]
+    if scale not in figure.scales:
+        raise ValueError(f"scale must be one of {sorted(figure.scales)}")
+    sc = figure.scales[scale]
     spec = ExperimentSpec(
-        problem="prothero-robinson",
-        schemes=tuple(map(StepScheme.parse, ("rbe", "be"))),
-        step_exponents=sc.step_exponents,
-        mc_replicas=sc.mc_replicas,
+        schemes=tuple(map(StepScheme.parse, figure.schemes)),
         master_seed=master_seed,
-        lam=2.0,
-        sawtooth_exponent=sc.sawtooth_exponent,
+        **asdict(sc),
+        **figure.fixed,
     )
     table = run_mc(spec, workers)
-    return table, _window_fits(table, sc)
-
-
-def reproduce_fig1_right(
-    scale: str = "desk", master_seed: int = DEFAULT_MASTER_SEED, workers: int = 1
-):
-    """Dissipative sweep, lambda = -1000: implicit vs explicit randomized."""
-    sc = _scale(FIG1_RIGHT_SCALES, scale)
-    spec = ExperimentSpec(
-        problem="prothero-robinson",
-        schemes=tuple(map(StepScheme.parse, ("rbe", "rfe"))),
-        step_exponents=sc.step_exponents,
-        mc_replicas=sc.mc_replicas,
-        master_seed=master_seed,
-        lam=-1000.0,
-        sawtooth_exponent=sc.sawtooth_exponent,
-    )
-    table = run_mc(spec, workers)
-    lam = -1000.0
-    summary = {
+    if figure.fits_rates:
+        windows = rate_windows(sc)
+        return table, {
+            (scheme, which): fit_rate(table, scheme, window)
+            for scheme in figure.schemes for which, window in windows.items()
+        }
+    return table, {
         "implicit_max_rms": max(r.rms_error_final for r in table.for_scheme("rbe")),
         "explicit_rms_by_exponent": {
             r.exponent: r.rms_error_final for r in table.for_scheme("rfe")
         },
         "amplification_by_exponent": {
-            n: abs(1.0 + 2.0 ** (-n) * lam) for n in sc.step_exponents
+            n: abs(1.0 + 2.0 ** (-n) * spec.lam) for n in sc.step_exponents
         },
     }
-    return table, summary
-
-
-def reproduce_fig2(
-    scale: str = "desk", master_seed: int = DEFAULT_MASTER_SEED, workers: int = 1
-):
-    """Semilinear heat sweep: randomized vs classical fully discrete scheme."""
-    sc = _scale(FIG2_SCALES, scale)
-    spec = ExperimentSpec(
-        problem="semilinear-heat",
-        schemes=tuple(map(StepScheme.parse, ("rbe", "be"))),
-        step_exponents=sc.step_exponents,
-        mc_replicas=sc.mc_replicas,
-        master_seed=master_seed,
-        sawtooth_exponent=sc.sawtooth_exponent,
-        cap=10.0,
-        power=4.0,
-        mesh_dof=sc.mesh_dof,
-    )
-    table = run_mc(spec, workers)
-    return table, _window_fits(table, sc)
 
 
 # ---------------------------------------------------------------------------

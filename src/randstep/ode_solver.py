@@ -162,137 +162,149 @@ def check_step_restriction(k: float, nu: float) -> None:
         )
 
 
-def _newton_scalar(rhs, jac, t_eval, u_prev, k, cfg):
-    """Damped Newton for x = u_prev + k*rhs(t_eval, x), one scalar per replica.
+def _damped_newton(residual, update, norm, x, data, cfg, scale=None):
+    """Damped Newton for residual(x, *data) = 0, one row of x per replica.
 
-    ``u_prev`` is (R,) and ``t_eval`` the step's (R,) times or their
-    frozen data, first axis R; returns (roots, iterations), both (R,).
-    Every replica runs exactly the scalar iteration: its own tolerance
-    test, derivative, damping halvings and iteration count, so its bits
-    do not depend on which replicas share the batch.  Converged replicas
-    leave the batch, and only replicas whose trial step fails to reduce
-    the residual are retried with a halved step.  A failure raises
+    ``x`` holds one row per replica and ``data`` a tuple of arrays whose
+    first axis runs over the same rows; ``update(x, r, *data)`` returns
+    the Newton step for the residual r, and ``norm`` maps rows to their
+    (R,) norms.  A row has converged once norm(r) <= abs_tol + rel_tol *
+    s, with s = norm(x), or the row's ``scale`` when one is given.
+    Returns (roots, iterations), iterations (R,).  Every replica runs
+    exactly the single-row iteration: its own tolerance test, Newton
+    step, damping halvings and iteration count, so its bits do not depend
+    on which replicas share the batch.  Converged replicas leave the
+    batch, and only replicas whose trial step fails to reduce the
+    residual norm are retried with a halved step (cf. Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004).  A failure, or a
+    NonConvergence that ``update`` raises for a row, raises
     NonConvergence naming the first failing replica's batch position.
-    The initial guess is u_prev, an O(k)-accurate predictor.
     """
-    x = u_prev
-    fx = rhs(t_eval, x)
-    r = x - u_prev - k * fx
-    rnorm = np.abs(r)
+    r = residual(x, *data)
+    rnorm = norm(r)
+    tol = None if scale is None else cfg.abs_tol + cfg.rel_tol * scale
     roots = iters = None
     live = None  # batch positions still iterating; None while it is all of them
 
     def finish(x, it):
         if live is None:
-            return x, np.full(x.shape, it)
+            return x, np.full(len(x), it)
         roots[live], iters[live] = x, it
         return roots, iters
 
     def fail(message, pos):
-        pos = int(pos)
-        raise NonConvergence(message, replica=pos if live is None else int(live[pos]))
+        raise NonConvergence(message, replica=int(pos if live is None else live[pos]))
 
-    for it in range(cfg.max_iterations):
-        done = rnorm <= cfg.abs_tol + cfg.rel_tol * np.abs(x)
+    for it in range(cfg.max_iterations + 1):
+        done = rnorm <= (cfg.abs_tol + cfg.rel_tol * norm(x) if tol is None else tol)
         if done.all():
             return finish(x, it)
+        if it == cfg.max_iterations:
+            first = np.flatnonzero(~done)[0]
+            fail(f"residual {rnorm[first]:.3e} above tolerance after "
+                 f"{cfg.max_iterations} iterations", first)
         if done.any():
             if live is None:
-                live = np.arange(x.size)
-                roots, iters = np.empty_like(x), np.empty(x.shape, dtype=np.int64)
+                live = np.arange(len(x))
+                roots, iters = np.empty_like(x), np.empty(len(x), dtype=np.int64)
             roots[live[done]], iters[live[done]] = x[done], it
             keep = ~done
             live, x, r, rnorm = live[keep], x[keep], r[keep], rnorm[keep]
-            t_eval, u_prev = t_eval[keep], u_prev[keep]
-            fx = fx[keep] if np.ndim(fx) else fx  # the rhs may return a scalar
-        if jac is not None:
-            df = jac(t_eval, x)
-        else:
-            dx = cfg.fd_jacobian_step * (1.0 + np.abs(x))
-            df = (rhs(t_eval, x + dx) - fx) / dx
-        deriv = 1.0 - k * df
-        singular = deriv == 0.0
-        # a Jacobian callback returning a float gives a plain bool here
-        if singular is not False and np.any(singular):
-            fail("singular Newton derivative",
-                 np.flatnonzero(np.broadcast_to(singular, x.shape))[0])
-        delta = r / deriv
+            data = tuple(a[keep] for a in data)
+            tol = None if tol is None else tol[keep]
+        try:
+            delta = update(x, r, *data)
+        except NonConvergence as err:
+            fail(str(err), err.replica)
         xt = x - delta
-        ft = rhs(t_eval, xt)
-        rt = xt - u_prev - k * ft
-        rtnorm = np.abs(rt)
+        rt = residual(xt, *data)
+        rtnorm = norm(rt)
         reduced = rtnorm < rnorm
         if not reduced.all():
             retry = np.flatnonzero(~reduced)
-            ft = np.array(np.broadcast_to(ft, x.shape))
             alpha = 1.0
             for _ in range(MAX_DAMPING_HALVINGS):
                 alpha *= 0.5
                 xb = x[retry] - alpha * delta[retry]
-                fb = rhs(t_eval[retry], xb)
-                rb = xb - u_prev[retry] - k * fb
-                nb = np.abs(rb)
-                xt[retry], ft[retry], rt[retry], rtnorm[retry] = xb, fb, rb, nb
+                rb = residual(xb, *(a[retry] for a in data))
+                nb = norm(rb)
+                xt[retry], rt[retry], rtnorm[retry] = xb, rb, nb
                 retry = retry[~(nb < rnorm[retry])]
                 if not retry.size:
                     break
             else:
                 fail("residual not reduced after damped retries", retry[0])
-        x, fx, r, rnorm = xt, ft, rt, rtnorm
-    done = rnorm <= cfg.abs_tol + cfg.rel_tol * np.abs(x)
-    if not done.all():
-        first = np.flatnonzero(~done)[0]
-        fail(
-            f"residual {rnorm[first]:.3e} above tolerance after "
-            f"{cfg.max_iterations} iterations",
-            first,
-        )
-    return finish(x, cfg.max_iterations)
+        x, r, rnorm = xt, rt, rtnorm
 
 
-def _fd_jacobian(rhs, t, x, fx, step):
-    d = x.size
-    jac = np.empty((d, d))
-    for i in range(d):
-        dx = step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += dx
-        jac[:, i] = (np.asarray(rhs(t, xp), dtype=float) - fx) / dx
-    return jac
+def _row_callbacks(rhs, jac, dimension):
+    """``rhs`` and ``jac`` as called on the rows that Newton and the step
+    loop march: unchanged for a scalar problem, whose rows are floats.
+    A d > 1 problem marches one replica as a (1, d) row, and its
+    callbacks get the replica's time and (d,) state."""
+    if dimension == 1:
+        return rhs, jac
+
+    def lift(fn):
+        return lambda t, x: np.asarray(fn(t[0], x[0]), dtype=float)[None]
+
+    return lift(rhs), jac and lift(jac)
 
 
-def _newton_vector(rhs, jac, t_eval, u_prev, k, cfg):
-    """Damped Newton for x = u_prev + k*rhs(t_eval, x), d-vector state."""
-    x = u_prev.copy()
-    fx = np.asarray(rhs(t_eval, x), dtype=float)
-    r = x - u_prev - k * fx
-    rnorm = float(np.linalg.norm(r))
-    eye = np.eye(x.size)
-    for it in range(cfg.max_iterations):
-        if rnorm <= cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(x)):
-            return x, it
+def _newton_parts(rhs, jac, dimension, k, cfg):
+    """(residual, update, norm) of the step equation x = u_prev + k*rhs(t, x).
+
+    ``rhs`` and ``jac`` act on rows, as ``_row_callbacks`` returns them.
+    The data of a step are the rows' times, or their frozen data, and
+    previous states.  A scalar row's update divides by its derivative, a
+    forward difference when ``jac`` is None; a (1, d) row's update is a
+    dense solve, with forward-difference columns when ``jac`` is None.
+    """
+    step = cfg.fd_jacobian_step
+
+    def residual(x, t, u_prev):
+        return x - u_prev - k * rhs(t, x)
+
+    if dimension == 1:
+        def update(x, r, t, u_prev):
+            if jac is not None:
+                df = jac(t, x)
+            else:
+                dx = step * (1.0 + np.abs(x))
+                df = (rhs(t, x + dx) - rhs(t, x)) / dx
+            deriv = 1.0 - k * df
+            singular = deriv == 0.0
+            # a Jacobian callback returning a float gives a plain bool here
+            if singular is not False and np.any(singular):
+                raise NonConvergence("singular Newton derivative",
+                                     replica=np.flatnonzero(singular)[0])
+            return r / deriv
+
+        return residual, update, np.abs
+
+    def update(x, r, t, u_prev):
         if jac is not None:
-            df = np.asarray(jac(t_eval, x), dtype=float)
+            df = jac(t, x)[0]
         else:
-            df = _fd_jacobian(rhs, t_eval, x, fx, cfg.fd_jacobian_step)
-        delta = np.linalg.solve(eye - k * df, r)
-        alpha = 1.0
-        for _ in range(MAX_DAMPING_HALVINGS + 1):
-            xt = x - alpha * delta
-            ft = np.asarray(rhs(t_eval, xt), dtype=float)
-            rt = xt - u_prev - k * ft
-            rtnorm = float(np.linalg.norm(rt))
-            if rtnorm < rnorm:
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergence("residual not reduced after damped retries")
-        x, fx, r, rnorm = xt, ft, rt, rtnorm
-    if rnorm <= cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(x)):
-        return x, cfg.max_iterations
-    raise NonConvergence(
-        f"residual {rnorm:.3e} above tolerance after {cfg.max_iterations} iterations"
-    )
+            fx = rhs(t, x)
+            df = np.empty((dimension, dimension))
+            for i in range(dimension):
+                xp = x.copy()
+                dx = step * (1.0 + abs(xp[0, i]))
+                xp[0, i] += dx
+                df[:, i] = ((rhs(t, xp) - fx) / dx)[0]
+        return np.linalg.solve(np.eye(dimension) - k * df, r[0])[None]
+
+    return residual, update, lambda r: np.linalg.norm(r, axis=1)
+
+
+def _newton_scalar(parts, at, u_prev, cfg):
+    """``_damped_newton`` on the ``_newton_parts`` of one step of every row.
+
+    ``at`` holds the rows' times or frozen data; the initial guess is
+    u_prev, an O(k)-accurate predictor.
+    """
+    return _damped_newton(*parts, u_prev, (at, u_prev), cfg)
 
 
 def implicit_step(problem, t_eval, u_prev, k, cfg: Optional[NewtonConfig] = None):
@@ -301,14 +313,11 @@ def implicit_step(problem, t_eval, u_prev, k, cfg: Optional[NewtonConfig] = None
         raise ValueError("step size must be positive")
     cfg = cfg or NewtonConfig()
     check_step_restriction(k, problem.one_sided_constant)
-    if problem.dimension == 1:
-        u0 = np.array(u_prev, dtype=float).reshape(1)
-        t = np.array([t_eval], dtype=float)
-        x, _ = _newton_scalar(problem.rhs, problem.jacobian, t, u0, k, cfg)
-        return x
-    u0 = np.asarray(u_prev, dtype=float).reshape(problem.dimension)
-    x, _ = _newton_vector(problem.rhs, problem.jacobian, t_eval, u0, k, cfg)
-    return x
+    d = problem.dimension
+    parts = _newton_parts(*_row_callbacks(problem.rhs, problem.jacobian, d), d, k, cfg)
+    u0 = np.array(u_prev, dtype=float).reshape((1, d) if d > 1 else 1)
+    x, _ = _newton_scalar(parts, np.array([t_eval], dtype=float), u0, cfg)
+    return x.reshape(d)
 
 
 def explicit_step(problem, t_eval, u_prev, k):
@@ -316,9 +325,8 @@ def explicit_step(problem, t_eval, u_prev, k):
     if not k > 0:
         raise ValueError("step size must be positive")
     u0 = np.asarray(u_prev, dtype=float).reshape(problem.dimension)
-    if problem.dimension == 1:
-        return u0 + k * problem.rhs(np.array([t_eval], dtype=float), u0)
-    return u0 + k * np.asarray(problem.rhs(t_eval, u0), dtype=float)
+    t = np.array([t_eval], dtype=float) if problem.dimension == 1 else t_eval
+    return u0 + k * np.asarray(problem.rhs(t, u0), dtype=float)
 
 
 def solve(
@@ -338,40 +346,42 @@ def solve(
     replicas and a row of grid points t_1..t_N the classical scheme, so
     one batch can hold both; with a block, ``scheme`` only chooses
     between implicit and explicit steps.  Every row gets the same bits as
-    when marched alone.  A problem's ``split`` freezes the nodes of
-    FREEZE_BLOCK steps at once (a node outside its domain raises there),
-    and Newton evaluates only f's state dependence.  A randomized scheme
-    consumes exactly one draw per step from its stream, in step order.
-    Step failures are re-raised with the failing step index attached
-    (and, for a batch, the row's position).
+    when marched alone.  A d > 1 problem marches its one replica as a
+    (1, d) row in the same loop.  A problem's ``split`` freezes the nodes
+    of FREEZE_BLOCK steps at once (a node outside its domain raises
+    there), and Newton evaluates only f's state dependence.  A randomized
+    scheme consumes exactly one draw per step from its stream, in step
+    order.  Step failures, and a non-finite state once the march is
+    done, are re-raised with the failing step index attached (and, for a
+    batch, the row's position).
     """
     if not math.isclose(grid.final_time, problem.final_time, rel_tol=1e-12):
         raise ValueError("grid final time does not match the problem")
     block, batched = _node_block(grid, scheme, nodes)
+    d = problem.dimension
+    if batched and d > 1:
+        raise ValueError("replica batches need a scalar problem")
     cfg = cfg or NewtonConfig()
     k = grid.step_size
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
-    if problem.dimension > 1:
-        if batched:
-            raise ValueError("replica batches need a scalar problem")
-        return _solve_vector(problem, grid, scheme, block[0], cfg)
 
     n_steps = grid.steps
-    replicas = len(block)
-    counts = np.zeros((n_steps, replicas), dtype=np.int64)
-    states = np.empty((n_steps + 1, replicas))
-    states[0] = float(np.asarray(problem.initial_value, dtype=float).reshape(()))
+    row = (len(block),) if d == 1 else (1, d)
+    counts = np.zeros((n_steps, len(block)), dtype=np.int64)
+    states = np.empty((n_steps + 1,) + row)
+    states[0] = np.asarray(problem.initial_value, dtype=float).reshape(row[1:])
 
     freeze, rhs = problem.split or (lambda t: t, problem.rhs)
-    jac = problem.jacobian
+    rhs, jac = _row_callbacks(rhs, problem.jacobian, d)
+    parts = _newton_parts(rhs, jac, d, k, cfg)
     u = states[0]
     for lo in range(0, n_steps, FREEZE_BLOCK):
         frozen = freeze(block[:, lo : lo + FREEZE_BLOCK].T)
         for n, at in enumerate(frozen, start=lo + 1):
             try:
                 if scheme.is_implicit:
-                    u, counts[n - 1] = _newton_scalar(rhs, jac, at, u, k, cfg)
+                    u, counts[n - 1] = _newton_scalar(parts, at, u, cfg)
                 else:
                     u = u + k * rhs(at, u)
             except NonConvergence as err:
@@ -379,11 +389,17 @@ def solve(
                     f"step {n}: {err}", step=n, replica=err.replica if batched else None
                 ) from err
             states[n] = u
+    finite = np.isfinite(states.reshape(n_steps + 1, -1))
+    if not finite.all():
+        step, pos = (int(i) for i in np.argwhere(~finite)[0])
+        raise NonConvergence(f"step {step}: non-finite state", step=step,
+                             replica=pos if batched else None)
 
     if batched:
         nodes_used = block
     else:
         nodes_used = block[0] if scheme.is_randomized else np.empty(0)
+        states = states.reshape(n_steps + 1, -1)
         counts = counts[:, 0]
     return Trajectory(
         grid=grid,
@@ -412,38 +428,6 @@ def _node_block(grid: TimeGrid, scheme: StepScheme, nodes) -> tuple[np.ndarray, 
     if not isinstance(nodes, NodeStream):
         raise ValueError(f"scheme {scheme.token} needs a node stream or a node block")
     return grid.random_nodes([nodes]), False
-
-
-def _solve_vector(problem, grid, scheme, nodes, cfg) -> Trajectory:
-    """One replica of a d > 1 problem at its (N,) nodes, as a d-vector state."""
-    n_steps = grid.steps
-    k = grid.step_size
-    d = problem.dimension
-    nodes_used = nodes if scheme.is_randomized else np.empty(0)
-    evals = nodes.tolist()
-    counts = np.zeros(n_steps, dtype=np.int64)
-    states = np.empty((n_steps + 1, d))
-    u = np.asarray(problem.initial_value, dtype=float).reshape(d)
-    states[0] = u
-    for n in range(1, n_steps + 1):
-        t_eval = evals[n - 1]
-        try:
-            if scheme.is_implicit:
-                u, counts[n - 1] = _newton_vector(
-                    problem.rhs, problem.jacobian, t_eval, u, k, cfg
-                )
-            else:
-                u = u + k * np.asarray(problem.rhs(t_eval, u), dtype=float)
-        except NonConvergence as err:
-            raise NonConvergence(f"step {n}: {err}", step=n) from err
-        states[n] = u
-    return Trajectory(
-        grid=grid,
-        states=states,
-        nodes_used=nodes_used,
-        newton_iteration_counts=counts,
-        scheme=scheme,
-    )
 
 
 def local_residual(problem, exact_at_grid, n, xi_n, k):

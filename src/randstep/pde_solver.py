@@ -34,10 +34,10 @@ from .fem1d import (
     tridiag_solve,
 )
 from .ode_solver import (
-    MAX_DAMPING_HALVINGS,
     NewtonConfig,
     NonConvergence,
     StepScheme,
+    _damped_newton,
     _node_block,
 )
 from .rand_nodes import NodeStream, TimeGrid
@@ -53,8 +53,8 @@ class PdeProblem:
     of shape (steps, replicas, 1, 1), and the sweep passes it to
     ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
     the points.  A forcing that ignores ``t`` may return the points'
-    shape; ``pde_step`` passes a float.  The structural constants
-    (monotonicity mu, Lipschitz bound) are metadata for diagnostics.
+    shape; ``pde_step`` passes a float.  The monotonicity constant mu
+    enters only the energy diagnostic.
     """
 
     forcing: Callable
@@ -64,7 +64,6 @@ class PdeProblem:
     final_time: float
     exact: Optional[Callable] = None
     monotonicity: float = 1.0
-    lipschitz: Optional[float] = None
 
     def __post_init__(self):
         if not self.final_time > 0:
@@ -100,80 +99,34 @@ class PdeTrajectory:
 STEP_BLOCK = 16
 
 
-def _newton_fem(system, k, mesh, problem, rhs, u_start, cfg):
-    """Damped Newton for system @ U + k N(U) = rhs, one row of U per replica.
+def _fem_parts(system, k, mesh, problem):
+    """(residual, update, norm) of system @ U + k N(U) = rhs for ``_damped_newton``.
 
-    ``rhs`` and ``u_start`` are (R, m); returns (U, iterations) with
-    iterations (R,).  Every replica runs exactly the single-field
-    iteration: its own tolerance test, damping halvings and iteration
-    count, so its bits do not depend on which replicas share the batch.
-    Converged replicas leave the batch, and only replicas whose trial
-    step fails to reduce the residual are retried with a halved step.  A
-    failure raises NonConvergence naming the first failing replica's
-    batch position.
+    The one datum of a step is the (R, m) right-hand side; the update
+    solves with the tridiagonal Jacobian and the norm is the max norm.
     """
     b = problem.nonlinearity
     b_prime = problem.nonlinearity_prime
-    tol = cfg.abs_tol + cfg.rel_tol * np.abs(rhs).max(axis=1)
-    u = u_start
-    r = system.matvec(u) + k * assemble_nonlinearity(mesh, b, u) - rhs
-    rnorm = np.abs(r).max(axis=1)
-    roots = iters = None
-    live = None  # batch positions still iterating; None while it is all of them
 
-    def finish(u, it):
-        if live is None:
-            return u, np.full(len(u), it)
-        roots[live], iters[live] = u, it
-        return roots, iters
+    def residual(u, rhs):
+        return system.matvec(u) + k * assemble_nonlinearity(mesh, b, u) - rhs
 
-    def fail(message, pos):
-        pos = int(pos)
-        raise NonConvergence(message, replica=pos if live is None else int(live[pos]))
-
-    for it in range(cfg.max_iterations):
-        done = rnorm <= tol
-        if done.all():
-            return finish(u, it)
-        if done.any():
-            if live is None:
-                live = np.arange(len(u))
-                roots, iters = np.empty_like(u), np.empty(len(u), dtype=np.int64)
-            roots[live[done]], iters[live[done]] = u[done], it
-            keep = ~done
-            live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
-            rhs, tol = rhs[keep], tol[keep]
+    def update(u, r, rhs):
         jac = system.plus(assemble_nonlinearity_jacobian(mesh, b_prime, u), scale=k)
-        delta = tridiag_solve(jac, r)
-        ut = u - delta
-        rt = system.matvec(ut) + k * assemble_nonlinearity(mesh, b, ut) - rhs
-        rtnorm = np.abs(rt).max(axis=1)
-        reduced = rtnorm < rnorm
-        if not reduced.all():
-            retry = np.flatnonzero(~reduced)
-            alpha = 1.0
-            for _ in range(MAX_DAMPING_HALVINGS):
-                alpha *= 0.5
-                ub = u[retry] - alpha * delta[retry]
-                rb = (system.matvec(ub) + k * assemble_nonlinearity(mesh, b, ub)
-                      - rhs[retry])
-                nb = np.abs(rb).max(axis=1)
-                ut[retry], rt[retry], rtnorm[retry] = ub, rb, nb
-                retry = retry[~(nb < rnorm[retry])]
-                if not retry.size:
-                    break
-            else:
-                fail("residual not reduced after damped retries", retry[0])
-        u, r, rnorm = ut, rt, rtnorm
-    done = rnorm <= tol
-    if not done.all():
-        first = np.flatnonzero(~done)[0]
-        fail(
-            f"residual {rnorm[first]:.3e} above tolerance after "
-            f"{cfg.max_iterations} iterations",
-            first,
-        )
-    return finish(u, cfg.max_iterations)
+        return tridiag_solve(jac, r)
+
+    return residual, update, lambda r: np.abs(r).max(axis=1)
+
+
+def _newton_fem(parts, rhs, u_start, cfg):
+    """One implicit step of every row: ``_damped_newton`` on ``parts``.
+
+    ``rhs`` and ``u_start`` are (R, m); returns (U, iterations) with
+    iterations (R,).  A row's tolerance scales with the norm of its
+    right-hand side.
+    """
+    norm = parts[2]
+    return _damped_newton(*parts, u_start, (rhs,), cfg, scale=norm(rhs))
 
 
 def pde_step(
@@ -193,7 +146,8 @@ def pde_step(
     u0 = _coeffs(u_prev)
     system = mass.plus(stiffness, scale=k)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
-    u, _ = _newton_fem(system, k, mesh, problem, rhs[None], u0[None], cfg)
+    parts = _fem_parts(system, k, mesh, problem)
+    u, _ = _newton_fem(parts, rhs[None], u0[None], cfg)
     # a converged start iterate comes back as is: a view of the caller's u_prev
     return DiscreteField(u[0].copy())
 
@@ -238,6 +192,7 @@ def pde_solve(
     evals = block.T
 
     forcing = problem.forcing
+    parts = _fem_parts(system, k, mesh, problem)
     u = fields[0]
     for lo in range(0, n_steps, STEP_BLOCK):
         t = evals[lo : lo + STEP_BLOCK, :, None, None]
@@ -247,7 +202,7 @@ def pde_solve(
         for n, load_n in enumerate(load, start=lo + 1):
             rhs = mass.matvec(u) + load_n
             try:
-                u, counts[n - 1] = _newton_fem(system, k, mesh, problem, rhs, u, cfg)
+                u, counts[n - 1] = _newton_fem(parts, rhs, u, cfg)
             except NonConvergence as err:
                 raise NonConvergence(
                     f"step {n}: {err}", step=n, replica=err.replica if batched else None

@@ -256,8 +256,6 @@ def semilinear_heat_problem(
     if saw.amplitude_mode is not AmplitudeMode.PDE:
         raise ValueError("heat benchmark needs the PDE amplitude mode")
 
-    lipschitz_b = (bspec.power - 1.0) * bspec.cap ** (bspec.power - 2.0)
-
     return PdeProblem(
         forcing=lambda t, x: pde_forcing(saw, bspec, t, x),
         nonlinearity=lambda u: b_trunc(bspec, u),
@@ -266,5 +264,4 @@ def semilinear_heat_problem(
         final_time=1.0,
         exact=lambda t, x: pde_exact(saw, t, x),
         monotonicity=1.0,
-        lipschitz=1.0 + lipschitz_b,
     )

@@ -122,20 +122,13 @@ class NodeStream:
         return self._gen.random(count)
 
 
-def make_stream(seed: SeedSpec) -> NodeStream:
-    """Stream positioned at draw 0, a deterministic function of the seed."""
-    return NodeStream(seed)
-
-
-def next_tau(stream: NodeStream) -> float:
-    return stream.next_tau()
-
-
 def node(grid: TimeGrid, n: int, tau: float) -> float:
     """Randomized node xi_n = t_{n-1} + k*tau inside the n-th step interval.
 
     Guarantees t_{n-1} <= xi_n < t_n; the half-open right end keeps the
-    node strictly inside the step even when tau*k rounds up.
+    node strictly inside the step even when tau*k rounds up.  This is the
+    scalar reference rule that the tests compare ``nodes_from_taus``
+    against; the solvers use ``nodes_from_taus``.
     """
     if not 1 <= n <= grid.steps:
         raise IndexError(f"step index {n} outside 1..{grid.steps}")

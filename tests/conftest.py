@@ -6,12 +6,7 @@ import time
 
 import pytest
 
-from randstep.harness import (
-    reproduce_fig1_left,
-    reproduce_fig1_right,
-    reproduce_fig2,
-    residual_study,
-)
+from randstep.harness import reproduce_figure, residual_study
 from randstep.problems import (
     AmplitudeMode,
     ProtheroRobinsonSpec,
@@ -31,7 +26,7 @@ def _timed(fn, *args, **kwargs):
 @pytest.fixture(scope="session")
 def fig1_left_desk():
     (table, fits), seconds = _timed(
-        reproduce_fig1_left, "desk", master_seed=ACCEPTANCE_SEED, workers=1
+        reproduce_figure, "fig1-left", "desk", master_seed=ACCEPTANCE_SEED, workers=1
     )
     return table, fits, seconds
 
@@ -39,7 +34,7 @@ def fig1_left_desk():
 @pytest.fixture(scope="session")
 def fig1_right_desk():
     (table, summary), _ = _timed(
-        reproduce_fig1_right, "desk", master_seed=ACCEPTANCE_SEED, workers=1
+        reproduce_figure, "fig1-right", "desk", master_seed=ACCEPTANCE_SEED, workers=1
     )
     return table, summary
 
@@ -47,7 +42,7 @@ def fig1_right_desk():
 @pytest.fixture(scope="session")
 def fig2_desk():
     (table, fits), seconds = _timed(
-        reproduce_fig2, "desk", master_seed=ACCEPTANCE_SEED, workers=1
+        reproduce_figure, "fig2", "desk", master_seed=ACCEPTANCE_SEED, workers=1
     )
     return table, fits, seconds
 

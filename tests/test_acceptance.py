@@ -38,7 +38,7 @@ from randstep.problems import (
     pde_w,
     pde_wdot,
 )
-from randstep.rand_nodes import SeedSpec, TimeGrid, make_stream
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -247,7 +247,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     )
     grid = TimeGrid(1.0, 64)
     ode_gap = np.abs(
-        solve(ode, grid, RBE, make_stream(SeedSpec(42, 0))).states
+        solve(ode, grid, RBE, NodeStream(SeedSpec(42, 0))).states
         - solve(ode, grid, BE).states
     ).max()
 
@@ -262,7 +262,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     mesh = Mesh(31)
     pgrid = TimeGrid(1.0, 32)
     pde_gap = np.abs(
-        pde_solve(pde, mesh, pgrid, RBE, make_stream(SeedSpec(42, 0))).fields
+        pde_solve(pde, mesh, pgrid, RBE, NodeStream(SeedSpec(42, 0))).fields
         - pde_solve(pde, mesh, pgrid, BE).fields
     ).max()
 
@@ -272,8 +272,8 @@ def test_criterion_8_structural_invariants(tmp_path):
     other = dataclasses.replace(
         pde, initial=lambda x: 0.5 * np.sin(3 * np.pi * x)
     )
-    a = pde_solve(pde, mesh, pgrid, RBE, make_stream(SeedSpec(7, 0)))
-    b = pde_solve(other, mesh, pgrid, RBE, make_stream(SeedSpec(7, 0)))
+    a = pde_solve(pde, mesh, pgrid, RBE, NodeStream(SeedSpec(7, 0)))
+    b = pde_solve(other, mesh, pgrid, RBE, NodeStream(SeedSpec(7, 0)))
     mass = assemble_mass(mesh)
     dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)])
     contraction_ok = bool(np.all(np.diff(dist) <= 1e-12))

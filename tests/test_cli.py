@@ -251,3 +251,19 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("randstep: error:") and message in err
     assert not out.exists()
+
+
+def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
+    # a finite but huge stiffness overflows the explicit steps to inf, then
+    # nan; the sweep used to exit 0 and write nan/inf columns
+    out = tmp_path / "x.csv"
+    code = main(
+        ["ode", "--problem", "prothero-robinson", "--lambda=-1e308", "--K", "4",
+         "--scheme", "rfe", "--n", "2:3", "--mc", "2", "--workers", "1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scheme=rfe" in err and "step=" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()

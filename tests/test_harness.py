@@ -43,7 +43,7 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     from randstep.fem1d import Mesh, l2_error
     from randstep.harness import _rms, _rms_stderr
     from randstep.pde_solver import PdeProblem, pde_solve
-    from randstep.rand_nodes import SeedSpec, TimeGrid, make_stream
+    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
     zeros = np.zeros(7)
     assert _rms(zeros) == 0.0
@@ -58,7 +58,7 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     )
     mesh = Mesh(9)
     traj = pde_solve(problem, mesh, TimeGrid(1.0, 4), RBE,
-                     make_stream(SeedSpec(0, 0)))
+                     NodeStream(SeedSpec(0, 0)))
     errs = np.array(
         [l2_error(mesh, f, lambda x: np.zeros_like(x)) for f in traj.fields]
     )

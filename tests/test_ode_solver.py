@@ -25,7 +25,7 @@ from randstep.problems import (
     prothero_robinson_problem,
     time_integral_problem,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, make_stream, node
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, node
 
 
 def linear_decay():
@@ -126,7 +126,7 @@ def test_explicit_step_examples():
 def test_solve_constant_state(scheme):
     p = OdeProblem(1, lambda t, x: 0.0, 3.0, 1.0)
     grid = TimeGrid(1.0, 16)
-    traj = solve(p, grid, scheme, make_stream(SeedSpec(1, 0)))
+    traj = solve(p, grid, scheme, NodeStream(SeedSpec(1, 0)))
     assert np.all(traj.states == 3.0)
     assert traj.states[0, 0] == 3.0
 
@@ -136,8 +136,8 @@ def test_solve_randomized_riemann_sum_exact():
     # Riemann sum, bitwise (left-to-right accumulation)
     p = time_integral_problem()
     grid = TimeGrid(1.0, 32)
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, make_stream(SeedSpec(3, 1)))
-    taus = make_stream(SeedSpec(3, 1)).taus(32)
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(3, 1)))
+    taus = NodeStream(SeedSpec(3, 1)).taus(32)
     u = 0.0
     expected = [0.0]
     k = grid.step_size
@@ -158,7 +158,7 @@ def test_solve_variance_single_step():
     sq = np.array(
         [
             (solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                   make_stream(SeedSpec(42, r))).states[1, 0] - 0.5) ** 2
+                   NodeStream(SeedSpec(42, r))).states[1, 0] - 0.5) ** 2
             for r in range(20_000)
         ]
     )
@@ -174,7 +174,7 @@ def test_autonomous_reduction_to_classical():
         jacobian=lambda t, x: -3.0 * x**2 - 1.0,
     )
     grid = TimeGrid(1.0, 64)
-    a = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, make_stream(SeedSpec(8, 0)))
+    a = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(8, 0)))
     b = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
     assert np.abs(a.states - b.states).max() < 1e-10
     assert b.nodes_used.size == 0
@@ -185,7 +185,7 @@ def test_one_step_consistency_invariant():
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(1.0, 32)
     cfg = NewtonConfig()
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, make_stream(SeedSpec(5, 3)), cfg)
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(5, 3)), cfg)
     k = grid.step_size
     for n in range(1, 33):
         u_n = traj.states[n, 0]
@@ -197,7 +197,7 @@ def test_linear_problem_single_newton_iteration():
     saw = SawtoothSpec(6, AmplitudeMode.ODE)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     traj = solve(p, TimeGrid(1.0, 64), StepScheme.RANDOMIZED_BACKWARD_EULER,
-                 make_stream(SeedSpec(5, 0)))
+                 NodeStream(SeedSpec(5, 0)))
     assert np.all(traj.newton_iteration_counts == 1)
 
 
@@ -344,9 +344,9 @@ def test_batched_nonconvergence_names_replica():
 
 def test_random_nodes_match_scalar_rule():
     grid = TimeGrid(1.0, 64)
-    block = grid.random_nodes([make_stream(SeedSpec(4, r)) for r in range(3)])
+    block = grid.random_nodes([NodeStream(SeedSpec(4, r)) for r in range(3)])
     for r in range(3):
-        taus = make_stream(SeedSpec(4, r)).taus(64)
+        taus = NodeStream(SeedSpec(4, r)).taus(64)
         assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
     assert grid.nodes().tolist() == [grid.node(n) for n in range(65)]
 
@@ -384,7 +384,7 @@ def test_solve_rejects_bad_node_blocks():
         with pytest.raises(ValueError, match="node block"):
             solve(p, grid, rbe, bad)
     with pytest.raises(ValueError, match="node stream"):
-        solve(p, grid, rbe, [make_stream(SeedSpec(1, 0))])
+        solve(p, grid, rbe, [NodeStream(SeedSpec(1, 0))])
 
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():

@@ -18,7 +18,7 @@ from randstep.problems import (
     pde_exact,
     semilinear_heat_problem,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, make_stream
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
 BSPEC = TruncatedPowerSpec(cap=10.0, power=4.0)
 
@@ -91,7 +91,7 @@ def test_step_residual_below_tolerance():
 def test_solve_zero_problem():
     traj = pde_solve(
         zero_problem(), Mesh(15), TimeGrid(1.0, 8),
-        StepScheme.RANDOMIZED_BACKWARD_EULER, make_stream(SeedSpec(1, 0)),
+        StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(1, 0)),
     )
     assert np.array_equal(traj.fields, np.zeros_like(traj.fields))
     assert traj.energy_log.max() == 0.0
@@ -108,7 +108,7 @@ def test_solve_initial_field_is_projection():
 def test_solve_rejects_explicit_scheme():
     with pytest.raises(ValueError):
         pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
-                  StepScheme.RANDOMIZED_FORWARD_EULER, make_stream(SeedSpec(0, 0)))
+                  StepScheme.RANDOMIZED_FORWARD_EULER, NodeStream(SeedSpec(0, 0)))
 
 
 def test_autonomous_data_randomized_equals_classical():
@@ -122,7 +122,7 @@ def test_autonomous_data_randomized_equals_classical():
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 16)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  make_stream(SeedSpec(5, 0)))
+                  NodeStream(SeedSpec(5, 0)))
     b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
     cfg = NewtonConfig()
     assert np.abs(a.fields - b.fields).max() <= 10 * (cfg.abs_tol + cfg.rel_tol)
@@ -138,9 +138,9 @@ def test_monotone_contraction_of_paired_trajectories():
     grid = TimeGrid(1.0, 32)
     mass = assemble_mass(mesh)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  make_stream(SeedSpec(9, 0)))
+                  NodeStream(SeedSpec(9, 0)))
     b = pde_solve(other, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  make_stream(SeedSpec(9, 0)))
+                  NodeStream(SeedSpec(9, 0)))
     dist = np.array(
         [np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)]
     )
@@ -152,9 +152,9 @@ def test_nodes_shared_between_paired_runs():
     mesh = Mesh(15)
     grid = TimeGrid(1.0, 8)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  make_stream(SeedSpec(3, 2)))
+                  NodeStream(SeedSpec(3, 2)))
     b = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  make_stream(SeedSpec(3, 2)))
+                  NodeStream(SeedSpec(3, 2)))
     assert np.array_equal(a.nodes_used, b.nodes_used)
     assert np.array_equal(a.fields, b.fields)
     k = grid.step_size
@@ -167,7 +167,7 @@ def test_benchmark_regression_single_replica():
     mesh = Mesh(63)
     traj = pde_solve(problem, mesh, TimeGrid(1.0, 256),
                      StepScheme.RANDOMIZED_BACKWARD_EULER,
-                     make_stream(SeedSpec(42, 0)))
+                     NodeStream(SeedSpec(42, 0)))
     err = l2_error(mesh, traj.fields[-1], lambda x: pde_exact(saw, 1.0, x))
     assert err < 1e-2  # sanity ceiling
     assert err == pytest.approx(HEAT_REGRESSION_L2, rel=1e-9)
@@ -177,7 +177,7 @@ def test_energy_bound_check():
     problem, _ = heat_problem()
     mesh = Mesh(31)
     traj = pde_solve(problem, mesh, TimeGrid(1.0, 32),
-                     StepScheme.RANDOMIZED_BACKWARD_EULER, make_stream(SeedSpec(7, 0)))
+                     StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(7, 0)))
     report = energy_bound_check(traj, problem)
     assert np.isfinite(report.left_side)
     assert report.right_side_data > 0
@@ -185,7 +185,7 @@ def test_energy_bound_check():
 
     grid = TimeGrid(1.0, 4)
     batch = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                      grid.random_nodes([make_stream(SeedSpec(7, 0))]))
+                      grid.random_nodes([NodeStream(SeedSpec(7, 0))]))
     with pytest.raises(ValueError, match="single replica"):
         energy_bound_check(batch, problem)
 
@@ -205,7 +205,7 @@ def test_energy_stable_under_refinement():
     for n_steps in (32, 64):
         traj = pde_solve(problem, mesh, TimeGrid(1.0, n_steps),
                          StepScheme.RANDOMIZED_BACKWARD_EULER,
-                         make_stream(SeedSpec(11, 0)))
+                         NodeStream(SeedSpec(11, 0)))
         vals.append(energy_bound_check(traj, problem).max_state_energy)
     assert abs(vals[1] - vals[0]) < 0.5 * vals[0]
 
@@ -231,7 +231,7 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     problem = problem_fn()
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 40)
-    stream = make_stream(SeedSpec(5, 0)) if scheme.is_randomized else None
+    stream = NodeStream(SeedSpec(5, 0)) if scheme.is_randomized else None
     path = pde_solve(problem, mesh, grid, scheme, stream)
     evals = path.nodes_used if scheme.is_randomized else grid.nodes()[1:]
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)

@@ -8,8 +8,6 @@ from randstep.rand_nodes import (
     NodeStream,
     SeedSpec,
     TimeGrid,
-    make_stream,
-    next_tau,
     node,
 )
 
@@ -20,14 +18,14 @@ FIRST_DRAWS_R1 = [0.7731546279295569, 0.42403653009372955, 0.014303936083175706]
 
 
 def test_same_seed_identical_draws():
-    a = make_stream(SeedSpec(123, 5)).taus(1000)
-    b = make_stream(SeedSpec(123, 5)).taus(1000)
+    a = NodeStream(SeedSpec(123, 5)).taus(1000)
+    b = NodeStream(SeedSpec(123, 5)).taus(1000)
     assert np.array_equal(a, b)
 
 
 def test_recorded_first_draws():
-    assert make_stream(SeedSpec(42, 0)).taus(3).tolist() == FIRST_DRAWS_R0
-    assert make_stream(SeedSpec(42, 1)).taus(3).tolist() == FIRST_DRAWS_R1
+    assert NodeStream(SeedSpec(42, 0)).taus(3).tolist() == FIRST_DRAWS_R0
+    assert NodeStream(SeedSpec(42, 1)).taus(3).tolist() == FIRST_DRAWS_R1
 
 
 def test_replicas_differ():
@@ -35,37 +33,37 @@ def test_replicas_differ():
 
 
 def test_bulk_and_scalar_draws_agree():
-    bulk = make_stream(SeedSpec(9, 2)).taus(50)
-    s = make_stream(SeedSpec(9, 2))
-    scalar = np.array([next_tau(s) for _ in range(50)])
+    bulk = NodeStream(SeedSpec(9, 2)).taus(50)
+    s = NodeStream(SeedSpec(9, 2))
+    scalar = np.array([s.next_tau() for _ in range(50)])
     assert np.array_equal(bulk, scalar)
     assert s.draws_taken == 50
 
 
 def test_first_draw_mean_over_replicas():
     draws = np.array(
-        [make_stream(SeedSpec(42, r)).next_tau() for r in range(10_000)]
+        [NodeStream(SeedSpec(42, r)).next_tau() for r in range(10_000)]
     )
     # CLT bound for U(0,1): 3 standard errors with Var = 1/12
     assert abs(draws.mean() - 0.5) <= 3.0 / math.sqrt(12.0 * 10_000)
 
 
 def test_draw_range_and_variance():
-    draws = make_stream(SeedSpec(7, 0)).taus(100_000)
+    draws = NodeStream(SeedSpec(7, 0)).taus(100_000)
     assert draws.min() >= 0.0 and draws.max() < 1.0
     assert abs(draws.var() - 1.0 / 12.0) <= 0.05 / 12.0
 
 
 def test_kolmogorov_smirnov_uniform():
-    draws = make_stream(SeedSpec(2024, 0)).taus(10_000)
+    draws = NodeStream(SeedSpec(2024, 0)).taus(10_000)
     statistic = stats.kstest(draws, "uniform").statistic
     # 1% critical value for n = 10^4
     assert statistic < 1.628 / math.sqrt(10_000)
 
 
 def test_substream_correlation_low():
-    a = make_stream(SeedSpec(42, 0)).taus(2000)
-    b = make_stream(SeedSpec(42, 1)).taus(2000)
+    a = NodeStream(SeedSpec(42, 0)).taus(2000)
+    b = NodeStream(SeedSpec(42, 1)).taus(2000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
@@ -122,7 +120,7 @@ def test_node_stays_inside_interval():
 def test_mean_node_first_interval():
     grid = TimeGrid(1.0, 2)
     vals = np.array(
-        [node(grid, 1, make_stream(SeedSpec(42, r)).next_tau()) for r in range(10_000)]
+        [node(grid, 1, NodeStream(SeedSpec(42, r)).next_tau()) for r in range(10_000)]
     )
     stderr = 0.5 / math.sqrt(12.0 * vals.size)
     assert abs(vals.mean() - 0.25) <= 3 * stderr
@@ -134,7 +132,7 @@ def test_node_matrix_pure_function_of_seed():
         return np.array(
             [
                 [node(grid, n, tau) for n, tau in
-                 enumerate(make_stream(SeedSpec(master, r)).taus(16), start=1)]
+                 enumerate(NodeStream(SeedSpec(master, r)).taus(16), start=1)]
                 for r in range(4)
             ]
         )
