@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -241,16 +242,20 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
         assert np.array_equal(u, path.fields[n]), f"step {n}"
 
 
-def test_batch_replicas_equal_single_solves():
+def swinging_problem():
     # a large forcing that swings with t: Newton takes 3 to 7 iterations,
     # with damped retries, and differently in every replica
-    problem = PdeProblem(
+    return PdeProblem(
         forcing=lambda t, x: 1000.0 * np.cos(40.0 * t) * np.sin(np.pi * x),
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.sin(np.pi * x),
         final_time=1.0,
     )
+
+
+def test_batch_replicas_equal_single_solves():
+    problem = swinging_problem()
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 37)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
@@ -280,13 +285,7 @@ def test_solve_rejects_empty_stream_batch():
 def test_classical_row_beside_replicas_equals_classical_alone():
     # as for the ODE: the row of grid points marches with randomized rows
     # and keeps its fields and Newton counts, and theirs stay as they were
-    problem = PdeProblem(
-        forcing=lambda t, x: 1000.0 * np.cos(40.0 * t) * np.sin(np.pi * x),
-        nonlinearity=lambda u: u**3,
-        nonlinearity_prime=lambda u: 3.0 * u**2,
-        initial=lambda x: np.sin(np.pi * x),
-        final_time=1.0,
-    )
+    problem = swinging_problem()
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 37)
     randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
@@ -303,3 +302,24 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     assert np.array_equal(batch.fields[:, 1:], replicas.fields)
     assert np.array_equal(batch.newton_iteration_counts[:, 1:],
                           replicas.newton_iteration_counts)
+
+
+# sha256 of fields.tobytes() and newton_iteration_counts.tobytes() of three
+# damped rbe replicas and the be row, rendered before the ODE and PDE step
+# loops were merged into one
+PINNED_PDE_BITS = (
+    "84ab2bf981e55974ab01980dbe95695ee92f5ab98d72f2af75b68810cb7419fe",
+    "f89963a797bd4ea691d999c025c4cb3b6807621cab2dafb40eb1e673f3eaf559",
+)
+
+
+def test_pde_solve_bits_are_pinned():
+    grid = TimeGrid(1.0, 37)
+    randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
+    block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+    path = pde_solve(swinging_problem(), Mesh(31), grid,
+                     StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    assert path.fields.shape == (38, 4, 31)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (path.fields, path.newton_iteration_counts))
+    assert digests == PINNED_PDE_BITS
