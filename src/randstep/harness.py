@@ -75,6 +75,10 @@ class ExperimentSpec:
             raise ValueError("mc_replicas must be at least 1")
         if not self.step_exponents:
             raise ValueError("need at least one step exponent")
+        if min(self.step_exponents) < 0:
+            raise ValueError(
+                f"step exponents must be at least 0, got {min(self.step_exponents)}"
+            )
         if any(
             b <= a for a, b in zip(self.step_exponents, self.step_exponents[1:])
         ):
@@ -90,6 +94,7 @@ class ExperimentSpec:
                 raise ValueError("semilinear-heat needs mesh_dof")
             if StepScheme.RANDOMIZED_FORWARD_EULER in self.schemes:
                 raise ValueError("no explicit scheme for the PDE benchmark")
+            problems.TruncatedPowerSpec(cap=self.cap, power=self.power)
 
 
 @dataclass(frozen=True)
@@ -460,6 +465,8 @@ def residual_study(
 
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
+    if any(n < 0 for n in step_exponents):
+        raise ValueError(f"step exponents must be at least 0, got {min(step_exponents)}")
     grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
     longest = max((grid.steps for grid in grids), default=0)

@@ -18,11 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .rand_nodes import NodeStream, TimeGrid
+from .rand_nodes import TimeGrid
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -131,18 +131,14 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """Computed paths: states[n] = U^n, plus the nodes consumed.
+    """Computed paths of an (R, N) node block: states[n, r] = U^n of row r.
 
-    A batch of R rows of a scalar problem holds row r's path in
-    states[:, r], its nodes in row r of the (R, N) node block it marched
-    and its iteration counts in column r of the (N, R) counts.
+    Row r's Newton iteration counts are column r of the (N, R) counts.
     """
 
     grid: TimeGrid
-    states: np.ndarray  # (N+1, d); (N+1, R) for a batch
-    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical alone
-    newton_iteration_counts: np.ndarray  # (N,), (N, R) for a batch; zeros if explicit
-    scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
+    states: np.ndarray  # (N+1, R); (N+1, 1, d) for a d > 1 problem
+    newton_iteration_counts: np.ndarray  # (N, R); zeros if explicit
 
 
 def check_step_restriction(k: float, nu: float) -> None:
@@ -333,101 +329,82 @@ def solve(
     problem: OdeProblem,
     grid: TimeGrid,
     scheme: StepScheme,
-    nodes: Union[NodeStream, np.ndarray, None] = None,
+    nodes: np.ndarray,
     cfg: Optional[NewtonConfig] = None,
 ) -> Trajectory:
-    """March the selected one-step rule over the grid.
+    """March the selected one-step rule over an (R, N) block of nodes.
 
-    ``nodes`` is the NodeStream a randomized scheme draws its nodes from
-    (the classical scheme needs none), or for a scalar problem an (R, N)
-    block of evaluation nodes: the R rows then march together, row r as
-    column r of an (R,) state, and step n of row r evaluates f at
-    nodes[r, n-1].  Rows from ``TimeGrid.random_nodes`` march randomized
-    replicas and a row of grid points t_1..t_N the classical scheme, so
-    one batch can hold both; with a block, ``scheme`` only chooses
-    between implicit and explicit steps.  Every row gets the same bits as
-    when marched alone.  A d > 1 problem marches its one replica as a
-    (1, d) row in the same loop.  A problem's ``split`` freezes the nodes
-    of FREEZE_BLOCK steps at once (a node outside its domain raises
-    there), and Newton evaluates only f's state dependence.  A randomized
-    scheme consumes exactly one draw per step from its stream, in step
-    order.  Step failures, and a non-finite state once the march is
-    done, are re-raised with the failing step index attached (and, for a
-    batch, the row's position).
+    The R rows march together, row r as column r of an (R,) state, and
+    step n of row r evaluates f at nodes[r, n-1].  Rows from
+    ``TimeGrid.random_nodes`` march randomized replicas and a row of grid
+    points t_1..t_N the classical scheme, so one batch can hold both;
+    ``scheme`` only chooses between implicit and explicit steps.  Every
+    row gets the same bits as when marched alone.  A d > 1 problem
+    marches a one-row block as a (1, d) row in the same loop.  A
+    problem's ``split`` freezes the nodes of FREEZE_BLOCK steps at once
+    (a node outside its domain raises there), and Newton evaluates only
+    f's state dependence.  ``_march`` names the step and row of a
+    failure.
     """
-    if not math.isclose(grid.final_time, problem.final_time, rel_tol=1e-12):
-        raise ValueError("grid final time does not match the problem")
-    block, batched = _node_block(grid, scheme, nodes)
     d = problem.dimension
-    if batched and d > 1:
-        raise ValueError("replica batches need a scalar problem")
+    if d > 1 and isinstance(nodes, np.ndarray) and nodes.shape[:1] != (1,):
+        raise ValueError("a d > 1 problem marches a one-row node block")
     cfg = cfg or NewtonConfig()
     k = grid.step_size
-    if scheme.is_implicit:
-        check_step_restriction(k, problem.one_sided_constant)
-
-    n_steps = grid.steps
-    row = (len(block),) if d == 1 else (1, d)
-    counts = np.zeros((n_steps, len(block)), dtype=np.int64)
-    states = np.empty((n_steps + 1,) + row)
-    states[0] = np.asarray(problem.initial_value, dtype=float).reshape(row[1:])
-
     freeze, rhs = problem.split or (lambda t: t, problem.rhs)
     rhs, jac = _row_callbacks(rhs, problem.jacobian, d)
-    parts = _newton_parts(rhs, jac, d, k, cfg)
-    u = states[0]
-    for lo in range(0, n_steps, FREEZE_BLOCK):
-        frozen = freeze(block[:, lo : lo + FREEZE_BLOCK].T)
-        for n, at in enumerate(frozen, start=lo + 1):
-            try:
-                if scheme.is_implicit:
-                    u, counts[n - 1] = _newton_scalar(parts, at, u, cfg)
-                else:
-                    u = u + k * rhs(at, u)
-            except NonConvergence as err:
-                raise NonConvergence(
-                    f"step {n}: {err}", step=n, replica=err.replica if batched else None
-                ) from err
-            states[n] = u
-    finite = np.isfinite(states.reshape(n_steps + 1, -1))
-    if not finite.all():
-        step, pos = (int(i) for i in np.argwhere(~finite)[0])
-        raise NonConvergence(f"step {step}: non-finite state", step=step,
-                             replica=pos if batched else None)
+    if scheme.is_implicit:
+        check_step_restriction(k, problem.one_sided_constant)
+        parts = _newton_parts(rhs, jac, d, k, cfg)
 
-    if batched:
-        nodes_used = block
+        def step(at, u):
+            return _newton_scalar(parts, at, u, cfg)
     else:
-        nodes_used = block[0] if scheme.is_randomized else np.empty(0)
-        states = states.reshape(n_steps + 1, -1)
-        counts = counts[:, 0]
-    return Trajectory(
-        grid=grid,
-        states=states,
-        nodes_used=nodes_used,
-        newton_iteration_counts=counts,
-        scheme=scheme,
-    )
+        def step(at, u):
+            return u + k * rhs(at, u), 0
+
+    u0 = np.asarray(problem.initial_value, dtype=float).reshape(() if d == 1 else (d,))
+    states, counts = _march(grid, problem.final_time, nodes, u0, FREEZE_BLOCK,
+                            freeze, step)
+    return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
 
 
-def _node_block(grid: TimeGrid, scheme: StepScheme, nodes) -> tuple[np.ndarray, bool]:
-    """The (R, N) evaluation nodes of a solve, and whether it is a batch.
+def _march(grid, final_time, nodes, u0, width, freeze, step):
+    """The (N+1, R, ...) path and (N, R) iteration counts of an (R, N) block.
 
-    ``nodes`` is a node block, returned as is after a shape check, or the
-    NodeStream of one randomized replica (one row of drawn nodes), or
-    None for the classical scheme (one row of grid points t_1..t_N).
+    Every row starts from the state ``u0`` and its step n evaluates at
+    nodes[r, n-1].  ``freeze`` maps the (steps, R) nodes of ``width``
+    steps at a time to per-step data, and ``step(data, u)`` maps the
+    data of step n and the (R, ...) state U^{n-1} to U^n and the rows'
+    iteration counts.  Overflow is left to the finiteness check after
+    the march: a NonConvergence of a step, or a non-finite state, is
+    raised naming the step and the row.
     """
-    if isinstance(nodes, np.ndarray):
-        if nodes.ndim != 2 or not len(nodes) or nodes.shape[1] != grid.steps:
-            raise ValueError(
-                f"need an (R, {grid.steps}) node block with R >= 1, got {nodes.shape}"
-            )
-        return nodes, True
-    if not scheme.is_randomized:
-        return grid.nodes()[None, 1:], False
-    if not isinstance(nodes, NodeStream):
-        raise ValueError(f"scheme {scheme.token} needs a node stream or a node block")
-    return grid.random_nodes([nodes]), False
+    if not math.isclose(grid.final_time, final_time, rel_tol=1e-12):
+        raise ValueError("grid final time does not match the problem")
+    if not (isinstance(nodes, np.ndarray) and nodes.ndim == 2 and len(nodes)
+            and nodes.shape[1] == grid.steps):
+        got = nodes.shape if isinstance(nodes, np.ndarray) else type(nodes).__name__
+        raise ValueError(f"need an (R, {grid.steps}) node block with R >= 1, got {got}")
+    n_steps, rows = grid.steps, len(nodes)
+    states = np.empty((n_steps + 1, rows) + u0.shape)
+    states[0] = u0
+    counts = np.zeros((n_steps, rows), dtype=np.int64)
+    u = states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, width):
+            for n, data in enumerate(freeze(nodes[:, lo : lo + width].T), start=lo + 1):
+                try:
+                    u, counts[n - 1] = step(data, u)
+                except NonConvergence as err:
+                    raise NonConvergence(f"step {n}: {err}", step=n,
+                                         replica=err.replica) from err
+                states[n] = u
+    finite = np.isfinite(states).reshape(n_steps + 1, rows, -1).all(axis=2)
+    if not finite.all():
+        n, row = (int(i) for i in np.argwhere(~finite)[0])
+        raise NonConvergence(f"step {n}: non-finite state", step=n, replica=row)
+    return states, counts
 
 
 def local_residual(problem, exact_at_grid, n, xi_n, k):

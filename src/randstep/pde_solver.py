@@ -14,7 +14,7 @@ assembler can be swapped in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,12 +35,11 @@ from .fem1d import (
 )
 from .ode_solver import (
     NewtonConfig,
-    NonConvergence,
     StepScheme,
     _damped_newton,
-    _node_block,
+    _march,
 )
-from .rand_nodes import NodeStream, TimeGrid
+from .rand_nodes import TimeGrid
 
 
 @dataclass
@@ -74,28 +73,18 @@ class PdeProblem:
 
 @dataclass
 class PdeTrajectory:
-    """Discrete path: fields[n] holds the nodal coefficients of U^n.
-
-    energy_log[n-1] = (|U^n|_M^2, |U^n - U^{n-1}|_M^2, |U^n|_S^2) where
-    |.|_M is the L2 norm and |.|_S the H1 seminorm of the P1 function.
-    A batch of R rows holds row r in fields[:, r], row r of the (R, N)
-    node block, column r of the (N, R) counts and energy_log[:, r].
-    """
+    """Discrete paths of an (R, N) node block: fields[n, r] holds the
+    nodal coefficients of row r's U^n, and column r of the (N, R) counts
+    its Newton iterations."""
 
     grid: TimeGrid
-    fields: np.ndarray  # (N+1, m); (N+1, R, m) for a batch
-    nodes_used: np.ndarray  # (N,), (R, N) for a batch; empty for classical alone
-    energy_log: np.ndarray  # (N, 3); (N, R, 3) for a batch
-    newton_iteration_counts: np.ndarray  # (N,); (N, R) for a batch
-    scheme: StepScheme = StepScheme.RANDOMIZED_BACKWARD_EULER
-
-    def field(self, n: int) -> DiscreteField:
-        return DiscreteField(self.fields[n])
+    fields: np.ndarray  # (N+1, R, m)
+    newton_iteration_counts: np.ndarray  # (N, R)
 
 
-#: Steps per block of forcing loads and energy terms (and of time nodes
-#: per error evaluation in the sweeps).  A block holds (block, R, m+1, q)
-#: quadrature temporaries: longer blocks save numpy calls but cost memory.
+#: Steps per block of forcing loads (and of time nodes per error
+#: evaluation in the sweeps).  A block holds (block, R, m+1, q) quadrature
+#: temporaries: longer blocks save numpy calls but cost memory.
 STEP_BLOCK = 16
 
 
@@ -157,86 +146,39 @@ def pde_solve(
     mesh: Mesh,
     grid: TimeGrid,
     scheme: StepScheme,
-    nodes: Union[NodeStream, np.ndarray, None] = None,
+    nodes: np.ndarray,
     cfg: Optional[NewtonConfig] = None,
 ) -> PdeTrajectory:
-    """March the scheme from U^0 = P_h u0; one node draw per step.
+    """March the scheme from U^0 = P_h u0 over an (R, N) block of nodes.
 
-    ``nodes`` is the NodeStream a randomized scheme draws its nodes from
-    (the classical scheme needs none), or, as for ``ode_solver.solve``,
-    an (R, N) block of evaluation nodes: the R rows then march together
-    as an (R, m) field, row r evaluating the forcing of step n at
-    nodes[r, n-1], so randomized replicas and the classical row of grid
-    points can share one batch.  Every row gets the same bits as when
-    marched alone.  The loads of STEP_BLOCK steps are assembled at once,
-    before their Newton solves.  Step failures are re-raised with the
-    failing step index attached (and, for a batch, the row's position).
+    As for ``ode_solver.solve``, the R rows march together as an (R, m)
+    field, row r evaluating the forcing of step n at nodes[r, n-1], so
+    randomized replicas and the classical row of grid points can share
+    one batch.  Every row gets the same bits as when marched alone.  The
+    loads of STEP_BLOCK steps are assembled at once, before their Newton
+    solves.  ``_march`` names the step and row of a failure.
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
-    if not np.isclose(grid.final_time, problem.final_time, rtol=1e-12, atol=0.0):
-        raise ValueError("grid final time does not match the problem")
-    block, batched = _node_block(grid, scheme, nodes)
     cfg = cfg or NewtonConfig()
-
-    n_steps = grid.steps
     k = grid.step_size
-    replicas, m = len(block), mesh.interior_nodes
+    m = mesh.interior_nodes
     mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    system = mass.plus(stiffness, scale=k)
-
-    fields = np.empty((n_steps + 1, replicas, m))
-    fields[0] = l2_project(mesh, problem.initial).coefficients
-    counts = np.zeros((n_steps, replicas), dtype=np.int64)
-    evals = block.T
-
+    parts = _fem_parts(mass.plus(assemble_stiffness(mesh), scale=k), k, mesh, problem)
     forcing = problem.forcing
-    parts = _fem_parts(system, k, mesh, problem)
-    u = fields[0]
-    for lo in range(0, n_steps, STEP_BLOCK):
-        t = evals[lo : lo + STEP_BLOCK, :, None, None]
+
+    def loads(t):
+        t = t[..., None, None]
         load = load_vector(mesh, lambda x: forcing(t, x))
-        # a forcing that ignores t gives one load for every step and replica
-        load = k * np.broadcast_to(load, t.shape[:2] + (m,))
-        for n, load_n in enumerate(load, start=lo + 1):
-            rhs = mass.matvec(u) + load_n
-            try:
-                u, counts[n - 1] = _newton_fem(parts, rhs, u, cfg)
-            except NonConvergence as err:
-                raise NonConvergence(
-                    f"step {n}: {err}", step=n, replica=err.replica if batched else None
-                ) from err
-            fields[n] = u
-    energy = _energy_log(mass, stiffness, fields)
+        # a forcing that ignores t gives one load for every step and row
+        return k * np.broadcast_to(load, t.shape[:2] + (m,))
 
-    if batched:
-        nodes_used = block
-    else:
-        fields, energy = fields[:, 0], energy[:, 0]
-        nodes_used = block[0] if scheme.is_randomized else np.empty(0)
-        counts = counts[:, 0]
-    return PdeTrajectory(
-        grid=grid,
-        fields=fields,
-        nodes_used=nodes_used,
-        energy_log=energy,
-        newton_iteration_counts=counts,
-        scheme=scheme,
-    )
+    def step(load, u):
+        return _newton_fem(parts, mass.matvec(u) + load, u, cfg)
 
-
-def _energy_log(mass, stiffness, fields):
-    """(N, R, 3) energy terms of an (N+1, R, m) path, STEP_BLOCK steps at a time."""
-    energy = np.empty((len(fields) - 1,) + fields.shape[1:-1] + (3,))
-    for lo in range(0, len(energy), STEP_BLOCK):
-        u = fields[lo + 1 : lo + 1 + STEP_BLOCK]
-        diff = u - fields[lo : lo + len(u)]
-        block = energy[lo : lo + len(u)]
-        block[..., 0] = (u * mass.matvec(u)).sum(axis=-1)
-        block[..., 1] = (diff * mass.matvec(diff)).sum(axis=-1)
-        block[..., 2] = (u * stiffness.matvec(u)).sum(axis=-1)
-    return energy
+    u0 = l2_project(mesh, problem.initial).coefficients
+    fields, counts = _march(grid, problem.final_time, nodes, u0, STEP_BLOCK, loads, step)
+    return PdeTrajectory(grid=grid, fields=fields, newton_iteration_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -291,23 +233,31 @@ def forcing_energy(
 
 
 def energy_bound_check(trajectory: PdeTrajectory, problem: PdeProblem) -> EnergyReport:
-    """Evaluate the a priori energy accumulators for a computed path.
+    """Evaluate the a priori energy accumulators for a one-row path.
 
-    Flags a run whose left side exceeds 1e6 times the right-side data;
-    no closed-form constant is available, so this is a growth alarm, not
-    a sharp bound.
+    The terms of step n are |U^n|_M^2, |U^n - U^{n-1}|_M^2 and |U^n|_S^2,
+    where |.|_M is the L2 norm and |.|_S the H1 seminorm of the P1
+    function.  Flags a run whose left side exceeds 1e6 times the
+    right-side data; no closed-form constant is available, so this is a
+    growth alarm, not a sharp bound.
     """
-    if trajectory.fields.ndim != 2:
+    if trajectory.fields.shape[1] != 1:
         raise ValueError("energy_bound_check takes the path of a single replica")
-    mesh = Mesh(trajectory.fields.shape[1])
+    fields = trajectory.fields[:, 0]
+    mesh = Mesh(fields.shape[1])
     mass = assemble_mass(mesh)
-    u0 = trajectory.fields[0]
-    initial_energy = float(u0 @ mass.matvec(u0))
-    log = trajectory.energy_log
-    max_state = max(initial_energy, float(log[:, 0].max())) if log.size else initial_energy
-    increment = float(log[:, 1].sum()) if log.size else 0.0
+
+    def squared(u, matrix):
+        return (u * matrix.matvec(u)).sum(axis=-1)
+
+    u = fields[1:]
+    initial_energy = float(squared(fields[0], mass))
+    max_state = max(initial_energy, float(squared(u, mass).max()))
+    increment = float(squared(np.diff(fields, axis=0), mass).sum())
     k = trajectory.grid.step_size
-    dissipation = k * problem.monotonicity * float(log[:, 2].sum()) if log.size else 0.0
+    dissipation = k * problem.monotonicity * float(
+        squared(u, assemble_stiffness(mesh)).sum()
+    )
     f_energy = forcing_energy(problem, mesh, trajectory.grid)
     left = max_state + increment + dissipation
     right = trajectory.grid.final_time + initial_energy + f_energy

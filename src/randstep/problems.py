@@ -65,10 +65,10 @@ class TruncatedPowerSpec:
     power: float
 
     def __post_init__(self):
-        if not self.cap > 0:
-            raise ValueError("cap must be positive")
-        if self.power < 2:
-            raise ValueError("power must be at least 2")
+        if not (np.isfinite(self.cap) and self.cap > 0):
+            raise ValueError(f"cap must be finite and positive, got {self.cap}")
+        if not (np.isfinite(self.power) and self.power >= 2):
+            raise ValueError(f"power must be finite and at least 2, got {self.power}")
 
 
 def _interval_index(t, exponent: int):

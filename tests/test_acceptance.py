@@ -247,8 +247,8 @@ def test_criterion_8_structural_invariants(tmp_path):
     )
     grid = TimeGrid(1.0, 64)
     ode_gap = np.abs(
-        solve(ode, grid, RBE, NodeStream(SeedSpec(42, 0))).states
-        - solve(ode, grid, BE).states
+        solve(ode, grid, RBE, grid.random_nodes([NodeStream(SeedSpec(42, 0))])).states
+        - solve(ode, grid, BE, grid.nodes()[None, 1:]).states
     ).max()
 
     # autonomous PDE: time-independent forcing, monotone nonlinearity
@@ -261,9 +261,10 @@ def test_criterion_8_structural_invariants(tmp_path):
     )
     mesh = Mesh(31)
     pgrid = TimeGrid(1.0, 32)
+    drawn = pgrid.random_nodes([NodeStream(SeedSpec(42, 0))])
     pde_gap = np.abs(
-        pde_solve(pde, mesh, pgrid, RBE, NodeStream(SeedSpec(42, 0))).fields
-        - pde_solve(pde, mesh, pgrid, BE).fields
+        pde_solve(pde, mesh, pgrid, RBE, drawn).fields
+        - pde_solve(pde, mesh, pgrid, BE, pgrid.nodes()[None, 1:]).fields
     ).max()
 
     # monotone contraction of paired PDE trajectories (shared nodes/data)
@@ -272,10 +273,11 @@ def test_criterion_8_structural_invariants(tmp_path):
     other = dataclasses.replace(
         pde, initial=lambda x: 0.5 * np.sin(3 * np.pi * x)
     )
-    a = pde_solve(pde, mesh, pgrid, RBE, NodeStream(SeedSpec(7, 0)))
-    b = pde_solve(other, mesh, pgrid, RBE, NodeStream(SeedSpec(7, 0)))
+    nodes = pgrid.random_nodes([NodeStream(SeedSpec(7, 0))])
+    a = pde_solve(pde, mesh, pgrid, RBE, nodes)
+    b = pde_solve(other, mesh, pgrid, RBE, nodes)
     mass = assemble_mass(mesh)
-    dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)])
+    dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)[:, 0]])
     contraction_ok = bool(np.all(np.diff(dist) <= 1e-12))
 
     # bitwise-identical CSV across reruns and worker counts {1, 4}

@@ -242,6 +242,19 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
     (["residual", "--K", "4", "--n", "2:3", "--mc", "0"], "at least one replica"),
     (["pde", "--problem", "semilinear-heat", "--K", "4", "--dof", "0",
       "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "mesh_dof"),
+    (["pde", "--problem", "semilinear-heat", "--n=-1:1", "--dof", "3",
+      "--scheme", "rbe", "--mc", "2"], "at least 0"),
+    (["ode", "--problem", "prothero-robinson", "--n=-1:2", "--scheme", "rbe",
+      "--mc", "2"], "at least 0"),
+    (["residual", "--K", "4", "--n=-1:1", "--mc", "2"], "at least 0"),
+    (["pde", "--problem", "semilinear-heat", "--R", "nan", "--dof", "3",
+      "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
+    (["pde", "--problem", "semilinear-heat", "--R", "inf", "--dof", "3",
+      "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
+    (["pde", "--problem", "semilinear-heat", "--ptilde", "nan", "--dof", "3",
+      "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
+    (["pde", "--problem", "semilinear-heat", "--ptilde", "inf", "--dof", "3",
+      "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     # each of these once raised a traceback or wrote NaN/inf columns
@@ -253,9 +266,11 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
     # a finite but huge stiffness overflows the explicit steps to inf, then
-    # nan; the sweep used to exit 0 and write nan/inf columns
+    # nan; the sweep used to exit 0 and write nan/inf columns, then warned
+    # about the overflow before its own message
     out = tmp_path / "x.csv"
     code = main(
         ["ode", "--problem", "prothero-robinson", "--lambda=-1e308", "--K", "4",

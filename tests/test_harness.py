@@ -57,8 +57,9 @@ def test_zero_errors_reduce_to_exact_zero_rms():
         final_time=1.0,
     )
     mesh = Mesh(9)
-    traj = pde_solve(problem, mesh, TimeGrid(1.0, 4), RBE,
-                     NodeStream(SeedSpec(0, 0)))
+    grid = TimeGrid(1.0, 4)
+    traj = pde_solve(problem, mesh, grid, RBE,
+                     grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
     errs = np.array(
         [l2_error(mesh, f, lambda x: np.zeros_like(x)) for f in traj.fields]
     )

@@ -28,6 +28,14 @@ from randstep.problems import (
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, node
 
 
+def one_row(grid, scheme, seed=SeedSpec(1, 0)):
+    """The node block of one path: drawn from ``seed``'s stream for a
+    randomized scheme, the grid points t_1..t_N for the classical one."""
+    if scheme.is_randomized:
+        return grid.random_nodes([NodeStream(seed)])
+    return grid.nodes()[None, 1:]
+
+
 def linear_decay():
     return OdeProblem(
         dimension=1,
@@ -126,7 +134,7 @@ def test_explicit_step_examples():
 def test_solve_constant_state(scheme):
     p = OdeProblem(1, lambda t, x: 0.0, 3.0, 1.0)
     grid = TimeGrid(1.0, 16)
-    traj = solve(p, grid, scheme, NodeStream(SeedSpec(1, 0)))
+    traj = solve(p, grid, scheme, one_row(grid, scheme))
     assert np.all(traj.states == 3.0)
     assert traj.states[0, 0] == 3.0
 
@@ -136,7 +144,8 @@ def test_solve_randomized_riemann_sum_exact():
     # Riemann sum, bitwise (left-to-right accumulation)
     p = time_integral_problem()
     grid = TimeGrid(1.0, 32)
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(3, 1)))
+    nodes = grid.random_nodes([NodeStream(SeedSpec(3, 1))])
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
     taus = NodeStream(SeedSpec(3, 1)).taus(32)
     u = 0.0
     expected = [0.0]
@@ -146,7 +155,7 @@ def test_solve_randomized_riemann_sum_exact():
         u = u + k * xi
         expected.append(u)
     assert np.array_equal(traj.states[:, 0], np.array(expected))
-    assert np.array_equal(traj.nodes_used, np.array(
+    assert np.array_equal(nodes[0], np.array(
         [node(grid, n, float(taus[n - 1])) for n in range(1, 33)]
     ))
 
@@ -158,7 +167,8 @@ def test_solve_variance_single_step():
     sq = np.array(
         [
             (solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                   NodeStream(SeedSpec(42, r))).states[1, 0] - 0.5) ** 2
+                   one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                           SeedSpec(42, r))).states[1, 0] - 0.5) ** 2
             for r in range(20_000)
         ]
     )
@@ -174,10 +184,11 @@ def test_autonomous_reduction_to_classical():
         jacobian=lambda t, x: -3.0 * x**2 - 1.0,
     )
     grid = TimeGrid(1.0, 64)
-    a = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(8, 0)))
-    b = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
+    rbe, be = StepScheme.RANDOMIZED_BACKWARD_EULER, StepScheme.CLASSICAL_BACKWARD_EULER
+    a = solve(p, grid, rbe, one_row(grid, rbe, SeedSpec(8, 0)))
+    b = solve(p, grid, be, one_row(grid, be))
     assert np.abs(a.states - b.states).max() < 1e-10
-    assert b.nodes_used.size == 0
+    assert a.states.shape == b.states.shape == (65, 1)
 
 
 def test_one_step_consistency_invariant():
@@ -185,32 +196,36 @@ def test_one_step_consistency_invariant():
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(1.0, 32)
     cfg = NewtonConfig()
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(5, 3)), cfg)
+    nodes = grid.random_nodes([NodeStream(SeedSpec(5, 3))])
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes, cfg)
     k = grid.step_size
     for n in range(1, 33):
         u_n = traj.states[n, 0]
-        resid = abs(u_n - traj.states[n - 1, 0] - k * p.rhs(traj.nodes_used[n - 1], u_n))
+        resid = abs(u_n - traj.states[n - 1, 0] - k * p.rhs(nodes[0, n - 1], u_n))
         assert resid <= 10.0 * (cfg.abs_tol + cfg.rel_tol * abs(u_n))
 
 
 def test_linear_problem_single_newton_iteration():
     saw = SawtoothSpec(6, AmplitudeMode.ODE)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
-    traj = solve(p, TimeGrid(1.0, 64), StepScheme.RANDOMIZED_BACKWARD_EULER,
-                 NodeStream(SeedSpec(5, 0)))
+    grid = TimeGrid(1.0, 64)
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                 grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
     assert np.all(traj.newton_iteration_counts == 1)
 
 
 def test_solve_requires_matching_final_time():
     p = OdeProblem(1, lambda t, x: 0.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        solve(p, TimeGrid(1.0, 4), StepScheme.CLASSICAL_BACKWARD_EULER)
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match="final time"):
+        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
 
 
-def test_solve_requires_stream_for_randomized():
+def test_solve_requires_a_node_block():
     p = OdeProblem(1, lambda t, x: 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        solve(p, TimeGrid(1.0, 4), StepScheme.RANDOMIZED_BACKWARD_EULER)
+    for nodes in (None, NodeStream(SeedSpec(1, 0))):
+        with pytest.raises(ValueError, match="node block"):
+            solve(p, TimeGrid(1.0, 4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
 
 
 def test_nonconvergence_carries_step_index():
@@ -222,8 +237,9 @@ def test_nonconvergence_carries_step_index():
         return x * x + 1.0
 
     p = OdeProblem(1, flaky, 1.0, 1.0)
+    grid = TimeGrid(1.0, 4)
     with pytest.raises(NonConvergence) as err:
-        solve(p, TimeGrid(1.0, 4), StepScheme.CLASSICAL_BACKWARD_EULER,
+        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:],
               cfg=NewtonConfig(max_iterations=20))
     assert err.value.step == 2
 
@@ -313,17 +329,18 @@ def test_batched_solve_matches_single_replicas_bitwise():
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(1.0, 4)
     seeds = [SeedSpec(11, r) for r in range(6)]
-    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  grid.random_nodes([NodeStream(s) for s in seeds]))
-    assert batch.states.shape == (5, 6) and batch.nodes_used.shape == (6, 4)
+    block = grid.random_nodes([NodeStream(s) for s in seeds])
+    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    assert batch.states.shape == (5, 6) and block.shape == (6, 4)
     assert batch.newton_iteration_counts.shape == (4, 6)
     damped = []
     for r, seed in enumerate(seeds):
         calls.clear()
-        one = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(seed))
+        nodes = grid.random_nodes([NodeStream(seed)])
+        one = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
         assert np.array_equal(one.states[:, 0], batch.states[:, r])
-        assert np.array_equal(one.nodes_used, batch.nodes_used[r])
-        assert np.array_equal(one.newton_iteration_counts,
+        assert np.array_equal(nodes[0], block[r])
+        assert np.array_equal(one.newton_iteration_counts[:, 0],
                               batch.newton_iteration_counts[:, r])
         # one rhs call per step plus one per full Newton step; more means halvings
         damped.append(len(calls) > 4 + one.newton_iteration_counts.sum())
@@ -365,9 +382,9 @@ def test_classical_row_beside_replicas_equals_classical_alone(with_jacobian):
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    alone = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
-    assert np.array_equal(batch.states[:, 4], alone.states[:, 0])
-    assert np.array_equal(batch.newton_iteration_counts[:, 4],
+    alone = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
+    assert np.array_equal(batch.states[:, 4:], alone.states)
+    assert np.array_equal(batch.newton_iteration_counts[:, 4:],
                           alone.newton_iteration_counts)
     assert alone.newton_iteration_counts.max() > alone.newton_iteration_counts.min()
     replicas = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, randomized)
@@ -380,11 +397,12 @@ def test_solve_rejects_bad_node_blocks():
     p = linear_decay()
     grid = TimeGrid(1.0, 4)
     rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
-    for bad in (np.empty((0, 4)), np.zeros((2, 3)), np.zeros(4)):
+    for bad in (np.empty((0, 4)), np.zeros((2, 3)), np.zeros(4),
+                [NodeStream(SeedSpec(1, 0))], np.zeros((2, 4)).tolist()):
         with pytest.raises(ValueError, match="node block"):
             solve(p, grid, rbe, bad)
-    with pytest.raises(ValueError, match="node stream"):
-        solve(p, grid, rbe, [NodeStream(SeedSpec(1, 0))])
+    with pytest.raises(ValueError, match="one-row"):
+        solve(coupled_arctan(True), grid, rbe, np.zeros((2, 4)))
 
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():
@@ -502,9 +520,10 @@ def test_solve_bits_are_pinned(case):
         assert (counts.min(axis=1) < counts.max(axis=1)).any()
     else:
         scheme = StepScheme.parse(scheme)
-        stream = NodeStream(SeedSpec(7, 0)) if scheme.is_randomized else None
-        path = solve(coupled_arctan(with_jacobian), TimeGrid(1.0, 8), scheme, stream)
-        assert path.states.shape == (9, 2)
+        grid = TimeGrid(1.0, 8)
+        path = solve(coupled_arctan(with_jacobian), grid, scheme,
+                     one_row(grid, scheme, SeedSpec(7, 0)))
+        assert path.states.shape == (9, 1, 2)
     states, iterations = PINNED_BITS[case]
-    assert [v.hex() for v in path.states[-1]] == states
+    assert [v.hex() for v in path.states[-1].ravel()] == states
     assert int(path.newton_iteration_counts.sum()) == iterations

@@ -28,6 +28,14 @@ BSPEC = TruncatedPowerSpec(cap=10.0, power=4.0)
 HEAT_REGRESSION_L2 = 3.464579500133706e-05
 
 
+def one_row(grid, scheme, seed):
+    """The node block of one path: drawn from ``seed``'s stream for a
+    randomized scheme, the grid points t_1..t_N for the classical one."""
+    if scheme.is_randomized:
+        return grid.random_nodes([NodeStream(seed)])
+    return grid.nodes()[None, 1:]
+
+
 def zero_problem():
     return PdeProblem(
         forcing=lambda t, x: np.zeros_like(x),
@@ -90,26 +98,28 @@ def test_step_residual_below_tolerance():
 
 
 def test_solve_zero_problem():
-    traj = pde_solve(
-        zero_problem(), Mesh(15), TimeGrid(1.0, 8),
-        StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(1, 0)),
-    )
+    grid = TimeGrid(1.0, 8)
+    traj = pde_solve(zero_problem(), Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes([NodeStream(SeedSpec(1, 0))]))
     assert np.array_equal(traj.fields, np.zeros_like(traj.fields))
-    assert traj.energy_log.max() == 0.0
+    assert energy_bound_check(traj, zero_problem()).left_side == 0.0
 
 
 def test_solve_initial_field_is_projection():
     problem, _ = heat_problem()
     mesh = Mesh(31)
-    traj = pde_solve(problem, mesh, TimeGrid(1.0, 4),
-                     StepScheme.CLASSICAL_BACKWARD_EULER)
-    assert np.array_equal(traj.fields[0], l2_project(mesh, problem.initial).coefficients)
+    grid = TimeGrid(1.0, 4)
+    traj = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+                     grid.nodes()[None, 1:])
+    assert np.array_equal(traj.fields[0, 0],
+                          l2_project(mesh, problem.initial).coefficients)
 
 
 def test_solve_rejects_explicit_scheme():
-    with pytest.raises(ValueError):
-        pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
-                  StepScheme.RANDOMIZED_FORWARD_EULER, NodeStream(SeedSpec(0, 0)))
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match="explicit"):
+        pde_solve(zero_problem(), Mesh(7), grid, StepScheme.RANDOMIZED_FORWARD_EULER,
+                  grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
 
 
 def test_autonomous_data_randomized_equals_classical():
@@ -123,8 +133,9 @@ def test_autonomous_data_randomized_equals_classical():
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 16)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  NodeStream(SeedSpec(5, 0)))
-    b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
+                  grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
+    b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+                  grid.nodes()[None, 1:])
     cfg = NewtonConfig()
     assert np.abs(a.fields - b.fields).max() <= 10 * (cfg.abs_tol + cfg.rel_tol)
 
@@ -139,11 +150,11 @@ def test_monotone_contraction_of_paired_trajectories():
     grid = TimeGrid(1.0, 32)
     mass = assemble_mass(mesh)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  NodeStream(SeedSpec(9, 0)))
+                  grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
     b = pde_solve(other, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  NodeStream(SeedSpec(9, 0)))
+                  grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
     dist = np.array(
-        [np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)]
+        [np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)[:, 0]]
     )
     assert np.all(np.diff(dist) <= 1e-12)
 
@@ -152,24 +163,24 @@ def test_nodes_shared_between_paired_runs():
     problem, _ = heat_problem()
     mesh = Mesh(15)
     grid = TimeGrid(1.0, 8)
-    a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  NodeStream(SeedSpec(3, 2)))
-    b = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  NodeStream(SeedSpec(3, 2)))
-    assert np.array_equal(a.nodes_used, b.nodes_used)
+    a_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
+    b_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
+    a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, a_nodes)
+    b = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, b_nodes)
+    assert np.array_equal(a_nodes, b_nodes)
     assert np.array_equal(a.fields, b.fields)
     k = grid.step_size
-    assert np.all(a.nodes_used >= np.arange(8) * k)
-    assert np.all(a.nodes_used < np.arange(1, 9) * k)
+    assert np.all(a_nodes >= np.arange(8) * k)
+    assert np.all(a_nodes < np.arange(1, 9) * k)
 
 
 def test_benchmark_regression_single_replica():
     problem, saw = heat_problem(exponent=5)
     mesh = Mesh(63)
-    traj = pde_solve(problem, mesh, TimeGrid(1.0, 256),
-                     StepScheme.RANDOMIZED_BACKWARD_EULER,
-                     NodeStream(SeedSpec(42, 0)))
-    err = l2_error(mesh, traj.fields[-1], lambda x: pde_exact(saw, 1.0, x))
+    grid = TimeGrid(1.0, 256)
+    traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes([NodeStream(SeedSpec(42, 0))]))
+    err = l2_error(mesh, traj.fields[-1, 0], lambda x: pde_exact(saw, 1.0, x))
     assert err < 1e-2  # sanity ceiling
     assert err == pytest.approx(HEAT_REGRESSION_L2, rel=1e-9)
 
@@ -177,8 +188,9 @@ def test_benchmark_regression_single_replica():
 def test_energy_bound_check():
     problem, _ = heat_problem()
     mesh = Mesh(31)
-    traj = pde_solve(problem, mesh, TimeGrid(1.0, 32),
-                     StepScheme.RANDOMIZED_BACKWARD_EULER, NodeStream(SeedSpec(7, 0)))
+    grid = TimeGrid(1.0, 32)
+    traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes([NodeStream(SeedSpec(7, 0))]))
     report = energy_bound_check(traj, problem)
     assert np.isfinite(report.left_side)
     assert report.right_side_data > 0
@@ -186,12 +198,12 @@ def test_energy_bound_check():
 
     grid = TimeGrid(1.0, 4)
     batch = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                      grid.random_nodes([NodeStream(SeedSpec(7, 0))]))
+                      grid.random_nodes([NodeStream(SeedSpec(7, r)) for r in range(2)]))
     with pytest.raises(ValueError, match="single replica"):
         energy_bound_check(batch, problem)
 
-    zero_traj = pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
-                          StepScheme.CLASSICAL_BACKWARD_EULER)
+    zero_traj = pde_solve(zero_problem(), Mesh(7), grid,
+                          StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
     zero_report = energy_bound_check(zero_traj, zero_problem())
     assert zero_report.max_state_energy == 0.0
     assert zero_report.increment_sum == 0.0
@@ -204,9 +216,9 @@ def test_energy_stable_under_refinement():
     mesh = Mesh(31)
     vals = []
     for n_steps in (32, 64):
-        traj = pde_solve(problem, mesh, TimeGrid(1.0, n_steps),
-                         StepScheme.RANDOMIZED_BACKWARD_EULER,
-                         NodeStream(SeedSpec(11, 0)))
+        grid = TimeGrid(1.0, n_steps)
+        traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                         grid.random_nodes([NodeStream(SeedSpec(11, 0))]))
         vals.append(energy_bound_check(traj, problem).max_state_energy)
     assert abs(vals[1] - vals[0]) < 0.5 * vals[0]
 
@@ -232,14 +244,13 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     problem = problem_fn()
     mesh = Mesh(31)
     grid = TimeGrid(1.0, 40)
-    stream = NodeStream(SeedSpec(5, 0)) if scheme.is_randomized else None
-    path = pde_solve(problem, mesh, grid, scheme, stream)
-    evals = path.nodes_used if scheme.is_randomized else grid.nodes()[1:]
+    nodes = one_row(grid, scheme, SeedSpec(5, 0))
+    path = pde_solve(problem, mesh, grid, scheme, nodes)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-    u = path.fields[0]
-    for n, xi in enumerate(evals.tolist(), start=1):
+    u = path.fields[0, 0]
+    for n, xi in enumerate(nodes[0].tolist(), start=1):
         u = pde_step(mass, stiff, grid.step_size, xi, u, problem).coefficients
-        assert np.array_equal(u, path.fields[n]), f"step {n}"
+        assert np.array_equal(u, path.fields[n, 0]), f"step {n}"
 
 
 def swinging_problem():
@@ -260,19 +271,19 @@ def test_batch_replicas_equal_single_solves():
     grid = TimeGrid(1.0, 37)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
     replicas = range(2, 7)
-    batch = pde_solve(problem, mesh, grid, scheme,
-                      grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas]))
+    block = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas])
+    batch = pde_solve(problem, mesh, grid, scheme, block)
     assert batch.fields.shape == (38, 5, 31)
     assert batch.newton_iteration_counts.shape == (37, 5)
-    assert batch.energy_log.shape == (37, 5, 3)
     counts = set()
     for col, r in enumerate(replicas):
-        alone = pde_solve(problem, mesh, grid, scheme, NodeStream(SeedSpec(3, r)))
-        assert np.array_equal(batch.fields[:, col], alone.fields)
+        nodes = grid.random_nodes([NodeStream(SeedSpec(3, r))])
+        alone = pde_solve(problem, mesh, grid, scheme, nodes)
+        assert np.array_equal(batch.fields[:, col], alone.fields[:, 0])
         assert np.array_equal(batch.newton_iteration_counts[:, col],
-                              alone.newton_iteration_counts)
-        assert np.array_equal(batch.nodes_used[col], alone.nodes_used)
-        counts.add(tuple(alone.newton_iteration_counts))
+                              alone.newton_iteration_counts[:, 0])
+        assert np.array_equal(block[col], nodes[0])
+        counts.add(tuple(alone.newton_iteration_counts[:, 0]))
     assert len(counts) == len(replicas)  # no two replicas iterated alike
 
 
@@ -291,12 +302,12 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
     block = np.concatenate([grid.nodes()[None, 1:], randomized])
     batch = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER, block)
-    alone = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER)
-    assert np.array_equal(batch.fields[:, 0], alone.fields)
-    assert np.array_equal(batch.newton_iteration_counts[:, 0],
+    alone = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+                      grid.nodes()[None, 1:])
+    assert np.array_equal(batch.fields[:, :1], alone.fields)
+    assert np.array_equal(batch.newton_iteration_counts[:, :1],
                           alone.newton_iteration_counts)
-    assert np.array_equal(batch.energy_log[:, 0], alone.energy_log)
-    assert len(set(alone.newton_iteration_counts.tolist())) > 1
+    assert len(set(alone.newton_iteration_counts[:, 0].tolist())) > 1
     replicas = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                          randomized)
     assert np.array_equal(batch.fields[:, 1:], replicas.fields)
