@@ -94,6 +94,7 @@ class ExperimentSpec:
                 raise ValueError("semilinear-heat needs mesh_dof")
             if StepScheme.RANDOMIZED_FORWARD_EULER in self.schemes:
                 raise ValueError("no explicit scheme for the PDE benchmark")
+            # rejects a cap or power outside the Lipschitz hypothesis up front
             problems.TruncatedPowerSpec(cap=self.cap, power=self.power)
 
 
