@@ -12,49 +12,34 @@ would get alone.  Exact entries on a uniform mesh with spacing h:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_HAT_CACHE: dict[int, "_HatRule"] = {}
 
-
+@lru_cache(maxsize=None)
 def _gauss_01(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped to the unit interval."""
-    try:
-        return _GAUSS_CACHE[points]
-    except KeyError:
-        nodes, weights = np.polynomial.legendre.leggauss(points)
-        rule = (0.5 * (nodes + 1.0), 0.5 * weights)
-        _GAUSS_CACHE[points] = rule
-        return rule
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @dataclass(frozen=True)
 class _HatRule:
     """Unit Gauss points s and the weights against the hats 1-s and s."""
 
-    s: np.ndarray
-    one_minus_s: np.ndarray
-    left: np.ndarray  # w (1-s)
-    right: np.ndarray  # w s
-    left_left: np.ndarray  # w (1-s)^2
-    right_right: np.ndarray  # w s^2
-    left_right: np.ndarray  # w s (1-s)
+    s: np.ndarray  # (q, 1)
+    one_minus_s: np.ndarray  # (q, 1)
+    hats: np.ndarray  # (2, q): w (1-s), w s
+    products: np.ndarray  # (3, q): w (1-s)^2, w s^2, w s (1-s)
 
 
+@lru_cache(maxsize=None)
 def _hat_rule(points: int) -> _HatRule:
-    try:
-        return _HAT_CACHE[points]
-    except KeyError:
-        s, w = _gauss_01(points)
-        rule = _HatRule(
-            s, 1.0 - s, w * (1.0 - s), w * s, w * (1.0 - s) ** 2, w * s**2,
-            w * s * (1.0 - s),
-        )
-        _HAT_CACHE[points] = rule
-        return rule
+    s, w = _gauss_01(points)
+    return _HatRule(s[:, None], (1.0 - s)[:, None], np.stack([w * (1.0 - s), w * s]),
+                    np.stack([w * (1.0 - s) ** 2, w * s**2, w * s * (1.0 - s)]))
 
 
 @dataclass(frozen=True)
@@ -189,39 +174,70 @@ def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-def _element_values(mesh: Mesh, field, quad_points: int) -> np.ndarray:
-    """P1 values on every element at the Gauss points; shape (..., m+1, q)."""
-    rule = _hat_rule(quad_points)
+def _padded(field) -> np.ndarray:
+    """(..., m+2) coefficients with the zero end values of the Dirichlet problem."""
     c = _coeffs(field)
-    # the zero end values of the Dirichlet problem pad the coefficients
-    c_ext = np.zeros(c.shape[:-1] + (c.shape[-1] + 2, 1))
-    c_ext[..., 1:-1, 0] = c
-    return c_ext[..., :-1, :] * rule.one_minus_s + c_ext[..., 1:, :] * rule.s
+    c_ext = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
+    c_ext[..., 1:-1] = c
+    return c_ext
+
+
+def _element_values(mesh: Mesh, field, quad_points: int) -> np.ndarray:
+    """P1 values at the Gauss points, quadrature-major: shape (..., q, m+1)."""
+    rule = _hat_rule(quad_points)
+    c_ext = _padded(field)[..., None, :]
+    return c_ext[..., :-1] * rule.one_minus_s + c_ext[..., 1:] * rule.s
+
+
+def _qsum(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i of the (k, ..., m+1) result is v0*w[i, 0] + v1*w[i, 1] + ... over
+    the q slices v_j = values[..., j, :], added in point order: the order, and
+    so the bits, of numpy's element-major (v * w[i]).sum(axis=-1)."""
+    # the k weight sets on the outermost axis keep every product contiguous
+    w = w.reshape(w.shape[:1] + (1,) * (values.ndim - 1) + w.shape[1:])
+    total = values[..., 0, :] * w[..., 0]
+    for j in range(1, w.shape[-1]):
+        total += values[..., j, :] * w[..., j]
+    return total
+
+
+def _at_points(fn: Callable, points: np.ndarray) -> np.ndarray:
+    """fn(points) as floats, broadcast against the points (fn may return a constant)."""
+    vals = np.asarray(fn(points), dtype=float)
+    if vals.shape != points.shape:
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, points.shape))
+    return vals
 
 
 def _hat_moments(mesh: Mesh, values: np.ndarray, quad_points: int) -> np.ndarray:
-    """(int g psi_i dx)_i from g's values at the Gauss points of every element."""
+    """(int g psi_i dx)_i from g's (..., q, m+1) values at the Gauss points."""
     rule = _hat_rule(quad_points)
     h = mesh.spacing
-    left = h * (values * rule.left).sum(axis=-1)
-    right = h * (values * rule.right).sum(axis=-1)
+    left, right = h * _qsum(values, rule.hats)
     return right[..., :-1] + left[..., 1:]
 
 
 def _element_points(mesh: Mesh, s: np.ndarray) -> np.ndarray:
-    """Physical quadrature points per element; shape (m+1, q)."""
-    e = np.arange(mesh.interior_nodes + 1)[:, None]
-    return (e + s[None, :]) * mesh.spacing
+    """Physical quadrature points per element; shape (q, m+1)."""
+    e = np.arange(mesh.interior_nodes + 1)
+    return (e + s[:, None]) * mesh.spacing
+
+
+def _weighted_sum(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum of w * values (..., q, m+1) over both axes, by the element-major
+    (..., m+1, q) @ w whose bits the error norms keep (BLAS adds out of order)."""
+    return (np.ascontiguousarray(np.swapaxes(values, -1, -2)) @ w).sum(axis=-1)
 
 
 def load_vector(mesh: Mesh, fn: Callable, quad_points: int = 4) -> np.ndarray:
     """(int fn psi_i dx)_i by per-element Gauss quadrature.
 
-    ``fn`` must accept the (m+1, q) array of quadrature points in [0, 1];
-    leading axes of its result (say one per time) carry over to the load.
+    ``fn`` must accept the (q, m+1) array of quadrature points in [0, 1]
+    (Gauss point by element); leading axes of its result (say one per
+    time) carry over to the load, and a constant result is broadcast.
     """
     s, _ = _gauss_01(quad_points)
-    vals = np.asarray(fn(_element_points(mesh, s)), dtype=float)
+    vals = _at_points(fn, _element_points(mesh, s))
     return _hat_moments(mesh, vals, quad_points)
 
 
@@ -240,27 +256,25 @@ def l2_error(mesh: Mesh, field, exact: Callable, quad_points: int = 4):
     s, w = _gauss_01(quad_points)
     x = _element_points(mesh, s)
     diff = _element_values(mesh, field, quad_points) - np.asarray(exact(x), dtype=float)
-    return _sqrt_clip(mesh.spacing * (diff * diff @ w).sum(axis=-1))
+    return _sqrt_clip(mesh.spacing * _weighted_sum(diff * diff, w))
 
 
-def h1_seminorm_error(
-    mesh: Mesh, field, exact_prime: Callable, quad_points: int = 4
-) -> float:
-    """Composite-Gauss H1 seminorm of (u_h - exact); takes d(exact)/dx."""
+def h1_seminorm_error(mesh: Mesh, field, exact_prime: Callable, quad_points: int = 4):
+    """Composite-Gauss H1 seminorm of (u_h - exact); takes d(exact)/dx.
+    A field with leading batch axes gives an array of norms."""
     s, w = _gauss_01(quad_points)
-    c = _coeffs(field)
-    c_ext = np.concatenate(([0.0], c, [0.0]))
-    slope = (c_ext[1:] - c_ext[:-1]) / mesh.spacing
+    c_ext = _padded(field)
+    slope = (c_ext[..., 1:] - c_ext[..., :-1]) / mesh.spacing
     x = _element_points(mesh, s)
-    diff = slope[:, None] - np.asarray(exact_prime(x), dtype=float)
-    return _sqrt_clip(mesh.spacing * float((diff * diff @ w).sum()))
+    diff = slope[..., None, :] - np.asarray(exact_prime(x), dtype=float)
+    return _sqrt_clip(mesh.spacing * _weighted_sum(diff * diff, w))
 
 
 def assemble_nonlinearity(
     mesh: Mesh, b: Callable, field, quad_points: int = 2
 ) -> np.ndarray:
     """(int b(u_h) psi_i dx)_i with 2-point Gauss per element."""
-    bu = np.asarray(b(_element_values(mesh, field, quad_points)), dtype=float)
+    bu = _at_points(b, _element_values(mesh, field, quad_points))
     return _hat_moments(mesh, bu, quad_points)
 
 
@@ -269,11 +283,9 @@ def assemble_nonlinearity_jacobian(
 ) -> TriDiag:
     """Exact derivative of the quadrature-evaluated nonlinearity vector."""
     rule = _hat_rule(quad_points)
-    bp = np.asarray(b_prime(_element_values(mesh, field, quad_points)), dtype=float)
+    bp = _at_points(b_prime, _element_values(mesh, field, quad_points))
     h = mesh.spacing
-    w_ll = h * (bp * rule.left_left).sum(axis=-1)
-    w_rr = h * (bp * rule.right_right).sum(axis=-1)
-    w_lr = h * (bp * rule.left_right).sum(axis=-1)
+    w_ll, w_rr, w_lr = h * _qsum(bp, rule.products)
     diag = w_rr[..., :-1] + w_ll[..., 1:]
     off = w_lr[..., 1:-1]
     return TriDiag(off, diag, off.copy())

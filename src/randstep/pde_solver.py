@@ -25,6 +25,7 @@ from .fem1d import (
     _coeffs,
     _element_points,
     _gauss_01,
+    _weighted_sum,
     assemble_mass,
     assemble_nonlinearity,
     assemble_nonlinearity_jacobian,
@@ -51,8 +52,9 @@ class PdeProblem:
     act pointwise.  ``pde_solve`` passes ``t`` to ``forcing`` as an array
     of shape (steps, replicas, 1, 1), and the sweep passes it to
     ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
-    the points.  A forcing that ignores ``t`` may return the points'
-    shape; ``pde_step`` passes a float.  The monotonicity constant mu
+    the (q, m+1) array of quadrature points, Gauss point by element.  A
+    forcing that ignores ``t`` may return the points' shape or a
+    constant; ``pde_step`` passes a float.  The monotonicity constant mu
     enters only the energy diagnostic.
     """
 
@@ -83,7 +85,7 @@ class PdeTrajectory:
 
 
 #: Steps per block of forcing loads (and of time nodes per error
-#: evaluation in the sweeps).  A block holds (block, R, m+1, q) quadrature
+#: evaluation in the sweeps).  A block holds (block, R, q, m+1) quadrature
 #: temporaries: longer blocks save numpy calls but cost memory.
 STEP_BLOCK = 16
 
@@ -227,7 +229,7 @@ def forcing_energy(
     for lo in range(0, grid.steps, STEP_BLOCK):
         t = (starts[lo : lo + STEP_BLOCK] + k * s)[..., None, None]
         f = np.broadcast_to(problem.forcing(t, x), t.shape[:2] + x.shape)
-        space = mesh.spacing * (f * f @ w).sum(axis=-1)
+        space = mesh.spacing * _weighted_sum(f * f, w)
         total += k * float((space @ w).sum())
     return total
 

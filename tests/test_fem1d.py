@@ -8,6 +8,8 @@ from randstep.fem1d import (
     DiscreteField,
     Mesh,
     TriDiag,
+    _element_values,
+    _qsum,
     assemble_mass,
     assemble_nonlinearity,
     assemble_nonlinearity_jacobian,
@@ -290,6 +292,57 @@ def test_load_vector_constant():
     assert np.allclose(load, mesh.spacing, rtol=1e-14)
 
 
+def test_constant_results_are_broadcast():
+    # fn may return a constant: the same bits as its array of ones
+    mesh = Mesh(10)
+    c = np.random.default_rng(4).normal(size=(2, 10))
+    load = load_vector(mesh, lambda x: 1.0)
+    assert np.array_equal(load, load_vector(mesh, lambda x: np.ones_like(x)))
+    nv = assemble_nonlinearity(mesh, lambda u: 1.0, c)
+    assert np.array_equal(nv, assemble_nonlinearity(mesh, np.ones_like, c))
+    jac = assemble_nonlinearity_jacobian(mesh, lambda u: 1.0, c)
+    ones = assemble_nonlinearity_jacobian(mesh, np.ones_like, c)
+    for band in ("sub", "diag", "sup"):
+        assert np.array_equal(getattr(jac, band), getattr(ones, band))
+
+
+@pytest.mark.parametrize("quad_points", [2, 3, 4])
+def test_qsum_adds_like_the_element_major_sum(quad_points):
+    # the bit identity of the quadrature-major kernels rests on numpy
+    # summing a short trailing axis in point order
+    rng = np.random.default_rng(quad_points)
+    values = rng.normal(size=(3, 5, quad_points, 64)) * 10.0 ** rng.integers(
+        -8, 8, size=(3, 5, quad_points, 64))
+    w = rng.uniform(size=(3, quad_points))
+    element_major = np.swapaxes(values, -1, -2)
+    sums = _qsum(values, w)
+    assert sums.shape == (3, 3, 5, 64)
+    for i in range(3):
+        assert np.array_equal(sums[i], (element_major * w[i]).sum(axis=-1))
+
+
+def test_batched_h1_error_equals_single_rows():
+    mesh = Mesh(7)
+    exact_prime = lambda x: np.pi * np.cos(np.pi * x)  # noqa: E731
+    c = np.random.default_rng(5).normal(size=(2, 3, 7))
+    errs = h1_seminorm_error(mesh, c, exact_prime)
+    assert errs.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        assert errs[i] == h1_seminorm_error(mesh, c[i], exact_prime)
+    zero = h1_seminorm_error(mesh, np.zeros((2, 7)), exact_prime)
+    assert zero[0] == zero[1] == h1_seminorm_error(mesh, np.zeros(7), exact_prime)
+
+
+def test_element_values_are_quadrature_major():
+    mesh = Mesh(5)
+    c = np.random.default_rng(6).normal(size=(2, 5))
+    vals = _element_values(mesh, c, 3)
+    assert vals.shape == (2, 3, 6)
+    # the mid Gauss point of a 3-point rule is the element's midpoint
+    c_ext = np.concatenate([np.zeros((2, 1)), c, np.zeros((2, 1))], axis=1)
+    assert np.allclose(vals[:, 1], 0.5 * (c_ext[:, :-1] + c_ext[:, 1:]), rtol=1e-15)
+
+
 def test_mesh_validation():
     with pytest.raises(ValueError):
         Mesh(0)
@@ -307,6 +360,9 @@ def test_error_norms_keep_nan():
     assert np.isnan(l2_error(mesh, f, lambda x: np.sin(np.pi * x)))
     assert np.isnan(h1_seminorm_error(mesh, f, lambda x: np.pi * np.cos(np.pi * x)))
     batch = l2_error(mesh, np.stack([f, np.zeros(7)]), lambda x: np.sin(np.pi * x))
+    assert np.isnan(batch[0]) and batch[1] > 0.0
+    batch = h1_seminorm_error(mesh, np.stack([f, np.zeros(7)]),
+                              lambda x: np.pi * np.cos(np.pi * x))
     assert np.isnan(batch[0]) and batch[1] > 0.0
     # an exact field still gives exactly 0
     assert l2_error(mesh, np.zeros(7), lambda x: 0.0 * x) == 0.0

@@ -265,6 +265,16 @@ def swinging_problem():
     )
 
 
+def test_constant_forcing_equals_array_of_ones():
+    grid = TimeGrid(1.0, 8)
+    block = one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER, SeedSpec(5, 0))
+    ones = dataclasses.replace(swinging_problem(), forcing=lambda t, x: np.ones_like(x))
+    constant = dataclasses.replace(ones, forcing=lambda t, x: 1.0)
+    paths = [pde_solve(p, Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+             for p in (constant, ones)]
+    assert np.array_equal(paths[0].fields, paths[1].fields)
+
+
 def test_batch_replicas_equal_single_solves():
     problem = swinging_problem()
     mesh = Mesh(31)
