@@ -164,7 +164,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"randstep: error: {SEED_ENV_VAR}={env!r} is not an integer")
+            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
     return args.seed
 
 

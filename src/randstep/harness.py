@@ -31,6 +31,8 @@ from .ode_solver import (
     NonConvergence,
     StepRestrictionViolated,
     StepScheme,
+    conditional_mean_residual,
+    local_residual,
     solve,
 )
 from .pde_solver import STEP_BLOCK, pde_solve
@@ -73,6 +75,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mc_replicas < 1:
             raise ValueError("mc_replicas must be at least 1")
+        SeedSpec(self.master_seed)  # rejects a seed outside 0..2^64-1
         if not self.step_exponents:
             raise ValueError("need at least one step exponent")
         if min(self.step_exponents) < 0:
@@ -400,28 +403,30 @@ def fit_rate(
     scheme: str,
     window: tuple[int, int],
     error_mode: ErrorMode = ErrorMode.FINAL_TIME,
-    clamp_zero: bool = False,
 ) -> RateFit:
     """Fit log2(error) = slope*log2(k) + intercept over an exponent window."""
     lo, hi = window
     rows = [r for r in table.for_scheme(scheme) if lo <= r.exponent <= hi]
-    if len(rows) < 2:
-        raise ValueError(f"window {window} holds {len(rows)} rows; need at least 2")
-    errors = np.array([r.error(error_mode) for r in rows])
-    if not np.isfinite(errors).all():
-        raise ValueError(f"non-finite error in fit window {window} for {scheme}")
-    if np.any(errors <= 0.0):
-        if not clamp_zero:
-            raise ValueError(
-                "nonpositive error in fit window; pass clamp_zero=True to clamp"
-            )
-        errors = np.maximum(errors, 1e-30)
-    x = np.array([math.log2(r.step_size) for r in rows])
-    y = np.log2(errors)
+    errors = [r.error(error_mode) for r in rows]
+    return _loglog_fit((lo, hi), [r.step_size for r in rows], errors, f"{scheme} error")
+
+
+def _loglog_fit(window, step_sizes, values, what) -> RateFit:
+    """Least-squares fit of log2(value) against log2(k) over a window;
+    fewer than two points, or a value whose log2 is not finite, raise."""
+    if len(values) < 2:
+        raise ValueError(f"window {window} holds {len(values)} rows; need at least 2")
+    values = np.array(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what} in fit window {window}")
+    if np.any(values <= 0.0):
+        raise ValueError(f"nonpositive {what} in fit window {window}")
+    x = np.array([math.log2(k) for k in step_sizes])
+    y = np.log2(values)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     return RateFit(
-        window=(lo, hi),
+        window=window,
         slope=float(slope),
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid * resid))),
@@ -459,16 +464,21 @@ def residual_study(
     sums in the error analysis), so it scales like k^(1/2) on the stiff
     sawtooth benchmark; the conditional-mean column is evaluated by
     quadrature with panels aligned to the sawtooth breakpoints and
-    scales like k.  ``problem.rhs`` gets the (block, N) nodes of up to
-    RESIDUAL_BLOCK replicas at once, with the (N,) exact values.
+    scales like k.  Per step size, one ``local_residual`` call gives the
+    (block, N) residuals of up to RESIDUAL_BLOCK replicas and one
+    ``conditional_mean_residual`` call the (N,) means of a scalar problem.
     """
-    from .ode_solver import conditional_mean_residual
-
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
     if any(n < 0 for n in step_exponents):
         raise ValueError(f"step exponents must be at least 0, got {min(step_exponents)}")
     grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
+    # one panel per sawtooth interval; a d > 1 problem is rejected here
+    means = [
+        conditional_mean_residual(problem, problem.exact, grid, 4,
+                                  2 ** max(sawtooth_exponent - exponent, 0))
+        for exponent, grid in zip(step_exponents, grids)
+    ]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
     longest = max((grid.steps for grid in grids), default=0)
     sum_sq = np.empty((len(grids), replicas))
@@ -481,29 +491,15 @@ def residual_study(
         ])
         for i, (grid, v) in enumerate(zip(grids, exact_grids)):
             xi = grid.nodes_from_taus(taus[:, : grid.steps])
-            rho = grid.step_size * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
+            rho = local_residual(problem, v, xi, grid.step_size)
             # a row-wise cumsum adds in step order, as the scalar recursion does
             sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
-    rows = []
-    for exponent, grid, path_sq in zip(step_exponents, grids, sum_sq):
-        panels = max(1, 2 ** max(sawtooth_exponent - exponent, 0))
-        mean_norms = [
-            abs(
-                conditional_mean_residual(
-                    problem, problem.exact, n, grid, quad_points=4, panels=panels
-                )
-            )
-            for n in range(1, grid.steps + 1)
-        ]
-        rows.append(
-            ResidualRow(
-                exponent=exponent,
-                step_size=grid.step_size,
-                rms_residual=float(np.sqrt(path_sq.mean())),
-                mean_residual=float(max(mean_norms)),
-            )
-        )
-    return rows
+    return [
+        ResidualRow(exponent=exponent, step_size=grid.step_size,
+                    rms_residual=float(np.sqrt(path_sq.mean())),
+                    mean_residual=float(np.abs(mean).max()))
+        for exponent, grid, path_sq, mean in zip(step_exponents, grids, sum_sq, means)
+    ]
 
 
 def fit_residual_slopes(
@@ -511,12 +507,11 @@ def fit_residual_slopes(
 ) -> tuple[float, float]:
     """(pathwise, conditional-mean) log2-log2 slopes over an exponent window."""
     sel = [r for r in rows if window[0] <= r.exponent <= window[1]]
-    if len(sel) < 2:
-        raise ValueError("need at least two rows in the fit window")
-    x = np.array([math.log2(r.step_size) for r in sel])
-    path_slope = float(np.polyfit(x, np.log2([r.rms_residual for r in sel]), 1)[0])
-    mean_slope = float(np.polyfit(x, np.log2([r.mean_residual for r in sel]), 1)[0])
-    return path_slope, mean_slope
+    steps = [r.step_size for r in sel]
+    return tuple(
+        _loglog_fit(window, steps, [getattr(r, column) for r in sel], column).slope
+        for column in ("rms_residual", "mean_residual")
+    )
 
 
 # ---------------------------------------------------------------------------

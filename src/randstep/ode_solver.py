@@ -13,7 +13,6 @@ restriction k*nu < 1 the per-step root is unique.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -407,55 +406,48 @@ def _march(grid, final_time, nodes, u0, width, freeze, step):
     return states, counts
 
 
-def local_residual(problem, exact_at_grid, n, xi_n, k):
-    """Defect k f(xi_n, V^n) - V^n + V^{n-1} of a grid function at step n."""
-    if not 1 <= n <= len(exact_at_grid) - 1:
-        raise IndexError(f"step index {n} outside 1..{len(exact_at_grid) - 1}")
-    v_n = exact_at_grid[n]
-    return k * problem.rhs(xi_n, v_n) - v_n + exact_at_grid[n - 1]
+def local_residual(problem, exact_at_grid, xi, k):
+    """(..., N) defects k f(xi_n, V^n) - V^n + V^{n-1} of grid values V^0..V^N.
 
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(points)
+    Entry n-1 of the last axis of ``xi`` is step n's node; one ``rhs``
+    call gets the (..., N) nodes and the (N,) values V^1..V^N.
+    """
+    v = exact_at_grid
+    return k * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
 
 
 def conditional_mean_residual(
-    problem, exact, n, grid: TimeGrid, quad_points: int = 4, panels: int = 1
+    problem, exact, grid: TimeGrid, quad_points: int = 4, panels: int = 1
 ):
-    """Mean residual of the exact solution over the n-th step.
+    """Mean residual of the exact solution over every step: an (N,) array.
 
-    Evaluates the deterministic integral
+    Entry n-1 is the deterministic integral
 
         int_{t_{n-1}}^{t_n} [ f(s, u(t_n)) - f(s, u(s)) ] ds
 
     by composite Gauss-Legendre quadrature with ``quad_points`` nodes on
     each of ``panels`` equal subintervals.  Aligning the panels with the
-    breakpoints of a piecewise right-hand side makes the rule exact.
+    breakpoints of a piecewise right-hand side makes the rule exact.  The
+    problem must be scalar, and ``exact`` and ``rhs`` must act
+    elementwise on arrays of times: one ``exact`` call and two ``rhs``
+    calls evaluate an (N, panels*quad_points) block of points, which
+    costs 8*N*panels*quad_points bytes per temporary (4 * 2^max(K, n)
+    points in the residual study).
     """
+    if problem.dimension != 1:
+        raise ValueError("the conditional mean residual needs a scalar problem")
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
     if panels < 1:
         raise ValueError("panels must be at least 1")
-    if not 1 <= n <= grid.steps:
-        raise IndexError(f"step index {n} outside 1..{grid.steps}")
-    t0 = grid.node(n - 1)
-    t1 = grid.node(n)
-    u_n = exact(t1)
-    nodes, weights = _leggauss(quad_points)
-    edges = np.linspace(t0, t1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    # every point of every panel at once, panel by panel in order
-    s = (mid[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
-    u_s = np.array([exact(p) for p in s])
-    if problem.dimension == 1:
-        terms = w * (problem.rhs(s, u_n) - problem.rhs(s, u_s))
-    else:
-        terms = w[:, None] * np.array(
-            [problem.rhs(p, u_n) - problem.rhs(p, u) for p, u in zip(s, u_s)]
-        )
-    # cumsum adds in point order, as the scalar recursion did
-    return np.cumsum(terms, axis=0)[-1]
+    t = grid.nodes()
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    edges = np.linspace(t[:-1], t[1:], panels + 1, axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    # every point of every panel of a step, panel by panel in order
+    s = (mid[..., None] + half[..., None] * nodes).reshape(grid.steps, -1)
+    w = (half[..., None] * weights).reshape(grid.steps, -1)
+    terms = w * (problem.rhs(s, exact(t[1:])[:, None]) - problem.rhs(s, exact(s)))
+    # a row-wise cumsum adds in point order, as the scalar recursion did
+    return np.cumsum(terms, axis=1)[:, -1]

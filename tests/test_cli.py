@@ -255,6 +255,9 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
       "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
     (["pde", "--problem", "semilinear-heat", "--ptilde", "inf", "--dof", "3",
       "--scheme", "rbe", "--n", "1:2", "--mc", "2"], "finite"),
+    # be draws no nodes, so only the spec can reject its seed
+    (["ode", "--problem", "prothero-robinson", "--scheme", "be", "--n", "2:3",
+      "--mc", "2", "--seed=-7"], "64-bit"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     # each of these once raised a traceback or wrote NaN/inf columns
@@ -263,6 +266,18 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert main(argv + workers + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("randstep: error:") and message in err
+    assert not out.exists()
+
+
+def test_non_integer_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
+    # in-process callers get exit code 1, not a SystemExit
+    monkeypatch.setenv("RANDSTEP_SEED", "abc")
+    out = tmp_path / "x.csv"
+    argv = ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:2",
+            "--mc", "2", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("randstep: error: RANDSTEP_SEED='abc' is not an integer")
     assert not out.exists()
 
 

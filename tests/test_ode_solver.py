@@ -247,25 +247,57 @@ def test_nonconvergence_carries_step_index():
 def test_local_residual_definition():
     p = OdeProblem(1, lambda t, x: 0.0, 1.0, 1.0)
     vals = np.full(9, 1.7)
-    assert local_residual(p, vals, 4, 0.41, 0.125) == 0.0
+    assert (local_residual(p, vals, np.full(8, 0.41), 0.125) == 0.0).all()
 
     q = time_integral_problem()
     grid = TimeGrid(1.0, 8)
     exact = np.array([q.exact(grid.node(n)) for n in range(9)])
     k = grid.step_size
-    xi = 0.3
-    rho = local_residual(q, exact, 3, xi, k)
-    # state-independent f: rho = k f(xi) - int_{t_2}^{t_3} f
-    expected = k * xi - (exact[3] - exact[2])
-    assert abs(rho - expected) < 1e-15
-    with pytest.raises(IndexError):
-        local_residual(q, exact, 0, xi, k)
+    xi = grid.nodes()[:-1] + 0.3 * k
+    rho = local_residual(q, exact, np.stack([xi, xi[::-1]]), k)
+    assert rho.shape == (2, 8)
+    # state-independent f: rho_n = k f(xi_n) - int_{t_{n-1}}^{t_n} f
+    expected = k * xi - np.diff(exact)
+    assert np.abs(rho[0] - expected).max() < 1e-15
+    assert rho[1, 2] == k * xi[5] - exact[3] + exact[2]
+
+
+def _per_step_conditional_mean(problem, exact, n, grid, quad_points, panels):
+    """The step-at-a-time rule, with one scalar ``exact`` call per point."""
+    t0, t1 = grid.node(n - 1), grid.node(n)
+    u_n = exact(t1)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    edges = np.linspace(t0, t1, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    s = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    u_s = np.array([exact(p) for p in s])
+    return np.cumsum(w * (problem.rhs(s, u_n) - problem.rhs(s, u_s)))[-1]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_conditional_mean_residual_matches_per_step_rule(n):
+    # the residual study's panels: one per sawtooth interval, 2^(K-n) per step
+    K = 6
+    pr = prothero_robinson_problem(
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(K, AmplitudeMode.ODE))
+    )
+    ti = time_integral_problem()
+    grid = TimeGrid(1.0, 2**n)
+    panels = 2 ** max(K - n, 0)
+    for p in (pr, ti):
+        got = conditional_mean_residual(p, p.exact, grid, 4, panels)
+        assert got.shape == (grid.steps,)
+        for step in range(1, grid.steps + 1):
+            want = _per_step_conditional_mean(p, p.exact, step, grid, 4, panels)
+            assert got[step - 1] == want
 
 
 def test_conditional_mean_residual_closed_form():
     p = OdeProblem(
         1, lambda t, x: -x, 1.0, 1.0,
-        jacobian=lambda t, x: -1.0, exact=lambda t: math.exp(-t),
+        jacobian=lambda t, x: -1.0, exact=lambda t: np.exp(-t),
     )
     grid = TimeGrid(1.0, 8)
     k = grid.step_size
@@ -273,40 +305,33 @@ def test_conditional_mean_residual_closed_form():
     t0, t1 = grid.node(n - 1), grid.node(n)
     # hand integral of (e^-s - e^-t_n) ds over the step
     closed = (math.exp(-t0) - math.exp(-t1)) - k * math.exp(-t1)
-    quad = conditional_mean_residual(p, p.exact, n, grid, quad_points=6, panels=4)
-    assert abs(quad - closed) < 1e-14
+    quad = conditional_mean_residual(p, p.exact, grid, quad_points=6, panels=4)
+    assert abs(quad[n - 1] - closed) < 1e-14
 
 
-def test_conditional_mean_residual_vector_problem():
-    # a diagonal system: each component equals the scalar problem's value
-    rates = (1.0, 2.0)
+def test_conditional_mean_residual_rejects_vector_problem():
     p = OdeProblem(
-        2, lambda t, x: -np.array(rates) * x, [1.0, 1.0], 1.0,
-        exact=lambda t: np.array([math.exp(-r * t) for r in rates]),
+        2, lambda t, x: -x, [1.0, 1.0], 1.0,
+        exact=lambda t: np.array([np.exp(-t), np.exp(-2 * t)]),
     )
-    grid = TimeGrid(1.0, 8)
-    quad = conditional_mean_residual(p, p.exact, 3, grid, quad_points=4, panels=3)
-    assert quad.shape == (2,)
-    for i, r in enumerate(rates):
-        q = OdeProblem(1, lambda t, x: -r * x, 1.0, 1.0, exact=lambda t: math.exp(-r * t))
-        assert quad[i] == conditional_mean_residual(q, q.exact, 3, grid, 4, 3)
+    with pytest.raises(ValueError, match="scalar"):
+        conditional_mean_residual(p, p.exact, TimeGrid(1.0, 8), 4, 3)
 
 
 def test_conditional_mean_residual_state_independent_zero():
     p = time_integral_problem()
     grid = TimeGrid(1.0, 8)
-    for n in (1, 4, 8):
-        val = conditional_mean_residual(p, p.exact, n, grid, quad_points=4)
-        assert abs(val) < 1e-16
+    val = conditional_mean_residual(p, p.exact, grid, quad_points=4)
+    assert np.abs(val).max() < 1e-16
 
 
 def test_conditional_mean_residual_validation():
     p = time_integral_problem()
     grid = TimeGrid(1.0, 8)
     with pytest.raises(ValueError):
-        conditional_mean_residual(p, p.exact, 1, grid, quad_points=1)
-    with pytest.raises(IndexError):
-        conditional_mean_residual(p, p.exact, 9, grid)
+        conditional_mean_residual(p, p.exact, grid, quad_points=1)
+    with pytest.raises(ValueError):
+        conditional_mean_residual(p, p.exact, grid, panels=0)
 
 
 def test_scheme_tokens():
