@@ -17,20 +17,16 @@ from .ode_solver import (
     StepScheme,
     Trajectory,
     conditional_mean_residual,
-    explicit_step,
-    implicit_step,
     local_residual,
     solve,
 )
 from .fem1d import (
-    DiscreteField,
     Mesh,
     TriDiag,
     assemble_mass,
     assemble_nonlinearity,
     assemble_nonlinearity_jacobian,
     assemble_stiffness,
-    h1_seminorm_error,
     l2_error,
     l2_project,
     load_vector,
@@ -42,7 +38,6 @@ from .pde_solver import (
     PdeTrajectory,
     energy_bound_check,
     pde_solve,
-    pde_step,
 )
 from .problems import (
     AmplitudeMode,

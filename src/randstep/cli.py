@@ -2,8 +2,8 @@
 
 Every subcommand echoes its resolved configuration before computing,
 writes CSV (and optionally an SVG chart) and exits 0 on success, 1 on
-usage errors, 2 on numerical failures.  The environment variable
-RANDSTEP_SEED overrides --seed when set.
+usage errors and failed allocations, 2 on numerical failures.  The
+environment variable RANDSTEP_SEED overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -200,6 +200,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"randstep: error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"randstep: error: out of memory: {str(err) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -284,7 +288,8 @@ def _dispatch(args) -> int:
     _echo(dict(figure=command, scale=args.scale, seed=seed,
                error_mode=args.error_mode, workers=args.workers))
     fits_rates = harness.FIGURES[command].fits_rates
-    table, result = harness.reproduce_figure(command, args.scale, seed, args.workers)
+    table, result = harness.reproduce_figure(command, args.scale, seed, args.workers,
+                                             ErrorMode(args.error_mode))
     for key, value in result.items():
         if fits_rates:
             scheme, name = key

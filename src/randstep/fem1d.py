@@ -56,14 +56,6 @@ class Mesh:
     def spacing(self) -> float:
         return 1.0 / (self.interior_nodes + 1)
 
-    def node(self, i: int) -> float:
-        if not 1 <= i <= self.interior_nodes:
-            raise IndexError(f"node index {i} outside 1..{self.interior_nodes}")
-        return i * self.spacing
-
-    def interior_points(self) -> np.ndarray:
-        return np.arange(1, self.interior_nodes + 1) * self.spacing
-
 
 @dataclass
 class TriDiag:
@@ -99,23 +91,6 @@ class TriDiag:
             self.diag + scale * other.diag,
             self.sup + scale * other.sup,
         )
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diag)
-        if self.size > 1:
-            dense += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return dense
-
-
-@dataclass
-class DiscreteField:
-    """Nodal values of a P1 function; implied boundary values are zero."""
-
-    coefficients: np.ndarray
-
-
-def _coeffs(field) -> np.ndarray:
-    return np.asarray(getattr(field, "coefficients", field), dtype=float)
 
 
 def _sqrt_clip(value):
@@ -176,7 +151,7 @@ def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
 
 def _padded(field) -> np.ndarray:
     """(..., m+2) coefficients with the zero end values of the Dirichlet problem."""
-    c = _coeffs(field)
+    c = np.asarray(field, dtype=float)
     c_ext = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
     c_ext[..., 1:-1] = c
     return c_ext
@@ -241,10 +216,10 @@ def load_vector(mesh: Mesh, fn: Callable, quad_points: int = 4) -> np.ndarray:
     return _hat_moments(mesh, vals, quad_points)
 
 
-def l2_project(mesh: Mesh, fn: Callable, quad_points: int = 4) -> DiscreteField:
-    """Orthogonal projection onto the P1 space: solve M c = load."""
-    mass = assemble_mass(mesh)
-    return DiscreteField(tridiag_solve(mass, load_vector(mesh, fn, quad_points)))
+def l2_project(mesh: Mesh, fn: Callable, quad_points: int = 4) -> np.ndarray:
+    """Nodal coefficients c of the orthogonal projection onto the P1 space,
+    from M c = load; the implied boundary values are zero."""
+    return tridiag_solve(assemble_mass(mesh), load_vector(mesh, fn, quad_points))
 
 
 def l2_error(mesh: Mesh, field, exact: Callable, quad_points: int = 4):
@@ -256,17 +231,6 @@ def l2_error(mesh: Mesh, field, exact: Callable, quad_points: int = 4):
     s, w = _gauss_01(quad_points)
     x = _element_points(mesh, s)
     diff = _element_values(mesh, field, quad_points) - np.asarray(exact(x), dtype=float)
-    return _sqrt_clip(mesh.spacing * _weighted_sum(diff * diff, w))
-
-
-def h1_seminorm_error(mesh: Mesh, field, exact_prime: Callable, quad_points: int = 4):
-    """Composite-Gauss H1 seminorm of (u_h - exact); takes d(exact)/dx.
-    A field with leading batch axes gives an array of norms."""
-    s, w = _gauss_01(quad_points)
-    c_ext = _padded(field)
-    slope = (c_ext[..., 1:] - c_ext[..., :-1]) / mesh.spacing
-    x = _element_points(mesh, s)
-    diff = slope[..., None, :] - np.asarray(exact_prime(x), dtype=float)
     return _sqrt_clip(mesh.spacing * _weighted_sum(diff * diff, w))
 
 

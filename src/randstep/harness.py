@@ -15,6 +15,7 @@ Rate fits are written as: scheme,window_lo,window_hi,slope,intercept,residual
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -210,57 +211,56 @@ def _by_scheme(errors, rows):
     return {s.token: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
 
 
-def _ode_chunk(spec, scheme_tokens, exponent, lo, hi):
-    """Per-replica (final, max, mean-newton) errors of one batch, by scheme token.
-
-    ``scheme_tokens`` is a comma list of the schemes that march together
-    as one batch: implicit ones, or one explicit.  A randomized scheme
-    gives the errors of replicas lo..hi-1, the classical scheme those of
-    its one path.
-    """
-    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
-    problem = _build_ode_problem(spec)
-    grid = TimeGrid(problem.final_time, 2**exponent)
-    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
-    try:
-        path = solve(problem, grid, schemes[0], nodes, NewtonConfig())
-    except (NonConvergence, ValueError) as err:
-        raise _batch_failure(err, rows, exponent, lo) from err
+def _ode_errors(problem, grid, path):
+    """(final, max) absolute errors of every row of an ODE batch."""
     # error of every row at every grid point, in place of the states
     diff = path.states
     diff -= problem.exact(grid.nodes())[:, None]
     np.abs(diff, out=diff)
     # a view of the last row would keep the whole path alive in the result
-    errors = (diff[-1].copy(), diff.max(axis=0),
-              path.newton_iteration_counts.mean(axis=0))
-    return _by_scheme(errors, rows)
+    return diff[-1].copy(), diff.max(axis=0)
 
 
-def _pde_chunk(spec, scheme_tokens, exponent, lo, hi):
-    """As _ode_chunk, with L2 errors of the (R, m) fields of a PDE batch.
-
-    The exact solution is evaluated once per block of time nodes and
-    shared by every row of the batch.
-    """
-    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
-    problem, mesh = _build_pde_problem(spec)
-    grid = TimeGrid(problem.final_time, 2**exponent)
-    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
-    try:
-        path = pde_solve(problem, mesh, grid, schemes[0], nodes, NewtonConfig())
-    except (NonConvergence, ValueError) as err:
-        raise _batch_failure(err, rows, exponent, lo) from err
+def _pde_errors(problem, mesh, grid, path):
+    """(final, max) L2 errors of the (R, m) fields of every row of a PDE
+    batch; the exact solution of a block of time nodes serves every row."""
     fields = path.fields
     times = grid.nodes()
-    exact = problem.exact
     errs = np.empty(fields.shape[:2])
     for n in range(0, len(times), STEP_BLOCK):
         t = times[n : n + STEP_BLOCK, None, None, None]
         errs[n : n + STEP_BLOCK] = l2_error(
-            mesh, fields[n : n + STEP_BLOCK], lambda x: exact(t, x)
+            mesh, fields[n : n + STEP_BLOCK], lambda x: problem.exact(t, x)
         )
-    errors = (errs[-1], errs.max(axis=0), path.newton_iteration_counts.mean(axis=0))
-    return _by_scheme(errors, rows)
+    return errs[-1], errs.max(axis=0)
+
+
+def _chunk(spec, scheme_tokens, exponent, lo, hi):
+    """Per-replica (final, max, mean-newton) errors of one batch, by scheme token.
+
+    ``scheme_tokens`` is a comma list of the schemes that march together
+    as one batch: implicit ones, or one explicit.  A randomized scheme
+    gives the errors of replicas lo..hi-1, the classical scheme those of
+    its one path.  Only the solver and the error reduction depend on the
+    problem.
+    """
+    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
+    if spec.problem == "semilinear-heat":
+        problem, mesh = _build_pde_problem(spec)
+        march = functools.partial(pde_solve, problem, mesh)
+        errors = functools.partial(_pde_errors, problem, mesh)
+    else:
+        problem = _build_ode_problem(spec)
+        march = functools.partial(solve, problem)
+        errors = functools.partial(_ode_errors, problem)
+    grid = TimeGrid(problem.final_time, 2**exponent)
+    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
+    try:
+        path = march(grid, schemes[0], nodes, NewtonConfig())
+    except (NonConvergence, ValueError) as err:
+        raise _batch_failure(err, rows, exponent, lo) from err
+    final, worst = errors(grid, path)
+    return _by_scheme((final, worst, path.newton_iteration_counts.mean(axis=0)), rows)
 
 
 #: Bytes of stored fields per PDE batch.  A cell whose paths need more
@@ -336,8 +336,7 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     march as one batch, and the explicit scheme as another; the rows
     follow the order of ``spec.schemes``.
     """
-    is_pde = spec.problem == "semilinear-heat"
-    if not is_pde:
+    if spec.problem != "semilinear-heat":
         problem = _build_ode_problem(spec)
         nu = problem.one_sided_constant
         implicit = [s for s in spec.schemes if s.is_implicit]
@@ -348,7 +347,7 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
                     f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
                 )
     tasks = _plan(spec)
-    results = _run_tasks(_pde_chunk if is_pde else _ode_chunk, spec, tasks, workers)
+    results = _run_tasks(_chunk, spec, tasks, workers)
     parts = {}  # (token, exponent) -> errors of each batch, in replica order
     for (_, exponent, _, _), errors in zip(tasks, results):
         for token, part in errors.items():
@@ -585,13 +584,15 @@ def reproduce_figure(
     scale: str = "desk",
     master_seed: int = DEFAULT_MASTER_SEED,
     workers: int = 1,
+    error_mode: ErrorMode = ErrorMode.FINAL_TIME,
 ):
     """Run the sweep of ``FIGURES[name]`` at a scale; returns (table, result).
 
     The result of a figure that fits rates maps (scheme, window name) to
-    the RateFit over each ``rate_windows`` window; that of fig1-right, the
-    implicit scheme's largest rms error and, per step exponent, the
-    explicit rms error and the amplification factor |1 + k*lambda|.
+    the RateFit of the ``error_mode`` errors over each ``rate_windows``
+    window; that of fig1-right, the implicit scheme's largest rms error
+    and, per step exponent, the explicit rms error and the amplification
+    factor |1 + k*lambda|.
     """
     figure = FIGURES[name]
     if scale not in figure.scales:
@@ -607,7 +608,7 @@ def reproduce_figure(
     if figure.fits_rates:
         windows = rate_windows(sc)
         return table, {
-            (scheme, which): fit_rate(table, scheme, window)
+            (scheme, which): fit_rate(table, scheme, window, error_mode)
             for scheme in figure.schemes for which, window in windows.items()
         }
     return table, {

@@ -32,6 +32,11 @@ MAX_DAMPING_HALVINGS = 30
 #: (block, R, ...) temporaries, so longer blocks cost memory.
 FREEZE_BLOCK = 64
 
+#: Quadrature points that ``conditional_mean_residual`` evaluates at once:
+#: 512 KiB per temporary.  The residual study's 4 * 2^K points per grid
+#: are one block up to K = 14.
+QUAD_BLOCK = 2**16
+
 
 class StepScheme(Enum):
     RANDOMIZED_BACKWARD_EULER = "rbe"
@@ -302,28 +307,6 @@ def _newton_scalar(parts, at, u_prev, cfg):
     return _damped_newton(*parts, u_prev, (at, u_prev), cfg)
 
 
-def implicit_step(problem, t_eval, u_prev, k, cfg: Optional[NewtonConfig] = None):
-    """Solve x = u_prev + k*f(t_eval, x); returns the d-vector root."""
-    if not k > 0:
-        raise ValueError("step size must be positive")
-    cfg = cfg or NewtonConfig()
-    check_step_restriction(k, problem.one_sided_constant)
-    d = problem.dimension
-    parts = _newton_parts(*_row_callbacks(problem.rhs, problem.jacobian, d), d, k, cfg)
-    u0 = np.array(u_prev, dtype=float).reshape((1, d) if d > 1 else 1)
-    x, _ = _newton_scalar(parts, np.array([t_eval], dtype=float), u0, cfg)
-    return x.reshape(d)
-
-
-def explicit_step(problem, t_eval, u_prev, k):
-    """One forward Euler update u_prev + k*f(t_eval, u_prev)."""
-    if not k > 0:
-        raise ValueError("step size must be positive")
-    u0 = np.asarray(u_prev, dtype=float).reshape(problem.dimension)
-    t = np.array([t_eval], dtype=float) if problem.dimension == 1 else t_eval
-    return u0 + k * np.asarray(problem.rhs(t, u0), dtype=float)
-
-
 def solve(
     problem: OdeProblem,
     grid: TimeGrid,
@@ -430,9 +413,9 @@ def conditional_mean_residual(
     breakpoints of a piecewise right-hand side makes the rule exact.  The
     problem must be scalar, and ``exact`` and ``rhs`` must act
     elementwise on arrays of times: one ``exact`` call and two ``rhs``
-    calls evaluate an (N, panels*quad_points) block of points, which
-    costs 8*N*panels*quad_points bytes per temporary (4 * 2^max(K, n)
-    points in the residual study).
+    calls evaluate each block of whole steps, as many as QUAD_BLOCK points
+    hold and at least one.  Rows do not mix, so the blocks do not change
+    the bits.
     """
     if problem.dimension != 1:
         raise ValueError("the conditional mean residual needs a scalar problem")
@@ -442,12 +425,17 @@ def conditional_mean_residual(
         raise ValueError("panels must be at least 1")
     t = grid.nodes()
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    edges = np.linspace(t[:-1], t[1:], panels + 1, axis=1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    # every point of every panel of a step, panel by panel in order
-    s = (mid[..., None] + half[..., None] * nodes).reshape(grid.steps, -1)
-    w = (half[..., None] * weights).reshape(grid.steps, -1)
-    terms = w * (problem.rhs(s, exact(t[1:])[:, None]) - problem.rhs(s, exact(s)))
-    # a row-wise cumsum adds in point order, as the scalar recursion did
-    return np.cumsum(terms, axis=1)[:, -1]
+    width = max(1, QUAD_BLOCK // (panels * quad_points))
+    means = np.empty(grid.steps)
+    for lo in range(0, grid.steps, width):
+        tb = t[lo : lo + width + 1]
+        edges = np.linspace(tb[:-1], tb[1:], panels + 1, axis=1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        # every point of every panel of a step, panel by panel in order
+        s = (mid[..., None] + half[..., None] * nodes).reshape(len(edges), -1)
+        w = (half[..., None] * weights).reshape(len(edges), -1)
+        terms = w * (problem.rhs(s, exact(tb[1:])[:, None]) - problem.rhs(s, exact(s)))
+        # a row-wise cumsum adds in point order, as the scalar recursion did
+        means[lo : lo + width] = np.cumsum(terms, axis=1)[:, -1]
+    return means

@@ -6,9 +6,7 @@ Each step solves, in P1 coordinates,
 
 which realizes U^n + k A_h(xi_n) U^n = k P_h f(xi_n) + U^{n-1} without an
 extra mass solve.  The operator is monotone, so no step restriction
-applies.  The diffusion here is constant, hence S is assembled once; the
-step interface still receives the evaluation time so a time-dependent
-assembler can be swapped in.
+applies.  The diffusion here is constant, hence S is assembled once.
 """
 
 from __future__ import annotations
@@ -19,10 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fem1d import (
-    DiscreteField,
     Mesh,
-    TriDiag,
-    _coeffs,
     _element_points,
     _gauss_01,
     _weighted_sum,
@@ -54,8 +49,8 @@ class PdeProblem:
     ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
     the (q, m+1) array of quadrature points, Gauss point by element.  A
     forcing that ignores ``t`` may return the points' shape or a
-    constant; ``pde_step`` passes a float.  The monotonicity constant mu
-    enters only the energy diagnostic.
+    constant.  The monotonicity constant mu enters only the energy
+    diagnostic.
     """
 
     forcing: Callable
@@ -120,29 +115,6 @@ def _newton_fem(parts, rhs, u_start, cfg):
     return _damped_newton(*parts, u_start, (rhs,), cfg, scale=norm(rhs))
 
 
-def pde_step(
-    mass: TriDiag,
-    stiffness: TriDiag,
-    k: float,
-    xi: float,
-    u_prev,
-    problem: PdeProblem,
-    cfg: Optional[NewtonConfig] = None,
-) -> DiscreteField:
-    """One implicit step of the fully discrete scheme at evaluation time xi."""
-    if not k > 0:
-        raise ValueError("step size must be positive")
-    cfg = cfg or NewtonConfig()
-    mesh = Mesh(mass.size)
-    u0 = _coeffs(u_prev)
-    system = mass.plus(stiffness, scale=k)
-    rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
-    parts = _fem_parts(system, k, mesh, problem)
-    u, _ = _newton_fem(parts, rhs[None], u0[None], cfg)
-    # a converged start iterate comes back as is: a view of the caller's u_prev
-    return DiscreteField(u[0].copy())
-
-
 def pde_solve(
     problem: PdeProblem,
     mesh: Mesh,
@@ -178,7 +150,7 @@ def pde_solve(
     def step(load, u):
         return _newton_fem(parts, mass.matvec(u) + load, u, cfg)
 
-    u0 = l2_project(mesh, problem.initial).coefficients
+    u0 = l2_project(mesh, problem.initial)
     fields, counts = _march(grid, problem.final_time, nodes, u0, STEP_BLOCK, loads, step)
     return PdeTrajectory(grid=grid, fields=fields, newton_iteration_counts=counts)
 

@@ -107,18 +107,11 @@ class NodeStream:
             seed.master_seed, spawn_key=(seed.replica_index,)
         )
         self._gen = np.random.Generator(np.random.Philox(sequence))
-        self.draws_taken = 0
-
-    def next_tau(self) -> float:
-        """Next uniform draw in [0, 1); advances the counter by one."""
-        self.draws_taken += 1
-        return float(self._gen.random())
 
     def taus(self, count: int) -> np.ndarray:
-        """Next ``count`` draws at once; same values as repeated next_tau."""
+        """Next ``count`` draws; the same values as ``count`` calls taus(1)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        self.draws_taken += count
         return self._gen.random(count)
 
 

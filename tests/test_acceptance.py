@@ -12,7 +12,6 @@ import pytest
 import scipy.linalg
 
 from randstep.fem1d import (
-    DiscreteField,
     Mesh,
     TriDiag,
     assemble_mass,
@@ -39,6 +38,8 @@ from randstep.problems import (
     pde_wdot,
 )
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+
+from oracles import dense
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -184,13 +185,13 @@ def test_criterion_6_fem_oracles():
         diag = rng.uniform(2.2, 3.5, m)
         a = TriDiag(sub, diag, sub.copy())
         rhs = rng.normal(size=m)
-        gap = np.abs(tridiag_solve(a, rhs) - dense_gauss_solve(a.to_dense(), rhs))
+        gap = np.abs(tridiag_solve(a, rhs) - dense_gauss_solve(dense(a), rhs))
         solver_ok = solver_ok and gap.max() < 1e-10
 
     mesh31 = Mesh(31)
     eig = scipy.linalg.eigh(
-        assemble_stiffness(mesh31).to_dense(),
-        assemble_mass(mesh31).to_dense(),
+        dense(assemble_stiffness(mesh31)),
+        dense(assemble_mass(mesh31)),
         eigvals_only=True,
     )[0]
     eig_ok = abs(eig - np.pi**2) / np.pi**2 < 0.005

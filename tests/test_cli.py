@@ -7,7 +7,15 @@ import pytest
 
 import randstep
 from randstep.cli import main
-from randstep.harness import read_error_csv
+from randstep.harness import (
+    FIGURES,
+    ErrorMode,
+    fit_rate,
+    rate_windows,
+    read_error_csv,
+    render_error_csv,
+    render_rate_csv,
+)
 
 
 def test_ode_sweep_row_count(tmp_path, capsys):
@@ -296,4 +304,45 @@ def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scheme=rfe" in err and "step=" in err and "non-finite" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_figure_rate_fits_follow_error_mode(tmp_path, monkeypatch, fig1_left_desk):
+    # --error-mode max fits the max-over-grid errors; the figure fits used
+    # to take the final-time errors whatever the mode
+    monkeypatch.delenv("RANDSTEP_SEED", raising=False)
+    out, rates = tmp_path / "t.csv", tmp_path / "r.csv"
+    assert main(["fig1-left", "--workers", "1", "--error-mode", "max",
+                 "--out", str(out), "--rates-out", str(rates)]) == 0
+    table, final_fits, _ = fig1_left_desk
+    assert out.read_text() == render_error_csv(table)
+    figure = FIGURES["fig1-left"]
+    windows = rate_windows(figure.scales["desk"])
+    max_fits = {
+        (scheme, which): fit_rate(table, scheme, window, ErrorMode.MAX_OVER_GRID)
+        for scheme in figure.schemes for which, window in windows.items()
+    }
+    assert rates.read_text() == render_rate_csv(max_fits)
+    assert rates.read_text() != render_rate_csv(final_fits)
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 16.0 TiB for an array"),
+     "Unable to allocate 16.0 TiB for an array"),
+    (MemoryError(), "allocation failed"),
+], ids=["numpy-message", "bare"])
+def test_allocation_failure_is_usage_error(tmp_path, capsys, monkeypatch, error, message):
+    # the sweep's own allocation would be 16 TiB, which an overcommitting
+    # host might grant: a stand-in run_mc raises what numpy raises instead
+    from randstep import harness
+
+    def run_mc(spec, workers=1):
+        raise error
+
+    monkeypatch.setattr(harness, "run_mc", run_mc)
+    out = tmp_path / "x.csv"
+    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe",
+                 "--n", "40:40", "--mc", "2", "--workers", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"randstep: error: out of memory: {message}\n"
     assert not out.exists()

@@ -259,7 +259,7 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._ode_chunk(spec, "rbe", 2, 3, 8)
+        harness._chunk(spec, "rbe", 2, 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
@@ -287,7 +287,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     spec = ExperimentSpec("semilinear-heat", (RBE,), (2,), 8, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=7)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._pde_chunk(spec, "rbe", 2, 3, 8)
+        harness._chunk(spec, "rbe", 2, 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
@@ -301,7 +301,7 @@ def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
 
     def cell():
         tasks = harness._plan(spec)
-        parts = [harness._pde_chunk(spec, *task)["rbe"] for task in tasks]
+        parts = [harness._chunk(spec, *task)["rbe"] for task in tasks]
         return tasks, [np.concatenate(e) for e in zip(*parts)]
 
     tasks, whole = cell()
@@ -361,11 +361,10 @@ def test_fused_chunk_equals_separate_chunks(problem):
 
     spec = ExperimentSpec(problem, (RBE, BE), (4,), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
-    chunk = harness._pde_chunk if problem == "semilinear-heat" else harness._ode_chunk
-    fused = chunk(spec, "rbe,be", 4, 0, 5)
+    fused = harness._chunk(spec, "rbe,be", 4, 0, 5)
     assert list(fused) == ["rbe", "be"]
     for token, lo, hi in (("rbe", 0, 5), ("be", 0, 0)):
-        for a, b in zip(fused[token], chunk(spec, token, 4, lo, hi)[token]):
+        for a, b in zip(fused[token], harness._chunk(spec, token, 4, lo, hi)[token]):
             assert a.shape == (hi - lo if token == "rbe" else 1,)
             assert np.array_equal(a, b)
 

@@ -13,8 +13,6 @@ from randstep.ode_solver import (
     StepSizeWarning,
     Trajectory,
     conditional_mean_residual,
-    explicit_step,
-    implicit_step,
     local_residual,
     solve,
 )
@@ -27,13 +25,18 @@ from randstep.problems import (
 )
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, node
 
+from oracles import one_row, step_once
 
-def one_row(grid, scheme, seed=SeedSpec(1, 0)):
-    """The node block of one path: drawn from ``seed``'s stream for a
-    randomized scheme, the grid points t_1..t_N for the classical one."""
-    if scheme.is_randomized:
-        return grid.random_nodes([NodeStream(seed)])
-    return grid.nodes()[None, 1:]
+RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
+RFE = StepScheme.RANDOMIZED_FORWARD_EULER
+
+
+def rbe_step(problem, t, u, k, cfg=None):
+    return step_once(problem, t, u, k, RBE, cfg)
+
+
+def rfe_step(problem, t, u, k):
+    return step_once(problem, t, u, k, RFE)
 
 
 def linear_decay():
@@ -48,14 +51,14 @@ def linear_decay():
 
 def test_implicit_step_linear_decay():
     # closed form (1 + k)^-1 * u_prev
-    out = implicit_step(linear_decay(), 0.0, 1.0, 0.5)
-    assert out.shape == (1,)
-    assert abs(out[0] - 2.0 / 3.0) < 1e-12
+    out = rbe_step(linear_decay(), 0.0, 1.0, 0.5)
+    assert out.shape == ()
+    assert abs(out - 2.0 / 3.0) < 1e-12
 
 
 def test_implicit_step_zero_rhs_identity():
     p = OdeProblem(1, lambda t, x: 0.0, 3.5, 1.0)
-    assert implicit_step(p, 0.3, 3.5, 0.25)[0] == 3.5
+    assert rbe_step(p, 0.3, 3.5, 0.25) == 3.5
 
 
 def test_implicit_step_smooth_prothero_robinson():
@@ -71,8 +74,8 @@ def test_implicit_step_smooth_prothero_robinson():
     )
     k = 0.125
     t_prev = 0.375
-    out = implicit_step(p, t_prev + k, t_prev, k)
-    assert abs(out[0] - (t_prev + k)) < 1e-12
+    out = rbe_step(p, t_prev + k, t_prev, k)
+    assert abs(out - (t_prev + k)) < 1e-12
 
 
 def test_implicit_step_vector_path():
@@ -83,7 +86,8 @@ def test_implicit_step_vector_path():
         initial_value=np.array([1.0, 2.0]),
         final_time=1.0,
     )
-    out = implicit_step(p, 0.0, np.array([1.0, 2.0]), 0.5)
+    out = rbe_step(p, 0.0, np.array([1.0, 2.0]), 0.5)
+    assert out.shape == (2,)
     assert np.allclose(out, [2.0 / 3.0, 4.0 / 3.0], atol=1e-9)
 
 
@@ -93,12 +97,12 @@ def test_step_restriction_error_and_warning():
         one_sided_constant=2.0,
     )
     with pytest.raises(StepRestrictionViolated):
-        implicit_step(stiff, 0.0, 1.0, 0.5)
+        rbe_step(stiff, 0.0, 1.0, 0.5)
     with pytest.warns(StepSizeWarning):
-        implicit_step(stiff, 0.0, 1.0, 0.2)
+        rbe_step(stiff, 0.0, 1.0, 0.2)
     # nu <= 0 imposes no restriction
     soft = OdeProblem(1, lambda t, x: -x, 1.0, 1.0, one_sided_constant=-5.0)
-    implicit_step(soft, 0.0, 1.0, 10.0)
+    rbe_step(soft, 0.0, 1.0, 10.0)
 
 
 def test_newton_nonconvergence_reported():
@@ -111,16 +115,16 @@ def test_newton_nonconvergence_reported():
         jacobian=lambda t, x: 2.0 * x,
     )
     with pytest.raises(NonConvergence):
-        implicit_step(p, 0.0, 1.0, 1.0, NewtonConfig(max_iterations=20))
+        rbe_step(p, 0.0, 1.0, 1.0, NewtonConfig(max_iterations=20))
 
 
 def test_explicit_step_examples():
     p = OdeProblem(1, lambda t, x: -1000.0 * x, 1.0, 1.0)
-    assert explicit_step(p, 0.0, 1.0, 2.0**-6)[0] == -14.625
+    assert rfe_step(p, 0.0, 1.0, 2.0**-6) == -14.625
     z = OdeProblem(1, lambda t, x: 0.0, 2.0, 1.0)
-    assert explicit_step(z, 0.0, 2.0, 0.1)[0] == 2.0
+    assert rfe_step(z, 0.0, 2.0, 0.1) == 2.0
     q = OdeProblem(1, lambda t, x: 1.0, 0.0, 1.0)
-    assert explicit_step(q, 0.0, 0.0, 0.25)[0] == 0.25
+    assert rfe_step(q, 0.0, 0.0, 0.25) == 0.25
 
 
 @pytest.mark.parametrize(
@@ -294,6 +298,40 @@ def test_conditional_mean_residual_matches_per_step_rule(n):
             assert got[step - 1] == want
 
 
+def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
+    # blocks of whole steps, down to one step over the point budget, give
+    # every step the bits of the one-block evaluation
+    from randstep import ode_solver
+
+    K = 6
+    pr = prothero_robinson_problem(
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(K, AmplitudeMode.ODE))
+    )
+    calls = []
+
+    def exact(t):
+        calls.append(np.size(t))
+        return pr.exact(t)
+
+    default = ode_solver.QUAD_BLOCK
+    for n in (0, 2, 5, 7):
+        grid = TimeGrid(1.0, 2**n)
+        panels = 2 ** max(K - n, 0)
+        monkeypatch.setattr(ode_solver, "QUAD_BLOCK", default)
+        calls.clear()
+        whole = conditional_mean_residual(pr, exact, grid, 4, panels)
+        assert len(calls) == 2  # the residual study's grids are one block
+        for steps in (1, 3):
+            monkeypatch.setattr(ode_solver, "QUAD_BLOCK", steps * 4 * panels + 1)
+            calls.clear()
+            got = conditional_mean_residual(pr, exact, grid, 4, panels)
+            assert np.array_equal(got, whole)
+            assert len(calls) == 2 * math.ceil(grid.steps / steps)
+            assert max(calls) == min(steps, grid.steps) * 4 * panels
+        monkeypatch.setattr(ode_solver, "QUAD_BLOCK", 1)
+        assert np.array_equal(conditional_mean_residual(pr, exact, grid, 4, panels), whole)
+
+
 def test_conditional_mean_residual_closed_form():
     p = OdeProblem(
         1, lambda t, x: -x, 1.0, 1.0,
@@ -432,7 +470,8 @@ def test_solve_rejects_bad_node_blocks():
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():
     # N is not a multiple of FREEZE_BLOCK, so the last block is partial;
-    # the oracle steps through implicit_step, which evaluates rhs(t, x)
+    # the oracle takes one-step solves of the unsplit problem, which
+    # evaluate rhs(t, x)
     problem = prothero_robinson_problem(
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
     )
@@ -446,8 +485,8 @@ def test_solve_off_block_length_matches_implicit_steps_bitwise():
         u = v = problem.initial_value
         implicit_path, explicit_path = [u], [v]
         for t in nodes:
-            u = implicit_step(problem, t, u, k)[0]
-            v = explicit_step(problem, t, v, k)[0]
+            u = rbe_step(problem, t, u, k)
+            v = rfe_step(problem, t, v, k)
             implicit_path.append(u)
             explicit_path.append(v)
         assert batch.states[:, row].tolist() == implicit_path

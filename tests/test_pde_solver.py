@@ -6,12 +6,7 @@ import pytest
 
 from randstep.fem1d import Mesh, assemble_mass, assemble_stiffness, l2_error, l2_project
 from randstep.ode_solver import NewtonConfig, StepScheme
-from randstep.pde_solver import (
-    PdeProblem,
-    energy_bound_check,
-    pde_solve,
-    pde_step,
-)
+from randstep.pde_solver import PdeProblem, energy_bound_check, pde_solve
 from randstep.problems import (
     AmplitudeMode,
     SawtoothSpec,
@@ -21,19 +16,13 @@ from randstep.problems import (
 )
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
+from oracles import dense, one_row, pde_step
+
 BSPEC = TruncatedPowerSpec(cap=10.0, power=4.0)
 
 # recorded from the first verified run of the manufactured benchmark
 # (K=5, m=63, N=256, replica 0, master seed 42)
 HEAT_REGRESSION_L2 = 3.464579500133706e-05
-
-
-def one_row(grid, scheme, seed):
-    """The node block of one path: drawn from ``seed``'s stream for a
-    randomized scheme, the grid points t_1..t_N for the classical one."""
-    if scheme.is_randomized:
-        return grid.random_nodes([NodeStream(seed)])
-    return grid.nodes()[None, 1:]
 
 
 def zero_problem():
@@ -55,7 +44,7 @@ def test_step_zero_data_stays_zero():
     mesh = Mesh(15)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
     out = pde_step(mass, stiff, 0.1, 0.05, np.zeros(15), zero_problem())
-    assert np.array_equal(out.coefficients, np.zeros(15))
+    assert np.array_equal(out, np.zeros(15))
 
 
 def test_step_dissipates_energy():
@@ -63,8 +52,8 @@ def test_step_dissipates_energy():
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
     u0 = l2_project(mesh, lambda x: np.sin(np.pi * x))
     u1 = pde_step(mass, stiff, 0.01, 0.0, u0, zero_problem())
-    e0 = u0.coefficients @ mass.matvec(u0.coefficients)
-    e1 = u1.coefficients @ mass.matvec(u1.coefficients)
+    e0 = u0 @ mass.matvec(u0)
+    e1 = u1 @ mass.matvec(u1)
     assert e1 < e0
 
 
@@ -74,9 +63,8 @@ def test_step_matches_dense_oracle():
     u0 = l2_project(mesh, lambda x: np.sin(np.pi * x))
     k = 0.01
     u1 = pde_step(mass, stiff, k, 0.37, u0, zero_problem())
-    dense = mass.plus(stiff, scale=k).to_dense()
-    oracle = np.linalg.solve(dense, mass.matvec(u0.coefficients))
-    assert np.abs(u1.coefficients - oracle).max() < 1e-10
+    oracle = np.linalg.solve(dense(mass.plus(stiff, scale=k)), mass.matvec(u0))
+    assert np.abs(u1 - oracle).max() < 1e-10
 
 
 def test_step_residual_below_tolerance():
@@ -86,9 +74,9 @@ def test_step_residual_below_tolerance():
     cfg = NewtonConfig()
     from randstep.fem1d import assemble_nonlinearity, load_vector
 
-    u_prev = l2_project(mesh, problem.initial).coefficients
+    u_prev = l2_project(mesh, problem.initial)
     k, xi = 1.0 / 64.0, 0.013
-    u1 = pde_step(mass, stiff, k, xi, u_prev, problem, cfg).coefficients
+    u1 = pde_step(mass, stiff, k, xi, u_prev, problem, cfg)
     system = mass.plus(stiff, scale=k)
     rhs = mass.matvec(u_prev) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
     resid = system.matvec(u1) + k * assemble_nonlinearity(
@@ -112,7 +100,7 @@ def test_solve_initial_field_is_projection():
     traj = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
                      grid.nodes()[None, 1:])
     assert np.array_equal(traj.fields[0, 0],
-                          l2_project(mesh, problem.initial).coefficients)
+                          l2_project(mesh, problem.initial))
 
 
 def test_solve_rejects_explicit_scheme():
@@ -239,7 +227,7 @@ def autonomous_problem():
                                     StepScheme.CLASSICAL_BACKWARD_EULER])
 def test_solve_equals_loop_of_steps(problem_fn, scheme):
     # the blocked loads of pde_solve must give each step exactly the load
-    # pde_step assembles at that step's node, for a forcing with or
+    # the one-step oracle assembles at that step's node, for a forcing with or
     # without t; 40 steps cover two full blocks and a partial one
     problem = problem_fn()
     mesh = Mesh(31)
@@ -249,7 +237,7 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
     u = path.fields[0, 0]
     for n, xi in enumerate(nodes[0].tolist(), start=1):
-        u = pde_step(mass, stiff, grid.step_size, xi, u, problem).coefficients
+        u = pde_step(mass, stiff, grid.step_size, xi, u, problem)
         assert np.array_equal(u, path.fields[n, 0]), f"step {n}"
 
 

@@ -33,16 +33,17 @@ def test_replicas_differ():
 
 
 def test_bulk_and_scalar_draws_agree():
-    bulk = NodeStream(SeedSpec(9, 2)).taus(50)
+    bulk = NodeStream(SeedSpec(9, 2)).taus(51)
     s = NodeStream(SeedSpec(9, 2))
-    scalar = np.array([s.next_tau() for _ in range(50)])
-    assert np.array_equal(bulk, scalar)
-    assert s.draws_taken == 50
+    scalar = np.concatenate([s.taus(1) for _ in range(50)])
+    assert np.array_equal(bulk[:50], scalar)
+    # the 50 single draws advanced the stream by 50
+    assert s.taus(1)[0] == bulk[50]
 
 
 def test_first_draw_mean_over_replicas():
     draws = np.array(
-        [NodeStream(SeedSpec(42, r)).next_tau() for r in range(10_000)]
+        [NodeStream(SeedSpec(42, r)).taus(1)[0] for r in range(10_000)]
     )
     # CLT bound for U(0,1): 3 standard errors with Var = 1/12
     assert abs(draws.mean() - 0.5) <= 3.0 / math.sqrt(12.0 * 10_000)
@@ -120,7 +121,7 @@ def test_node_stays_inside_interval():
 def test_mean_node_first_interval():
     grid = TimeGrid(1.0, 2)
     vals = np.array(
-        [node(grid, 1, NodeStream(SeedSpec(42, r)).next_tau()) for r in range(10_000)]
+        [node(grid, 1, NodeStream(SeedSpec(42, r)).taus(1)[0]) for r in range(10_000)]
     )
     stderr = 0.5 / math.sqrt(12.0 * vals.size)
     assert abs(vals.mean() - 0.25) <= 3 * stderr
