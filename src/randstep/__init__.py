@@ -10,7 +10,6 @@ from .rand_nodes import (
     node,
 )
 from .ode_solver import (
-    NewtonConfig,
     NonConvergence,
     OdeProblem,
     StepRestrictionViolated,
@@ -35,12 +34,10 @@ from .fem1d import (
 from .pde_solver import (
     EnergyReport,
     PdeProblem,
-    PdeTrajectory,
     energy_bound_check,
     pde_solve,
 )
 from .problems import (
-    AmplitudeMode,
     ProtheroRobinsonSpec,
     SawtoothSpec,
     TruncatedPowerSpec,

@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         fig.add_argument("--scale", choices=["desk", "paper"], default="desk",
                          help="desk: reduced grids and replica counts (minutes); "
                          "paper: full-size grids and replica counts (slow)")
-        fig.add_argument("--rates-out", default=None,
-                         help="optional rate-fit CSV path")
+        if figure.fits_rates:
+            fig.add_argument("--rates-out", default=None,
+                             help="optional rate-fit CSV path")
         _add_common(fig)
 
     return parser
@@ -176,7 +177,7 @@ def _write_outputs(table, args, fits=None):
     harness.write_error_csv(table, args.out)
     print(f"wrote {args.out}")
     rates_out = getattr(args, "rates_out", None)
-    if rates_out and fits is not None:
+    if rates_out:
         harness.write_rate_csv(fits, rates_out)
         print(f"wrote {rates_out}")
     if args.svg:
@@ -256,7 +257,7 @@ def _dispatch(args) -> int:
         seed = _resolve_seed(args)
         _echo(dict(problem="prothero-robinson", lam=args.lam, K=args.K,
                    n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc, seed=seed))
-        saw = problems.SawtoothSpec(args.K, problems.AmplitudeMode.ODE)
+        saw = problems.SawtoothSpec(args.K)
         problem = problems.prothero_robinson_problem(
             problems.ProtheroRobinsonSpec(args.lam, saw)
         )
@@ -299,7 +300,7 @@ def _dispatch(args) -> int:
             )
         else:
             print(f"{key}: {value}")
-    _write_outputs(table, args, result if fits_rates else None)
+    _write_outputs(table, args, result)
     return 0
 
 

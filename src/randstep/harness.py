@@ -28,7 +28,6 @@ import numpy as np
 from . import problems
 from .fem1d import Mesh, l2_error
 from .ode_solver import (
-    NewtonConfig,
     NonConvergence,
     StepRestrictionViolated,
     StepScheme,
@@ -93,6 +92,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem id {self.problem!r}")
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
+        if self.problem != "time-integral" and self.sawtooth_exponent is None:
+            raise ValueError(f"{self.problem} needs sawtooth_exponent")
         if self.problem == "semilinear-heat":
             if self.mesh_dof is None:
                 raise ValueError("semilinear-heat needs mesh_dof")
@@ -159,9 +160,7 @@ class RateFit:
 
 def _build_ode_problem(spec: ExperimentSpec):
     if spec.problem == "prothero-robinson":
-        if spec.sawtooth_exponent is None:
-            raise ValueError("prothero-robinson needs sawtooth_exponent")
-        saw = problems.SawtoothSpec(spec.sawtooth_exponent, problems.AmplitudeMode.ODE)
+        saw = problems.SawtoothSpec(spec.sawtooth_exponent)
         return problems.prothero_robinson_problem(
             problems.ProtheroRobinsonSpec(spec.lam, saw)
         )
@@ -171,7 +170,7 @@ def _build_ode_problem(spec: ExperimentSpec):
 
 
 def _build_pde_problem(spec: ExperimentSpec):
-    saw = problems.SawtoothSpec(spec.sawtooth_exponent, problems.AmplitudeMode.PDE)
+    saw = problems.SawtoothSpec(spec.sawtooth_exponent)
     bspec = problems.TruncatedPowerSpec(cap=spec.cap, power=spec.power)
     return problems.semilinear_heat_problem(saw, bspec), Mesh(spec.mesh_dof)
 
@@ -224,7 +223,7 @@ def _ode_errors(problem, grid, path):
 def _pde_errors(problem, mesh, grid, path):
     """(final, max) L2 errors of the (R, m) fields of every row of a PDE
     batch; the exact solution of a block of time nodes serves every row."""
-    fields = path.fields
+    fields = path.states
     times = grid.nodes()
     errs = np.empty(fields.shape[:2])
     for n in range(0, len(times), STEP_BLOCK):
@@ -256,7 +255,7 @@ def _chunk(spec, scheme_tokens, exponent, lo, hi):
     grid = TimeGrid(problem.final_time, 2**exponent)
     nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
-        path = march(grid, schemes[0], nodes, NewtonConfig())
+        path = march(grid, schemes[0], nodes)
     except (NonConvergence, ValueError) as err:
         raise _batch_failure(err, rows, exponent, lo) from err
     final, worst = errors(grid, path)

@@ -25,6 +25,13 @@ from .rand_nodes import TimeGrid
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
+#: Newton's tolerance on a row: norm(residual) <= ABS_TOL + REL_TOL * s.
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+
+#: Newton iterations per step before NonConvergence.
+MAX_ITERATIONS = 50
+
 #: Damped Newton halves the update at most this many times per iteration.
 MAX_DAMPING_HALVINGS = 30
 
@@ -83,20 +90,6 @@ class StepSizeWarning(UserWarning):
     """k*nu >= 1/4: outside the hypothesis of the stability estimate."""
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iterations: int = 50
-    fd_jacobian_step: float = _SQRT_EPS  # scaled per column by 1 + |x_i|
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.fd_jacobian_step <= 0:
-            raise ValueError("Newton tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
 @dataclass
 class OdeProblem:
     """Initial value problem du/dt = f(t, u), u(0) = u0 on [0, T].
@@ -141,7 +134,7 @@ class Trajectory:
     """
 
     grid: TimeGrid
-    states: np.ndarray  # (N+1, R); (N+1, 1, d) for a d > 1 problem
+    states: np.ndarray  # (N+1, R); (N+1, 1, d) for d > 1; (N+1, R, m) for the PDE
     newton_iteration_counts: np.ndarray  # (N, R); zeros if explicit
 
 
@@ -162,18 +155,19 @@ def check_step_restriction(k: float, nu: float) -> None:
         )
 
 
-def _damped_newton(residual, update, norm, x, data, cfg, scale=None):
+def _damped_newton(residual, update, norm, x, data, scale=None):
     """Damped Newton for residual(x, *data) = 0, one row of x per replica.
 
     ``x`` holds one row per replica and ``data`` a tuple of arrays whose
     first axis runs over the same rows; ``update(x, r, *data)`` returns
     the Newton step for the residual r, and ``norm`` maps rows to their
-    (R,) norms.  A row has converged once norm(r) <= abs_tol + rel_tol *
-    s, with s = norm(x), or the row's ``scale`` when one is given.
-    Returns (roots, iterations), iterations (R,).  Every replica runs
-    exactly the single-row iteration: its own tolerance test, Newton
-    step, damping halvings and iteration count, so its bits do not depend
-    on which replicas share the batch.  Converged replicas leave the
+    (R,) norms.  A row has converged once norm(r) <= ABS_TOL + REL_TOL *
+    s, with s = norm(x), or the row's ``scale`` when one is given, and
+    fails if it has not after MAX_ITERATIONS iterations.  Returns (roots,
+    iterations), iterations (R,).  Every replica runs exactly the
+    single-row iteration: its own tolerance test, Newton step, damping
+    halvings and iteration count, so its bits do not depend on which
+    replicas share the batch.  Converged replicas leave the
     batch, and only replicas whose trial step fails to reduce the
     residual norm are retried with a halved step (cf. Deuflhard, *Newton
     Methods for Nonlinear Problems*, 2004).  A failure, or a
@@ -182,7 +176,7 @@ def _damped_newton(residual, update, norm, x, data, cfg, scale=None):
     """
     r = residual(x, *data)
     rnorm = norm(r)
-    tol = None if scale is None else cfg.abs_tol + cfg.rel_tol * scale
+    tol = None if scale is None else ABS_TOL + REL_TOL * scale
     roots = iters = None
     live = None  # batch positions still iterating; None while it is all of them
 
@@ -195,14 +189,14 @@ def _damped_newton(residual, update, norm, x, data, cfg, scale=None):
     def fail(message, pos):
         raise NonConvergence(message, replica=int(pos if live is None else live[pos]))
 
-    for it in range(cfg.max_iterations + 1):
-        done = rnorm <= (cfg.abs_tol + cfg.rel_tol * norm(x) if tol is None else tol)
+    for it in range(MAX_ITERATIONS + 1):
+        done = rnorm <= (ABS_TOL + REL_TOL * norm(x) if tol is None else tol)
         if done.all():
             return finish(x, it)
-        if it == cfg.max_iterations:
+        if it == MAX_ITERATIONS:
             first = np.flatnonzero(~done)[0]
             fail(f"residual {rnorm[first]:.3e} above tolerance after "
-                 f"{cfg.max_iterations} iterations", first)
+                 f"{MAX_ITERATIONS} iterations", first)
         if done.any():
             if live is None:
                 live = np.arange(len(x))
@@ -251,7 +245,7 @@ def _row_callbacks(rhs, jac, dimension):
     return lift(rhs), jac and lift(jac)
 
 
-def _newton_parts(rhs, jac, dimension, k, cfg):
+def _newton_parts(rhs, jac, dimension, k):
     """(residual, update, norm) of the step equation x = u_prev + k*rhs(t, x).
 
     ``rhs`` and ``jac`` act on rows, as ``_row_callbacks`` returns them.
@@ -260,7 +254,6 @@ def _newton_parts(rhs, jac, dimension, k, cfg):
     forward difference when ``jac`` is None; a (1, d) row's update is a
     dense solve, with forward-difference columns when ``jac`` is None.
     """
-    step = cfg.fd_jacobian_step
 
     def residual(x, t, u_prev):
         return x - u_prev - k * rhs(t, x)
@@ -270,7 +263,7 @@ def _newton_parts(rhs, jac, dimension, k, cfg):
             if jac is not None:
                 df = jac(t, x)
             else:
-                dx = step * (1.0 + np.abs(x))
+                dx = _SQRT_EPS * (1.0 + np.abs(x))
                 df = (rhs(t, x + dx) - rhs(t, x)) / dx
             deriv = 1.0 - k * df
             singular = deriv == 0.0
@@ -290,7 +283,7 @@ def _newton_parts(rhs, jac, dimension, k, cfg):
             df = np.empty((dimension, dimension))
             for i in range(dimension):
                 xp = x.copy()
-                dx = step * (1.0 + abs(xp[0, i]))
+                dx = _SQRT_EPS * (1.0 + abs(xp[0, i]))
                 xp[0, i] += dx
                 df[:, i] = ((rhs(t, xp) - fx) / dx)[0]
         return np.linalg.solve(np.eye(dimension) - k * df, r[0])[None]
@@ -298,13 +291,13 @@ def _newton_parts(rhs, jac, dimension, k, cfg):
     return residual, update, lambda r: np.linalg.norm(r, axis=1)
 
 
-def _newton_scalar(parts, at, u_prev, cfg):
+def _newton_scalar(parts, at, u_prev):
     """``_damped_newton`` on the ``_newton_parts`` of one step of every row.
 
     ``at`` holds the rows' times or frozen data; the initial guess is
     u_prev, an O(k)-accurate predictor.
     """
-    return _damped_newton(*parts, u_prev, (at, u_prev), cfg)
+    return _damped_newton(*parts, u_prev, (at, u_prev))
 
 
 def solve(
@@ -312,7 +305,6 @@ def solve(
     grid: TimeGrid,
     scheme: StepScheme,
     nodes: np.ndarray,
-    cfg: Optional[NewtonConfig] = None,
 ) -> Trajectory:
     """March the selected one-step rule over an (R, N) block of nodes.
 
@@ -331,16 +323,15 @@ def solve(
     d = problem.dimension
     if d > 1 and isinstance(nodes, np.ndarray) and nodes.shape[:1] != (1,):
         raise ValueError("a d > 1 problem marches a one-row node block")
-    cfg = cfg or NewtonConfig()
     k = grid.step_size
     freeze, rhs = problem.split or (lambda t: t, problem.rhs)
     rhs, jac = _row_callbacks(rhs, problem.jacobian, d)
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
-        parts = _newton_parts(rhs, jac, d, k, cfg)
+        parts = _newton_parts(rhs, jac, d, k)
 
         def step(at, u):
-            return _newton_scalar(parts, at, u, cfg)
+            return _newton_scalar(parts, at, u)
     else:
         def step(at, u):
             return u + k * rhs(at, u), 0

@@ -29,12 +29,7 @@ from .fem1d import (
     load_vector,
     tridiag_solve,
 )
-from .ode_solver import (
-    NewtonConfig,
-    StepScheme,
-    _damped_newton,
-    _march,
-)
+from .ode_solver import StepScheme, Trajectory, _damped_newton, _march
 from .rand_nodes import TimeGrid
 
 
@@ -68,17 +63,6 @@ class PdeProblem:
             raise ValueError("monotonicity constant must be positive")
 
 
-@dataclass
-class PdeTrajectory:
-    """Discrete paths of an (R, N) node block: fields[n, r] holds the
-    nodal coefficients of row r's U^n, and column r of the (N, R) counts
-    its Newton iterations."""
-
-    grid: TimeGrid
-    fields: np.ndarray  # (N+1, R, m)
-    newton_iteration_counts: np.ndarray  # (N, R)
-
-
 #: Steps per block of forcing loads (and of time nodes per error
 #: evaluation in the sweeps).  A block holds (block, R, q, m+1) quadrature
 #: temporaries: longer blocks save numpy calls but cost memory.
@@ -104,7 +88,7 @@ def _fem_parts(system, k, mesh, problem):
     return residual, update, lambda r: np.abs(r).max(axis=1)
 
 
-def _newton_fem(parts, rhs, u_start, cfg):
+def _newton_fem(parts, rhs, u_start):
     """One implicit step of every row: ``_damped_newton`` on ``parts``.
 
     ``rhs`` and ``u_start`` are (R, m); returns (U, iterations) with
@@ -112,7 +96,7 @@ def _newton_fem(parts, rhs, u_start, cfg):
     right-hand side.
     """
     norm = parts[2]
-    return _damped_newton(*parts, u_start, (rhs,), cfg, scale=norm(rhs))
+    return _damped_newton(*parts, u_start, (rhs,), scale=norm(rhs))
 
 
 def pde_solve(
@@ -121,8 +105,7 @@ def pde_solve(
     grid: TimeGrid,
     scheme: StepScheme,
     nodes: np.ndarray,
-    cfg: Optional[NewtonConfig] = None,
-) -> PdeTrajectory:
+) -> Trajectory:
     """March the scheme from U^0 = P_h u0 over an (R, N) block of nodes.
 
     As for ``ode_solver.solve``, the R rows march together as an (R, m)
@@ -130,11 +113,12 @@ def pde_solve(
     randomized replicas and the classical row of grid points can share
     one batch.  Every row gets the same bits as when marched alone.  The
     loads of STEP_BLOCK steps are assembled at once, before their Newton
-    solves.  ``_march`` names the step and row of a failure.
+    solves.  ``_march`` names the step and row of a failure.  Returns an
+    ``ode_solver.Trajectory`` whose (N+1, R, m) ``states`` hold the
+    nodal coefficients of each row's U^n.
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
-    cfg = cfg or NewtonConfig()
     k = grid.step_size
     m = mesh.interior_nodes
     mass = assemble_mass(mesh)
@@ -148,11 +132,11 @@ def pde_solve(
         return k * np.broadcast_to(load, t.shape[:2] + (m,))
 
     def step(load, u):
-        return _newton_fem(parts, mass.matvec(u) + load, u, cfg)
+        return _newton_fem(parts, mass.matvec(u) + load, u)
 
     u0 = l2_project(mesh, problem.initial)
-    fields, counts = _march(grid, problem.final_time, nodes, u0, STEP_BLOCK, loads, step)
-    return PdeTrajectory(grid=grid, fields=fields, newton_iteration_counts=counts)
+    states, counts = _march(grid, problem.final_time, nodes, u0, STEP_BLOCK, loads, step)
+    return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ def forcing_energy(
     return total
 
 
-def energy_bound_check(trajectory: PdeTrajectory, problem: PdeProblem) -> EnergyReport:
+def energy_bound_check(trajectory: Trajectory, problem: PdeProblem) -> EnergyReport:
     """Evaluate the a priori energy accumulators for a one-row path.
 
     The terms of step n are |U^n|_M^2, |U^n - U^{n-1}|_M^2 and |U^n|_S^2,
@@ -215,9 +199,9 @@ def energy_bound_check(trajectory: PdeTrajectory, problem: PdeProblem) -> Energy
     right-side data; no closed-form constant is available, so this is a
     growth alarm, not a sharp bound.
     """
-    if trajectory.fields.shape[1] != 1:
+    if trajectory.states.shape[1] != 1:
         raise ValueError("energy_bound_check takes the path of a single replica")
-    fields = trajectory.fields[:, 0]
+    fields = trajectory.states[:, 0]
     mesh = Mesh(fields.shape[1])
     mass = assemble_mass(mesh)
 

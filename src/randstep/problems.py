@@ -9,17 +9,11 @@ deterministic method sees a constant where the data oscillates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .ode_solver import OdeProblem
 from .pde_solver import PdeProblem
-
-
-class AmplitudeMode(Enum):
-    ODE = "ode"  # peaks at height p
-    PDE = "pde"  # peak i*P^2 at node i*P
 
 
 #: Largest sawtooth exponent: interval indices below 2^53 are exact as
@@ -32,7 +26,6 @@ class SawtoothSpec:
     """Piecewise-linear zigzag with half-period 2^-exponent on [0, 1]."""
 
     exponent: int
-    amplitude_mode: AmplitudeMode = AmplitudeMode.ODE
 
     def __post_init__(self):
         if not 1 <= self.exponent <= MAX_EXPONENT:
@@ -53,8 +46,6 @@ class ProtheroRobinsonSpec:
     def __post_init__(self):
         if not np.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam}")
-        if self.sawtooth.amplitude_mode is not AmplitudeMode.ODE:
-            raise ValueError("Prothero-Robinson uses the ODE-amplitude sawtooth")
 
 
 @dataclass(frozen=True)
@@ -106,8 +97,6 @@ def _g_and_parity(spec: SawtoothSpec, t):
 
 def sawtooth_g(spec: SawtoothSpec, t):
     """g with g(i*p) = p for odd i, 0 for even i, affine in between."""
-    if spec.amplitude_mode is not AmplitudeMode.ODE:
-        raise ValueError("sawtooth_g needs the ODE amplitude mode")
     return _g_and_parity(spec, t)[0]
 
 
@@ -116,8 +105,6 @@ def sawtooth_gdot(spec: SawtoothSpec, t):
 
     The value at t = 1 is taken from the last half-open interval.
     """
-    if spec.amplitude_mode is not AmplitudeMode.ODE:
-        raise ValueError("sawtooth_gdot needs the ODE amplitude mode")
     i, _ = _interval_index(t, spec.exponent)
     return 1.0 - 2.0 * (i & 1)
 
@@ -145,8 +132,6 @@ def pde_w(spec: SawtoothSpec, t):
 
     t is a float or an array of times; arrays give arrays of its shape.
     """
-    if spec.amplitude_mode is not AmplitudeMode.PDE:
-        raise ValueError("pde_w needs the PDE amplitude mode")
     j, frac = _interval_index(t, spec.exponent)
     p2 = spec.half_period * spec.half_period
     # even j: rising toward w((j+1)P) = (j+1)P^2; odd j: falling from
@@ -157,8 +142,6 @@ def pde_w(spec: SawtoothSpec, t):
 
 def pde_wdot(spec: SawtoothSpec, t):
     """a.e. derivative of w: i*P on [(i-1)P, iP) for odd i, -(i-1)P for even."""
-    if spec.amplitude_mode is not AmplitudeMode.PDE:
-        raise ValueError("pde_wdot needs the PDE amplitude mode")
     j, _ = _interval_index(t, spec.exponent)
     p = spec.half_period
     wdot = np.where(j & 1, -j * p, (j + 1) * p)
@@ -253,9 +236,6 @@ def semilinear_heat_problem(
     With the H^1 seminorm as the V-norm the diffusion part is monotone
     with constant 1; b only strengthens monotonicity.
     """
-    if saw.amplitude_mode is not AmplitudeMode.PDE:
-        raise ValueError("heat benchmark needs the PDE amplitude mode")
-
     return PdeProblem(
         forcing=lambda t, x: pde_forcing(saw, bspec, t, x),
         nonlinearity=lambda u: b_trunc(bspec, u),

@@ -8,7 +8,6 @@ import pytest
 
 from randstep.harness import reproduce_figure, residual_study
 from randstep.problems import (
-    AmplitudeMode,
     ProtheroRobinsonSpec,
     SawtoothSpec,
     prothero_robinson_problem,
@@ -49,7 +48,7 @@ def fig2_desk():
 
 @pytest.fixture(scope="session")
 def residual_rows_desk():
-    saw = SawtoothSpec(8, AmplitudeMode.ODE)
+    saw = SawtoothSpec(8)
     problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     return residual_study(
         problem, 8, range(4, 9), replicas=1000, master_seed=ACCEPTANCE_SEED

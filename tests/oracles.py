@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 
 from randstep.fem1d import Mesh, load_vector
-from randstep.ode_solver import NewtonConfig, solve
+from randstep.ode_solver import solve
 from randstep.pde_solver import _fem_parts, _newton_fem
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
@@ -19,15 +19,15 @@ def one_row(grid, scheme, seed=SeedSpec(1, 0)):
     return grid.nodes()[None, 1:]
 
 
-def step_once(problem, t, u, k, scheme, cfg=None):
+def step_once(problem, t, u, k, scheme):
     """U^1 of ``scheme`` from U^0 = u with f evaluated at t: a one-step
     ``solve`` of the unsplit problem on [0, k].  A scalar problem gives a
     float, a d > 1 problem a (d,) array."""
     one_step = dataclasses.replace(problem, final_time=k, initial_value=u, split=None)
-    return solve(one_step, TimeGrid(k, 1), scheme, np.array([[t]]), cfg).states[1, 0]
+    return solve(one_step, TimeGrid(k, 1), scheme, np.array([[t]])).states[1, 0]
 
 
-def pde_step(mass, stiffness, k, xi, u_prev, problem, cfg=None):
+def pde_step(mass, stiffness, k, xi, u_prev, problem):
     """Coefficients of one implicit step of the fully discrete scheme from
     the coefficients ``u_prev``, with the forcing evaluated at the float xi:
 
@@ -38,7 +38,7 @@ def pde_step(mass, stiffness, k, xi, u_prev, problem, cfg=None):
     u0 = np.asarray(u_prev, dtype=float)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
     parts = _fem_parts(mass.plus(stiffness, scale=k), k, mesh, problem)
-    u, _ = _newton_fem(parts, rhs[None], u0[None], cfg or NewtonConfig())
+    u, _ = _newton_fem(parts, rhs[None], u0[None])
     # a converged start iterate comes back as is: a view of the caller's u_prev
     return u[0].copy()
 

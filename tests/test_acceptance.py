@@ -26,10 +26,9 @@ from randstep.harness import (
     render_error_csv,
     run_mc,
 )
-from randstep.ode_solver import NewtonConfig, OdeProblem, StepScheme, solve
+from randstep.ode_solver import ABS_TOL, REL_TOL, OdeProblem, StepScheme, solve
 from randstep.pde_solver import PdeProblem, pde_solve
 from randstep.problems import (
-    AmplitudeMode,
     SawtoothSpec,
     TruncatedPowerSpec,
     b_trunc,
@@ -218,7 +217,7 @@ def test_criterion_6_fem_oracles():
 
 
 def test_criterion_7_manufactured_identity():
-    saw = SawtoothSpec(7, AmplitudeMode.PDE)
+    saw = SawtoothSpec(7)
     bspec = TruncatedPowerSpec(10.0, 4.0)
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -239,8 +238,7 @@ def test_criterion_7_manufactured_identity():
 
 
 def test_criterion_8_structural_invariants(tmp_path):
-    cfg = NewtonConfig()
-    tol = 10 * (cfg.abs_tol + cfg.rel_tol)
+    tol = 10 * (ABS_TOL + REL_TOL)
 
     # autonomous ODE: randomized and classical backward Euler agree
     ode = OdeProblem(
@@ -264,8 +262,8 @@ def test_criterion_8_structural_invariants(tmp_path):
     pgrid = TimeGrid(1.0, 32)
     drawn = pgrid.random_nodes([NodeStream(SeedSpec(42, 0))])
     pde_gap = np.abs(
-        pde_solve(pde, mesh, pgrid, RBE, drawn).fields
-        - pde_solve(pde, mesh, pgrid, BE, pgrid.nodes()[None, 1:]).fields
+        pde_solve(pde, mesh, pgrid, RBE, drawn).states
+        - pde_solve(pde, mesh, pgrid, BE, pgrid.nodes()[None, 1:]).states
     ).max()
 
     # monotone contraction of paired PDE trajectories (shared nodes/data)
@@ -278,7 +276,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     a = pde_solve(pde, mesh, pgrid, RBE, nodes)
     b = pde_solve(other, mesh, pgrid, RBE, nodes)
     mass = assemble_mass(mesh)
-    dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)[:, 0]])
+    dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.states - b.states)[:, 0]])
     contraction_ok = bool(np.all(np.diff(dist) <= 1e-12))
 
     # bitwise-identical CSV across reruns and worker counts {1, 4}

@@ -326,6 +326,16 @@ def test_figure_rate_fits_follow_error_mode(tmp_path, monkeypatch, fig1_left_des
     assert rates.read_text() != render_rate_csv(final_fits)
 
 
+def test_rates_out_only_on_figures_that_fit_rates(tmp_path, capsys):
+    # fig1-right fits no rates; it used to accept --rates-out, exit 0 and
+    # write no rate file
+    out, rates = tmp_path / "t.csv", tmp_path / "r.csv"
+    assert main(["fig1-right", "--workers", "1", "--rates-out", str(rates),
+                 "--out", str(out)]) == 1
+    assert "unrecognized arguments: --rates-out" in capsys.readouterr().err
+    assert not out.exists() and not rates.exists()
+
+
 @pytest.mark.parametrize("error, message", [
     (MemoryError("Unable to allocate 16.0 TiB for an array"),
      "Unable to allocate 16.0 TiB for an array"),

@@ -20,7 +20,6 @@ from randstep.fem1d import (
 )
 from randstep.pde_solver import forcing_energy
 from randstep.problems import (
-    AmplitudeMode,
     SawtoothSpec,
     TruncatedPowerSpec,
     b_trunc,
@@ -343,7 +342,7 @@ def test_error_norms_keep_nan():
 def kernel_digests(quad_points):
     """sha256 of every FEM kernel's output on a batched (3, 31) field."""
     mesh = Mesh(31)
-    saw = SawtoothSpec(3, AmplitudeMode.PDE)
+    saw = SawtoothSpec(3)
     bspec = TruncatedPowerSpec(cap=2.0, power=3.0)
     problem = semilinear_heat_problem(saw, bspec)
     # the field crosses the cap, so both branches of b and b' are taken

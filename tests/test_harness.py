@@ -14,7 +14,7 @@ from randstep.harness import (
     run_mc,
 )
 from randstep.ode_solver import OdeProblem, StepRestrictionViolated, StepScheme
-from randstep.problems import AmplitudeMode, ProtheroRobinsonSpec, SawtoothSpec
+from randstep.problems import ProtheroRobinsonSpec, SawtoothSpec
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -61,7 +61,7 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     traj = pde_solve(problem, mesh, grid, RBE,
                      grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
     errs = np.array(
-        [l2_error(mesh, f, lambda x: np.zeros_like(x)) for f in traj.fields]
+        [l2_error(mesh, f, lambda x: np.zeros_like(x)) for f in traj.states]
     )
     assert _rms(errs) == 0.0
 
@@ -147,6 +147,9 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="once"):
         ExperimentSpec("time-integral", (RBE, BE, RBE), (0,), 2)
+    for problem in ("semilinear-heat", "prothero-robinson"):
+        with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
+            ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)
 
 
 def test_error_modes_both_populated():
@@ -181,7 +184,7 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
     from randstep.problems import prothero_robinson_problem
 
     problem = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
     assert harness.RESIDUAL_BLOCK < 70
     default = harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9)

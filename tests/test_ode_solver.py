@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from randstep.ode_solver import (
+    ABS_TOL,
     FREEZE_BLOCK,
-    NewtonConfig,
+    MAX_ITERATIONS,
     NonConvergence,
     OdeProblem,
+    REL_TOL,
     StepRestrictionViolated,
     StepScheme,
     StepSizeWarning,
@@ -17,7 +19,6 @@ from randstep.ode_solver import (
     solve,
 )
 from randstep.problems import (
-    AmplitudeMode,
     ProtheroRobinsonSpec,
     SawtoothSpec,
     prothero_robinson_problem,
@@ -31,8 +32,8 @@ RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 RFE = StepScheme.RANDOMIZED_FORWARD_EULER
 
 
-def rbe_step(problem, t, u, k, cfg=None):
-    return step_once(problem, t, u, k, RBE, cfg)
+def rbe_step(problem, t, u, k):
+    return step_once(problem, t, u, k, RBE)
 
 
 def rfe_step(problem, t, u, k):
@@ -115,7 +116,7 @@ def test_newton_nonconvergence_reported():
         jacobian=lambda t, x: 2.0 * x,
     )
     with pytest.raises(NonConvergence):
-        rbe_step(p, 0.0, 1.0, 1.0, NewtonConfig(max_iterations=20))
+        rbe_step(p, 0.0, 1.0, 1.0)
 
 
 def test_explicit_step_examples():
@@ -196,21 +197,20 @@ def test_autonomous_reduction_to_classical():
 
 
 def test_one_step_consistency_invariant():
-    saw = SawtoothSpec(6, AmplitudeMode.ODE)
+    saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(1.0, 32)
-    cfg = NewtonConfig()
     nodes = grid.random_nodes([NodeStream(SeedSpec(5, 3))])
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes, cfg)
+    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
     k = grid.step_size
     for n in range(1, 33):
         u_n = traj.states[n, 0]
         resid = abs(u_n - traj.states[n - 1, 0] - k * p.rhs(nodes[0, n - 1], u_n))
-        assert resid <= 10.0 * (cfg.abs_tol + cfg.rel_tol * abs(u_n))
+        assert resid <= 10.0 * (ABS_TOL + REL_TOL * abs(u_n))
 
 
 def test_linear_problem_single_newton_iteration():
-    saw = SawtoothSpec(6, AmplitudeMode.ODE)
+    saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(1.0, 64)
     traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
@@ -243,9 +243,22 @@ def test_nonconvergence_carries_step_index():
     p = OdeProblem(1, flaky, 1.0, 1.0)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(NonConvergence) as err:
-        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:],
-              cfg=NewtonConfig(max_iterations=20))
+        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
     assert err.value.step == 2
+
+
+def test_newton_iteration_limit_names_step_and_row():
+    # a Jacobian 19 times too steep at t = 0.7 leaves only that row's
+    # residual falling linearly, too slowly to meet the tolerance
+    p = OdeProblem(1, lambda t, x: -x, 1.0, 1.0,
+                   jacobian=lambda t, x: np.where(t == 0.7, -19.0, -1.0))
+    nodes = np.array([[0.1, 0.6], [0.2, 0.7], [0.3, 0.8]])
+    with pytest.raises(NonConvergence) as err:
+        solve(p, TimeGrid(1.0, 2), RBE, nodes)
+    assert str(err.value) == (
+        f"step 2: residual 1.498e-04 above tolerance after {MAX_ITERATIONS} iterations"
+    )
+    assert (err.value.step, err.value.replica) == (2, 1)
 
 
 def test_local_residual_definition():
@@ -285,7 +298,7 @@ def test_conditional_mean_residual_matches_per_step_rule(n):
     # the residual study's panels: one per sawtooth interval, 2^(K-n) per step
     K = 6
     pr = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(K, AmplitudeMode.ODE))
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(K))
     )
     ti = time_integral_problem()
     grid = TimeGrid(1.0, 2**n)
@@ -305,7 +318,7 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
 
     K = 6
     pr = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(K, AmplitudeMode.ODE))
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(K))
     )
     calls = []
 
@@ -473,7 +486,7 @@ def test_solve_off_block_length_matches_implicit_steps_bitwise():
     # the oracle takes one-step solves of the unsplit problem, which
     # evaluate rhs(t, x)
     problem = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
     grid = TimeGrid(1.0, 2 * FREEZE_BLOCK + 22)
     k = grid.step_size
@@ -528,7 +541,7 @@ def test_split_problem_marches_like_unsplit_bitwise():
 @pytest.mark.parametrize("step", [0, FREEZE_BLOCK + 3])
 def test_solve_rejects_a_node_outside_the_domain(bad, step):
     problem = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(6, AmplitudeMode.ODE))
+        ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
     grid = TimeGrid(1.0, FREEZE_BLOCK + 10)
     block = grid.random_nodes([NodeStream(SeedSpec(2, r)) for r in range(3)])

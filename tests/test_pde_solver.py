@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from randstep.fem1d import Mesh, assemble_mass, assemble_stiffness, l2_error, l2_project
-from randstep.ode_solver import NewtonConfig, StepScheme
+from randstep.ode_solver import ABS_TOL, REL_TOL, StepScheme
 from randstep.pde_solver import PdeProblem, energy_bound_check, pde_solve
 from randstep.problems import (
-    AmplitudeMode,
     SawtoothSpec,
     TruncatedPowerSpec,
     pde_exact,
@@ -36,7 +35,7 @@ def zero_problem():
 
 
 def heat_problem(exponent=5):
-    saw = SawtoothSpec(exponent, AmplitudeMode.PDE)
+    saw = SawtoothSpec(exponent)
     return semilinear_heat_problem(saw, BSPEC), saw
 
 
@@ -71,25 +70,24 @@ def test_step_residual_below_tolerance():
     problem, _ = heat_problem()
     mesh = Mesh(31)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-    cfg = NewtonConfig()
     from randstep.fem1d import assemble_nonlinearity, load_vector
 
     u_prev = l2_project(mesh, problem.initial)
     k, xi = 1.0 / 64.0, 0.013
-    u1 = pde_step(mass, stiff, k, xi, u_prev, problem, cfg)
+    u1 = pde_step(mass, stiff, k, xi, u_prev, problem)
     system = mass.plus(stiff, scale=k)
     rhs = mass.matvec(u_prev) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
     resid = system.matvec(u1) + k * assemble_nonlinearity(
         mesh, problem.nonlinearity, u1
     ) - rhs
-    assert np.abs(resid).max() <= cfg.abs_tol + cfg.rel_tol * np.abs(rhs).max()
+    assert np.abs(resid).max() <= ABS_TOL + REL_TOL * np.abs(rhs).max()
 
 
 def test_solve_zero_problem():
     grid = TimeGrid(1.0, 8)
     traj = pde_solve(zero_problem(), Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                      grid.random_nodes([NodeStream(SeedSpec(1, 0))]))
-    assert np.array_equal(traj.fields, np.zeros_like(traj.fields))
+    assert np.array_equal(traj.states, np.zeros_like(traj.states))
     assert energy_bound_check(traj, zero_problem()).left_side == 0.0
 
 
@@ -99,7 +97,7 @@ def test_solve_initial_field_is_projection():
     grid = TimeGrid(1.0, 4)
     traj = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
                      grid.nodes()[None, 1:])
-    assert np.array_equal(traj.fields[0, 0],
+    assert np.array_equal(traj.states[0, 0],
                           l2_project(mesh, problem.initial))
 
 
@@ -124,8 +122,7 @@ def test_autonomous_data_randomized_equals_classical():
                   grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
     b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
                   grid.nodes()[None, 1:])
-    cfg = NewtonConfig()
-    assert np.abs(a.fields - b.fields).max() <= 10 * (cfg.abs_tol + cfg.rel_tol)
+    assert np.abs(a.states - b.states).max() <= 10 * (ABS_TOL + REL_TOL)
 
 
 def test_monotone_contraction_of_paired_trajectories():
@@ -142,7 +139,7 @@ def test_monotone_contraction_of_paired_trajectories():
     b = pde_solve(other, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                   grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
     dist = np.array(
-        [np.sqrt(d @ mass.matvec(d)) for d in (a.fields - b.fields)[:, 0]]
+        [np.sqrt(d @ mass.matvec(d)) for d in (a.states - b.states)[:, 0]]
     )
     assert np.all(np.diff(dist) <= 1e-12)
 
@@ -156,7 +153,7 @@ def test_nodes_shared_between_paired_runs():
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, a_nodes)
     b = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, b_nodes)
     assert np.array_equal(a_nodes, b_nodes)
-    assert np.array_equal(a.fields, b.fields)
+    assert np.array_equal(a.states, b.states)
     k = grid.step_size
     assert np.all(a_nodes >= np.arange(8) * k)
     assert np.all(a_nodes < np.arange(1, 9) * k)
@@ -168,7 +165,7 @@ def test_benchmark_regression_single_replica():
     grid = TimeGrid(1.0, 256)
     traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                      grid.random_nodes([NodeStream(SeedSpec(42, 0))]))
-    err = l2_error(mesh, traj.fields[-1, 0], lambda x: pde_exact(saw, 1.0, x))
+    err = l2_error(mesh, traj.states[-1, 0], lambda x: pde_exact(saw, 1.0, x))
     assert err < 1e-2  # sanity ceiling
     assert err == pytest.approx(HEAT_REGRESSION_L2, rel=1e-9)
 
@@ -235,10 +232,10 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     nodes = one_row(grid, scheme, SeedSpec(5, 0))
     path = pde_solve(problem, mesh, grid, scheme, nodes)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-    u = path.fields[0, 0]
+    u = path.states[0, 0]
     for n, xi in enumerate(nodes[0].tolist(), start=1):
         u = pde_step(mass, stiff, grid.step_size, xi, u, problem)
-        assert np.array_equal(u, path.fields[n, 0]), f"step {n}"
+        assert np.array_equal(u, path.states[n, 0]), f"step {n}"
 
 
 def swinging_problem():
@@ -260,7 +257,7 @@ def test_constant_forcing_equals_array_of_ones():
     constant = dataclasses.replace(ones, forcing=lambda t, x: 1.0)
     paths = [pde_solve(p, Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
              for p in (constant, ones)]
-    assert np.array_equal(paths[0].fields, paths[1].fields)
+    assert np.array_equal(paths[0].states, paths[1].states)
 
 
 def test_batch_replicas_equal_single_solves():
@@ -271,13 +268,13 @@ def test_batch_replicas_equal_single_solves():
     replicas = range(2, 7)
     block = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas])
     batch = pde_solve(problem, mesh, grid, scheme, block)
-    assert batch.fields.shape == (38, 5, 31)
+    assert batch.states.shape == (38, 5, 31)
     assert batch.newton_iteration_counts.shape == (37, 5)
     counts = set()
     for col, r in enumerate(replicas):
         nodes = grid.random_nodes([NodeStream(SeedSpec(3, r))])
         alone = pde_solve(problem, mesh, grid, scheme, nodes)
-        assert np.array_equal(batch.fields[:, col], alone.fields[:, 0])
+        assert np.array_equal(batch.states[:, col], alone.states[:, 0])
         assert np.array_equal(batch.newton_iteration_counts[:, col],
                               alone.newton_iteration_counts[:, 0])
         assert np.array_equal(block[col], nodes[0])
@@ -302,18 +299,18 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     batch = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER, block)
     alone = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
                       grid.nodes()[None, 1:])
-    assert np.array_equal(batch.fields[:, :1], alone.fields)
+    assert np.array_equal(batch.states[:, :1], alone.states)
     assert np.array_equal(batch.newton_iteration_counts[:, :1],
                           alone.newton_iteration_counts)
     assert len(set(alone.newton_iteration_counts[:, 0].tolist())) > 1
     replicas = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                          randomized)
-    assert np.array_equal(batch.fields[:, 1:], replicas.fields)
+    assert np.array_equal(batch.states[:, 1:], replicas.states)
     assert np.array_equal(batch.newton_iteration_counts[:, 1:],
                           replicas.newton_iteration_counts)
 
 
-# sha256 of fields.tobytes() and newton_iteration_counts.tobytes() of three
+# sha256 of states.tobytes() and newton_iteration_counts.tobytes() of three
 # damped rbe replicas and the be row, rendered before the ODE and PDE step
 # loops were merged into one
 PINNED_PDE_BITS = (
@@ -328,7 +325,7 @@ def test_pde_solve_bits_are_pinned():
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     path = pde_solve(swinging_problem(), Mesh(31), grid,
                      StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    assert path.fields.shape == (38, 4, 31)
+    assert path.states.shape == (38, 4, 31)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
-                    for a in (path.fields, path.newton_iteration_counts))
+                    for a in (path.states, path.newton_iteration_counts))
     assert digests == PINNED_PDE_BITS

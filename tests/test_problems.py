@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from randstep.problems import (
-    AmplitudeMode,
     ProtheroRobinsonSpec,
     SawtoothSpec,
     TruncatedPowerSpec,
@@ -22,7 +21,7 @@ from randstep.problems import (
     sawtooth_gdot,
 )
 
-SAW = SawtoothSpec(6, AmplitudeMode.ODE)
+SAW = SawtoothSpec(6)
 P = SAW.half_period
 
 
@@ -160,15 +159,15 @@ def test_prothero_robinson_rejects_non_finite_lambda():
 def test_sawtooth_exponent_limit():
     # up to 2^53 intervals the local coordinate is exact: g(1) = 0 and
     # g'(1) = -1 as on every coarser sawtooth
-    top = SawtoothSpec(53, AmplitudeMode.ODE)
+    top = SawtoothSpec(53)
     assert sawtooth_g(top, 1.0) == 0.0 and sawtooth_gdot(top, 1.0) == -1.0
     assert sawtooth_g(top, np.array([1.0, 0.5])).tolist() == [0.0, 0.0]
     for exponent in (0, 54, 63, 70):
         with pytest.raises(ValueError, match="1..53"):
-            SawtoothSpec(exponent, AmplitudeMode.ODE)
+            SawtoothSpec(exponent)
 
 
-PSAW = SawtoothSpec(5, AmplitudeMode.PDE)
+PSAW = SawtoothSpec(5)
 PP = PSAW.half_period
 
 
@@ -271,15 +270,6 @@ def test_benchmark_jacobians_match_finite_differences():
             dx = sqrt_eps * (1.0 + abs(x))
             fd = (problem.rhs(t, x + dx) - problem.rhs(t, x)) / dx
             assert abs(problem.jacobian(t, x) - fd) <= 10 * sqrt_eps * (1 + abs(fd))
-
-
-def test_amplitude_mode_guards():
-    with pytest.raises(ValueError):
-        sawtooth_g(PSAW, 0.5)
-    with pytest.raises(ValueError):
-        pde_w(SAW, 0.5)
-    with pytest.raises(ValueError):
-        ProtheroRobinsonSpec(2.0, PSAW)
 
 
 def test_spec_validation():
