@@ -581,20 +581,33 @@ PINNED_BITS = {
         "0x1.15a07a1024d1cp-12", "0x1.4082bbe12f42cp-12", "0x1.650a5c3d9c42dp-12",
         "0x1.7b2567cd87773p-12", "0x1.1f01f2d7faff7p-12", "0x1.868a37e12463bp-13",
     ], 107),
+    # the same batch with the jacobian -50(1+t)/(1+x^2)
+    ("batch", True): ([
+        "0x1.15a07a1024cf7p-12", "0x1.4082bbe12f3fep-12", "0x1.650a5c3d9c10fp-12",
+        "0x1.7b2567cd875f7p-12", "0x1.1f01f2d7fafc8p-12", "0x1.868a37e1245a3p-13",
+    ], 107),
+    # rfe on the batch's six rows of nodes
+    ("batch-rfe", False): ([
+        "0x1.25f146b694ea2p+4", "-0x1.3c1a15df5d2a6p+4", "-0x1.5f9cf7d8da02cp+3",
+        "0x1.1e8de84d97417p+4", "0x1.1b694cf762345p+4", "0x1.8c7e941d497a5p+4",
+    ], 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_BITS))
 def test_solve_bits_are_pinned(case):
     scheme, with_jacobian = case
-    if scheme == "batch":
-        p = OdeProblem(1, lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0)
+    if scheme.startswith("batch"):
+        jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
+        p = OdeProblem(1, lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0,
+                       jacobian=jac)
         grid = TimeGrid(1.0, 4)
         randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
         block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-        path = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+        path = solve(p, grid, RFE if scheme == "batch-rfe" else RBE, block)
         counts = path.newton_iteration_counts
-        assert (counts.min(axis=1) < counts.max(axis=1)).any()
+        if scheme == "batch":
+            assert (counts.min(axis=1) < counts.max(axis=1)).any()
     else:
         scheme = StepScheme.parse(scheme)
         grid = TimeGrid(1.0, 8)
