@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import harness, problems, report
@@ -21,6 +22,11 @@ SEED_ENV_VAR = "RANDSTEP_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1000 and -1.5 as values, not -1e3
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit with code 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)

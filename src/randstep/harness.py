@@ -92,8 +92,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem id {self.problem!r}")
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
-        if self.problem != "time-integral" and self.sawtooth_exponent is None:
-            raise ValueError(f"{self.problem} needs sawtooth_exponent")
+        if self.problem != "time-integral":
+            if self.sawtooth_exponent is None:
+                raise ValueError(f"{self.problem} needs sawtooth_exponent")
+            # rejects an exponent outside 1..53 before any pool starts
+            problems.SawtoothSpec(self.sawtooth_exponent)
         if self.problem == "semilinear-heat":
             if self.mesh_dof is None:
                 raise ValueError("semilinear-heat needs mesh_dof")
@@ -207,7 +210,7 @@ def _batch_failure(err, rows, exponent, lo):
 
 def _by_scheme(errors, rows):
     """Split per-row (final, max, mean-newton) errors into each scheme's rows."""
-    return {s.token: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
+    return {s: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
 
 
 def _ode_errors(problem, grid, path):
@@ -234,16 +237,14 @@ def _pde_errors(problem, mesh, grid, path):
     return errs[-1], errs.max(axis=0)
 
 
-def _chunk(spec, scheme_tokens, exponent, lo, hi):
-    """Per-replica (final, max, mean-newton) errors of one batch, by scheme token.
+def _chunk(spec, schemes, exponent, lo, hi):
+    """Per-replica (final, max, mean-newton) errors of one batch, by scheme.
 
-    ``scheme_tokens`` is a comma list of the schemes that march together
-    as one batch: implicit ones, or one explicit.  A randomized scheme
-    gives the errors of replicas lo..hi-1, the classical scheme those of
-    its one path.  Only the solver and the error reduction depend on the
-    problem.
+    ``schemes`` is the tuple of schemes that march together as one batch:
+    implicit ones, or one explicit.  A randomized scheme gives the errors
+    of replicas lo..hi-1, the classical scheme those of its one path.
+    Only the solver and the error reduction depend on the problem.
     """
-    schemes = [StepScheme.parse(token) for token in scheme_tokens.split(",")]
     if spec.problem == "semilinear-heat":
         problem, mesh = _build_pde_problem(spec)
         march = functools.partial(pde_solve, problem, mesh)
@@ -268,7 +269,7 @@ PDE_BATCH_BYTES = 64 * 2**20
 
 
 def _plan(spec):
-    """The sweep's tasks, (scheme tokens, exponent, lo, hi), in the order run.
+    """The sweep's tasks, (schemes, exponent, lo, hi), in the order run.
 
     A task is one batch as the solver marches it: the schemes of one group
     (implicit, or explicit) at one step size, over replicas lo..hi-1.  An
@@ -279,9 +280,8 @@ def _plan(spec):
     for scheme in spec.schemes:
         groups.setdefault(scheme.is_implicit, []).append(scheme)
     tasks = []
-    for schemes in groups.values():
-        tokens = ",".join(s.token for s in schemes)
-        randomized = ",".join(s.token for s in schemes if s.is_randomized)
+    for schemes in map(tuple, groups.values()):
+        randomized = tuple(s for s in schemes if s.is_randomized)
         replicas = spec.mc_replicas if randomized else 0
         for exponent in spec.step_exponents:
             width = replicas or 1
@@ -289,15 +289,14 @@ def _plan(spec):
                 path_bytes = (2**exponent + 1) * spec.mesh_dof * 8
                 width = max(1, PDE_BATCH_BYTES // path_bytes)
             for lo in range(0, replicas, width) or [0]:
-                batch = tokens if lo == 0 else randomized
+                batch = schemes if lo == 0 else randomized
                 tasks.append((batch, exponent, lo, min(lo + width, replicas)))
     return tasks
 
 
 def _task_size(task):
     """Steps times rows of a task: its share of the sweep's work."""
-    tokens, exponent, lo, hi = task
-    schemes = [StepScheme.parse(token) for token in tokens.split(",")]
+    schemes, exponent, lo, hi = task
     return 2**exponent * sum(hi - lo if s.is_randomized else 1 for s in schemes)
 
 
@@ -347,10 +346,10 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
                 )
     tasks = _plan(spec)
     results = _run_tasks(_chunk, spec, tasks, workers)
-    parts = {}  # (token, exponent) -> errors of each batch, in replica order
+    parts = {}  # (scheme, exponent) -> errors of each batch, in replica order
     for (_, exponent, _, _), errors in zip(tasks, results):
-        for token, part in errors.items():
-            parts.setdefault((token, exponent), []).append(part)
+        for scheme, part in errors.items():
+            parts.setdefault((scheme, exponent), []).append(part)
     rows: list[ErrorRow] = []
     for scheme in spec.schemes:
         # the classical scheme's one path stands for every replica
@@ -358,7 +357,7 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
         for exponent in spec.step_exponents:
             e_final, e_max, iters = (
                 np.repeat(np.concatenate(e), copies)
-                for e in zip(*parts[scheme.token, exponent])
+                for e in zip(*parts[scheme, exponent])
             )
             rows.append(
                 ErrorRow(
@@ -464,14 +463,15 @@ def residual_study(
     quadrature with panels aligned to the sawtooth breakpoints and
     scales like k.  Per step size, one ``local_residual`` call gives the
     (block, N) residuals of up to RESIDUAL_BLOCK replicas and one
-    ``conditional_mean_residual`` call the (N,) means of a scalar problem.
+    ``conditional_mean_residual`` call the (N,) means.  A non-finite
+    column raises ExperimentError.
     """
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
     if any(n < 0 for n in step_exponents):
         raise ValueError(f"step exponents must be at least 0, got {min(step_exponents)}")
     grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
-    # one panel per sawtooth interval; a d > 1 problem is rejected here
+    # one panel per sawtooth interval
     means = [
         conditional_mean_residual(problem, problem.exact, grid, 4,
                                   2 ** max(sawtooth_exponent - exponent, 0))
@@ -480,24 +480,30 @@ def residual_study(
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
     longest = max((grid.steps for grid in grids), default=0)
     sum_sq = np.empty((len(grids), replicas))
-    for lo in range(0, replicas, RESIDUAL_BLOCK):
-        # each replica seeds its stream once: every grid's nodes come from
-        # a prefix of the same draws, as a fresh stream would give them
-        taus = np.array([
-            NodeStream(SeedSpec(master_seed, r)).taus(longest)
-            for r in range(lo, min(lo + RESIDUAL_BLOCK, replicas))
-        ])
-        for i, (grid, v) in enumerate(zip(grids, exact_grids)):
-            xi = grid.nodes_from_taus(taus[:, : grid.steps])
-            rho = local_residual(problem, v, xi, grid.step_size)
-            # a row-wise cumsum adds in step order, as the scalar recursion does
-            sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
-    return [
+    # overflow is left to the finiteness check on the columns below
+    with np.errstate(over="ignore"):
+        for lo in range(0, replicas, RESIDUAL_BLOCK):
+            # each replica seeds its stream once: every grid's nodes come
+            # from a prefix of the same draws, as a fresh stream gives them
+            taus = np.array([
+                NodeStream(SeedSpec(master_seed, r)).taus(longest)
+                for r in range(lo, min(lo + RESIDUAL_BLOCK, replicas))
+            ])
+            for i, (grid, v) in enumerate(zip(grids, exact_grids)):
+                xi = grid.nodes_from_taus(taus[:, : grid.steps])
+                rho = local_residual(problem, v, xi, grid.step_size)
+                # a row-wise cumsum adds in step order, as the scalar recursion does
+                sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
+    rows = [
         ResidualRow(exponent=exponent, step_size=grid.step_size,
                     rms_residual=float(np.sqrt(path_sq.mean())),
                     mean_residual=float(np.abs(mean).max()))
         for exponent, grid, path_sq, mean in zip(step_exponents, grids, sum_sq, means)
     ]
+    for row in rows:
+        if not (math.isfinite(row.rms_residual) and math.isfinite(row.mean_residual)):
+            raise ExperimentError(f"k=2^-{row.exponent}: residual overflows")
+    return rows
 
 
 def fit_residual_slopes(

@@ -1,4 +1,4 @@
-"""Time stepping for finite-dimensional ODE systems.
+"""Time stepping for scalar ODEs, with a sweep's replicas as one (R,) state.
 
 Three one-step schemes:
 
@@ -8,7 +8,8 @@ Three one-step schemes:
 
 with xi_n drawn uniformly from the n-th step interval.  The implicit
 solve uses damped Newton iteration; under the one-sided Lipschitz
-restriction k*nu < 1 the per-step root is unique.
+restriction k*nu < 1 the per-step root is unique.  ``pde_solver``, the
+systems case, shares the Newton core and the step loop.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class OdeProblem:
 
     ``rhs`` must be callable at every floating-point t in [0, T]; how an
     almost-everywhere-defined right-hand side is represented is the
-    caller's choice.  For dimension 1 the callbacks act elementwise on
-    floats or on arrays that hold one entry per replica.
+    caller's choice.  The state is one number, and the callbacks act
+    elementwise on floats or on arrays that hold one entry per replica.
     ``one_sided_constant`` is the nu of the one-sided Lipschitz
     condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive values
     impose no step restriction.  ``exact`` is an optional reference
@@ -110,9 +111,8 @@ class OdeProblem:
     data to ``rhs_frozen`` and ``jacobian``; without a split, the times.
     """
 
-    dimension: int
     rhs: Callable
-    initial_value: object
+    initial_value: float
     final_time: float
     jacobian: Optional[Callable] = None
     one_sided_constant: float = 0.0
@@ -120,8 +120,8 @@ class OdeProblem:
     split: Optional[tuple[Callable, Callable]] = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        if np.ndim(self.initial_value) != 0:
+            raise ValueError("initial_value must be a single number")
         if not self.final_time > 0:
             raise ValueError("final_time must be positive")
 
@@ -134,7 +134,7 @@ class Trajectory:
     """
 
     grid: TimeGrid
-    states: np.ndarray  # (N+1, R); (N+1, 1, d) for d > 1; (N+1, R, m) for the PDE
+    states: np.ndarray  # (N+1, R); (N+1, R, m) for the PDE
     newton_iteration_counts: np.ndarray  # (N, R); zeros if explicit
 
 
@@ -231,64 +231,32 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
         x, r, rnorm = xt, rt, rtnorm
 
 
-def _row_callbacks(rhs, jac, dimension):
-    """``rhs`` and ``jac`` as called on the rows that Newton and the step
-    loop march: unchanged for a scalar problem, whose rows are floats.
-    A d > 1 problem marches one replica as a (1, d) row, and its
-    callbacks get the replica's time and (d,) state."""
-    if dimension == 1:
-        return rhs, jac
-
-    def lift(fn):
-        return lambda t, x: np.asarray(fn(t[0], x[0]), dtype=float)[None]
-
-    return lift(rhs), jac and lift(jac)
-
-
-def _newton_parts(rhs, jac, dimension, k):
+def _newton_parts(rhs, jac, k):
     """(residual, update, norm) of the step equation x = u_prev + k*rhs(t, x).
 
-    ``rhs`` and ``jac`` act on rows, as ``_row_callbacks`` returns them.
     The data of a step are the rows' times, or their frozen data, and
-    previous states.  A scalar row's update divides by its derivative, a
-    forward difference when ``jac`` is None; a (1, d) row's update is a
-    dense solve, with forward-difference columns when ``jac`` is None.
+    previous states.  A row's update divides by its derivative, a forward
+    difference when ``jac`` is None.
     """
 
     def residual(x, t, u_prev):
         return x - u_prev - k * rhs(t, x)
 
-    if dimension == 1:
-        def update(x, r, t, u_prev):
-            if jac is not None:
-                df = jac(t, x)
-            else:
-                dx = _SQRT_EPS * (1.0 + np.abs(x))
-                df = (rhs(t, x + dx) - rhs(t, x)) / dx
-            deriv = 1.0 - k * df
-            singular = deriv == 0.0
-            # a Jacobian callback returning a float gives a plain bool here
-            if singular is not False and np.any(singular):
-                raise NonConvergence("singular Newton derivative",
-                                     replica=np.flatnonzero(singular)[0])
-            return r / deriv
-
-        return residual, update, np.abs
-
     def update(x, r, t, u_prev):
         if jac is not None:
-            df = jac(t, x)[0]
+            df = jac(t, x)
         else:
-            fx = rhs(t, x)
-            df = np.empty((dimension, dimension))
-            for i in range(dimension):
-                xp = x.copy()
-                dx = _SQRT_EPS * (1.0 + abs(xp[0, i]))
-                xp[0, i] += dx
-                df[:, i] = ((rhs(t, xp) - fx) / dx)[0]
-        return np.linalg.solve(np.eye(dimension) - k * df, r[0])[None]
+            dx = _SQRT_EPS * (1.0 + np.abs(x))
+            df = (rhs(t, x + dx) - rhs(t, x)) / dx
+        deriv = 1.0 - k * df
+        singular = deriv == 0.0
+        # a Jacobian callback returning a float gives a plain bool here
+        if singular is not False and np.any(singular):
+            raise NonConvergence("singular Newton derivative",
+                                 replica=np.flatnonzero(singular)[0])
+        return r / deriv
 
-    return residual, update, lambda r: np.linalg.norm(r, axis=1)
+    return residual, update, np.abs
 
 
 def _newton_scalar(parts, at, u_prev):
@@ -313,22 +281,16 @@ def solve(
     ``TimeGrid.random_nodes`` march randomized replicas and a row of grid
     points t_1..t_N the classical scheme, so one batch can hold both;
     ``scheme`` only chooses between implicit and explicit steps.  Every
-    row gets the same bits as when marched alone.  A d > 1 problem
-    marches a one-row block as a (1, d) row in the same loop.  A
-    problem's ``split`` freezes the nodes of FREEZE_BLOCK steps at once
-    (a node outside its domain raises there), and Newton evaluates only
-    f's state dependence.  ``_march`` names the step and row of a
-    failure.
+    row gets the same bits as when marched alone.  A problem's ``split``
+    freezes the nodes of FREEZE_BLOCK steps at once (a node outside its
+    domain raises there), and Newton evaluates only f's state
+    dependence.  ``_march`` names the step and row of a failure.
     """
-    d = problem.dimension
-    if d > 1 and isinstance(nodes, np.ndarray) and nodes.shape[:1] != (1,):
-        raise ValueError("a d > 1 problem marches a one-row node block")
     k = grid.step_size
     freeze, rhs = problem.split or (lambda t: t, problem.rhs)
-    rhs, jac = _row_callbacks(rhs, problem.jacobian, d)
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
-        parts = _newton_parts(rhs, jac, d, k)
+        parts = _newton_parts(rhs, problem.jacobian, k)
 
         def step(at, u):
             return _newton_scalar(parts, at, u)
@@ -336,7 +298,7 @@ def solve(
         def step(at, u):
             return u + k * rhs(at, u), 0
 
-    u0 = np.asarray(problem.initial_value, dtype=float).reshape(() if d == 1 else (d,))
+    u0 = np.asarray(problem.initial_value, dtype=float)
     states, counts = _march(grid, problem.final_time, nodes, u0, FREEZE_BLOCK,
                             freeze, step)
     return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
@@ -401,15 +363,12 @@ def conditional_mean_residual(
 
     by composite Gauss-Legendre quadrature with ``quad_points`` nodes on
     each of ``panels`` equal subintervals.  Aligning the panels with the
-    breakpoints of a piecewise right-hand side makes the rule exact.  The
-    problem must be scalar, and ``exact`` and ``rhs`` must act
-    elementwise on arrays of times: one ``exact`` call and two ``rhs``
-    calls evaluate each block of whole steps, as many as QUAD_BLOCK points
-    hold and at least one.  Rows do not mix, so the blocks do not change
-    the bits.
+    breakpoints of a piecewise right-hand side makes the rule exact.
+    ``exact`` and ``rhs`` must act elementwise on arrays of times: one
+    ``exact`` call and two ``rhs`` calls evaluate each block of whole
+    steps, as many as QUAD_BLOCK points hold and at least one.  Rows do
+    not mix, so the blocks do not change the bits.
     """
-    if problem.dimension != 1:
-        raise ValueError("the conditional mean residual needs a scalar problem")
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
     if panels < 1:

@@ -201,7 +201,6 @@ def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:
         return sawtooth_g(saw, t)
 
     return OdeProblem(
-        dimension=1,
         rhs=rhs,
         initial_value=sawtooth_g(saw, 0.0),
         final_time=1.0,
@@ -218,7 +217,6 @@ def time_integral_problem() -> OdeProblem:
     randomized Riemann sum for u(t) = t^2/2."""
 
     return OdeProblem(
-        dimension=1,
         rhs=lambda t, x: t,
         initial_value=0.0,
         final_time=1.0,

@@ -21,8 +21,7 @@ def one_row(grid, scheme, seed=SeedSpec(1, 0)):
 
 def step_once(problem, t, u, k, scheme):
     """U^1 of ``scheme`` from U^0 = u with f evaluated at t: a one-step
-    ``solve`` of the unsplit problem on [0, k].  A scalar problem gives a
-    float, a d > 1 problem a (d,) array."""
+    ``solve`` of the unsplit problem on [0, k]; a float."""
     one_step = dataclasses.replace(problem, final_time=k, initial_value=u, split=None)
     return solve(one_step, TimeGrid(k, 1), scheme, np.array([[t]])).states[1, 0]
 

@@ -242,7 +242,7 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     # autonomous ODE: randomized and classical backward Euler agree
     ode = OdeProblem(
-        1, lambda t, x: -x - x**3, 1.0, 1.0, jacobian=lambda t, x: -1 - 3 * x**2
+        lambda t, x: -x - x**3, 1.0, 1.0, jacobian=lambda t, x: -1 - 3 * x**2
     )
     grid = TimeGrid(1.0, 64)
     ode_gap = np.abs(

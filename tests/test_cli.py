@@ -266,6 +266,9 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
     # be draws no nodes, so only the spec can reject its seed
     (["ode", "--problem", "prothero-robinson", "--scheme", "be", "--n", "2:3",
       "--mc", "2", "--seed=-7"], "64-bit"),
+    # a value that starts like a negative number is a value, not an option
+    (["ode", "--problem", "prothero-robinson", "--n", "-1:6", "--scheme", "rbe",
+      "--mc", "2"], "at least 0"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     # each of these once raised a traceback or wrote NaN/inf columns
@@ -286,6 +289,33 @@ def test_non_integer_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("randstep: error: RANDSTEP_SEED='abc' is not an integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam, echoed", [("-1e3", "-1000.0"), ("-2.5e2", "-250.0")])
+def test_negative_lambda_in_exponent_notation(tmp_path, capsys, lam, echoed):
+    # argparse took only -1000 and -1.5 for numbers: --lambda -1e3 exited 1
+    # with "expected one argument"
+    out = tmp_path / "x.csv"
+    code = main(
+        ["ode", "--problem", "prothero-robinson", "--lambda", lam, "--K", "4",
+         "--scheme", "rbe", "--n", "2:3", "--mc", "2", "--workers", "1",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert f"lam={echoed} " in capsys.readouterr().out
+    assert len(read_error_csv(out).rows) == 2
+
+
+def test_residual_overflow_is_numerical_failure(tmp_path, capsys):
+    # the squared residuals overflow: the study warned, wrote inf in every
+    # rms_residual row and exited 0
+    out = tmp_path / "x.csv"
+    code = main(["residual", "--K", "3", "--lambda", "1e200", "--n", "2:4",
+                 "--mc", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "randstep: numerical failure: k=2^-2: residual overflows\n"
     assert not out.exists()
 
 

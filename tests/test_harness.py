@@ -13,7 +13,7 @@ from randstep.harness import (
     render_error_csv,
     run_mc,
 )
-from randstep.ode_solver import OdeProblem, StepRestrictionViolated, StepScheme
+from randstep.ode_solver import StepRestrictionViolated, StepScheme
 from randstep.problems import ProtheroRobinsonSpec, SawtoothSpec
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
@@ -150,6 +150,10 @@ def test_spec_validation():
     for problem in ("semilinear-heat", "prothero-robinson"):
         with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
             ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)
+    for problem, exponent in (("semilinear-heat", 70), ("prothero-robinson", 0)):
+        with pytest.raises(ValueError, match="sawtooth exponent must be in 1..53"):
+            ExperimentSpec(problem, (RBE,), (2,), 2, sawtooth_exponent=exponent,
+                           mesh_dof=7)
 
 
 def test_error_modes_both_populated():
@@ -193,9 +197,6 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
         assert harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9) == default
     with pytest.raises(ValueError, match="at least one replica"):
         harness.residual_study(problem, 6, (2, 5), 0)
-    vector = OdeProblem(2, lambda t, x: -x, [1.0, 1.0], 1.0, exact=lambda t: t)
-    with pytest.raises(ValueError, match="scalar"):
-        harness.residual_study(vector, 6, (2, 5), 4)
 
 
 # --- desk-scale sweeps (session fixtures, shared with acceptance) ---
@@ -258,11 +259,11 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     def rhs(t, x):
         return np.where(t == target, x * x + 10.0, -x)
 
-    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._chunk(spec, "rbe", 2, 3, 8)
+        harness._chunk(spec, (RBE,), 2, 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
@@ -290,7 +291,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     spec = ExperimentSpec("semilinear-heat", (RBE,), (2,), 8, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=7)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._chunk(spec, "rbe", 2, 3, 8)
+        harness._chunk(spec, (RBE,), 2, 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
@@ -304,15 +305,15 @@ def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
 
     def cell():
         tasks = harness._plan(spec)
-        parts = [harness._chunk(spec, *task)["rbe"] for task in tasks]
+        parts = [harness._chunk(spec, *task)[RBE] for task in tasks]
         return tasks, [np.concatenate(e) for e in zip(*parts)]
 
     tasks, whole = cell()
-    assert tasks == [("rbe", 3, 0, 5)]
+    assert tasks == [((RBE,), 3, 0, 5)]
     # 8 steps of 15 unknowns: room for two replicas per batch
     monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
     tasks, split = cell()
-    assert tasks == [("rbe", 3, 0, 2), ("rbe", 3, 2, 4), ("rbe", 3, 4, 5)]
+    assert tasks == [((RBE,), 3, 0, 2), ((RBE,), 3, 2, 4), ((RBE,), 3, 4, 5)]
     for a, b in zip(whole, split):
         assert a.shape == (5,)
         assert np.array_equal(a, b)
@@ -327,7 +328,7 @@ def test_failing_classical_row_named_in_experiment_error(monkeypatch):
     def rhs(t, x):
         return np.where(t == 0.5, x * x + 10.0, -x)
 
-    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
     spec = ExperimentSpec("time-integral", (RBE, BE), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
@@ -364,11 +365,11 @@ def test_fused_chunk_equals_separate_chunks(problem):
 
     spec = ExperimentSpec(problem, (RBE, BE), (4,), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
-    fused = harness._chunk(spec, "rbe,be", 4, 0, 5)
-    assert list(fused) == ["rbe", "be"]
-    for token, lo, hi in (("rbe", 0, 5), ("be", 0, 0)):
-        for a, b in zip(fused[token], harness._chunk(spec, token, 4, lo, hi)[token]):
-            assert a.shape == (hi - lo if token == "rbe" else 1,)
+    fused = harness._chunk(spec, (RBE, BE), 4, 0, 5)
+    assert list(fused) == [RBE, BE]
+    for scheme, lo, hi in ((RBE, 0, 5), (BE, 0, 0)):
+        for a, b in zip(fused[scheme], harness._chunk(spec, (scheme,), 4, lo, hi)[scheme]):
+            assert a.shape == (hi - lo if scheme is RBE else 1,)
             assert np.array_equal(a, b)
 
 
@@ -404,7 +405,7 @@ def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
             time.sleep(0.5)
         return np.where((t == 0.125) | (t == 0.75), x * x + 10.0, -x)
 
-    problem = OdeProblem(1, rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
     spec = ExperimentSpec("time-integral", (BE,), (2, 3), 2, master_seed=42)
     messages = []
@@ -430,7 +431,7 @@ def test_pool_only_for_several_tasks(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
     one = ExperimentSpec("time-integral", (RBE, BE), (3,), 4, master_seed=1)
-    assert harness._plan(one) == [("rbe,be", 3, 0, 4)]
+    assert harness._plan(one) == [((RBE, BE), 3, 0, 4)]
     run_mc(one, workers=4)
     assert pools == []
     two = ExperimentSpec("time-integral", (RBE, BE), (3, 4), 4, master_seed=1)

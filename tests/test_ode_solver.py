@@ -42,7 +42,6 @@ def rfe_step(problem, t, u, k):
 
 def linear_decay():
     return OdeProblem(
-        dimension=1,
         rhs=lambda t, x: -x,
         initial_value=1.0,
         final_time=1.0,
@@ -58,7 +57,7 @@ def test_implicit_step_linear_decay():
 
 
 def test_implicit_step_zero_rhs_identity():
-    p = OdeProblem(1, lambda t, x: 0.0, 3.5, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 3.5, 1.0)
     assert rbe_step(p, 0.3, 3.5, 0.25) == 3.5
 
 
@@ -67,7 +66,6 @@ def test_implicit_step_smooth_prothero_robinson():
     # since U(1 - k*lam) = t_n*(1 - k*lam)
     lam = -37.0
     p = OdeProblem(
-        1,
         rhs=lambda t, x: lam * (x - t) + 1.0,
         initial_value=0.0,
         final_time=1.0,
@@ -79,22 +77,16 @@ def test_implicit_step_smooth_prothero_robinson():
     assert abs(out - (t_prev + k)) < 1e-12
 
 
-def test_implicit_step_vector_path():
-    # 2-d decoupled decay exercises the d > 1 Newton branch
-    p = OdeProblem(
-        2,
-        rhs=lambda t, x: -x,
-        initial_value=np.array([1.0, 2.0]),
-        final_time=1.0,
-    )
-    out = rbe_step(p, 0.0, np.array([1.0, 2.0]), 0.5)
-    assert out.shape == (2,)
-    assert np.allclose(out, [2.0 / 3.0, 4.0 / 3.0], atol=1e-9)
+def test_ode_problem_needs_a_single_number_initial_value():
+    for bad in ([20.0, 1.0], np.array([1.0])):
+        with pytest.raises(ValueError, match="single number"):
+            OdeProblem(lambda t, x: -x, bad, 1.0)
+    assert OdeProblem(lambda t, x: -x, np.float64(2.0), 1.0).initial_value == 2.0
 
 
 def test_step_restriction_error_and_warning():
     stiff = OdeProblem(
-        1, lambda t, x: 2.0 * x, 1.0, 1.0, jacobian=lambda t, x: 2.0,
+        lambda t, x: 2.0 * x, 1.0, 1.0, jacobian=lambda t, x: 2.0,
         one_sided_constant=2.0,
     )
     with pytest.raises(StepRestrictionViolated):
@@ -102,14 +94,13 @@ def test_step_restriction_error_and_warning():
     with pytest.warns(StepSizeWarning):
         rbe_step(stiff, 0.0, 1.0, 0.2)
     # nu <= 0 imposes no restriction
-    soft = OdeProblem(1, lambda t, x: -x, 1.0, 1.0, one_sided_constant=-5.0)
+    soft = OdeProblem(lambda t, x: -x, 1.0, 1.0, one_sided_constant=-5.0)
     rbe_step(soft, 0.0, 1.0, 10.0)
 
 
 def test_newton_nonconvergence_reported():
     # x = 1 + x^2 has no real root: the residual bottoms out at 3/4
     p = OdeProblem(
-        1,
         rhs=lambda t, x: x * x,
         initial_value=1.0,
         final_time=1.0,
@@ -120,11 +111,11 @@ def test_newton_nonconvergence_reported():
 
 
 def test_explicit_step_examples():
-    p = OdeProblem(1, lambda t, x: -1000.0 * x, 1.0, 1.0)
+    p = OdeProblem(lambda t, x: -1000.0 * x, 1.0, 1.0)
     assert rfe_step(p, 0.0, 1.0, 2.0**-6) == -14.625
-    z = OdeProblem(1, lambda t, x: 0.0, 2.0, 1.0)
+    z = OdeProblem(lambda t, x: 0.0, 2.0, 1.0)
     assert rfe_step(z, 0.0, 2.0, 0.1) == 2.0
-    q = OdeProblem(1, lambda t, x: 1.0, 0.0, 1.0)
+    q = OdeProblem(lambda t, x: 1.0, 0.0, 1.0)
     assert rfe_step(q, 0.0, 0.0, 0.25) == 0.25
 
 
@@ -137,7 +128,7 @@ def test_explicit_step_examples():
     ],
 )
 def test_solve_constant_state(scheme):
-    p = OdeProblem(1, lambda t, x: 0.0, 3.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 3.0, 1.0)
     grid = TimeGrid(1.0, 16)
     traj = solve(p, grid, scheme, one_row(grid, scheme))
     assert np.all(traj.states == 3.0)
@@ -182,7 +173,6 @@ def test_solve_variance_single_step():
 
 def test_autonomous_reduction_to_classical():
     p = OdeProblem(
-        1,
         rhs=lambda t, x: -x**3 - x,
         initial_value=1.0,
         final_time=1.0,
@@ -219,14 +209,14 @@ def test_linear_problem_single_newton_iteration():
 
 
 def test_solve_requires_matching_final_time():
-    p = OdeProblem(1, lambda t, x: 0.0, 0.0, 2.0)
+    p = OdeProblem(lambda t, x: 0.0, 0.0, 2.0)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="final time"):
         solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
 
 
 def test_solve_requires_a_node_block():
-    p = OdeProblem(1, lambda t, x: 0.0, 0.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 0.0, 1.0)
     for nodes in (None, NodeStream(SeedSpec(1, 0))):
         with pytest.raises(ValueError, match="node block"):
             solve(p, TimeGrid(1.0, 4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
@@ -240,7 +230,7 @@ def test_nonconvergence_carries_step_index():
             return -x
         return x * x + 1.0
 
-    p = OdeProblem(1, flaky, 1.0, 1.0)
+    p = OdeProblem(flaky, 1.0, 1.0)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
@@ -250,7 +240,7 @@ def test_nonconvergence_carries_step_index():
 def test_newton_iteration_limit_names_step_and_row():
     # a Jacobian 19 times too steep at t = 0.7 leaves only that row's
     # residual falling linearly, too slowly to meet the tolerance
-    p = OdeProblem(1, lambda t, x: -x, 1.0, 1.0,
+    p = OdeProblem(lambda t, x: -x, 1.0, 1.0,
                    jacobian=lambda t, x: np.where(t == 0.7, -19.0, -1.0))
     nodes = np.array([[0.1, 0.6], [0.2, 0.7], [0.3, 0.8]])
     with pytest.raises(NonConvergence) as err:
@@ -262,7 +252,7 @@ def test_newton_iteration_limit_names_step_and_row():
 
 
 def test_local_residual_definition():
-    p = OdeProblem(1, lambda t, x: 0.0, 1.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 1.0, 1.0)
     vals = np.full(9, 1.7)
     assert (local_residual(p, vals, np.full(8, 0.41), 0.125) == 0.0).all()
 
@@ -347,7 +337,7 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
 
 def test_conditional_mean_residual_closed_form():
     p = OdeProblem(
-        1, lambda t, x: -x, 1.0, 1.0,
+        lambda t, x: -x, 1.0, 1.0,
         jacobian=lambda t, x: -1.0, exact=lambda t: np.exp(-t),
     )
     grid = TimeGrid(1.0, 8)
@@ -358,15 +348,6 @@ def test_conditional_mean_residual_closed_form():
     closed = (math.exp(-t0) - math.exp(-t1)) - k * math.exp(-t1)
     quad = conditional_mean_residual(p, p.exact, grid, quad_points=6, panels=4)
     assert abs(quad[n - 1] - closed) < 1e-14
-
-
-def test_conditional_mean_residual_rejects_vector_problem():
-    p = OdeProblem(
-        2, lambda t, x: -x, [1.0, 1.0], 1.0,
-        exact=lambda t: np.array([np.exp(-t), np.exp(-2 * t)]),
-    )
-    with pytest.raises(ValueError, match="scalar"):
-        conditional_mean_residual(p, p.exact, TimeGrid(1.0, 8), 4, 3)
 
 
 def test_conditional_mean_residual_state_independent_zero():
@@ -401,7 +382,7 @@ def test_batched_solve_matches_single_replicas_bitwise():
         calls.append(np.size(x))
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    p = OdeProblem(1, rhs, 20.0, 1.0,
+    p = OdeProblem(rhs, 20.0, 1.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(1.0, 4)
     seeds = [SeedSpec(11, r) for r in range(6)]
@@ -429,7 +410,7 @@ def test_batched_nonconvergence_names_replica():
     streams = [NodeStream(SeedSpec(3, r)) for r in range(5)]
     target = grid.random_nodes([NodeStream(SeedSpec(3, 2))])[0, 0]
     # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
-    p = OdeProblem(1, lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0)
+    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0)
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(streams))
     assert (err.value.step, err.value.replica) == (1, 2)
@@ -453,7 +434,7 @@ def test_classical_row_beside_replicas_equals_classical_alone(with_jacobian):
         return -50.0 * (1.0 + t) * np.arctan(x)
 
     jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
-    p = OdeProblem(1, rhs, 20.0, 1.0, jacobian=jac)
+    p = OdeProblem(rhs, 20.0, 1.0, jacobian=jac)
     grid = TimeGrid(1.0, 8)
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
@@ -477,8 +458,6 @@ def test_solve_rejects_bad_node_blocks():
                 [NodeStream(SeedSpec(1, 0))], np.zeros((2, 4)).tolist()):
         with pytest.raises(ValueError, match="node block"):
             solve(p, grid, rbe, bad)
-    with pytest.raises(ValueError, match="one-row"):
-        solve(coupled_arctan(True), grid, rbe, np.zeros((2, 4)))
 
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():
@@ -518,10 +497,10 @@ def test_split_problem_marches_like_unsplit_bitwise():
         calls.append(np.size(x))
         return c[..., 0] * np.arctan(x)
 
-    plain = OdeProblem(1, rhs, 20.0, 1.0,
+    plain = OdeProblem(rhs, 20.0, 1.0,
                        jacobian=lambda t, x: -500.0 * (1.0 + t) / (1.0 + x * x))
     split = OdeProblem(
-        1, rhs, 20.0, 1.0,
+        rhs, 20.0, 1.0,
         jacobian=lambda c, x: c[..., 0] / (1.0 + x * x),
         split=(lambda t: (-500.0 * (1.0 + t))[..., None], rhs_frozen),
     )
@@ -552,30 +531,10 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
             solve(problem, grid, scheme, block)
 
 
-def coupled_arctan(with_jacobian):
-    # f = (-50(1+t) atan(x0) + x1, -x0 - 2 x1^3): the off-diagonal terms
-    # cancel in the symmetric part, so nu <= 0; the large start needs damping
-    def rhs(t, x):
-        return np.array([-50.0 * (1.0 + t) * np.arctan(x[0]) + x[1],
-                         -x[0] - 2.0 * x[1] ** 3])
-
-    def jacobian(t, x):
-        return np.array([[-50.0 * (1.0 + t) / (1.0 + x[0] ** 2), 1.0],
-                         [-1.0, -6.0 * x[1] ** 2]])
-
-    jac = jacobian if with_jacobian else None
-    return OdeProblem(2, rhs, np.array([20.0, 1.0]), 1.0, jacobian=jac)
-
-
-# float.hex() of the final states and the sum of Newton counts, rendered
-# before the ODE Newton loops were merged into one core
+# float.hex() of the final states and the sum of Newton counts of a damped
+# arctan batch; the finite-difference case was rendered before the ODE
+# Newton loops were merged into one core
 PINNED_BITS = {
-    ("rbe", True): (["-0x1.1637b3ee4ac92p-8", "-0x1.a66c3a529b7fap-2"], 29),
-    ("rbe", False): (["-0x1.1637b3ee4ab69p-8", "-0x1.a66c3a529b63ap-2"], 29),
-    ("be", True): (["-0x1.bf8ebce000ce8p-9", "-0x1.5aeebb0d57f20p-2"], 30),
-    ("be", False): (["-0x1.bf8ebce000e29p-9", "-0x1.5aeebb0d58017p-2"], 30),
-    ("rfe", True): (["-0x1.22387fcaac35cp+3", "-0x1.7e0beb7d76190p-1"], 0),
-    ("rfe", False): (["-0x1.22387fcaac35cp+3", "-0x1.7e0beb7d76190p-1"], 0),
     # five damped rbe replicas and the be row, finite-difference derivative
     ("batch", False): ([
         "0x1.15a07a1024d1cp-12", "0x1.4082bbe12f42cp-12", "0x1.650a5c3d9c42dp-12",
@@ -596,24 +555,16 @@ PINNED_BITS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_BITS))
 def test_solve_bits_are_pinned(case):
-    scheme, with_jacobian = case
-    if scheme.startswith("batch"):
-        jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
-        p = OdeProblem(1, lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0,
-                       jacobian=jac)
-        grid = TimeGrid(1.0, 4)
-        randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
-        block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-        path = solve(p, grid, RFE if scheme == "batch-rfe" else RBE, block)
-        counts = path.newton_iteration_counts
-        if scheme == "batch":
-            assert (counts.min(axis=1) < counts.max(axis=1)).any()
-    else:
-        scheme = StepScheme.parse(scheme)
-        grid = TimeGrid(1.0, 8)
-        path = solve(coupled_arctan(with_jacobian), grid, scheme,
-                     one_row(grid, scheme, SeedSpec(7, 0)))
-        assert path.states.shape == (9, 1, 2)
+    kind, with_jacobian = case
+    jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
+    p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0, jacobian=jac)
+    grid = TimeGrid(1.0, 4)
+    randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
+    block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+    path = solve(p, grid, RFE if kind == "batch-rfe" else RBE, block)
+    counts = path.newton_iteration_counts
+    if kind == "batch":
+        assert (counts.min(axis=1) < counts.max(axis=1)).any()
     states, iterations = PINNED_BITS[case]
     assert [v.hex() for v in path.states[-1].ravel()] == states
-    assert int(path.newton_iteration_counts.sum()) == iterations
+    assert int(counts.sum()) == iterations
