@@ -216,44 +216,23 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     command = args.command
 
-    if command == "ode":
+    if command in ("ode", "pde"):
         seed = _resolve_seed(args)
+        params = (dict(lam=args.lam) if command == "ode"
+                  else dict(cap=args.R, power=args.ptilde, mesh_dof=args.dof))
         spec = ExperimentSpec(
             problem=args.problem,
             schemes=args.scheme,
             step_exponents=args.n,
             mc_replicas=args.mc,
             master_seed=seed,
-            lam=args.lam,
             sawtooth_exponent=args.K,
+            **params,
         )
         _echo(
             dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),
-                 lam=args.lam, K=args.K, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
+                 **params, K=args.K, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
                  seed=seed, error_mode=args.error_mode, workers=args.workers)
-        )
-        table = harness.run_mc(spec, workers=args.workers)
-        _write_outputs(table, args)
-        return 0
-
-    if command == "pde":
-        seed = _resolve_seed(args)
-        spec = ExperimentSpec(
-            problem=args.problem,
-            schemes=args.scheme,
-            step_exponents=args.n,
-            mc_replicas=args.mc,
-            master_seed=seed,
-            sawtooth_exponent=args.K,
-            cap=args.R,
-            power=args.ptilde,
-            mesh_dof=args.dof,
-        )
-        _echo(
-            dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),
-                 K=args.K, R=args.R, ptilde=args.ptilde, dof=args.dof,
-                 n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc, seed=seed,
-                 error_mode=args.error_mode, workers=args.workers)
         )
         table = harness.run_mc(spec, workers=args.workers)
         _write_outputs(table, args)

@@ -80,9 +80,8 @@ class TriDiag:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with x along its last axis; batch axes broadcast."""
         y = self.diag * x
-        if self.size > 1:
-            y[..., :-1] += self.sup * x[..., 1:]
-            y[..., 1:] += self.sub * x[..., :-1]
+        y[..., :-1] += self.sup * x[..., 1:]
+        y[..., 1:] += self.sub * x[..., :-1]
         return y
 
     def plus(self, other: "TriDiag", scale: float = 1.0) -> "TriDiag":
@@ -91,13 +90,6 @@ class TriDiag:
             self.diag + scale * other.diag,
             self.sup + scale * other.sup,
         )
-
-
-def _sqrt_clip(value):
-    # clips tiny negative round-off in the quadrature sums; NaN stays NaN
-    if np.ndim(value):
-        return np.sqrt(np.where(value <= 0.0, 0.0, value))
-    return 0.0 if value <= 0.0 else float(np.sqrt(value))
 
 
 def assemble_mass(mesh: Mesh) -> TriDiag:
@@ -231,7 +223,9 @@ def l2_error(mesh: Mesh, field, exact: Callable, quad_points: int = 4):
     s, w = _gauss_01(quad_points)
     x = _element_points(mesh, s)
     diff = _element_values(mesh, field, quad_points) - np.asarray(exact(x), dtype=float)
-    return _sqrt_clip(mesh.spacing * _weighted_sum(diff * diff, w))
+    sq = mesh.spacing * _weighted_sum(diff * diff, w)
+    # clips tiny negative round-off in the quadrature sums; NaN stays NaN
+    return np.sqrt(np.where(sq <= 0.0, 0.0, sq))
 
 
 def assemble_nonlinearity(

@@ -1,5 +1,9 @@
 """Monte Carlo error estimation, rate fitting, and the benchmark sweeps.
 
+A sweep's problem id is resolved in one place, ``_setup``: it builds the
+problem (the scalar ODE or the Galerkin PDE) with its solver and its
+error reduction, for the spec's checks and for every batch alike.
+
 Replica r always consumes the substream (master_seed, r), and reductions
 run over arrays assembled in ascending replica order, so results are
 byte-identical across reruns and across worker counts: a pool runs the
@@ -15,12 +19,12 @@ Rate fits are written as: scheme,window_lo,window_hi,slope,intercept,residual
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,6 +63,9 @@ class ExperimentSpec:
     * ``time-integral``: state-independent f(t) = t (quadrature check).
     * ``semilinear-heat``: manufactured parabolic benchmark, parameters
       ``sawtooth_exponent`` (K), ``cap`` (R), ``power``, ``mesh_dof``.
+
+    Construction resolves the id through ``_setup``, so a parameter that
+    the problem refuses raises here, before any worker process starts.
     """
 
     problem: str
@@ -88,22 +95,9 @@ class ExperimentSpec:
             raise ValueError("step exponents must be strictly increasing")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValueError("each scheme may appear only once")
-        if self.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
-            raise ValueError(f"unknown problem id {self.problem!r}")
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
-        if self.problem != "time-integral":
-            if self.sawtooth_exponent is None:
-                raise ValueError(f"{self.problem} needs sawtooth_exponent")
-            # rejects an exponent outside 1..53 before any pool starts
-            problems.SawtoothSpec(self.sawtooth_exponent)
-        if self.problem == "semilinear-heat":
-            if self.mesh_dof is None:
-                raise ValueError("semilinear-heat needs mesh_dof")
-            if StepScheme.RANDOMIZED_FORWARD_EULER in self.schemes:
-                raise ValueError("no explicit scheme for the PDE benchmark")
-            # rejects a cap or power outside the Lipschitz hypothesis up front
-            problems.TruncatedPowerSpec(cap=self.cap, power=self.power)
+        _setup(self)
 
 
 @dataclass(frozen=True)
@@ -159,23 +153,6 @@ class RateFit:
     slope: float
     intercept: float
     residual: float
-
-
-def _build_ode_problem(spec: ExperimentSpec):
-    if spec.problem == "prothero-robinson":
-        saw = problems.SawtoothSpec(spec.sawtooth_exponent)
-        return problems.prothero_robinson_problem(
-            problems.ProtheroRobinsonSpec(spec.lam, saw)
-        )
-    if spec.problem == "time-integral":
-        return problems.time_integral_problem()
-    raise ValueError(f"{spec.problem!r} is not an ODE problem")
-
-
-def _build_pde_problem(spec: ExperimentSpec):
-    saw = problems.SawtoothSpec(spec.sawtooth_exponent)
-    bspec = problems.TruncatedPowerSpec(cap=spec.cap, power=spec.power)
-    return problems.semilinear_heat_problem(saw, bspec), Mesh(spec.mesh_dof)
 
 
 def _batch_nodes(spec, schemes, grid, lo, hi):
@@ -237,22 +214,44 @@ def _pde_errors(problem, mesh, grid, path):
     return errs[-1], errs.max(axis=0)
 
 
+def _setup(spec: ExperimentSpec):
+    """(problem, march, errors) of the spec's problem id: the one place an
+    id is resolved.
+
+    ``march(grid, scheme, nodes)`` solves a batch, ``errors(grid, path)``
+    gives its per-row (final, max) errors.  Building the problem checks
+    every parameter that the id reads.
+    """
+    if spec.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
+        raise ValueError(f"unknown problem id {spec.problem!r}")
+    if spec.problem != "time-integral" and spec.sawtooth_exponent is None:
+        raise ValueError(f"{spec.problem} needs sawtooth_exponent")
+    if spec.problem == "time-integral":
+        problem = problems.time_integral_problem()
+    elif spec.problem == "prothero-robinson":
+        saw = problems.SawtoothSpec(spec.sawtooth_exponent)
+        problem = problems.prothero_robinson_problem(problems.ProtheroRobinsonSpec(spec.lam, saw))
+    else:
+        saw = problems.SawtoothSpec(spec.sawtooth_exponent)
+        if spec.mesh_dof is None:
+            raise ValueError("semilinear-heat needs mesh_dof")
+        if StepScheme.RANDOMIZED_FORWARD_EULER in spec.schemes:
+            raise ValueError("no explicit scheme for the PDE benchmark")
+        problem = problems.semilinear_heat_problem(
+            saw, problems.TruncatedPowerSpec(cap=spec.cap, power=spec.power))
+        mesh = Mesh(spec.mesh_dof)
+        return problem, partial(pde_solve, problem, mesh), partial(_pde_errors, problem, mesh)
+    return problem, partial(solve, problem), partial(_ode_errors, problem)
+
+
 def _chunk(spec, schemes, exponent, lo, hi):
     """Per-replica (final, max, mean-newton) errors of one batch, by scheme.
 
     ``schemes`` is the tuple of schemes that march together as one batch:
     implicit ones, or one explicit.  A randomized scheme gives the errors
     of replicas lo..hi-1, the classical scheme those of its one path.
-    Only the solver and the error reduction depend on the problem.
     """
-    if spec.problem == "semilinear-heat":
-        problem, mesh = _build_pde_problem(spec)
-        march = functools.partial(pde_solve, problem, mesh)
-        errors = functools.partial(_pde_errors, problem, mesh)
-    else:
-        problem = _build_ode_problem(spec)
-        march = functools.partial(solve, problem)
-        errors = functools.partial(_ode_errors, problem)
+    problem, march, errors = _setup(spec)
     grid = TimeGrid(problem.final_time, 2**exponent)
     nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
@@ -334,16 +333,14 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     march as one batch, and the explicit scheme as another; the rows
     follow the order of ``spec.schemes``.
     """
-    if spec.problem != "semilinear-heat":
-        problem = _build_ode_problem(spec)
-        nu = problem.one_sided_constant
-        implicit = [s for s in spec.schemes if s.is_implicit]
-        if nu > 0 and implicit:
-            worst_k = 2.0 ** (-min(spec.step_exponents))
-            if worst_k * nu >= 1.0:
-                raise StepRestrictionViolated(
-                    f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
-                )
+    # the PDE has no step restriction
+    nu = getattr(_setup(spec)[0], "one_sided_constant", 0.0)
+    if nu > 0 and any(s.is_implicit for s in spec.schemes):
+        worst_k = 2.0 ** (-min(spec.step_exponents))
+        if worst_k * nu >= 1.0:
+            raise StepRestrictionViolated(
+                f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
+            )
     tasks = _plan(spec)
     results = _run_tasks(_chunk, spec, tasks, workers)
     parts = {}  # (scheme, exponent) -> errors of each batch, in replica order

@@ -8,6 +8,7 @@ deterministic method sees a constant where the data oscillates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +61,29 @@ class TruncatedPowerSpec:
             raise ValueError(f"cap must be finite and positive, got {self.cap}")
         if not (np.isfinite(self.power) and self.power >= 2):
             raise ValueError(f"power must be finite and at least 2, got {self.power}")
+        try:  # math.pow raises where the power overflows
+            lipschitz = (float(self.power) - 1.0) * math.pow(self.cap, self.power - 2.0)
+        except OverflowError:
+            lipschitz = math.inf
+        if not math.isfinite(lipschitz):
+            raise ValueError(
+                f"the Lipschitz constant (power-1)*cap^(power-2) must be finite, "
+                f"got cap {self.cap} and power {self.power}"
+            )
 
 
 def _interval_index(t, exponent: int):
     """Index i of [i*p, (i+1)*p) containing t, and the local coordinate.
 
-    t is a float or an array of times; arrays give arrays of the same
-    shape.  t*2^exponent is an exact float scaling, so grid-aligned inputs
-    pick their interval bit-exactly; i is clamped to the last interval at
-    t=1.
+    t is a float or an array of times; the results have its shape.
+    t*2^exponent is an exact float scaling, so grid-aligned inputs pick
+    their interval bit-exactly; i is clamped to the last interval at t=1.
     """
-    top = (1 << exponent) - 1
-    if isinstance(t, np.ndarray):
-        if not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails both
-            raise ValueError(f"t outside [0, 1]: min {t.min()!r}, max {t.max()!r}")
-        scaled = t * (1 << exponent)
-        i = np.minimum(scaled.astype(np.int64), top)
-        return i, scaled - i
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t!r} outside [0, 1]")
+    t = np.asarray(t)
+    if not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails both
+        raise ValueError(f"t outside [0, 1]: min {float(t.min())}, max {float(t.max())}")
     scaled = t * (1 << exponent)
-    i = min(int(scaled), top)
+    i = np.minimum(scaled.astype(np.int64), (1 << exponent) - 1)
     return i, scaled - i
 
 

@@ -106,6 +106,24 @@ def test_pde_subcommand(tmp_path):
     assert len(read_error_csv(out).rows) == 3
 
 
+def test_pde_one_unknown_mesh(tmp_path):
+    # one interior node: the tridiagonal solve is a division and the
+    # bands have no off-diagonal; one worker and two write the same bytes
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(
+            ["pde", "--problem", "semilinear-heat", "--scheme", "rbe,be", "--K", "3",
+             "--dof", "1", "--n", "2:4", "--mc", "3", "--seed", "42",
+             "--workers", workers, "--out", str(out)]
+        ) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    rows = read_error_csv(tmp_path / "w1.csv").rows
+    assert len(rows) == 6
+    assert all(0.0 < r.rms_error_final < 1.0 for r in rows)
+
+
 def test_pde_rejects_explicit_scheme(tmp_path):
     code = main(
         ["pde", "--problem", "semilinear-heat", "--scheme", "rfe", "--K", "4",
@@ -269,6 +287,11 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
     # a value that starts like a negative number is a value, not an option
     (["ode", "--problem", "prothero-robinson", "--n", "-1:6", "--scheme", "rbe",
       "--mc", "2"], "at least 0"),
+    # finite, but (ptilde-1) R^(ptilde-2) overflows: an OverflowError traceback
+    (["pde", "--problem", "semilinear-heat", "--R", "1e300", "--K", "3", "--dof", "7",
+      "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "Lipschitz"),
+    (["pde", "--problem", "semilinear-heat", "--ptilde", "1e6", "--K", "3", "--dof", "7",
+      "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "Lipschitz"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     # each of these once raised a traceback or wrote NaN/inf columns

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,22 @@ from randstep.problems import ProtheroRobinsonSpec, SawtoothSpec
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
+
+
+def _ode_setup(problem):
+    """A stand-in for ``harness._setup`` that sweeps an ODE problem of a test."""
+    from randstep import harness
+
+    return lambda spec: (problem, partial(harness.solve, problem),
+                         partial(harness._ode_errors, problem))
+
+
+def _pde_setup(problem, mesh):
+    """A stand-in for ``harness._setup`` that sweeps a PDE problem of a test."""
+    from randstep import harness
+
+    return lambda spec: (problem, partial(harness.pde_solve, problem, mesh),
+                         partial(harness._pde_errors, problem, mesh))
 
 
 def test_quadrature_identity_small():
@@ -154,6 +171,14 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="sawtooth exponent must be in 1..53"):
             ExperimentSpec(problem, (RBE,), (2,), 2, sawtooth_exponent=exponent,
                            mesh_dof=7)
+    # every parameter is checked by building the problem, before any sweep
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        ExperimentSpec("prothero-robinson", (RBE,), (2,), 2, lam=float("nan"),
+                       sawtooth_exponent=4)
+    for cap, power in ((1e300, 4.0), (10.0, 1e6)):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            ExperimentSpec("semilinear-heat", (RBE,), (2,), 2, sawtooth_exponent=3,
+                           cap=cap, power=power, mesh_dof=7)
 
 
 def test_error_modes_both_populated():
@@ -260,7 +285,7 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
         return np.where(t == target, x * x + 10.0, -x)
 
     problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
-    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
         harness._chunk(spec, (RBE,), 2, 3, 8)
@@ -287,7 +312,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
         final_time=1.0,
         exact=lambda t, x: 0.0 * t * x,
     )
-    monkeypatch.setattr(harness, "_build_pde_problem", lambda spec: (problem, Mesh(7)))
+    monkeypatch.setattr(harness, "_setup", _pde_setup(problem, Mesh(7)))
     spec = ExperimentSpec("semilinear-heat", (RBE,), (2,), 8, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=7)
     with pytest.raises(harness.ExperimentError) as err:
@@ -329,7 +354,7 @@ def test_failing_classical_row_named_in_experiment_error(monkeypatch):
         return np.where(t == 0.5, x * x + 10.0, -x)
 
     problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
-    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE, BE), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
         run_mc(spec)
@@ -349,7 +374,7 @@ def test_failing_classical_pde_row_named_in_experiment_error(monkeypatch):
         final_time=1.0,
         exact=lambda t, x: 0.0 * t * x,
     )
-    monkeypatch.setattr(harness, "_build_pde_problem", lambda spec: (problem, Mesh(7)))
+    monkeypatch.setattr(harness, "_setup", _pde_setup(problem, Mesh(7)))
     spec = ExperimentSpec("semilinear-heat", (RBE, BE), (2,), 8, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=7)
     with pytest.raises(harness.ExperimentError) as err:
@@ -406,7 +431,7 @@ def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
         return np.where((t == 0.125) | (t == 0.75), x * x + 10.0, -x)
 
     problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
-    monkeypatch.setattr(harness, "_build_ode_problem", lambda spec: problem)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (BE,), (2, 3), 2, master_seed=42)
     messages = []
     for workers in (1, 2):

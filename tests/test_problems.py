@@ -279,3 +279,8 @@ def test_spec_validation():
         TruncatedPowerSpec(cap=-1.0, power=4.0)
     with pytest.raises(ValueError):
         TruncatedPowerSpec(cap=1.0, power=1.5)
+    # finite cap and power whose Lipschitz constant (p-1) R^(p-2) overflows:
+    # b_trunc_prime raised OverflowError inside the sweep
+    for cap, power in ((1e300, 4.0), (10.0, 1e6)):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            TruncatedPowerSpec(cap=cap, power=power)
