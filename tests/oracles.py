@@ -1,5 +1,6 @@
 """Test oracles shared by the solver and FEM tests: single steps of the
-ODE and PDE schemes, dense tridiagonal matrices and one-path node blocks."""
+ODE and PDE schemes, dense tridiagonal matrices, one-path node blocks and
+the per-row Newton counts of a batch."""
 
 import dataclasses
 
@@ -48,3 +49,15 @@ def dense(t):
     if t.size > 1:
         out += np.diag(t.sub, -1) + np.diag(t.sup, 1)
     return out
+
+
+def assert_counts_are_each_rows_own(march, grid, rows):
+    """The (N, R) int64 Newton counts of the batch of ``rows`` (one-row
+    node blocks) equal, column by column, each row's counts marched alone."""
+    counts = march(np.concatenate(rows)).newton_iteration_counts
+    assert counts.shape == (grid.steps, len(rows)) and counts.dtype == np.int64
+    for r, nodes in enumerate(rows):
+        alone = march(nodes).newton_iteration_counts
+        assert alone.shape == (grid.steps, 1) and alone.dtype == np.int64
+        assert np.array_equal(alone[:, 0], counts[:, r])
+    return counts

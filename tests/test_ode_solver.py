@@ -26,9 +26,10 @@ from randstep.problems import (
 )
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, node
 
-from oracles import one_row, step_once
+from oracles import assert_counts_are_each_rows_own, one_row, step_once
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
+BE = StepScheme.CLASSICAL_BACKWARD_EULER
 RFE = StepScheme.RANDOMIZED_FORWARD_EULER
 
 
@@ -568,3 +569,38 @@ def test_solve_bits_are_pinned(case):
     states, iterations = PINNED_BITS[case]
     assert [v.hex() for v in path.states[-1].ravel()] == states
     assert int(counts.sum()) == iterations
+
+
+def test_newton_counts_of_rows_that_finish_apart():
+    # the arctan batch of test_solve_bits_are_pinned: its rows converge in
+    # different iterations of one step, and some are damped
+    calls = []
+
+    def rhs(t, x):
+        calls.append(np.size(x))
+        return -50.0 * (1.0 + t) * np.arctan(x)
+
+    p = OdeProblem(rhs, 20.0, 1.0)
+    grid = TimeGrid(1.0, 4)
+    rows = [one_row(grid, RBE, SeedSpec(11, r)) for r in range(5)] + [one_row(grid, BE)]
+    counts = assert_counts_are_each_rows_own(
+        lambda nodes: solve(p, grid, RBE, nodes), grid, rows)
+    assert (counts.min(axis=1) < counts.max(axis=1)).any()
+    damped = []
+    for r, nodes in enumerate(rows):
+        calls.clear()
+        solve(p, grid, RBE, nodes)
+        # one call per step and three per full Newton step (a forward
+        # difference and the trial residual); more means halvings
+        damped.append(len(calls) > grid.steps + 3 * counts[:, r].sum())
+    assert any(damped)
+
+
+def test_newton_counts_of_rows_that_finish_together():
+    # Prothero-Robinson is linear in x: every row converges in one iteration
+    problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, SawtoothSpec(6)))
+    grid = TimeGrid(1.0, 16)
+    rows = [one_row(grid, RBE, SeedSpec(7, r)) for r in range(3)] + [one_row(grid, BE)]
+    counts = assert_counts_are_each_rows_own(
+        lambda nodes: solve(problem, grid, RBE, nodes), grid, rows)
+    assert (counts == 1).all()

@@ -15,7 +15,7 @@ from randstep.problems import (
 )
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
-from oracles import dense, one_row, pde_step
+from oracles import assert_counts_are_each_rows_own, dense, one_row, pde_step
 
 BSPEC = TruncatedPowerSpec(cap=10.0, power=4.0)
 
@@ -308,6 +308,18 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     assert np.array_equal(batch.states[:, 1:], replicas.states)
     assert np.array_equal(batch.newton_iteration_counts[:, 1:],
                           replicas.newton_iteration_counts)
+
+
+def test_newton_counts_of_a_two_row_batch():
+    # the two replicas converge in different iterations of some steps
+    problem = swinging_problem()
+    mesh = Mesh(15)
+    grid = TimeGrid(1.0, 16)
+    scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
+    rows = [one_row(grid, scheme, SeedSpec(3, r)) for r in range(2)]
+    counts = assert_counts_are_each_rows_own(
+        lambda nodes: pde_solve(problem, mesh, grid, scheme, nodes), grid, rows)
+    assert (counts[:, 0] != counts[:, 1]).any()
 
 
 # sha256 of states.tobytes() and newton_iteration_counts.tobytes() of three
