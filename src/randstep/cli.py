@@ -101,10 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ode.add_argument("--scheme", required=True, type=_parse_schemes,
                      help="comma list from rbe,be,rfe")
-    ode.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                     help="stiffness parameter (default 2)")
-    ode.add_argument("--K", type=int, default=10,
-                     help="sawtooth exponent in 1..53, half period 2^-K (default 10)")
+    ode.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="stiffness parameter of prothero-robinson (default 2)")
+    ode.add_argument("--K", type=int, default=None,
+                     help="sawtooth exponent of prothero-robinson in 1..53, "
+                     "half period 2^-K (default 10)")
     ode.add_argument("--n", required=True, type=_parse_range,
                      help="step exponents lo:hi, k = 2^-n")
     ode.add_argument("--mc", type=int, default=200,
@@ -175,6 +176,24 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+#: The settings each ode problem reads, with their defaults.
+ODE_SETTINGS = {"prothero-robinson": dict(lam=2.0, K=10), "time-integral": {}}
+
+
+def _ode_settings(args) -> dict:
+    """The ode settings the problem reads, defaults filled in; a setting
+    given for a problem that does not read it is refused."""
+    defaults = ODE_SETTINGS[args.problem]
+    settings = {}
+    for name, flag in (("lam", "--lambda"), ("K", "--K")):
+        value = getattr(args, name)
+        if name in defaults:
+            settings[name] = defaults[name] if value is None else value
+        elif value is not None:
+            raise ValueError(f"{args.problem} does not read {flag}")
+    return settings
+
+
 def _echo(config: dict) -> None:
     print("config:", " ".join(f"{k}={v}" for k, v in config.items()), flush=True)
 
@@ -218,20 +237,19 @@ def _dispatch(args) -> int:
 
     if command in ("ode", "pde"):
         seed = _resolve_seed(args)
-        params = (dict(lam=args.lam) if command == "ode"
-                  else dict(cap=args.R, power=args.ptilde, mesh_dof=args.dof))
+        settings = (_ode_settings(args) if command == "ode"
+                    else dict(cap=args.R, power=args.ptilde, mesh_dof=args.dof, K=args.K))
         spec = ExperimentSpec(
             problem=args.problem,
             schemes=args.scheme,
             step_exponents=args.n,
             mc_replicas=args.mc,
             master_seed=seed,
-            sawtooth_exponent=args.K,
-            **params,
+            **{"sawtooth_exponent" if k == "K" else k: v for k, v in settings.items()},
         )
         _echo(
             dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),
-                 **params, K=args.K, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
+                 **settings, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
                  seed=seed, error_mode=args.error_mode, workers=args.workers)
         )
         table = harness.run_mc(spec, workers=args.workers)

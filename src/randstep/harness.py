@@ -65,7 +65,8 @@ class ExperimentSpec:
       ``sawtooth_exponent`` (K), ``cap`` (R), ``power``, ``mesh_dof``.
 
     Construction resolves the id through ``_setup``, so a parameter that
-    the problem refuses raises here, before any worker process starts.
+    the problem refuses raises here, before any worker process starts, as
+    does a sweep whose largest batch needs more than physical memory.
     """
 
     problem: str
@@ -98,6 +99,8 @@ class ExperimentSpec:
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
         _setup(self)
+        _refuse_above_memory(max(_task_bytes(self, task) for task in _plan(self)),
+                             "the largest batch")
 
 
 @dataclass(frozen=True)
@@ -299,6 +302,33 @@ def _task_size(task):
     return 2**exponent * sum(hi - lo if s.is_randomized else 1 for s in schemes)
 
 
+def _task_bytes(spec, task):
+    """Bytes of a task's stored arrays: the (R, N) node block and Newton
+    counts and the (N+1, R, m) path, m = 1 for the ODE."""
+    steps = 2 ** task[1]
+    rows = _task_size(task) // steps
+    m = spec.mesh_dof if spec.problem == "semilinear-heat" else 1
+    return 8 * rows * (2 * steps + (steps + 1) * m)
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory, SC_PAGE_SIZE * SC_PHYS_PAGES; infinite
+    where the host does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _refuse_above_memory(needed, what):
+    """ValueError naming the bytes when ``needed`` exceeds physical memory:
+    a request that cannot fit is refused before it allocates."""
+    limit = physical_memory()
+    if needed > limit:
+        raise ValueError(f"{what} needs {needed} bytes ({needed / 2**30:.3g} GiB), "
+                         f"above the {limit} bytes of physical memory")
+
+
 def _run_tasks(chunk_fn, spec, tasks, workers):
     """Each task's result, in task order, from up to ``workers`` processes.
 
@@ -435,6 +465,10 @@ def _loglog_fit(window, step_sizes, values, what) -> RateFit:
 #: evaluates their (block, N) residuals; the temporaries grow with it.
 RESIDUAL_BLOCK = 32
 
+#: float64 temporaries per point at the peak of a residual-study block:
+#: 11.3 were measured per quadrature point, 7.4 per node.
+RESIDUAL_TEMPORARIES = 12
+
 
 @dataclass(frozen=True)
 class ResidualRow:
@@ -460,19 +494,27 @@ def residual_study(
     quadrature with panels aligned to the sawtooth breakpoints and
     scales like k.  Per step size, one ``local_residual`` call gives the
     (block, N) residuals of up to RESIDUAL_BLOCK replicas and one
-    ``conditional_mean_residual`` call the (N,) means.  A non-finite
+    ``conditional_mean_residual`` call the (N,) means.  A study whose
+    sums of squares and the temporaries of its (RESIDUAL_BLOCK, N) node
+    block, or of one step's quadrature points, would need more than
+    physical memory raises ValueError before it allocates; a non-finite
     column raises ExperimentError.
     """
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
     if any(n < 0 for n in step_exponents):
         raise ValueError(f"step exponents must be at least 0, got {min(step_exponents)}")
+    # one panel of 4 points per sawtooth interval
+    panels = [2 ** max(sawtooth_exponent - exponent, 0) for exponent in step_exponents]
+    points = max(min(RESIDUAL_BLOCK, replicas) * 2 ** max(step_exponents, default=0),
+                 4 * max(panels, default=0))
+    _refuse_above_memory(
+        8 * (RESIDUAL_TEMPORARIES * points + len(step_exponents) * replicas),
+        "the residual study")
     grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
-    # one panel per sawtooth interval
     means = [
-        conditional_mean_residual(problem, problem.exact, grid, 4,
-                                  2 ** max(sawtooth_exponent - exponent, 0))
-        for exponent, grid in zip(step_exponents, grids)
+        conditional_mean_residual(problem, problem.exact, grid, 4, count)
+        for count, grid in zip(panels, grids)
     ]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
     longest = max((grid.steps for grid in grids), default=0)

@@ -164,11 +164,12 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
     (R,) norms.  A row has converged once norm(r) <= ABS_TOL + REL_TOL *
     s, with s = norm(x), or the row's ``scale`` when one is given, and
     fails if it has not after MAX_ITERATIONS iterations.  Returns (roots,
-    iterations), iterations (R,).  Every replica runs exactly the
-    single-row iteration: its own tolerance test, Newton step, damping
-    halvings and iteration count, so its bits do not depend on which
-    replicas share the batch.  Converged replicas leave the
-    batch, and only replicas whose trial step fails to reduce the
+    iterations): iterations is the (R,) count of each row, or one ``int``
+    when every row converges in the same iteration.  Every replica runs
+    exactly the single-row iteration: its own tolerance test, Newton
+    step, damping halvings and iteration count, so its bits do not
+    depend on which replicas share the batch.  Converged replicas leave
+    the batch, and only replicas whose trial step fails to reduce the
     residual norm are retried with a halved step (cf. Deuflhard, *Newton
     Methods for Nonlinear Problems*, 2004).  A failure, or a
     NonConvergence that ``update`` raises for a row, raises
@@ -180,24 +181,22 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
     roots = iters = None
     live = None  # batch positions still iterating; None while it is all of them
 
-    def finish(x, it):
-        if live is None:
-            return x, np.full(len(x), it)
-        roots[live], iters[live] = x, it
-        return roots, iters
-
     def fail(message, pos):
         raise NonConvergence(message, replica=int(pos if live is None else live[pos]))
 
     for it in range(MAX_ITERATIONS + 1):
         done = rnorm <= (ABS_TOL + REL_TOL * norm(x) if tol is None else tol)
-        if done.all():
-            return finish(x, it)
+        finished = np.count_nonzero(done)
+        if finished == len(done):
+            if live is None:
+                return x, it
+            roots[live], iters[live] = x, it
+            return roots, iters
         if it == MAX_ITERATIONS:
             first = np.flatnonzero(~done)[0]
             fail(f"residual {rnorm[first]:.3e} above tolerance after "
                  f"{MAX_ITERATIONS} iterations", first)
-        if done.any():
+        if finished:
             if live is None:
                 live = np.arange(len(x))
                 roots, iters = np.empty_like(x), np.empty(len(x), dtype=np.int64)
@@ -214,7 +213,7 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
         rt = residual(xt, *data)
         rtnorm = norm(rt)
         reduced = rtnorm < rnorm
-        if not reduced.all():
+        if np.count_nonzero(reduced) < len(reduced):
             retry = np.flatnonzero(~reduced)
             alpha = 1.0
             for _ in range(MAX_DAMPING_HALVINGS):
@@ -311,7 +310,7 @@ def _march(grid, final_time, nodes, u0, width, freeze, step):
     nodes[r, n-1].  ``freeze`` maps the (steps, R) nodes of ``width``
     steps at a time to per-step data, and ``step(data, u)`` maps the
     data of step n and the (R, ...) state U^{n-1} to U^n and the rows'
-    iteration counts.  Overflow is left to the finiteness check after
+    (R,) iteration counts, or one count for all rows.  Overflow is left to the finiteness check after
     the march: a NonConvergence of a step, or a non-finite state, is
     raised naming the step and the row.
     """

@@ -292,6 +292,11 @@ def test_repeated_scheme_is_usage_error(tmp_path, capsys):
       "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "Lipschitz"),
     (["pde", "--problem", "semilinear-heat", "--ptilde", "1e6", "--K", "3", "--dof", "7",
       "--scheme", "rbe", "--n", "2:3", "--mc", "2"], "Lipschitz"),
+    # time-integral reads neither setting: it ran and echoed lam=nan K=70
+    (["ode", "--problem", "time-integral", "--K", "70", "--lambda", "nan",
+      "--scheme", "rbe", "--n", "0:1", "--mc", "2"], "does not read --lambda"),
+    (["ode", "--problem", "time-integral", "--K", "70", "--scheme", "rbe",
+      "--n", "0:1", "--mc", "2"], "does not read --K"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     # each of these once raised a traceback or wrote NaN/inf columns
@@ -395,8 +400,9 @@ def test_rates_out_only_on_figures_that_fit_rates(tmp_path, capsys):
     (MemoryError(), "allocation failed"),
 ], ids=["numpy-message", "bare"])
 def test_allocation_failure_is_usage_error(tmp_path, capsys, monkeypatch, error, message):
-    # the sweep's own allocation would be 16 TiB, which an overcommitting
-    # host might grant: a stand-in run_mc raises what numpy raises instead
+    # a sweep that fits in physical memory can still fail to allocate (16
+    # TiB at --n 40:40 is refused before that): a stand-in run_mc raises
+    # what numpy raises
     from randstep import harness
 
     def run_mc(spec, workers=1):
@@ -405,7 +411,41 @@ def test_allocation_failure_is_usage_error(tmp_path, capsys, monkeypatch, error,
     monkeypatch.setattr(harness, "run_mc", run_mc)
     out = tmp_path / "x.csv"
     assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe",
-                 "--n", "40:40", "--mc", "2", "--workers", "1", "--out", str(out)]) == 1
+                 "--n", "2:3", "--mc", "2", "--workers", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"randstep: error: out of memory: {message}\n"
+    assert not out.exists()
+
+
+def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:1",
+                 "--mc", "2", "--workers", "1", "--out", str(out)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo == ("config: problem=time-integral scheme=rbe n=0:1 mc=2 seed=42 "
+                    "error_mode=final workers=1")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "40:40",
+      "--mc", "2", "--workers", "1"], "the largest batch needs 52776558133264 bytes"),
+    (["residual", "--K", "30", "--n", "4:5", "--mc", "2"],
+     "the residual study needs 25769803808 bytes"),
+    (["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--n", "3:3", "--mc", "2",
+      "--dof", "100000000000", "--workers", "1"],
+     "the largest batch needs 7200000000128 bytes"),
+], ids=["ode", "residual", "pde"])
+def test_size_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv, what):
+    # each asked numpy for 8 GiB to 32 TiB and ended in a MemoryError
+    # traceback or the OOM killer; now the size is refused before anything
+    # is allocated, against a 1 GiB limit here
+    from randstep import harness
+
+    monkeypatch.delenv("RANDSTEP_SEED", raising=False)
+    monkeypatch.setattr(harness, "physical_memory", lambda: 2**30)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"randstep: error: {what} ") and err.count("\n") == 1
+    assert err.endswith("above the 1073741824 bytes of physical memory\n")
     assert not out.exists()
