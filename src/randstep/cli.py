@@ -2,8 +2,9 @@
 
 Every subcommand echoes its resolved configuration before computing,
 writes CSV (and optionally an SVG chart) and exits 0 on success, 1 on
-usage errors and failed allocations, 2 on numerical failures.  The
-environment variable RANDSTEP_SEED overrides --seed when set.
+usage errors, failed allocations and dead worker processes, 2 on
+numerical failures.  The environment variable RANDSTEP_SEED overrides
+--seed when set.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import argparse
 import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 
-from . import harness, problems, report
+from . import harness, report
 from .harness import ErrorMode, ExperimentSpec
 from .ode_solver import NonConvergence, StepRestrictionViolated, StepScheme
 from .rand_nodes import DEFAULT_MASTER_SEED
@@ -226,6 +228,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"randstep: error: {err}", file=sys.stderr)
         return 1
+    except BrokenExecutor as err:
+        print(f"randstep: error: a worker process died: {err}", file=sys.stderr)
+        return 1
     except MemoryError as err:
         print(f"randstep: error: out of memory: {str(err) or 'allocation failed'}",
               file=sys.stderr)
@@ -258,13 +263,12 @@ def _dispatch(args) -> int:
 
     if command == "residual":
         seed = _resolve_seed(args)
+        spec = ExperimentSpec(problem="prothero-robinson", schemes=(),
+                              step_exponents=args.n, mc_replicas=args.mc,
+                              master_seed=seed, lam=args.lam, sawtooth_exponent=args.K)
         _echo(dict(problem="prothero-robinson", lam=args.lam, K=args.K,
                    n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc, seed=seed))
-        saw = problems.SawtoothSpec(args.K)
-        problem = problems.prothero_robinson_problem(
-            problems.ProtheroRobinsonSpec(args.lam, saw)
-        )
-        rows = harness.residual_study(problem, args.K, args.n, args.mc, seed)
+        rows = harness.residual_study(spec)
         harness.write_residual_csv(rows, args.out)
         print(f"wrote {args.out}")
         return 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
@@ -66,7 +65,9 @@ class ExperimentSpec:
 
     Construction resolves the id through ``_setup``, so a parameter that
     the problem refuses raises here, before any worker process starts, as
-    does a sweep whose largest batch needs more than physical memory.
+    do an implicit scheme at a step size with k*nu >= 1 and a sweep whose
+    largest batch needs more than physical memory.  ``residual_study``
+    takes a spec with no schemes.
     """
 
     problem: str
@@ -82,7 +83,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.mc_replicas < 1:
-            raise ValueError("mc_replicas must be at least 1")
+            raise ValueError(f"need at least one replica, got {self.mc_replicas}")
         SeedSpec(self.master_seed)  # rejects a seed outside 0..2^64-1
         if not self.step_exponents:
             raise ValueError("need at least one step exponent")
@@ -98,9 +99,17 @@ class ExperimentSpec:
             raise ValueError("each scheme may appear only once")
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
-        _setup(self)
-        _refuse_above_memory(max(_task_bytes(self, task) for task in _plan(self)),
-                             "the largest batch")
+        # the PDE has no step restriction
+        nu = getattr(_setup(self)[0], "one_sided_constant", 0.0)
+        if nu > 0 and any(s.is_implicit for s in self.schemes):
+            worst_k = 2.0 ** (-min(self.step_exponents))
+            if worst_k * nu >= 1.0:
+                raise StepRestrictionViolated(
+                    f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(self.step_exponents)}"
+                )
+        _refuse_above_memory(
+            max((_task_bytes(self, task) for task in _plan(self)), default=0),
+            "the largest batch")
 
 
 @dataclass(frozen=True)
@@ -137,12 +146,6 @@ class ErrorTable:
             if row.scheme not in seen:
                 seen.append(row.scheme)
         return seen
-
-    def row(self, scheme: str, exponent: int) -> ErrorRow:
-        for r in self.rows:
-            if r.scheme == scheme and r.exponent == exponent:
-                return r
-        raise KeyError(f"no row for scheme={scheme}, n={exponent}")
 
 
 @dataclass(frozen=True)
@@ -303,12 +306,15 @@ def _task_size(task):
 
 
 def _task_bytes(spec, task):
-    """Bytes of a task's stored arrays: the (R, N) node block and Newton
-    counts and the (N+1, R, m) path, m = 1 for the ODE."""
+    """Bytes of a task's arrays: the (R, N) node block and Newton counts,
+    the (N+1, R, m) path, m = 1 for the ODE, and one more (R, N) block
+    for the temporaries.  Around ``run_mc`` of a prothero-robinson rbe,be
+    task at n = 17 with 20 replicas, ru_maxrss rose by 3.3 to 3.5 (R, N)
+    blocks, against the 3 that the stored arrays take."""
     steps = 2 ** task[1]
     rows = _task_size(task) // steps
     m = spec.mesh_dof if spec.problem == "semilinear-heat" else 1
-    return 8 * rows * (2 * steps + (steps + 1) * m)
+    return 8 * rows * (3 * steps + (steps + 1) * m)
 
 
 def physical_memory() -> float:
@@ -340,6 +346,10 @@ def _run_tasks(chunk_fn, spec, tasks, workers):
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [chunk_fn(spec, *task) for task in tasks]
+    # imported here, so that a sweep without a pool never loads
+    # concurrent.futures.process
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             task: pool.submit(chunk_fn, spec, *task)
@@ -363,14 +373,6 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     march as one batch, and the explicit scheme as another; the rows
     follow the order of ``spec.schemes``.
     """
-    # the PDE has no step restriction
-    nu = getattr(_setup(spec)[0], "one_sided_constant", 0.0)
-    if nu > 0 and any(s.is_implicit for s in spec.schemes):
-        worst_k = 2.0 ** (-min(spec.step_exponents))
-        if worst_k * nu >= 1.0:
-            raise StepRestrictionViolated(
-                f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(spec.step_exponents)}"
-            )
     tasks = _plan(spec)
     results = _run_tasks(_chunk, spec, tasks, workers)
     parts = {}  # (scheme, exponent) -> errors of each batch, in replica order
@@ -478,46 +480,37 @@ class ResidualRow:
     mean_residual: float  # max_n |E[rho_n]| by deterministic quadrature
 
 
-def residual_study(
-    problem,
-    sawtooth_exponent: int,
-    step_exponents: Sequence[int],
-    replicas: int,
-    master_seed: int = DEFAULT_MASTER_SEED,
-) -> list[ResidualRow]:
+def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     """Scaling of the local residual of the exact solution in k.
 
-    For each step size the pathwise column accumulates the squared
-    residuals over all steps before the root (the quantity whose square
-    sums in the error analysis), so it scales like k^(1/2) on the stiff
-    sawtooth benchmark; the conditional-mean column is evaluated by
-    quadrature with panels aligned to the sawtooth breakpoints and
-    scales like k.  Per step size, one ``local_residual`` call gives the
-    (block, N) residuals of up to RESIDUAL_BLOCK replicas and one
-    ``conditional_mean_residual`` call the (N,) means.  A study whose
-    sums of squares and the temporaries of its (RESIDUAL_BLOCK, N) node
-    block, or of one step's quadrature points, would need more than
+    ``spec`` names an ODE problem and no schemes; the study reads its
+    problem through ``_setup``, and its step exponents, replicas and
+    master seed.  For each step size the pathwise column accumulates the
+    squared residuals over all steps before the root (the quantity whose
+    square sums in the error analysis), so it scales like k^(1/2) on the
+    stiff sawtooth benchmark; the conditional-mean column is evaluated by
+    quadrature with panels aligned to the sawtooth breakpoints of the
+    spec's K and scales like k.  Per step size, one ``local_residual``
+    call gives the (block, N) residuals of up to RESIDUAL_BLOCK replicas
+    and one ``conditional_mean_residual`` call the (N,) means.  A study
+    whose sums of squares and the temporaries of its (RESIDUAL_BLOCK, N)
+    node block, or of one step's quadrature points, would need more than
     physical memory raises ValueError before it allocates; a non-finite
     column raises ExperimentError.
     """
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas}")
-    if any(n < 0 for n in step_exponents):
-        raise ValueError(f"step exponents must be at least 0, got {min(step_exponents)}")
-    # one panel of 4 points per sawtooth interval
-    panels = [2 ** max(sawtooth_exponent - exponent, 0) for exponent in step_exponents]
-    points = max(min(RESIDUAL_BLOCK, replicas) * 2 ** max(step_exponents, default=0),
-                 4 * max(panels, default=0))
+    problem = _setup(spec)[0]
+    exponents, replicas = spec.step_exponents, spec.mc_replicas
+    # one panel of 4 points per sawtooth interval; time-integral has one
+    panels = [2 ** max((spec.sawtooth_exponent or 0) - n, 0) for n in exponents]
+    points = max(min(RESIDUAL_BLOCK, replicas) * 2 ** max(exponents), 4 * max(panels))
     _refuse_above_memory(
-        8 * (RESIDUAL_TEMPORARIES * points + len(step_exponents) * replicas),
+        8 * (RESIDUAL_TEMPORARIES * points + len(exponents) * replicas),
         "the residual study")
-    grids = [TimeGrid(problem.final_time, 2**exponent) for exponent in step_exponents]
-    means = [
-        conditional_mean_residual(problem, problem.exact, grid, 4, count)
-        for count, grid in zip(panels, grids)
-    ]
+    grids = [TimeGrid(problem.final_time, 2**n) for n in exponents]
+    means = [conditional_mean_residual(problem, grid, count)
+             for count, grid in zip(panels, grids)]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
-    longest = max((grid.steps for grid in grids), default=0)
+    longest = grids[-1].steps
     sum_sq = np.empty((len(grids), replicas))
     # overflow is left to the finiteness check on the columns below
     with np.errstate(over="ignore"):
@@ -525,7 +518,7 @@ def residual_study(
             # each replica seeds its stream once: every grid's nodes come
             # from a prefix of the same draws, as a fresh stream gives them
             taus = np.array([
-                NodeStream(SeedSpec(master_seed, r)).taus(longest)
+                NodeStream(SeedSpec(spec.master_seed, r)).taus(longest)
                 for r in range(lo, min(lo + RESIDUAL_BLOCK, replicas))
             ])
             for i, (grid, v) in enumerate(zip(grids, exact_grids)):
@@ -537,24 +530,12 @@ def residual_study(
         ResidualRow(exponent=exponent, step_size=grid.step_size,
                     rms_residual=float(np.sqrt(path_sq.mean())),
                     mean_residual=float(np.abs(mean).max()))
-        for exponent, grid, path_sq, mean in zip(step_exponents, grids, sum_sq, means)
+        for exponent, grid, path_sq, mean in zip(exponents, grids, sum_sq, means)
     ]
     for row in rows:
         if not (math.isfinite(row.rms_residual) and math.isfinite(row.mean_residual)):
             raise ExperimentError(f"k=2^-{row.exponent}: residual overflows")
     return rows
-
-
-def fit_residual_slopes(
-    rows: Sequence[ResidualRow], window: tuple[int, int]
-) -> tuple[float, float]:
-    """(pathwise, conditional-mean) log2-log2 slopes over an exponent window."""
-    sel = [r for r in rows if window[0] <= r.exponent <= window[1]]
-    steps = [r.step_size for r in sel]
-    return tuple(
-        _loglog_fit(window, steps, [getattr(r, column) for r in sel], column).slope
-        for column in ("rms_residual", "mean_residual")
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ import numpy as np
 
 from .rand_nodes import TimeGrid
 
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
 #: Newton's tolerance on a row: norm(residual) <= ABS_TOL + REL_TOL * s.
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
@@ -99,6 +97,7 @@ class OdeProblem:
     almost-everywhere-defined right-hand side is represented is the
     caller's choice.  The state is one number, and the callbacks act
     elementwise on floats or on arrays that hold one entry per replica.
+    ``jacobian(t, x)`` is the derivative df/dx that Newton divides by.
     ``one_sided_constant`` is the nu of the one-sided Lipschitz
     condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive values
     impose no step restriction.  ``exact`` is an optional reference
@@ -114,7 +113,7 @@ class OdeProblem:
     rhs: Callable
     initial_value: float
     final_time: float
-    jacobian: Optional[Callable] = None
+    jacobian: Callable
     one_sided_constant: float = 0.0
     exact: Optional[Callable] = None
     split: Optional[tuple[Callable, Callable]] = None
@@ -234,20 +233,15 @@ def _newton_parts(rhs, jac, k):
     """(residual, update, norm) of the step equation x = u_prev + k*rhs(t, x).
 
     The data of a step are the rows' times, or their frozen data, and
-    previous states.  A row's update divides by its derivative, a forward
-    difference when ``jac`` is None.
+    previous states.  A row's update divides by its derivative
+    1 - k*jac(t, x).
     """
 
     def residual(x, t, u_prev):
         return x - u_prev - k * rhs(t, x)
 
     def update(x, r, t, u_prev):
-        if jac is not None:
-            df = jac(t, x)
-        else:
-            dx = _SQRT_EPS * (1.0 + np.abs(x))
-            df = (rhs(t, x + dx) - rhs(t, x)) / dx
-        deriv = 1.0 - k * df
+        deriv = 1.0 - k * jac(t, x)
         singular = deriv == 0.0
         # a Jacobian callback returning a float gives a plain bool here
         if singular is not False and np.any(singular):
@@ -351,30 +345,27 @@ def local_residual(problem, exact_at_grid, xi, k):
     return k * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
 
 
-def conditional_mean_residual(
-    problem, exact, grid: TimeGrid, quad_points: int = 4, panels: int = 1
-):
+def conditional_mean_residual(problem, grid: TimeGrid, panels: int):
     """Mean residual of the exact solution over every step: an (N,) array.
 
     Entry n-1 is the deterministic integral
 
         int_{t_{n-1}}^{t_n} [ f(s, u(t_n)) - f(s, u(s)) ] ds
 
-    by composite Gauss-Legendre quadrature with ``quad_points`` nodes on
-    each of ``panels`` equal subintervals.  Aligning the panels with the
-    breakpoints of a piecewise right-hand side makes the rule exact.
-    ``exact`` and ``rhs`` must act elementwise on arrays of times: one
-    ``exact`` call and two ``rhs`` calls evaluate each block of whole
-    steps, as many as QUAD_BLOCK points hold and at least one.  Rows do
-    not mix, so the blocks do not change the bits.
+    of u = ``problem.exact``, by composite 4-point Gauss-Legendre
+    quadrature on each of ``panels`` equal subintervals.  Aligning the
+    panels with the breakpoints of a piecewise right-hand side makes the
+    rule exact.  ``exact`` and ``rhs`` must act elementwise on arrays of
+    times: one ``exact`` call and two ``rhs`` calls evaluate each block of
+    whole steps, as many as QUAD_BLOCK points hold and at least one.  Rows
+    do not mix, so the blocks do not change the bits.
     """
-    if quad_points < 2:
-        raise ValueError("quad_points must be at least 2")
     if panels < 1:
         raise ValueError("panels must be at least 1")
     t = grid.nodes()
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    width = max(1, QUAD_BLOCK // (panels * quad_points))
+    exact = problem.exact
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    width = max(1, QUAD_BLOCK // (panels * 4))
     means = np.empty(grid.steps)
     for lo in range(0, grid.steps, width):
         tb = t[lo : lo + width + 1]

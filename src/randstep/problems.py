@@ -133,22 +133,20 @@ def pr_rhs(spec: ProtheroRobinsonSpec, frozen, x):
 def pde_w(spec: SawtoothSpec, t):
     """w with w(i*P) = i*P^2 for odd i, 0 for even i, affine in between.
 
-    t is a float or an array of times; arrays give arrays of its shape.
+    t is a float or an array of times; the result is an array of its shape.
     """
     j, frac = _interval_index(t, spec.exponent)
     p2 = spec.half_period * spec.half_period
     # even j: rising toward w((j+1)P) = (j+1)P^2; odd j: falling from
     # w(jP) = jP^2 to zero
-    w = np.where(j & 1, j * p2 * (1.0 - frac), (j + 1) * p2 * frac)
-    return w if isinstance(t, np.ndarray) else float(w)
+    return np.where(j & 1, j * p2 * (1.0 - frac), (j + 1) * p2 * frac)
 
 
 def pde_wdot(spec: SawtoothSpec, t):
     """a.e. derivative of w: i*P on [(i-1)P, iP) for odd i, -(i-1)P for even."""
     j, _ = _interval_index(t, spec.exponent)
     p = spec.half_period
-    wdot = np.where(j & 1, -j * p, (j + 1) * p)
-    return wdot if isinstance(t, np.ndarray) else float(wdot)
+    return np.where(j & 1, -j * p, (j + 1) * p)
 
 
 def b_trunc(spec: TruncatedPowerSpec, x):

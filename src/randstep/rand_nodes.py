@@ -9,7 +9,6 @@ seed and the time grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,28 +50,18 @@ class TimeGrid:
     def step_size(self) -> float:
         return self.final_time / self.steps
 
-    def node(self, n: int) -> float:
-        """Grid point t_n, computed as n*T/N (no cumulative addition)."""
-        if not 0 <= n <= self.steps:
-            raise IndexError(f"grid index {n} outside 0..{self.steps}")
-        if n == self.steps:
-            # n*T/N can round off T for non-dyadic T; the right endpoint
-            # is required to be exact.
-            return self.final_time
-        return n * self.final_time / self.steps
-
     def nodes(self) -> np.ndarray:
-        """All grid points t_0..t_N; entry n equals node(n) bit for bit."""
+        """All grid points t_0..t_N, t_n = n*T/N (no cumulative addition)."""
         t = np.arange(self.steps + 1) * self.final_time / self.steps
+        # n*T/N can round off T for non-dyadic T; the right endpoint is exact
         t[-1] = self.final_time
         return t
 
     def random_nodes(self, streams) -> np.ndarray:
         """(R, N) block of randomized nodes xi_n; row r draws from streams[r].
 
-        Each stream supplies its next N draws, so row r holds exactly the
-        nodes ``node(self, n, tau)`` would give for that stream.  The block
-        costs R*N*8 bytes.
+        Each stream supplies its next N draws, which ``nodes_from_taus``
+        maps to nodes.  The block costs R*N*8 bytes.
         """
         block = np.empty((len(streams), self.steps))
         for row, stream in zip(block, streams):
@@ -82,8 +71,8 @@ class TimeGrid:
     def nodes_from_taus(self, taus, out=None) -> np.ndarray:
         """Randomized nodes xi_n = t_{n-1} + k*tau_n of (..., N) draws.
 
-        Entry n-1 of the last axis equals ``node(self, n, tau_n)`` bit for
-        bit; ``out`` may be ``taus`` itself.
+        Every node lies in [t_{n-1}, t_n), the half-open right end kept
+        even where k*tau rounds up; ``out`` may be ``taus`` itself.
         """
         t = self.nodes()
         xi = np.multiply(taus, self.step_size, out=out)
@@ -102,7 +91,6 @@ class NodeStream:
     """
 
     def __init__(self, seed: SeedSpec):
-        self.seed = seed
         sequence = np.random.SeedSequence(
             seed.master_seed, spawn_key=(seed.replica_index,)
         )
@@ -113,23 +101,3 @@ class NodeStream:
         if count < 0:
             raise ValueError("count must be nonnegative")
         return self._gen.random(count)
-
-
-def node(grid: TimeGrid, n: int, tau: float) -> float:
-    """Randomized node xi_n = t_{n-1} + k*tau inside the n-th step interval.
-
-    Guarantees t_{n-1} <= xi_n < t_n; the half-open right end keeps the
-    node strictly inside the step even when tau*k rounds up.  This is the
-    scalar reference rule that the tests compare ``nodes_from_taus``
-    against; the solvers use ``nodes_from_taus``.
-    """
-    if not 1 <= n <= grid.steps:
-        raise IndexError(f"step index {n} outside 1..{grid.steps}")
-    if not (0.0 <= tau < 1.0):
-        raise ValueError("tau must lie in [0, 1)")
-    t_prev = grid.node(n - 1)
-    t_next = grid.node(n)
-    xi = t_prev + grid.step_size * tau
-    if xi >= t_next:
-        xi = math.nextafter(t_next, t_prev)
-    return xi

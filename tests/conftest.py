@@ -6,12 +6,7 @@ import time
 
 import pytest
 
-from randstep.harness import reproduce_figure, residual_study
-from randstep.problems import (
-    ProtheroRobinsonSpec,
-    SawtoothSpec,
-    prothero_robinson_problem,
-)
+from randstep.harness import ExperimentSpec, reproduce_figure, residual_study
 
 ACCEPTANCE_SEED = 42
 
@@ -48,8 +43,7 @@ def fig2_desk():
 
 @pytest.fixture(scope="session")
 def residual_rows_desk():
-    saw = SawtoothSpec(8)
-    problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
-    return residual_study(
-        problem, 8, range(4, 9), replicas=1000, master_seed=ACCEPTANCE_SEED
-    )
+    return residual_study(ExperimentSpec(
+        "prothero-robinson", (), tuple(range(4, 9)), 1000,
+        master_seed=ACCEPTANCE_SEED, lam=2.0, sawtooth_exponent=8,
+    ))

@@ -1,15 +1,48 @@
-"""Test oracles shared by the solver and FEM tests: single steps of the
-ODE and PDE schemes, dense tridiagonal matrices, one-path node blocks and
-the per-row Newton counts of a batch."""
+"""Test oracles shared by the solver, harness and FEM tests: the scalar
+grid point and node rules, single steps of the ODE and PDE schemes, dense
+tridiagonal matrices, one-path node blocks, the per-row Newton counts of
+a batch, an error table's row and the residual study's slopes."""
 
 import dataclasses
+import math
 
 import numpy as np
 
 from randstep.fem1d import Mesh, load_vector
+from randstep.harness import _loglog_fit
 from randstep.ode_solver import solve
 from randstep.pde_solver import _fem_parts, _newton_fem
 from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+
+
+def grid_node(grid, n):
+    """Grid point t_n, computed as n*T/N (no cumulative addition)."""
+    if not 0 <= n <= grid.steps:
+        raise IndexError(f"grid index {n} outside 0..{grid.steps}")
+    if n == grid.steps:
+        # n*T/N can round off T for non-dyadic T; the right endpoint
+        # is required to be exact.
+        return grid.final_time
+    return n * grid.final_time / grid.steps
+
+
+def node(grid, n, tau):
+    """Randomized node xi_n = t_{n-1} + k*tau inside the n-th step interval.
+
+    Guarantees t_{n-1} <= xi_n < t_n; the half-open right end keeps the
+    node strictly inside the step even when tau*k rounds up.  This is the
+    scalar rule that ``TimeGrid.nodes_from_taus`` is compared against.
+    """
+    if not 1 <= n <= grid.steps:
+        raise IndexError(f"step index {n} outside 1..{grid.steps}")
+    if not (0.0 <= tau < 1.0):
+        raise ValueError("tau must lie in [0, 1)")
+    t_prev = grid_node(grid, n - 1)
+    t_next = grid_node(grid, n)
+    xi = t_prev + grid.step_size * tau
+    if xi >= t_next:
+        xi = math.nextafter(t_next, t_prev)
+    return xi
 
 
 def one_row(grid, scheme, seed=SeedSpec(1, 0)):
@@ -61,3 +94,22 @@ def assert_counts_are_each_rows_own(march, grid, rows):
         assert alone.shape == (grid.steps, 1) and alone.dtype == np.int64
         assert np.array_equal(alone[:, 0], counts[:, r])
     return counts
+
+
+def table_row(table, scheme, exponent):
+    """The ``ErrorRow`` of ``scheme`` at step size 2^-exponent."""
+    for r in table.rows:
+        if r.scheme == scheme and r.exponent == exponent:
+            return r
+    raise KeyError(f"no row for scheme={scheme}, n={exponent}")
+
+
+def fit_residual_slopes(rows, window):
+    """(pathwise, conditional-mean) log2-log2 slopes of residual-study rows
+    over an exponent window, by the fit that ``fit_rate`` uses."""
+    sel = [r for r in rows if window[0] <= r.exponent <= window[1]]
+    steps = [r.step_size for r in sel]
+    return tuple(
+        _loglog_fit(window, steps, [getattr(r, column) for r in sel], column).slope
+        for column in ("rms_residual", "mean_residual")
+    )

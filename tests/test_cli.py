@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import randstep
+from randstep import harness
 from randstep.cli import main
 from randstep.harness import (
     FIGURES,
@@ -150,16 +152,63 @@ def test_help_documents_default_seed(capsys):
     assert "42" in text and "RANDSTEP_SEED" in text
 
 
-def test_module_entry_point():
-    # the child must import the package these tests import, installed or not
+def _python(*args):
+    """A fresh interpreter's run of ``args``; the child imports the package
+    these tests import, installed or not."""
     src = str(Path(randstep.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "randstep", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _python("-m", "randstep", "--help")
     assert proc.returncode == 0
     assert "randstep" in proc.stdout
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with --workers > 1 imports concurrent.futures.process
+    proc = _python("-c", "import sys, randstep.cli; "
+                   "print('concurrent.futures.process' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
+_CHUNK = harness._chunk
+
+
+def _chunk_killed_at_n5(spec, schemes, exponent, lo, hi):
+    """``harness._chunk``, except that the batch at n = 5 ends its process
+    with SIGKILL, as the OOM killer would."""
+    if exponent == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _CHUNK(spec, schemes, exponent, lo, hi)
+
+
+def test_killed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the broken pool ended main in a BrokenProcessPool traceback; forked
+    # workers inherit the patched chunk
+    import concurrent.futures
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+
+    class ForkPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers, mp_context=fork)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
+    monkeypatch.setattr(harness, "_chunk", _chunk_killed_at_n5)
+    out = tmp_path / "x.csv"
+    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe,be",
+                 "--n", "3:6", "--mc", "4", "--workers", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("randstep: error: a worker process died: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -428,12 +477,12 @@ def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, what", [
     (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "40:40",
-      "--mc", "2", "--workers", "1"], "the largest batch needs 52776558133264 bytes"),
+      "--mc", "2", "--workers", "1"], "the largest batch needs 70368744177680 bytes"),
     (["residual", "--K", "30", "--n", "4:5", "--mc", "2"],
      "the residual study needs 25769803808 bytes"),
     (["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--n", "3:3", "--mc", "2",
       "--dof", "100000000000", "--workers", "1"],
-     "the largest batch needs 7200000000128 bytes"),
+     "the largest batch needs 7200000000192 bytes"),
 ], ids=["ode", "residual", "pde"])
 def test_size_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv, what):
     # each asked numpy for 8 GiB to 32 TiB and ended in a MemoryError

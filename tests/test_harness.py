@@ -10,12 +10,13 @@ from randstep.harness import (
     ErrorTable,
     ExperimentSpec,
     fit_rate,
-    fit_residual_slopes,
     render_error_csv,
+    residual_study,
     run_mc,
 )
 from randstep.ode_solver import StepRestrictionViolated, StepScheme
-from randstep.problems import ProtheroRobinsonSpec, SawtoothSpec
+
+from oracles import fit_residual_slopes, grid_node, table_row
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -139,12 +140,16 @@ def test_bitwise_reproducible_and_worker_invariant():
 
 
 def test_restriction_checked_before_sweep():
-    spec = ExperimentSpec(
-        "prothero-robinson", (RBE,), (0, 1), 2, master_seed=0,
-        lam=2.0, sawtooth_exponent=4,
-    )
-    with pytest.raises(StepRestrictionViolated):
-        run_mc(spec)
+    # k*nu = 2 at n = 0 is refused where the sweep is specified
+    def spec(schemes):
+        return ExperimentSpec("prothero-robinson", schemes, (0, 1), 2, master_seed=0,
+                              lam=2.0, sawtooth_exponent=4)
+
+    with pytest.raises(StepRestrictionViolated, match="for n = 0"):
+        spec((RBE,))
+    # the explicit scheme and the residual study solve no implicit step
+    spec((StepScheme.RANDOMIZED_FORWARD_EULER,))
+    spec(())
 
 
 def test_spec_validation():
@@ -193,10 +198,7 @@ def test_error_modes_both_populated():
 
 
 def test_residual_study_state_independent_mean_zero():
-    from randstep.harness import residual_study
-    from randstep.problems import time_integral_problem
-
-    rows = residual_study(time_integral_problem(), 8, (3, 4, 5), replicas=8)
+    rows = residual_study(ExperimentSpec("time-integral", (), (3, 4, 5), 8))
     for row in rows:
         assert row.mean_residual < 1e-15
         assert row.rms_residual > 0.0
@@ -210,18 +212,16 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
     # of 7 or of the default size (a full block and a partial one) must
     # give the same bits
     from randstep import harness
-    from randstep.problems import prothero_robinson_problem
 
-    problem = prothero_robinson_problem(
-        ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
-    )
+    spec = ExperimentSpec("prothero-robinson", (), (2, 5, 7), 70, master_seed=9,
+                          lam=2.0, sawtooth_exponent=6)
     assert harness.RESIDUAL_BLOCK < 70
-    default = harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9)
+    default = residual_study(spec)
     for block in (1, 7):
         monkeypatch.setattr(harness, "RESIDUAL_BLOCK", block)
-        assert harness.residual_study(problem, 6, (2, 5, 7), 70, master_seed=9) == default
+        assert residual_study(spec) == default
     with pytest.raises(ValueError, match="at least one replica"):
-        harness.residual_study(problem, 6, (2, 5), 0)
+        ExperimentSpec("prothero-robinson", (), (2, 5), 0, sawtooth_exponent=6)
 
 
 # --- desk-scale sweeps (session fixtures, shared with acceptance) ---
@@ -230,16 +230,15 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
 def test_fig1_left_scheme_ordering(fig1_left_desk):
     table, _, _ = fig1_left_desk
     for n in range(4, 9):  # pre-resolution window
-        assert (
-            table.row("rbe", n).rms_error_final < table.row("be", n).rms_error_final
-        )
+        rbe, be = (table_row(table, s, n).rms_error_final for s in ("rbe", "be"))
+        assert rbe < be
 
 
 def test_fig1_left_drastic_improvement_at_resolution(fig1_left_desk):
     table, _, _ = fig1_left_desk
     for scheme in ("rbe", "be"):
-        before = table.row(scheme, 9).rms_error_final
-        after = table.row(scheme, 10).rms_error_final
+        before = table_row(table, scheme, 9).rms_error_final
+        after = table_row(table, scheme, 10).rms_error_final
         assert before / after >= 4.0
 
 
@@ -249,7 +248,7 @@ def test_fig1_right_amplification_structure(fig1_right_desk):
     assert amp[11] == 0.51171875  # quoted as 0.512
     for n in range(5, 9):
         assert amp[n] > 1.0
-        assert table.row("rfe", n).rms_error_final > 1e3
+        assert table_row(table, "rfe", n).rms_error_final > 1e3
     for n in (9, 10, 11, 12):
         assert amp[n] < 1.0
 
@@ -279,12 +278,13 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
 
     grid = TimeGrid(1.0, 4)
     tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
-    target = grid.node(1) + grid.step_size * tau
+    target = grid_node(grid, 1) + grid.step_size * tau
 
     def rhs(t, x):
         return np.where(t == target, x * x + 10.0, -x)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, 1.0, lambda t, x: np.where(t == target, 2.0 * x, -1.0),
+                         exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
@@ -302,7 +302,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
 
     grid = TimeGrid(1.0, 4)
     tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
-    target = grid.node(1) + grid.step_size * tau
+    target = grid_node(grid, 1) + grid.step_size * tau
 
     problem = PdeProblem(
         forcing=lambda t, x: np.where(t == target, np.nan, 0.0) + 0.0 * x,
@@ -353,7 +353,8 @@ def test_failing_classical_row_named_in_experiment_error(monkeypatch):
     def rhs(t, x):
         return np.where(t == 0.5, x * x + 10.0, -x)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, 1.0, lambda t, x: np.where(t == 0.5, 2.0 * x, -1.0),
+                         exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE, BE), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
@@ -430,7 +431,10 @@ def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
             time.sleep(0.5)
         return np.where((t == 0.125) | (t == 0.75), x * x + 10.0, -x)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, exact=lambda t: 0.0 * t)
+    def jacobian(t, x):
+        return np.where((t == 0.125) | (t == 0.75), 2.0 * x, -1.0)
+
+    problem = OdeProblem(rhs, 1.0, 1.0, jacobian, exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (BE,), (2, 3), 2, master_seed=42)
     messages = []
@@ -445,16 +449,19 @@ def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
 
 def test_pool_only_for_several_tasks(monkeypatch):
     # a pool gets min(workers, tasks) processes, and none for one task
+    import concurrent.futures
+
     from randstep import harness
 
     pools = []
 
-    class Pool(harness.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    # _run_tasks imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     one = ExperimentSpec("time-integral", (RBE, BE), (3,), 4, master_seed=1)
     assert harness._plan(one) == [((RBE, BE), 3, 0, 4)]
     run_mc(one, workers=4)

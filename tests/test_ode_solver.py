@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,9 +25,9 @@ from randstep.problems import (
     prothero_robinson_problem,
     time_integral_problem,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid, node
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
-from oracles import assert_counts_are_each_rows_own, one_row, step_once
+from oracles import assert_counts_are_each_rows_own, grid_node, node, one_row, step_once
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -58,7 +59,7 @@ def test_implicit_step_linear_decay():
 
 
 def test_implicit_step_zero_rhs_identity():
-    p = OdeProblem(lambda t, x: 0.0, 3.5, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 3.5, 1.0, lambda t, x: 0.0)
     assert rbe_step(p, 0.3, 3.5, 0.25) == 3.5
 
 
@@ -81,8 +82,9 @@ def test_implicit_step_smooth_prothero_robinson():
 def test_ode_problem_needs_a_single_number_initial_value():
     for bad in ([20.0, 1.0], np.array([1.0])):
         with pytest.raises(ValueError, match="single number"):
-            OdeProblem(lambda t, x: -x, bad, 1.0)
-    assert OdeProblem(lambda t, x: -x, np.float64(2.0), 1.0).initial_value == 2.0
+            OdeProblem(lambda t, x: -x, bad, 1.0, lambda t, x: -1.0)
+    assert OdeProblem(lambda t, x: -x, np.float64(2.0), 1.0,
+                      lambda t, x: -1.0).initial_value == 2.0
 
 
 def test_step_restriction_error_and_warning():
@@ -95,7 +97,8 @@ def test_step_restriction_error_and_warning():
     with pytest.warns(StepSizeWarning):
         rbe_step(stiff, 0.0, 1.0, 0.2)
     # nu <= 0 imposes no restriction
-    soft = OdeProblem(lambda t, x: -x, 1.0, 1.0, one_sided_constant=-5.0)
+    soft = OdeProblem(lambda t, x: -x, 1.0, 1.0, lambda t, x: -1.0,
+                      one_sided_constant=-5.0)
     rbe_step(soft, 0.0, 1.0, 10.0)
 
 
@@ -112,11 +115,11 @@ def test_newton_nonconvergence_reported():
 
 
 def test_explicit_step_examples():
-    p = OdeProblem(lambda t, x: -1000.0 * x, 1.0, 1.0)
+    p = OdeProblem(lambda t, x: -1000.0 * x, 1.0, 1.0, lambda t, x: -1000.0)
     assert rfe_step(p, 0.0, 1.0, 2.0**-6) == -14.625
-    z = OdeProblem(lambda t, x: 0.0, 2.0, 1.0)
+    z = OdeProblem(lambda t, x: 0.0, 2.0, 1.0, lambda t, x: 0.0)
     assert rfe_step(z, 0.0, 2.0, 0.1) == 2.0
-    q = OdeProblem(lambda t, x: 1.0, 0.0, 1.0)
+    q = OdeProblem(lambda t, x: 1.0, 0.0, 1.0, lambda t, x: 0.0)
     assert rfe_step(q, 0.0, 0.0, 0.25) == 0.25
 
 
@@ -129,7 +132,7 @@ def test_explicit_step_examples():
     ],
 )
 def test_solve_constant_state(scheme):
-    p = OdeProblem(lambda t, x: 0.0, 3.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 3.0, 1.0, lambda t, x: 0.0)
     grid = TimeGrid(1.0, 16)
     traj = solve(p, grid, scheme, one_row(grid, scheme))
     assert np.all(traj.states == 3.0)
@@ -210,14 +213,14 @@ def test_linear_problem_single_newton_iteration():
 
 
 def test_solve_requires_matching_final_time():
-    p = OdeProblem(lambda t, x: 0.0, 0.0, 2.0)
+    p = OdeProblem(lambda t, x: 0.0, 0.0, 2.0, lambda t, x: 0.0)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="final time"):
         solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
 
 
 def test_solve_requires_a_node_block():
-    p = OdeProblem(lambda t, x: 0.0, 0.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 0.0, 1.0, lambda t, x: 0.0)
     for nodes in (None, NodeStream(SeedSpec(1, 0))):
         with pytest.raises(ValueError, match="node block"):
             solve(p, TimeGrid(1.0, 4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
@@ -231,7 +234,7 @@ def test_nonconvergence_carries_step_index():
             return -x
         return x * x + 1.0
 
-    p = OdeProblem(flaky, 1.0, 1.0)
+    p = OdeProblem(flaky, 1.0, 1.0, lambda t, x: -1.0 if t < 0.5 else 2.0 * x)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
@@ -253,13 +256,13 @@ def test_newton_iteration_limit_names_step_and_row():
 
 
 def test_local_residual_definition():
-    p = OdeProblem(lambda t, x: 0.0, 1.0, 1.0)
+    p = OdeProblem(lambda t, x: 0.0, 1.0, 1.0, lambda t, x: 0.0)
     vals = np.full(9, 1.7)
     assert (local_residual(p, vals, np.full(8, 0.41), 0.125) == 0.0).all()
 
     q = time_integral_problem()
     grid = TimeGrid(1.0, 8)
-    exact = np.array([q.exact(grid.node(n)) for n in range(9)])
+    exact = np.array([q.exact(grid_node(grid, n)) for n in range(9)])
     k = grid.step_size
     xi = grid.nodes()[:-1] + 0.3 * k
     rho = local_residual(q, exact, np.stack([xi, xi[::-1]]), k)
@@ -272,7 +275,7 @@ def test_local_residual_definition():
 
 def _per_step_conditional_mean(problem, exact, n, grid, quad_points, panels):
     """The step-at-a-time rule, with one scalar ``exact`` call per point."""
-    t0, t1 = grid.node(n - 1), grid.node(n)
+    t0, t1 = grid_node(grid, n - 1), grid_node(grid, n)
     u_n = exact(t1)
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     edges = np.linspace(t0, t1, panels + 1)
@@ -295,7 +298,7 @@ def test_conditional_mean_residual_matches_per_step_rule(n):
     grid = TimeGrid(1.0, 2**n)
     panels = 2 ** max(K - n, 0)
     for p in (pr, ti):
-        got = conditional_mean_residual(p, p.exact, grid, 4, panels)
+        got = conditional_mean_residual(p, grid, panels)
         assert got.shape == (grid.steps,)
         for step in range(1, grid.steps + 1):
             want = _per_step_conditional_mean(p, p.exact, step, grid, 4, panels)
@@ -313,9 +316,11 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
     )
     calls = []
 
-    def exact(t):
+    def exact(t, sawtooth=pr.exact):
         calls.append(np.size(t))
-        return pr.exact(t)
+        return sawtooth(t)
+
+    pr = dataclasses.replace(pr, exact=exact)
 
     default = ode_solver.QUAD_BLOCK
     for n in (0, 2, 5, 7):
@@ -323,17 +328,17 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
         panels = 2 ** max(K - n, 0)
         monkeypatch.setattr(ode_solver, "QUAD_BLOCK", default)
         calls.clear()
-        whole = conditional_mean_residual(pr, exact, grid, 4, panels)
+        whole = conditional_mean_residual(pr, grid, panels)
         assert len(calls) == 2  # the residual study's grids are one block
         for steps in (1, 3):
             monkeypatch.setattr(ode_solver, "QUAD_BLOCK", steps * 4 * panels + 1)
             calls.clear()
-            got = conditional_mean_residual(pr, exact, grid, 4, panels)
+            got = conditional_mean_residual(pr, grid, panels)
             assert np.array_equal(got, whole)
             assert len(calls) == 2 * math.ceil(grid.steps / steps)
             assert max(calls) == min(steps, grid.steps) * 4 * panels
         monkeypatch.setattr(ode_solver, "QUAD_BLOCK", 1)
-        assert np.array_equal(conditional_mean_residual(pr, exact, grid, 4, panels), whole)
+        assert np.array_equal(conditional_mean_residual(pr, grid, panels), whole)
 
 
 def test_conditional_mean_residual_closed_form():
@@ -344,17 +349,17 @@ def test_conditional_mean_residual_closed_form():
     grid = TimeGrid(1.0, 8)
     k = grid.step_size
     n = 3
-    t0, t1 = grid.node(n - 1), grid.node(n)
+    t0, t1 = grid_node(grid, n - 1), grid_node(grid, n)
     # hand integral of (e^-s - e^-t_n) ds over the step
     closed = (math.exp(-t0) - math.exp(-t1)) - k * math.exp(-t1)
-    quad = conditional_mean_residual(p, p.exact, grid, quad_points=6, panels=4)
+    quad = conditional_mean_residual(p, grid, panels=4)
     assert abs(quad[n - 1] - closed) < 1e-14
 
 
 def test_conditional_mean_residual_state_independent_zero():
     p = time_integral_problem()
     grid = TimeGrid(1.0, 8)
-    val = conditional_mean_residual(p, p.exact, grid, quad_points=4)
+    val = conditional_mean_residual(p, grid, 1)
     assert np.abs(val).max() < 1e-16
 
 
@@ -362,9 +367,7 @@ def test_conditional_mean_residual_validation():
     p = time_integral_problem()
     grid = TimeGrid(1.0, 8)
     with pytest.raises(ValueError):
-        conditional_mean_residual(p, p.exact, grid, quad_points=1)
-    with pytest.raises(ValueError):
-        conditional_mean_residual(p, p.exact, grid, panels=0)
+        conditional_mean_residual(p, grid, panels=0)
 
 
 def test_scheme_tokens():
@@ -411,7 +414,8 @@ def test_batched_nonconvergence_names_replica():
     streams = [NodeStream(SeedSpec(3, r)) for r in range(5)]
     target = grid.random_nodes([NodeStream(SeedSpec(3, 2))])[0, 0]
     # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
-    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0)
+    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0,
+                   lambda t, x: np.where(t == target, 2.0 * x, -1.0))
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(streams))
     assert (err.value.step, err.value.replica) == (1, 2)
@@ -423,19 +427,18 @@ def test_random_nodes_match_scalar_rule():
     for r in range(3):
         taus = NodeStream(SeedSpec(4, r)).taus(64)
         assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
-    assert grid.nodes().tolist() == [grid.node(n) for n in range(65)]
+    assert grid.nodes().tolist() == [grid_node(grid, n) for n in range(65)]
 
 
-@pytest.mark.parametrize("with_jacobian", [True, False])
-def test_classical_row_beside_replicas_equals_classical_alone(with_jacobian):
+def test_classical_row_beside_replicas_equals_classical_alone():
     # the classical scheme is one more row of nodes, the grid points: in a
     # batch with randomized rows it keeps its bits and Newton counts, and
     # the randomized rows keep theirs
     def rhs(t, x):
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
-    p = OdeProblem(rhs, 20.0, 1.0, jacobian=jac)
+    p = OdeProblem(rhs, 20.0, 1.0,
+                   jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(1.0, 8)
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
@@ -533,32 +536,25 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
 
 
 # float.hex() of the final states and the sum of Newton counts of a damped
-# arctan batch; the finite-difference case was rendered before the ODE
-# Newton loops were merged into one core
+# arctan batch
 PINNED_BITS = {
-    # five damped rbe replicas and the be row, finite-difference derivative
-    ("batch", False): ([
-        "0x1.15a07a1024d1cp-12", "0x1.4082bbe12f42cp-12", "0x1.650a5c3d9c42dp-12",
-        "0x1.7b2567cd87773p-12", "0x1.1f01f2d7faff7p-12", "0x1.868a37e12463bp-13",
-    ], 107),
-    # the same batch with the jacobian -50(1+t)/(1+x^2)
-    ("batch", True): ([
+    # five damped rbe replicas and the be row, jacobian -50(1+t)/(1+x^2)
+    "batch": ([
         "0x1.15a07a1024cf7p-12", "0x1.4082bbe12f3fep-12", "0x1.650a5c3d9c10fp-12",
         "0x1.7b2567cd875f7p-12", "0x1.1f01f2d7fafc8p-12", "0x1.868a37e1245a3p-13",
     ], 107),
     # rfe on the batch's six rows of nodes
-    ("batch-rfe", False): ([
+    "batch-rfe": ([
         "0x1.25f146b694ea2p+4", "-0x1.3c1a15df5d2a6p+4", "-0x1.5f9cf7d8da02cp+3",
         "0x1.1e8de84d97417p+4", "0x1.1b694cf762345p+4", "0x1.8c7e941d497a5p+4",
     ], 0),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_BITS))
-def test_solve_bits_are_pinned(case):
-    kind, with_jacobian = case
-    jac = (lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x)) if with_jacobian else None
-    p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0, jacobian=jac)
+@pytest.mark.parametrize("kind", sorted(PINNED_BITS))
+def test_solve_bits_are_pinned(kind):
+    p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0,
+                   jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(1.0, 4)
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
@@ -566,7 +562,7 @@ def test_solve_bits_are_pinned(case):
     counts = path.newton_iteration_counts
     if kind == "batch":
         assert (counts.min(axis=1) < counts.max(axis=1)).any()
-    states, iterations = PINNED_BITS[case]
+    states, iterations = PINNED_BITS[kind]
     assert [v.hex() for v in path.states[-1].ravel()] == states
     assert int(counts.sum()) == iterations
 
@@ -580,7 +576,8 @@ def test_newton_counts_of_rows_that_finish_apart():
         calls.append(np.size(x))
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    p = OdeProblem(rhs, 20.0, 1.0)
+    p = OdeProblem(rhs, 20.0, 1.0,
+                   jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(1.0, 4)
     rows = [one_row(grid, RBE, SeedSpec(11, r)) for r in range(5)] + [one_row(grid, BE)]
     counts = assert_counts_are_each_rows_own(
@@ -590,9 +587,8 @@ def test_newton_counts_of_rows_that_finish_apart():
     for r, nodes in enumerate(rows):
         calls.clear()
         solve(p, grid, RBE, nodes)
-        # one call per step and three per full Newton step (a forward
-        # difference and the trial residual); more means halvings
-        damped.append(len(calls) > grid.steps + 3 * counts[:, r].sum())
+        # one call per step and one per full Newton step; more means halvings
+        damped.append(len(calls) > grid.steps + counts[:, r].sum())
     assert any(damped)
 
 

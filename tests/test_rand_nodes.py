@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randstep.rand_nodes import (
-    NodeStream,
-    SeedSpec,
-    TimeGrid,
-    node,
-)
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+
+from oracles import grid_node, node
 
 # regression values recorded from the first verified run (Philox keyed by
 # SeedSequence(42, spawn_key=(replica,)))
@@ -78,14 +75,13 @@ def test_seed_spec_validation():
 
 
 def test_grid_nodes_exact():
-    grid = TimeGrid(1.0, 4)
-    assert grid.node(0) == 0.0
-    assert grid.node(4) == 1.0
-    assert grid.node(2) == 0.5
-    # right endpoint stays exact for non-dyadic data too
-    assert TimeGrid(0.1, 3).node(3) == 0.1
+    assert TimeGrid(1.0, 4).nodes().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # right endpoint stays exact for non-dyadic data too (3*0.1/3 is not 0.1)
+    odd = TimeGrid(0.1, 3)
+    assert odd.nodes()[3] == 0.1
+    assert odd.nodes().tolist() == [grid_node(odd, n) for n in range(4)]
     with pytest.raises(IndexError):
-        grid.node(5)
+        grid_node(odd, 4)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
@@ -111,11 +107,11 @@ def test_node_stays_inside_interval():
         n = int(rng.integers(1, 8))
         tau = float(rng.random())
         xi = node(grid, n, tau)
-        assert grid.node(n - 1) <= xi < grid.node(n)
+        assert grid_node(grid, n - 1) <= xi < grid_node(grid, n)
     # tau just below one must not round onto the right endpoint
     tau_max = math.nextafter(1.0, 0.0)
     for n in range(1, 8):
-        assert node(grid, n, tau_max) < grid.node(n)
+        assert node(grid, n, tau_max) < grid_node(grid, n)
 
 
 def test_mean_node_first_interval():
