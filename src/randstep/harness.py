@@ -32,6 +32,7 @@ from . import problems
 from .fem1d import Mesh, l2_error
 from .ode_solver import (
     NonConvergence,
+    OdeProblem,
     StepRestrictionViolated,
     StepScheme,
     conditional_mean_residual,
@@ -483,9 +484,9 @@ class ResidualRow:
 def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     """Scaling of the local residual of the exact solution in k.
 
-    ``spec`` names an ODE problem and no schemes; the study reads its
-    problem through ``_setup``, and its step exponents, replicas and
-    master seed.  For each step size the pathwise column accumulates the
+    ``spec`` names an ODE problem (the PDE is a ValueError) and no
+    schemes; the study reads its problem through ``_setup``, and its step
+    exponents, replicas and master seed.  For each step size the pathwise column accumulates the
     squared residuals over all steps before the root (the quantity whose
     square sums in the error analysis), so it scales like k^(1/2) on the
     stiff sawtooth benchmark; the conditional-mean column is evaluated by
@@ -499,6 +500,8 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     column raises ExperimentError.
     """
     problem = _setup(spec)[0]
+    if not isinstance(problem, OdeProblem):
+        raise ValueError(f"the residual study needs an ODE problem, not {spec.problem}")
     exponents, replicas = spec.step_exponents, spec.mc_replicas
     # one panel of 4 points per sawtooth interval; time-integral has one
     panels = [2 ** max((spec.sawtooth_exponent or 0) - n, 0) for n in exponents]

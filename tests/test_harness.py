@@ -222,6 +222,10 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
         assert residual_study(spec) == default
     with pytest.raises(ValueError, match="at least one replica"):
         ExperimentSpec("prothero-robinson", (), (2, 5), 0, sawtooth_exponent=6)
+    # the PDE has no scalar rhs: an AttributeError from inside the study
+    pde = ExperimentSpec("semilinear-heat", (), (2, 3), 2, sawtooth_exponent=3, mesh_dof=7)
+    with pytest.raises(ValueError, match="needs an ODE problem, not semilinear-heat"):
+        residual_study(pde)
 
 
 # --- desk-scale sweeps (session fixtures, shared with acceptance) ---
