@@ -486,10 +486,11 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
 
     ``spec`` names an ODE problem (the PDE is a ValueError) and no
     schemes; the study reads its problem through ``_setup``, and its step
-    exponents, replicas and master seed.  For each step size the pathwise column accumulates the
-    squared residuals over all steps before the root (the quantity whose
-    square sums in the error analysis), so it scales like k^(1/2) on the
-    stiff sawtooth benchmark; the conditional-mean column is evaluated by
+    exponents, replicas and master seed.  For each step size the
+    pathwise column accumulates the squared residuals over all steps
+    before the root (the quantity whose square sums in the error
+    analysis), so it scales like k^(1/2) on the stiff sawtooth
+    benchmark; the conditional-mean column is evaluated by
     quadrature with panels aligned to the sawtooth breakpoints of the
     spec's K and scales like k.  Per step size, one ``local_residual``
     call gives the (block, N) residuals of up to RESIDUAL_BLOCK replicas

@@ -8,8 +8,10 @@ Three one-step schemes:
 
 with xi_n drawn uniformly from the n-th step interval.  The implicit
 solve uses damped Newton iteration; under the one-sided Lipschitz
-restriction k*nu < 1 the per-step root is unique.  ``pde_solver``, the
-systems case, shares the Newton core and the step loop.
+restriction k*nu < 1 the per-step root is unique.  A problem that is
+affine in the state takes Newton's first iterate as its step, since
+that is the root up to rounding.  ``pde_solver``, the systems case,
+shares the Newton core and the step loop.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ class OdeProblem:
     times' axes first, and ``rhs_frozen(freeze(t), x)`` equals
     ``rhs(t, x)`` bit for bit.  ``solve`` then hands each step's frozen
     data to ``rhs_frozen`` and ``jacobian``; without a split, the times.
+
+    ``affine`` declares f affine in x, f(t, x) = a(t) x + b(t), so that
+    one Newton step from any start is the step's root up to rounding:
+    an implicit step is then that one step, with count 1, and no
+    residual is tested (see ``_newton_scalar``).
     """
 
     rhs: Callable
@@ -117,6 +124,7 @@ class OdeProblem:
     one_sided_constant: float = 0.0
     exact: Optional[Callable] = None
     split: Optional[tuple[Callable, Callable]] = None
+    affine: bool = False
 
     def __post_init__(self):
         if np.ndim(self.initial_value) != 0:
@@ -252,12 +260,21 @@ def _newton_parts(rhs, jac, k):
     return residual, update, np.abs
 
 
-def _newton_scalar(parts, at, u_prev):
-    """``_damped_newton`` on the ``_newton_parts`` of one step of every row.
+def _newton_scalar(parts, at, u_prev, affine):
+    """One implicit step of every row: ``_damped_newton`` on the
+    ``_newton_parts``, or for an ``affine`` problem one Newton step.
 
     ``at`` holds the rows' times or frozen data; the initial guess is
-    u_prev, an O(k)-accurate predictor.
+    u_prev, an O(k)-accurate predictor.  For an ``affine`` problem one
+    Newton step is the root up to rounding, so the step is Newton's
+    first iterate from u_prev, bit for bit ((u - u) - k*f is exactly
+    -(k*f)), with the count 1 for every row; its residual is not tested.
+    A row whose start already meets the tolerance therefore takes the
+    step with count 1, where damped Newton keeps u_prev with count 0.
     """
+    if affine:
+        residual, update, _ = parts
+        return u_prev - update(u_prev, residual(u_prev, at, u_prev), at, u_prev), 1
     return _damped_newton(*parts, u_prev, (at, u_prev))
 
 
@@ -284,9 +301,10 @@ def solve(
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
         parts = _newton_parts(rhs, problem.jacobian, k)
+        affine = problem.affine
 
         def step(at, u):
-            return _newton_scalar(parts, at, u)
+            return _newton_scalar(parts, at, u, affine)
     else:
         def step(at, u):
             return u + k * rhs(at, u), 0
@@ -304,9 +322,9 @@ def _march(grid, final_time, nodes, u0, width, freeze, step):
     nodes[r, n-1].  ``freeze`` maps the (steps, R) nodes of ``width``
     steps at a time to per-step data, and ``step(data, u)`` maps the
     data of step n and the (R, ...) state U^{n-1} to U^n and the rows'
-    (R,) iteration counts, or one count for all rows.  Overflow is left to the finiteness check after
-    the march: a NonConvergence of a step, or a non-finite state, is
-    raised naming the step and the row.
+    (R,) iteration counts, or one count for all rows.  Overflow is left
+    to the finiteness check after the march: a NonConvergence of a step,
+    or a non-finite state, is raised naming the step and the row.
     """
     if not math.isclose(grid.final_time, final_time, rel_tol=1e-12):
         raise ValueError("grid final time does not match the problem")

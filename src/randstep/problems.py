@@ -210,6 +210,7 @@ def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:
         exact=exact,
         # closures look pr_rhs up per call, so a wrapper on the module sees it
         split=(lambda t: pr_freeze(spec, t), lambda frozen, x: pr_rhs(spec, frozen, x)),
+        affine=True,
     )
 
 
@@ -224,6 +225,7 @@ def time_integral_problem() -> OdeProblem:
         jacobian=lambda t, x: 0.0,
         one_sided_constant=0.0,
         exact=lambda t: 0.5 * t * t,
+        affine=True,
     )
 
 

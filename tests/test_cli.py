@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randstep
@@ -18,6 +19,15 @@ from randstep.harness import (
     render_error_csv,
     render_rate_csv,
 )
+from randstep.ode_solver import StepScheme, solve
+from randstep.problems import (
+    ProtheroRobinsonSpec,
+    SawtoothSpec,
+    prothero_robinson_problem,
+    sawtooth_g,
+    sawtooth_gdot,
+)
+from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
 
 def test_ode_sweep_row_count(tmp_path, capsys):
@@ -382,6 +392,36 @@ def test_negative_lambda_in_exponent_notation(tmp_path, capsys, lam, echoed):
     assert code == 0
     assert f"lam={echoed} " in capsys.readouterr().out
     assert len(read_error_csv(out).rows) == 2
+
+
+@pytest.mark.parametrize("lam, K, n", [(-1e8, 10, "0:6"), (-1e12, 4, "0:3")])
+def test_very_stiff_affine_sweep_is_solved(tmp_path, lam, K, n):
+    # damped Newton exited 2 here ("residual not reduced after damped
+    # retries"): ABS_TOL + REL_TOL*|x| lies below the rounding of k*lam*x,
+    # so it could not confirm the root its first step had found
+    out = tmp_path / "x.csv"
+    code = main(
+        ["ode", "--problem", "prothero-robinson", f"--lambda={lam}", "--K", str(K),
+         "--scheme", "rbe,be", "--n", n, "--mc", "4", "--workers", "1",
+         "--out", str(out)]
+    )
+    assert code == 0
+    spec = ProtheroRobinsonSpec(lam, SawtoothSpec(K))
+    problem = prothero_robinson_problem(spec)
+    for row in read_error_csv(out).for_scheme("rbe"):
+        grid = TimeGrid(1.0, row.steps)
+        k = grid.step_size
+        nodes = grid.random_nodes([NodeStream(SeedSpec(42, r)) for r in range(4)])
+        path = solve(problem, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+        # closed form of one step: U^n = (U^{n-1} + k(g' - lam g)) / (1 - k lam)
+        u = np.full(4, problem.initial_value)
+        for step, xi in enumerate(nodes.T, start=1):
+            g, gdot = sawtooth_g(spec.sawtooth, xi), sawtooth_gdot(spec.sawtooth, xi)
+            u = (u + k * (gdot - lam * g)) / (1.0 - k * lam)
+            np.testing.assert_allclose(path.states[step], u, rtol=1e-12, atol=0)
+        # g(1) = 0: the final error of a row is its final state
+        assert row.rms_error_final == pytest.approx(np.sqrt(np.mean(u * u)), rel=1e-12)
+        assert row.mean_newton_iters == 1.0
 
 
 def test_residual_overflow_is_numerical_failure(tmp_path, capsys):

@@ -600,3 +600,38 @@ def test_newton_counts_of_rows_that_finish_together():
     counts = assert_counts_are_each_rows_own(
         lambda nodes: solve(problem, grid, RBE, nodes), grid, rows)
     assert (counts == 1).all()
+
+
+@pytest.mark.parametrize("problem_id, lam", [
+    ("prothero-robinson", 2.0), ("prothero-robinson", -1000.0), ("time-integral", None),
+])
+def test_affine_step_equals_damped_newton_bitwise(problem_id, lam):
+    # the direct step of an affine problem is damped Newton's first iterate:
+    # the same states and counts on a batch of rbe replicas beside a be row
+    if problem_id == "time-integral":
+        problem = time_integral_problem()
+    else:
+        problem = prothero_robinson_problem(ProtheroRobinsonSpec(lam, SawtoothSpec(6)))
+    assert problem.affine
+    grid = TimeGrid(1.0, FREEZE_BLOCK + 8)
+    randomized = grid.random_nodes([NodeStream(SeedSpec(13, r)) for r in range(5)])
+    block = np.concatenate([randomized, grid.nodes()[None, 1:]])
+    direct = solve(problem, grid, RBE, block)
+    damped = solve(dataclasses.replace(problem, affine=False), grid, RBE, block)
+    assert direct.states.tobytes() == damped.states.tobytes()
+    assert np.array_equal(direct.newton_iteration_counts, damped.newton_iteration_counts)
+    assert (direct.newton_iteration_counts == 1).all()
+
+
+def test_affine_step_at_a_root_keeps_the_state_and_counts_one():
+    # f(t, x) = 1 - x vanishes at the start x = 1: the direct step keeps x
+    # bit for bit and counts one step, where damped Newton, whose start
+    # already meets the tolerance, counts none
+    p = OdeProblem(lambda t, x: 1.0 - x, 1.0, 1.0, lambda t, x: -1.0, affine=True)
+    grid = TimeGrid(1.0, 4)
+    block = np.concatenate([one_row(grid, RBE, SeedSpec(3, 0)), one_row(grid, BE)])
+    direct = solve(p, grid, RBE, block)
+    damped = solve(dataclasses.replace(p, affine=False), grid, RBE, block)
+    assert direct.states.tobytes() == damped.states.tobytes() == np.ones((5, 2)).tobytes()
+    assert (direct.newton_iteration_counts == 1).all()
+    assert (damped.newton_iteration_counts == 0).all()
