@@ -63,7 +63,7 @@ def _parse_schemes(text: str) -> tuple[StepScheme, ...]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _add_common(sub, pde: bool = False):
+def _add_common(sub):
     sub.add_argument(
         "--seed",
         type=int,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    ode = subs.add_parser("ode", parents=[], help="ODE Monte Carlo sweep")
+    ode = subs.add_parser("ode", help="ODE Monte Carlo sweep")
     ode.add_argument(
         "--problem",
         required=True,

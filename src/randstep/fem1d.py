@@ -17,6 +17,13 @@ from typing import Callable
 
 import numpy as np
 
+#: Gauss points per element of loads, projections, L2 errors and the
+#: forcing energy.
+LOAD_POINTS = 4
+
+#: Gauss points per element of the nonlinearity and its Jacobian.
+NONLINEARITY_POINTS = 2
+
 
 @lru_cache(maxsize=None)
 def _gauss_01(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +156,9 @@ def _padded(field) -> np.ndarray:
     return c_ext
 
 
-def _element_values(mesh: Mesh, field, quad_points: int) -> np.ndarray:
+def _element_values(mesh: Mesh, field, points: int) -> np.ndarray:
     """P1 values at the Gauss points, quadrature-major: shape (..., q, m+1)."""
-    rule = _hat_rule(quad_points)
+    rule = _hat_rule(points)
     c_ext = _padded(field)[..., None, :]
     return c_ext[..., :-1] * rule.one_minus_s + c_ext[..., 1:] * rule.s
 
@@ -176,9 +183,9 @@ def _at_points(fn: Callable, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _hat_moments(mesh: Mesh, values: np.ndarray, quad_points: int) -> np.ndarray:
+def _hat_moments(mesh: Mesh, values: np.ndarray, points: int) -> np.ndarray:
     """(int g psi_i dx)_i from g's (..., q, m+1) values at the Gauss points."""
-    rule = _hat_rule(quad_points)
+    rule = _hat_rule(points)
     h = mesh.spacing
     left, right = h * _qsum(values, rule.hats)
     return right[..., :-1] + left[..., 1:]
@@ -196,52 +203,49 @@ def _weighted_sum(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(np.swapaxes(values, -1, -2)) @ w).sum(axis=-1)
 
 
-def load_vector(mesh: Mesh, fn: Callable, quad_points: int = 4) -> np.ndarray:
-    """(int fn psi_i dx)_i by per-element Gauss quadrature.
+def load_vector(mesh: Mesh, fn: Callable) -> np.ndarray:
+    """(int fn psi_i dx)_i by per-element LOAD_POINTS-point Gauss quadrature.
 
     ``fn`` must accept the (q, m+1) array of quadrature points in [0, 1]
     (Gauss point by element); leading axes of its result (say one per
     time) carry over to the load, and a constant result is broadcast.
     """
-    s, _ = _gauss_01(quad_points)
+    s, _ = _gauss_01(LOAD_POINTS)
     vals = _at_points(fn, _element_points(mesh, s))
-    return _hat_moments(mesh, vals, quad_points)
+    return _hat_moments(mesh, vals, LOAD_POINTS)
 
 
-def l2_project(mesh: Mesh, fn: Callable, quad_points: int = 4) -> np.ndarray:
+def l2_project(mesh: Mesh, fn: Callable) -> np.ndarray:
     """Nodal coefficients c of the orthogonal projection onto the P1 space,
     from M c = load; the implied boundary values are zero."""
-    return tridiag_solve(assemble_mass(mesh), load_vector(mesh, fn, quad_points))
+    return tridiag_solve(assemble_mass(mesh), load_vector(mesh, fn))
 
 
-def l2_error(mesh: Mesh, field, exact: Callable, quad_points: int = 4):
-    """Composite-Gauss L2 norm of (u_h - exact) over (0, 1).
+def l2_error(mesh: Mesh, field, exact: Callable):
+    """Composite-Gauss L2 norm of (u_h - exact) over (0, 1), LOAD_POINTS
+    points per element.
 
     A field with leading batch axes gives an array of norms; ``exact``
     may return leading axes that broadcast against them.
     """
-    s, w = _gauss_01(quad_points)
+    s, w = _gauss_01(LOAD_POINTS)
     x = _element_points(mesh, s)
-    diff = _element_values(mesh, field, quad_points) - np.asarray(exact(x), dtype=float)
+    diff = _element_values(mesh, field, LOAD_POINTS) - np.asarray(exact(x), dtype=float)
     sq = mesh.spacing * _weighted_sum(diff * diff, w)
     # clips tiny negative round-off in the quadrature sums; NaN stays NaN
     return np.sqrt(np.where(sq <= 0.0, 0.0, sq))
 
 
-def assemble_nonlinearity(
-    mesh: Mesh, b: Callable, field, quad_points: int = 2
-) -> np.ndarray:
-    """(int b(u_h) psi_i dx)_i with 2-point Gauss per element."""
-    bu = _at_points(b, _element_values(mesh, field, quad_points))
-    return _hat_moments(mesh, bu, quad_points)
+def assemble_nonlinearity(mesh: Mesh, b: Callable, field) -> np.ndarray:
+    """(int b(u_h) psi_i dx)_i with NONLINEARITY_POINTS-point Gauss per element."""
+    bu = _at_points(b, _element_values(mesh, field, NONLINEARITY_POINTS))
+    return _hat_moments(mesh, bu, NONLINEARITY_POINTS)
 
 
-def assemble_nonlinearity_jacobian(
-    mesh: Mesh, b_prime: Callable, field, quad_points: int = 2
-) -> TriDiag:
+def assemble_nonlinearity_jacobian(mesh: Mesh, b_prime: Callable, field) -> TriDiag:
     """Exact derivative of the quadrature-evaluated nonlinearity vector."""
-    rule = _hat_rule(quad_points)
-    bp = _at_points(b_prime, _element_values(mesh, field, quad_points))
+    rule = _hat_rule(NONLINEARITY_POINTS)
+    bp = _at_points(b_prime, _element_values(mesh, field, NONLINEARITY_POINTS))
     h = mesh.spacing
     w_ll, w_rr, w_lr = h * _qsum(bp, rule.products)
     diag = w_rr[..., :-1] + w_ll[..., 1:]

@@ -259,7 +259,7 @@ def _chunk(spec, schemes, exponent, lo, hi):
     of replicas lo..hi-1, the classical scheme those of its one path.
     """
     problem, march, errors = _setup(spec)
-    grid = TimeGrid(problem.final_time, 2**exponent)
+    grid = TimeGrid(2**exponent)
     nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
     try:
         path = march(grid, schemes[0], nodes)
@@ -279,7 +279,7 @@ def _plan(spec):
 
     A task is one batch as the solver marches it: the schemes of one group
     (implicit, or explicit) at one step size, over replicas lo..hi-1.  An
-    ODE cell is one task; a PDE cell is split into batches of at most
+    ODE cell is one task; a PDE cell is divided into batches of at most
     PDE_BATCH_BYTES of stored fields, with the classical row in the first.
     """
     groups = {}  # implicit or not -> schemes, in order of first appearance
@@ -510,7 +510,7 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     _refuse_above_memory(
         8 * (RESIDUAL_TEMPORARIES * points + len(exponents) * replicas),
         "the residual study")
-    grids = [TimeGrid(problem.final_time, 2**n) for n in exponents]
+    grids = [TimeGrid(2**n) for n in exponents]
     means = [conditional_mean_residual(problem, grid, count)
              for count, grid in zip(panels, grids)]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]

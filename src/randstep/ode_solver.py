@@ -6,7 +6,8 @@ Three one-step schemes:
 * classical backward Euler    U^n = U^{n-1} + k f(t_n, U^n)
 * randomized forward Euler    U^n = U^{n-1} + k f(xi_n, U^{n-1})
 
-with xi_n drawn uniformly from the n-th step interval.  The implicit
+on the grid t_n = n/N of [0, 1] with step size k = 1/N, and xi_n
+drawn uniformly from the n-th step interval [t_{n-1}, t_n).  The implicit
 solve uses damped Newton iteration; under the one-sided Lipschitz
 restriction k*nu < 1 the per-step root is unique.  A problem that is
 affine in the state takes Newton's first iterate as its step, since
@@ -16,7 +17,6 @@ shares the Newton core and the step loop.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -93,23 +93,20 @@ class StepSizeWarning(UserWarning):
 
 @dataclass
 class OdeProblem:
-    """Initial value problem du/dt = f(t, u), u(0) = u0 on [0, T].
+    """Initial value problem du/dt = f(t, u), u(0) = u0 on [0, 1].
 
-    ``rhs`` must be callable at every floating-point t in [0, T]; how an
-    almost-everywhere-defined right-hand side is represented is the
-    caller's choice.  The state is one number, and the callbacks act
-    elementwise on floats or on arrays that hold one entry per replica.
-    ``jacobian(t, x)`` is the derivative df/dx that Newton divides by.
-    ``one_sided_constant`` is the nu of the one-sided Lipschitz
-    condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive values
-    impose no step restriction.  ``exact`` is an optional reference
-    solution used by benchmarks.
-
-    The optional ``split = (freeze, rhs_frozen)`` separates f's time
-    dependence: ``freeze`` maps an array of times to the data f needs,
-    times' axes first, and ``rhs_frozen(freeze(t), x)`` equals
-    ``rhs(t, x)`` bit for bit.  ``solve`` then hands each step's frozen
-    data to ``rhs_frozen`` and ``jacobian``; without a split, the times.
+    f's time dependence is kept apart: ``freeze`` maps an array of times
+    to the data f needs, the times' axes first (by default the times
+    themselves), and f(t, x) is ``rhs(freeze(t), x)``.  ``freeze`` must
+    accept every floating-point t in [0, 1]; how an almost-everywhere-
+    defined right-hand side is represented is the caller's choice.  The
+    state is one number, and ``rhs`` and ``jacobian`` act elementwise on
+    floats or on arrays that hold one entry per replica.
+    ``jacobian(freeze(t), x)`` is the derivative df/dx that Newton
+    divides by.  ``one_sided_constant`` is the nu of the one-sided
+    Lipschitz condition (f(t,x)-f(t,y), x-y) <= nu |x-y|^2; nonpositive
+    values impose no step restriction.  ``exact`` is an optional
+    reference solution used by benchmarks.
 
     ``affine`` declares f affine in x, f(t, x) = a(t) x + b(t), so that
     one Newton step from any start is the step's root up to rounding:
@@ -119,18 +116,15 @@ class OdeProblem:
 
     rhs: Callable
     initial_value: float
-    final_time: float
     jacobian: Callable
     one_sided_constant: float = 0.0
     exact: Optional[Callable] = None
-    split: Optional[tuple[Callable, Callable]] = None
+    freeze: Callable = lambda t: t
     affine: bool = False
 
     def __post_init__(self):
         if np.ndim(self.initial_value) != 0:
             raise ValueError("initial_value must be a single number")
-        if not self.final_time > 0:
-            raise ValueError("final_time must be positive")
 
 
 @dataclass
@@ -238,18 +232,17 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
 
 
 def _newton_parts(rhs, jac, k):
-    """(residual, update, norm) of the step equation x = u_prev + k*rhs(t, x).
+    """(residual, update, norm) of the step equation x = u_prev + k*rhs(c, x).
 
-    The data of a step are the rows' times, or their frozen data, and
-    previous states.  A row's update divides by its derivative
-    1 - k*jac(t, x).
+    The data of a step are the rows' frozen data c and previous states.
+    A row's update divides by its derivative 1 - k*jac(c, x).
     """
 
-    def residual(x, t, u_prev):
-        return x - u_prev - k * rhs(t, x)
+    def residual(x, c, u_prev):
+        return x - u_prev - k * rhs(c, x)
 
-    def update(x, r, t, u_prev):
-        deriv = 1.0 - k * jac(t, x)
+    def update(x, r, c, u_prev):
+        deriv = 1.0 - k * jac(c, x)
         singular = deriv == 0.0
         # a Jacobian callback returning a float gives a plain bool here
         if singular is not False and np.any(singular):
@@ -264,7 +257,7 @@ def _newton_scalar(parts, at, u_prev, affine):
     """One implicit step of every row: ``_damped_newton`` on the
     ``_newton_parts``, or for an ``affine`` problem one Newton step.
 
-    ``at`` holds the rows' times or frozen data; the initial guess is
+    ``at`` holds the rows' frozen data; the initial guess is
     u_prev, an O(k)-accurate predictor.  For an ``affine`` problem one
     Newton step is the root up to rounding, so the step is Newton's
     first iterate from u_prev, bit for bit ((u - u) - k*f is exactly
@@ -291,13 +284,13 @@ def solve(
     ``TimeGrid.random_nodes`` march randomized replicas and a row of grid
     points t_1..t_N the classical scheme, so one batch can hold both;
     ``scheme`` only chooses between implicit and explicit steps.  Every
-    row gets the same bits as when marched alone.  A problem's ``split``
-    freezes the nodes of FREEZE_BLOCK steps at once (a node outside its
-    domain raises there), and Newton evaluates only f's state
-    dependence.  ``_march`` names the step and row of a failure.
+    row gets the same bits as when marched alone.  The problem's
+    ``freeze`` takes the nodes of FREEZE_BLOCK steps at once (a node
+    outside its domain raises there), and Newton evaluates only f's
+    state dependence.  ``_march`` names the step and row of a failure.
     """
     k = grid.step_size
-    freeze, rhs = problem.split or (lambda t: t, problem.rhs)
+    freeze, rhs = problem.freeze, problem.rhs
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
         parts = _newton_parts(rhs, problem.jacobian, k)
@@ -310,12 +303,11 @@ def solve(
             return u + k * rhs(at, u), 0
 
     u0 = np.asarray(problem.initial_value, dtype=float)
-    states, counts = _march(grid, problem.final_time, nodes, u0, FREEZE_BLOCK,
-                            freeze, step)
+    states, counts = _march(grid, nodes, u0, FREEZE_BLOCK, freeze, step)
     return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
 
 
-def _march(grid, final_time, nodes, u0, width, freeze, step):
+def _march(grid, nodes, u0, width, freeze, step):
     """The (N+1, R, ...) path and (N, R) iteration counts of an (R, N) block.
 
     Every row starts from the state ``u0`` and its step n evaluates at
@@ -326,8 +318,6 @@ def _march(grid, final_time, nodes, u0, width, freeze, step):
     to the finiteness check after the march: a NonConvergence of a step,
     or a non-finite state, is raised naming the step and the row.
     """
-    if not math.isclose(grid.final_time, final_time, rel_tol=1e-12):
-        raise ValueError("grid final time does not match the problem")
     if not (isinstance(nodes, np.ndarray) and nodes.ndim == 2 and len(nodes)
             and nodes.shape[1] == grid.steps):
         got = nodes.shape if isinstance(nodes, np.ndarray) else type(nodes).__name__
@@ -357,10 +347,11 @@ def local_residual(problem, exact_at_grid, xi, k):
     """(..., N) defects k f(xi_n, V^n) - V^n + V^{n-1} of grid values V^0..V^N.
 
     Entry n-1 of the last axis of ``xi`` is step n's node; one ``rhs``
-    call gets the (..., N) nodes and the (N,) values V^1..V^N.
+    call gets the (..., N) nodes' frozen data and the (N,) values
+    V^1..V^N.
     """
     v = exact_at_grid
-    return k * problem.rhs(xi, v[1:]) - v[1:] + v[:-1]
+    return k * problem.rhs(problem.freeze(xi), v[1:]) - v[1:] + v[:-1]
 
 
 def conditional_mean_residual(problem, grid: TimeGrid, panels: int):
@@ -373,15 +364,16 @@ def conditional_mean_residual(problem, grid: TimeGrid, panels: int):
     of u = ``problem.exact``, by composite 4-point Gauss-Legendre
     quadrature on each of ``panels`` equal subintervals.  Aligning the
     panels with the breakpoints of a piecewise right-hand side makes the
-    rule exact.  ``exact`` and ``rhs`` must act elementwise on arrays of
-    times: one ``exact`` call and two ``rhs`` calls evaluate each block of
-    whole steps, as many as QUAD_BLOCK points hold and at least one.  Rows
-    do not mix, so the blocks do not change the bits.
+    rule exact.  ``exact``, ``freeze`` and ``rhs`` must act elementwise on
+    arrays of times: one ``exact`` call, one ``freeze`` call and two
+    ``rhs`` calls evaluate each block of whole steps, as many as
+    QUAD_BLOCK points hold and at least one.  Rows do not mix, so the
+    blocks do not change the bits.
     """
     if panels < 1:
         raise ValueError("panels must be at least 1")
     t = grid.nodes()
-    exact = problem.exact
+    exact, freeze, rhs = problem.exact, problem.freeze, problem.rhs
     nodes, weights = np.polynomial.legendre.leggauss(4)
     width = max(1, QUAD_BLOCK // (panels * 4))
     means = np.empty(grid.steps)
@@ -393,7 +385,8 @@ def conditional_mean_residual(problem, grid: TimeGrid, panels: int):
         # every point of every panel of a step, panel by panel in order
         s = (mid[..., None] + half[..., None] * nodes).reshape(len(edges), -1)
         w = (half[..., None] * weights).reshape(len(edges), -1)
-        terms = w * (problem.rhs(s, exact(tb[1:])[:, None]) - problem.rhs(s, exact(s)))
+        c = freeze(s)
+        terms = w * (rhs(c, exact(tb[1:])[:, None]) - rhs(c, exact(s)))
         # a row-wise cumsum adds in point order, as the scalar recursion did
         means[lo : lo + width] = np.cumsum(terms, axis=1)[:, -1]
     return means

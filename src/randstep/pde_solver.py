@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fem1d import (
+    LOAD_POINTS,
     Mesh,
     _element_points,
     _gauss_01,
@@ -44,23 +45,16 @@ class PdeProblem:
     ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
     the (q, m+1) array of quadrature points, Gauss point by element.  A
     forcing that ignores ``t`` may return the points' shape or a
-    constant.  The monotonicity constant mu enters only the energy
-    diagnostic.
+    constant.  Time runs over [0, 1].  With the H^1 seminorm as the
+    V-norm the diffusion part is monotone with constant mu = 1, the
+    value that the energy diagnostic uses.
     """
 
     forcing: Callable
     nonlinearity: Callable
     nonlinearity_prime: Callable
     initial: Callable
-    final_time: float
     exact: Optional[Callable] = None
-    monotonicity: float = 1.0
-
-    def __post_init__(self):
-        if not self.final_time > 0:
-            raise ValueError("final_time must be positive")
-        if not self.monotonicity > 0:
-            raise ValueError("monotonicity constant must be positive")
 
 
 #: Steps per block of forcing loads (and of time nodes per error
@@ -135,7 +129,7 @@ def pde_solve(
         return _newton_fem(parts, mass.matvec(u) + load, u)
 
     u0 = l2_project(mesh, problem.initial)
-    states, counts = _march(grid, problem.final_time, nodes, u0, STEP_BLOCK, loads, step)
+    states, counts = _march(grid, nodes, u0, STEP_BLOCK, loads, step)
     return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
 
 
@@ -145,7 +139,9 @@ class EnergyReport:
 
     left = max_n |U^n|_M^2 + sum_j |U^j - U^{j-1}|_M^2
            + k*mu*sum_j |U^j|_S^2
-    right-hand data = T + |U^0|_M^2 + L2(0,T;L2)-norm^2 of the forcing.
+    right-hand data = T + |U^0|_M^2 + L2(0,T;L2)-norm^2 of the forcing
+
+    with the horizon T = 1 and mu = 1, the constant of monotone diffusion.
     """
 
     max_state_energy: float
@@ -153,7 +149,6 @@ class EnergyReport:
     dissipation_sum: float
     initial_energy: float
     forcing_energy: float
-    horizon: float
     flagged: bool
 
     @property
@@ -162,22 +157,21 @@ class EnergyReport:
 
     @property
     def right_side_data(self) -> float:
-        return self.horizon + self.initial_energy + self.forcing_energy
+        return 1.0 + self.initial_energy + self.forcing_energy
 
 
 #: Growth beyond this multiple of the right-side data flags instability.
 ENERGY_FLAG_FACTOR = 1e6
 
 
-def forcing_energy(
-    problem: PdeProblem, mesh: Mesh, grid: TimeGrid, quad_points: int = 4
-) -> float:
-    """Quadrature estimate of the squared L2(0,T; L2(0,1)) forcing norm.
+def forcing_energy(problem: PdeProblem, mesh: Mesh, grid: TimeGrid) -> float:
+    """Quadrature estimate of the squared L2(0,1; L2(0,1)) forcing norm.
 
-    Gauss rules per step in time and per element in space; the forcing
-    is evaluated at the time points of STEP_BLOCK steps at once.
+    LOAD_POINTS-point Gauss rules per step in time and per element in
+    space; the forcing is evaluated at the time points of STEP_BLOCK
+    steps at once.
     """
-    s, w = _gauss_01(quad_points)
+    s, w = _gauss_01(LOAD_POINTS)
     x = _element_points(mesh, s)
     k = grid.step_size
     starts = grid.nodes()[:-1, None]
@@ -213,18 +207,15 @@ def energy_bound_check(trajectory: Trajectory, problem: PdeProblem) -> EnergyRep
     max_state = max(initial_energy, float(squared(u, mass).max()))
     increment = float(squared(np.diff(fields, axis=0), mass).sum())
     k = trajectory.grid.step_size
-    dissipation = k * problem.monotonicity * float(
-        squared(u, assemble_stiffness(mesh)).sum()
-    )
+    dissipation = k * float(squared(u, assemble_stiffness(mesh)).sum())
     f_energy = forcing_energy(problem, mesh, trajectory.grid)
     left = max_state + increment + dissipation
-    right = trajectory.grid.final_time + initial_energy + f_energy
+    right = 1.0 + initial_energy + f_energy
     return EnergyReport(
         max_state_energy=max_state,
         increment_sum=increment,
         dissipation_sum=dissipation,
         initial_energy=initial_energy,
         forcing_energy=f_energy,
-        horizon=trajectory.grid.final_time,
         flagged=left > ENERGY_FLAG_FACTOR * right,
     )

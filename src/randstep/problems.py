@@ -192,24 +192,20 @@ def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:
     lam = spec.lam
     saw = spec.sawtooth
 
-    def rhs(t, x):
-        return pr_rhs(spec, pr_freeze(spec, t), x)
-
-    def jacobian(t, x):
+    def jacobian(frozen, x):
         return lam
 
     def exact(t):
         return sawtooth_g(saw, t)
 
     return OdeProblem(
-        rhs=rhs,
+        # closures look pr_rhs up per call, so a wrapper on the module sees it
+        rhs=lambda frozen, x: pr_rhs(spec, frozen, x),
         initial_value=sawtooth_g(saw, 0.0),
-        final_time=1.0,
         jacobian=jacobian,
         one_sided_constant=max(lam, 0.0),
         exact=exact,
-        # closures look pr_rhs up per call, so a wrapper on the module sees it
-        split=(lambda t: pr_freeze(spec, t), lambda frozen, x: pr_rhs(spec, frozen, x)),
+        freeze=lambda t: pr_freeze(spec, t),
         affine=True,
     )
 
@@ -221,7 +217,6 @@ def time_integral_problem() -> OdeProblem:
     return OdeProblem(
         rhs=lambda t, x: t,
         initial_value=0.0,
-        final_time=1.0,
         jacobian=lambda t, x: 0.0,
         one_sided_constant=0.0,
         exact=lambda t: 0.5 * t * t,
@@ -235,14 +230,12 @@ def semilinear_heat_problem(
     """Manufactured heat benchmark u_t - u_xx + b(u) = f on (0,1)^2.
 
     With the H^1 seminorm as the V-norm the diffusion part is monotone
-    with constant 1; b only strengthens monotonicity.
+    with constant 1, and the nondecreasing b only adds to it.
     """
     return PdeProblem(
         forcing=lambda t, x: pde_forcing(saw, bspec, t, x),
         nonlinearity=lambda u: b_trunc(bspec, u),
         nonlinearity_prime=lambda u: b_trunc_prime(bspec, u),
         initial=pde_initial,
-        final_time=1.0,
         exact=lambda t, x: pde_exact(saw, t, x),
-        monotonicity=1.0,
     )

@@ -35,27 +35,22 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Equidistant partition t_n = n*T/N of [0, T]."""
+    """Equidistant partition t_n = n/N of [0, 1], step size k = 1/N."""
 
-    final_time: float
     steps: int
 
     def __post_init__(self):
-        if not self.final_time > 0.0:
-            raise ValueError("final_time must be positive")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
     @property
     def step_size(self) -> float:
-        return self.final_time / self.steps
+        return 1.0 / self.steps
 
     def nodes(self) -> np.ndarray:
-        """All grid points t_0..t_N, t_n = n*T/N (no cumulative addition)."""
-        t = np.arange(self.steps + 1) * self.final_time / self.steps
-        # n*T/N can round off T for non-dyadic T; the right endpoint is exact
-        t[-1] = self.final_time
-        return t
+        """All grid points t_0..t_N, t_n = n/N (no cumulative addition);
+        the endpoint N/N is exactly 1."""
+        return np.arange(self.steps + 1) / self.steps
 
     def random_nodes(self, streams) -> np.ndarray:
         """(R, N) block of randomized nodes xi_n; row r draws from streams[r].

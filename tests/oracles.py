@@ -3,27 +3,22 @@ grid point and node rules, single steps of the ODE and PDE schemes, dense
 tridiagonal matrices, one-path node blocks, the per-row Newton counts of
 a batch, an error table's row and the residual study's slopes."""
 
-import dataclasses
 import math
 
 import numpy as np
 
 from randstep.fem1d import Mesh, load_vector
 from randstep.harness import _loglog_fit
-from randstep.ode_solver import solve
+from randstep.ode_solver import _newton_parts, _newton_scalar, check_step_restriction
 from randstep.pde_solver import _fem_parts, _newton_fem
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import NodeStream, SeedSpec
 
 
 def grid_node(grid, n):
-    """Grid point t_n, computed as n*T/N (no cumulative addition)."""
+    """Grid point t_n = n/N (no cumulative addition)."""
     if not 0 <= n <= grid.steps:
         raise IndexError(f"grid index {n} outside 0..{grid.steps}")
-    if n == grid.steps:
-        # n*T/N can round off T for non-dyadic T; the right endpoint
-        # is required to be exact.
-        return grid.final_time
-    return n * grid.final_time / grid.steps
+    return n / grid.steps
 
 
 def node(grid, n, tau):
@@ -54,10 +49,16 @@ def one_row(grid, scheme, seed=SeedSpec(1, 0)):
 
 
 def step_once(problem, t, u, k, scheme):
-    """U^1 of ``scheme`` from U^0 = u with f evaluated at t: a one-step
-    ``solve`` of the unsplit problem on [0, k]; a float."""
-    one_step = dataclasses.replace(problem, final_time=k, initial_value=u, split=None)
-    return solve(one_step, TimeGrid(k, 1), scheme, np.array([[t]])).states[1, 0]
+    """One step of ``scheme`` from the float u with step size k and f
+    evaluated at the float t, as a one-row batch: for an implicit scheme
+    the step restriction and ``_newton_scalar`` on the ``_newton_parts``,
+    for the explicit one u + k*f; a float."""
+    at, u = problem.freeze(np.array([t])), np.array([float(u)])
+    if not scheme.is_implicit:
+        return (u + k * problem.rhs(at, u))[0]
+    check_step_restriction(k, problem.one_sided_constant)
+    parts = _newton_parts(problem.rhs, problem.jacobian, k)
+    return _newton_scalar(parts, at, u, problem.affine)[0][0]
 
 
 def pde_step(mass, stiffness, k, xi, u_prev, problem):

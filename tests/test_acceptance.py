@@ -260,9 +260,9 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     # autonomous ODE: randomized and classical backward Euler agree
     ode = OdeProblem(
-        lambda t, x: -x - x**3, 1.0, 1.0, jacobian=lambda t, x: -1 - 3 * x**2
+        lambda t, x: -x - x**3, 1.0, jacobian=lambda t, x: -1 - 3 * x**2
     )
-    grid = TimeGrid(1.0, 64)
+    grid = TimeGrid(64)
     ode_gap = np.abs(
         solve(ode, grid, RBE, grid.random_nodes([NodeStream(SeedSpec(42, 0))])).states
         - solve(ode, grid, BE, grid.nodes()[None, 1:]).states
@@ -274,10 +274,9 @@ def test_criterion_8_structural_invariants(tmp_path):
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.sin(np.pi * x) / np.pi**2,
-        final_time=1.0,
     )
     mesh = Mesh(31)
-    pgrid = TimeGrid(1.0, 32)
+    pgrid = TimeGrid(32)
     drawn = pgrid.random_nodes([NodeStream(SeedSpec(42, 0))])
     pde_gap = np.abs(
         pde_solve(pde, mesh, pgrid, RBE, drawn).states

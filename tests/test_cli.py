@@ -409,7 +409,7 @@ def test_very_stiff_affine_sweep_is_solved(tmp_path, lam, K, n):
     spec = ProtheroRobinsonSpec(lam, SawtoothSpec(K))
     problem = prothero_robinson_problem(spec)
     for row in read_error_csv(out).for_scheme("rbe"):
-        grid = TimeGrid(1.0, row.steps)
+        grid = TimeGrid(row.steps)
         k = grid.step_size
         nodes = grid.random_nodes([NodeStream(SeedSpec(42, r)) for r in range(4)])
         path = solve(problem, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)

@@ -239,7 +239,7 @@ def test_discrete_norm_matches_quadrature():
     mesh = Mesh(11)
     c = np.random.default_rng(5).normal(size=11)
     mass_norm = np.sqrt(c @ assemble_mass(mesh).matvec(c))
-    quad_norm = l2_error(mesh, c, lambda x: np.zeros_like(x), quad_points=2)
+    quad_norm = l2_error(mesh, c, lambda x: np.zeros_like(x))
     assert abs(mass_norm - quad_norm) < 1e-14
 
 
@@ -339,7 +339,7 @@ def test_error_norms_keep_nan():
     assert l2_error(mesh, np.zeros(7), lambda x: 0.0 * x) == 0.0
 
 
-def kernel_digests(quad_points):
+def kernel_digests():
     """sha256 of every FEM kernel's output on a batched (3, 31) field."""
     mesh = Mesh(31)
     saw = SawtoothSpec(3)
@@ -348,19 +348,16 @@ def kernel_digests(quad_points):
     # the field crosses the cap, so both branches of b and b' are taken
     field = 2.0 * np.random.default_rng(9).standard_normal((3, 31))
     t = np.array([0.1, 0.45, 0.8])[:, None, None]
-    q = quad_points
-    jac = assemble_nonlinearity_jacobian(
-        mesh, lambda u: b_trunc_prime(bspec, u), field, q)
+    jac = assemble_nonlinearity_jacobian(mesh, lambda u: b_trunc_prime(bspec, u), field)
     outputs = {
-        "load_vector": load_vector(mesh, lambda x: problem.forcing(t, x), q),
+        "load_vector": load_vector(mesh, lambda x: problem.forcing(t, x)),
         "assemble_nonlinearity": assemble_nonlinearity(
-            mesh, lambda u: b_trunc(bspec, u), field, q),
+            mesh, lambda u: b_trunc(bspec, u), field),
         "jacobian.sub": jac.sub,
         "jacobian.diag": jac.diag,
         "jacobian.sup": jac.sup,
-        "l2_error": l2_error(mesh, field, lambda x: pde_exact(saw, t, x), q),
-        "forcing_energy": np.float64(
-            forcing_energy(problem, mesh, TimeGrid(1.0, 20), q)),
+        "l2_error": l2_error(mesh, field, lambda x: pde_exact(saw, t, x)),
+        "forcing_energy": np.float64(forcing_energy(problem, mesh, TimeGrid(20))),
     }
     assert outputs["load_vector"].shape == (3, 31)
     assert outputs["l2_error"].shape == (3,)
@@ -368,44 +365,27 @@ def kernel_digests(quad_points):
             for name, a in outputs.items()}
 
 
+# the loads, L2 errors and forcing energy are taken with the 4-point rule,
+# the nonlinearity and its Jacobian with the 2-point rule
 PINNED_KERNEL_BITS = {
-    2: {
-        "load_vector":
-            "8056454aa41c8cc8307dcdc025d8d893ea66a653f82b770ad43e4952f05704bc",
-        "assemble_nonlinearity":
-            "34f61911e709781b4ea12053d88f7ca6563b32361bdcbe060d3a0152bca80151",
-        "jacobian.sub":
-            "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
-        "jacobian.diag":
-            "54d02dceb6d488b98c0636cf4b68d961f12d8f00108e004eb699b8e41afd390c",
-        "jacobian.sup":
-            "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
-        "l2_error":
-            "85f659fb5431f8e65a61db28558c5731018e848e796580e7ae3d44c2c0e8a4c7",
-        "forcing_energy":
-            "fffe5c63d5a1e6f4e8f5e3bc58bcf3e177f74fa2d0f502bf15bd5678aecd9ae7",
-    },
-    4: {
-        "load_vector":
-            "58f658b3aca4fca7b998ea0ecdda81d146ae7eb98656d671113a378b6df8f7c0",
-        "assemble_nonlinearity":
-            "e4f77672b6d5127b9b4c8c10b7a0400727176e363178ca6d84eb0c40de7ae32e",
-        "jacobian.sub":
-            "32fda4334b2be20ca816f2d12df679f1219b29bb4a418fe91be15f3c8147dd08",
-        "jacobian.diag":
-            "0a4dbfd6d3292a51054d3c991352eb5b28782fa0c0e845bd2878cc915e9d6d65",
-        "jacobian.sup":
-            "32fda4334b2be20ca816f2d12df679f1219b29bb4a418fe91be15f3c8147dd08",
-        "l2_error":
-            "e74c9b62acafbdc5cc52359a27216aa464ed1557bdfaa43a0515270fd5f5b31c",
-        "forcing_energy":
-            "f424f51cfdcf253377b4c92d369ab5bcd72a23f2e76ee58a1bb23a0cf21e1187",
-    },
+    "load_vector":
+        "58f658b3aca4fca7b998ea0ecdda81d146ae7eb98656d671113a378b6df8f7c0",
+    "assemble_nonlinearity":
+        "34f61911e709781b4ea12053d88f7ca6563b32361bdcbe060d3a0152bca80151",
+    "jacobian.sub":
+        "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
+    "jacobian.diag":
+        "54d02dceb6d488b98c0636cf4b68d961f12d8f00108e004eb699b8e41afd390c",
+    "jacobian.sup":
+        "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
+    "l2_error":
+        "e74c9b62acafbdc5cc52359a27216aa464ed1557bdfaa43a0515270fd5f5b31c",
+    "forcing_energy":
+        "f424f51cfdcf253377b4c92d369ab5bcd72a23f2e76ee58a1bb23a0cf21e1187",
 }
 
 
-@pytest.mark.parametrize("quad_points", [2, 4])
-def test_fem_kernel_bits_are_pinned(quad_points):
+def test_fem_kernel_bits_are_pinned():
     # every bit of the quadrature kernels, so a change of their layout or
     # summation order shows here before it reaches a golden
-    assert kernel_digests(quad_points) == PINNED_KERNEL_BITS[quad_points]
+    assert kernel_digests() == PINNED_KERNEL_BITS

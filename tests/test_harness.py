@@ -72,10 +72,9 @@ def test_zero_errors_reduce_to_exact_zero_rms():
         nonlinearity=lambda u: np.zeros_like(u),
         nonlinearity_prime=lambda u: np.zeros_like(u),
         initial=lambda x: np.zeros_like(x),
-        final_time=1.0,
     )
     mesh = Mesh(9)
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     traj = pde_solve(problem, mesh, grid, RBE,
                      grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
     errs = np.array(
@@ -280,14 +279,14 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     from randstep.ode_solver import OdeProblem
     from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
     def rhs(t, x):
         return np.where(t == target, x * x + 10.0, -x)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, lambda t, x: np.where(t == target, 2.0 * x, -1.0),
+    problem = OdeProblem(rhs, 1.0, lambda t, x: np.where(t == target, 2.0 * x, -1.0),
                          exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
@@ -304,7 +303,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     from randstep.pde_solver import PdeProblem
     from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
 
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
@@ -313,7 +312,6 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.zeros_like(x),
-        final_time=1.0,
         exact=lambda t, x: 0.0 * t * x,
     )
     monkeypatch.setattr(harness, "_setup", _pde_setup(problem, Mesh(7)))
@@ -357,7 +355,7 @@ def test_failing_classical_row_named_in_experiment_error(monkeypatch):
     def rhs(t, x):
         return np.where(t == 0.5, x * x + 10.0, -x)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, lambda t, x: np.where(t == 0.5, 2.0 * x, -1.0),
+    problem = OdeProblem(rhs, 1.0, lambda t, x: np.where(t == 0.5, 2.0 * x, -1.0),
                          exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE, BE), (2,), 8, master_seed=42)
@@ -376,7 +374,6 @@ def test_failing_classical_pde_row_named_in_experiment_error(monkeypatch):
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.zeros_like(x),
-        final_time=1.0,
         exact=lambda t, x: 0.0 * t * x,
     )
     monkeypatch.setattr(harness, "_setup", _pde_setup(problem, Mesh(7)))
@@ -438,7 +435,7 @@ def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
     def jacobian(t, x):
         return np.where((t == 0.125) | (t == 0.75), 2.0 * x, -1.0)
 
-    problem = OdeProblem(rhs, 1.0, 1.0, jacobian, exact=lambda t: 0.0 * t)
+    problem = OdeProblem(rhs, 1.0, jacobian, exact=lambda t: 0.0 * t)
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (BE,), (2, 3), 2, master_seed=42)
     messages = []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ def linear_decay():
     return OdeProblem(
         rhs=lambda t, x: -x,
         initial_value=1.0,
-        final_time=1.0,
         jacobian=lambda t, x: -1.0,
     )
 
@@ -59,7 +59,7 @@ def test_implicit_step_linear_decay():
 
 
 def test_implicit_step_zero_rhs_identity():
-    p = OdeProblem(lambda t, x: 0.0, 3.5, 1.0, lambda t, x: 0.0)
+    p = OdeProblem(lambda t, x: 0.0, 3.5, lambda t, x: 0.0)
     assert rbe_step(p, 0.3, 3.5, 0.25) == 3.5
 
 
@@ -70,7 +70,6 @@ def test_implicit_step_smooth_prothero_robinson():
     p = OdeProblem(
         rhs=lambda t, x: lam * (x - t) + 1.0,
         initial_value=0.0,
-        final_time=1.0,
         jacobian=lambda t, x: lam,
     )
     k = 0.125
@@ -82,24 +81,31 @@ def test_implicit_step_smooth_prothero_robinson():
 def test_ode_problem_needs_a_single_number_initial_value():
     for bad in ([20.0, 1.0], np.array([1.0])):
         with pytest.raises(ValueError, match="single number"):
-            OdeProblem(lambda t, x: -x, bad, 1.0, lambda t, x: -1.0)
-    assert OdeProblem(lambda t, x: -x, np.float64(2.0), 1.0,
+            OdeProblem(lambda t, x: -x, bad, lambda t, x: -1.0)
+    assert OdeProblem(lambda t, x: -x, np.float64(2.0),
                       lambda t, x: -1.0).initial_value == 2.0
 
 
 def test_step_restriction_error_and_warning():
+    # solve checks the grid's k against nu = 2: k*nu = 1 raises and
+    # k*nu = 0.4 warns
     stiff = OdeProblem(
-        lambda t, x: 2.0 * x, 1.0, 1.0, jacobian=lambda t, x: 2.0,
+        lambda t, x: 2.0 * x, 1.0, jacobian=lambda t, x: 2.0,
         one_sided_constant=2.0,
     )
+    grid = TimeGrid(2)
     with pytest.raises(StepRestrictionViolated):
-        rbe_step(stiff, 0.0, 1.0, 0.5)
+        solve(stiff, grid, RBE, one_row(grid, RBE))
+    grid = TimeGrid(5)
     with pytest.warns(StepSizeWarning):
-        rbe_step(stiff, 0.0, 1.0, 0.2)
-    # nu <= 0 imposes no restriction
-    soft = OdeProblem(lambda t, x: -x, 1.0, 1.0, lambda t, x: -1.0,
+        solve(stiff, grid, RBE, one_row(grid, RBE))
+    # nu <= 0 imposes no restriction, even at k = 1
+    soft = OdeProblem(lambda t, x: -x, 1.0, lambda t, x: -1.0,
                       one_sided_constant=-5.0)
-    rbe_step(soft, 0.0, 1.0, 10.0)
+    grid = TimeGrid(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepSizeWarning)
+        solve(soft, grid, RBE, one_row(grid, RBE))
 
 
 def test_newton_nonconvergence_reported():
@@ -107,7 +113,6 @@ def test_newton_nonconvergence_reported():
     p = OdeProblem(
         rhs=lambda t, x: x * x,
         initial_value=1.0,
-        final_time=1.0,
         jacobian=lambda t, x: 2.0 * x,
     )
     with pytest.raises(NonConvergence):
@@ -115,11 +120,11 @@ def test_newton_nonconvergence_reported():
 
 
 def test_explicit_step_examples():
-    p = OdeProblem(lambda t, x: -1000.0 * x, 1.0, 1.0, lambda t, x: -1000.0)
+    p = OdeProblem(lambda t, x: -1000.0 * x, 1.0, lambda t, x: -1000.0)
     assert rfe_step(p, 0.0, 1.0, 2.0**-6) == -14.625
-    z = OdeProblem(lambda t, x: 0.0, 2.0, 1.0, lambda t, x: 0.0)
+    z = OdeProblem(lambda t, x: 0.0, 2.0, lambda t, x: 0.0)
     assert rfe_step(z, 0.0, 2.0, 0.1) == 2.0
-    q = OdeProblem(lambda t, x: 1.0, 0.0, 1.0, lambda t, x: 0.0)
+    q = OdeProblem(lambda t, x: 1.0, 0.0, lambda t, x: 0.0)
     assert rfe_step(q, 0.0, 0.0, 0.25) == 0.25
 
 
@@ -132,8 +137,8 @@ def test_explicit_step_examples():
     ],
 )
 def test_solve_constant_state(scheme):
-    p = OdeProblem(lambda t, x: 0.0, 3.0, 1.0, lambda t, x: 0.0)
-    grid = TimeGrid(1.0, 16)
+    p = OdeProblem(lambda t, x: 0.0, 3.0, lambda t, x: 0.0)
+    grid = TimeGrid(16)
     traj = solve(p, grid, scheme, one_row(grid, scheme))
     assert np.all(traj.states == 3.0)
     assert traj.states[0, 0] == 3.0
@@ -143,7 +148,7 @@ def test_solve_randomized_riemann_sum_exact():
     # state-independent f: the recursion collapses to the stratified
     # Riemann sum, bitwise (left-to-right accumulation)
     p = time_integral_problem()
-    grid = TimeGrid(1.0, 32)
+    grid = TimeGrid(32)
     nodes = grid.random_nodes([NodeStream(SeedSpec(3, 1))])
     traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
     taus = NodeStream(SeedSpec(3, 1)).taus(32)
@@ -163,7 +168,7 @@ def test_solve_randomized_riemann_sum_exact():
 def test_solve_variance_single_step():
     # T = 1, N = 1, f(t) = t: E[(U^1 - 1/2)^2] = Var U(0,1) = 1/12
     p = time_integral_problem()
-    grid = TimeGrid(1.0, 1)
+    grid = TimeGrid(1)
     sq = np.array(
         [
             (solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
@@ -179,10 +184,9 @@ def test_autonomous_reduction_to_classical():
     p = OdeProblem(
         rhs=lambda t, x: -x**3 - x,
         initial_value=1.0,
-        final_time=1.0,
         jacobian=lambda t, x: -3.0 * x**2 - 1.0,
     )
-    grid = TimeGrid(1.0, 64)
+    grid = TimeGrid(64)
     rbe, be = StepScheme.RANDOMIZED_BACKWARD_EULER, StepScheme.CLASSICAL_BACKWARD_EULER
     a = solve(p, grid, rbe, one_row(grid, rbe, SeedSpec(8, 0)))
     b = solve(p, grid, be, one_row(grid, be))
@@ -193,37 +197,31 @@ def test_autonomous_reduction_to_classical():
 def test_one_step_consistency_invariant():
     saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
-    grid = TimeGrid(1.0, 32)
+    grid = TimeGrid(32)
     nodes = grid.random_nodes([NodeStream(SeedSpec(5, 3))])
     traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
     k = grid.step_size
     for n in range(1, 33):
         u_n = traj.states[n, 0]
-        resid = abs(u_n - traj.states[n - 1, 0] - k * p.rhs(nodes[0, n - 1], u_n))
+        resid = abs(u_n - traj.states[n - 1, 0]
+                    - k * p.rhs(p.freeze(nodes[0, n - 1]), u_n))
         assert resid <= 10.0 * (ABS_TOL + REL_TOL * abs(u_n))
 
 
 def test_linear_problem_single_newton_iteration():
     saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
-    grid = TimeGrid(1.0, 64)
+    grid = TimeGrid(64)
     traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                  grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
     assert np.all(traj.newton_iteration_counts == 1)
 
 
-def test_solve_requires_matching_final_time():
-    p = OdeProblem(lambda t, x: 0.0, 0.0, 2.0, lambda t, x: 0.0)
-    grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError, match="final time"):
-        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
-
-
 def test_solve_requires_a_node_block():
-    p = OdeProblem(lambda t, x: 0.0, 0.0, 1.0, lambda t, x: 0.0)
+    p = OdeProblem(lambda t, x: 0.0, 0.0, lambda t, x: 0.0)
     for nodes in (None, NodeStream(SeedSpec(1, 0))):
         with pytest.raises(ValueError, match="node block"):
-            solve(p, TimeGrid(1.0, 4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+            solve(p, TimeGrid(4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
 
 
 def test_nonconvergence_carries_step_index():
@@ -234,8 +232,8 @@ def test_nonconvergence_carries_step_index():
             return -x
         return x * x + 1.0
 
-    p = OdeProblem(flaky, 1.0, 1.0, lambda t, x: -1.0 if t < 0.5 else 2.0 * x)
-    grid = TimeGrid(1.0, 4)
+    p = OdeProblem(flaky, 1.0, lambda t, x: -1.0 if t < 0.5 else 2.0 * x)
+    grid = TimeGrid(4)
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
     assert err.value.step == 2
@@ -244,11 +242,11 @@ def test_nonconvergence_carries_step_index():
 def test_newton_iteration_limit_names_step_and_row():
     # a Jacobian 19 times too steep at t = 0.7 leaves only that row's
     # residual falling linearly, too slowly to meet the tolerance
-    p = OdeProblem(lambda t, x: -x, 1.0, 1.0,
+    p = OdeProblem(lambda t, x: -x, 1.0,
                    jacobian=lambda t, x: np.where(t == 0.7, -19.0, -1.0))
     nodes = np.array([[0.1, 0.6], [0.2, 0.7], [0.3, 0.8]])
     with pytest.raises(NonConvergence) as err:
-        solve(p, TimeGrid(1.0, 2), RBE, nodes)
+        solve(p, TimeGrid(2), RBE, nodes)
     assert str(err.value) == (
         f"step 2: residual 1.498e-04 above tolerance after {MAX_ITERATIONS} iterations"
     )
@@ -256,12 +254,12 @@ def test_newton_iteration_limit_names_step_and_row():
 
 
 def test_local_residual_definition():
-    p = OdeProblem(lambda t, x: 0.0, 1.0, 1.0, lambda t, x: 0.0)
+    p = OdeProblem(lambda t, x: 0.0, 1.0, lambda t, x: 0.0)
     vals = np.full(9, 1.7)
     assert (local_residual(p, vals, np.full(8, 0.41), 0.125) == 0.0).all()
 
     q = time_integral_problem()
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     exact = np.array([q.exact(grid_node(grid, n)) for n in range(9)])
     k = grid.step_size
     xi = grid.nodes()[:-1] + 0.3 * k
@@ -284,7 +282,8 @@ def _per_step_conditional_mean(problem, exact, n, grid, quad_points, panels):
     s = (mid[:, None] + half[:, None] * nodes).ravel()
     w = (half[:, None] * weights).ravel()
     u_s = np.array([exact(p) for p in s])
-    return np.cumsum(w * (problem.rhs(s, u_n) - problem.rhs(s, u_s)))[-1]
+    c = problem.freeze(s)
+    return np.cumsum(w * (problem.rhs(c, u_n) - problem.rhs(c, u_s)))[-1]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -295,7 +294,7 @@ def test_conditional_mean_residual_matches_per_step_rule(n):
         ProtheroRobinsonSpec(2.0, SawtoothSpec(K))
     )
     ti = time_integral_problem()
-    grid = TimeGrid(1.0, 2**n)
+    grid = TimeGrid(2**n)
     panels = 2 ** max(K - n, 0)
     for p in (pr, ti):
         got = conditional_mean_residual(p, grid, panels)
@@ -324,7 +323,7 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
 
     default = ode_solver.QUAD_BLOCK
     for n in (0, 2, 5, 7):
-        grid = TimeGrid(1.0, 2**n)
+        grid = TimeGrid(2**n)
         panels = 2 ** max(K - n, 0)
         monkeypatch.setattr(ode_solver, "QUAD_BLOCK", default)
         calls.clear()
@@ -343,10 +342,10 @@ def test_conditional_mean_residual_blocks_do_not_change_bits(monkeypatch):
 
 def test_conditional_mean_residual_closed_form():
     p = OdeProblem(
-        lambda t, x: -x, 1.0, 1.0,
+        lambda t, x: -x, 1.0,
         jacobian=lambda t, x: -1.0, exact=lambda t: np.exp(-t),
     )
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     k = grid.step_size
     n = 3
     t0, t1 = grid_node(grid, n - 1), grid_node(grid, n)
@@ -358,14 +357,14 @@ def test_conditional_mean_residual_closed_form():
 
 def test_conditional_mean_residual_state_independent_zero():
     p = time_integral_problem()
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     val = conditional_mean_residual(p, grid, 1)
     assert np.abs(val).max() < 1e-16
 
 
 def test_conditional_mean_residual_validation():
     p = time_integral_problem()
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     with pytest.raises(ValueError):
         conditional_mean_residual(p, grid, panels=0)
 
@@ -386,9 +385,9 @@ def test_batched_solve_matches_single_replicas_bitwise():
         calls.append(np.size(x))
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    p = OdeProblem(rhs, 20.0, 1.0,
+    p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     seeds = [SeedSpec(11, r) for r in range(6)]
     block = grid.random_nodes([NodeStream(s) for s in seeds])
     batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
@@ -410,11 +409,11 @@ def test_batched_solve_matches_single_replicas_bitwise():
 
 
 def test_batched_nonconvergence_names_replica():
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     streams = [NodeStream(SeedSpec(3, r)) for r in range(5)]
     target = grid.random_nodes([NodeStream(SeedSpec(3, 2))])[0, 0]
     # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
-    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0, 1.0,
+    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0,
                    lambda t, x: np.where(t == target, 2.0 * x, -1.0))
     with pytest.raises(NonConvergence) as err:
         solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(streams))
@@ -422,7 +421,7 @@ def test_batched_nonconvergence_names_replica():
 
 
 def test_random_nodes_match_scalar_rule():
-    grid = TimeGrid(1.0, 64)
+    grid = TimeGrid(64)
     block = grid.random_nodes([NodeStream(SeedSpec(4, r)) for r in range(3)])
     for r in range(3):
         taus = NodeStream(SeedSpec(4, r)).taus(64)
@@ -437,9 +436,9 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     def rhs(t, x):
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    p = OdeProblem(rhs, 20.0, 1.0,
+    p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
@@ -456,7 +455,7 @@ def test_classical_row_beside_replicas_equals_classical_alone():
 
 def test_solve_rejects_bad_node_blocks():
     p = linear_decay()
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
     for bad in (np.empty((0, 4)), np.zeros((2, 3)), np.zeros(4),
                 [NodeStream(SeedSpec(1, 0))], np.zeros((2, 4)).tolist()):
@@ -466,12 +465,11 @@ def test_solve_rejects_bad_node_blocks():
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():
     # N is not a multiple of FREEZE_BLOCK, so the last block is partial;
-    # the oracle takes one-step solves of the unsplit problem, which
-    # evaluate rhs(t, x)
+    # the oracle freezes each node on its own and takes one step
     problem = prothero_robinson_problem(
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
-    grid = TimeGrid(1.0, 2 * FREEZE_BLOCK + 22)
+    grid = TimeGrid(2 * FREEZE_BLOCK + 22)
     k = grid.step_size
     randomized = grid.random_nodes([NodeStream(SeedSpec(5, r)) for r in range(3)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
@@ -501,14 +499,14 @@ def test_split_problem_marches_like_unsplit_bitwise():
         calls.append(np.size(x))
         return c[..., 0] * np.arctan(x)
 
-    plain = OdeProblem(rhs, 20.0, 1.0,
+    plain = OdeProblem(rhs, 20.0,
                        jacobian=lambda t, x: -500.0 * (1.0 + t) / (1.0 + x * x))
     split = OdeProblem(
-        rhs, 20.0, 1.0,
+        rhs_frozen, 20.0,
         jacobian=lambda c, x: c[..., 0] / (1.0 + x * x),
-        split=(lambda t: (-500.0 * (1.0 + t))[..., None], rhs_frozen),
+        freeze=lambda t: (-500.0 * (1.0 + t))[..., None],
     )
-    grid = TimeGrid(1.0, FREEZE_BLOCK + 7)
+    grid = TimeGrid(FREEZE_BLOCK + 7)
     block = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
     a = solve(plain, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
     b = solve(split, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
@@ -526,7 +524,7 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
     problem = prothero_robinson_problem(
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
-    grid = TimeGrid(1.0, FREEZE_BLOCK + 10)
+    grid = TimeGrid(FREEZE_BLOCK + 10)
     block = grid.random_nodes([NodeStream(SeedSpec(2, r)) for r in range(3)])
     block[1, step] = bad
     for scheme in (StepScheme.RANDOMIZED_BACKWARD_EULER,
@@ -553,9 +551,9 @@ PINNED_BITS = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_BITS))
 def test_solve_bits_are_pinned(kind):
-    p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0, 1.0,
+    p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     path = solve(p, grid, RFE if kind == "batch-rfe" else RBE, block)
@@ -576,9 +574,9 @@ def test_newton_counts_of_rows_that_finish_apart():
         calls.append(np.size(x))
         return -50.0 * (1.0 + t) * np.arctan(x)
 
-    p = OdeProblem(rhs, 20.0, 1.0,
+    p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     rows = [one_row(grid, RBE, SeedSpec(11, r)) for r in range(5)] + [one_row(grid, BE)]
     counts = assert_counts_are_each_rows_own(
         lambda nodes: solve(p, grid, RBE, nodes), grid, rows)
@@ -595,7 +593,7 @@ def test_newton_counts_of_rows_that_finish_apart():
 def test_newton_counts_of_rows_that_finish_together():
     # Prothero-Robinson is linear in x: every row converges in one iteration
     problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, SawtoothSpec(6)))
-    grid = TimeGrid(1.0, 16)
+    grid = TimeGrid(16)
     rows = [one_row(grid, RBE, SeedSpec(7, r)) for r in range(3)] + [one_row(grid, BE)]
     counts = assert_counts_are_each_rows_own(
         lambda nodes: solve(problem, grid, RBE, nodes), grid, rows)
@@ -613,7 +611,7 @@ def test_affine_step_equals_damped_newton_bitwise(problem_id, lam):
     else:
         problem = prothero_robinson_problem(ProtheroRobinsonSpec(lam, SawtoothSpec(6)))
     assert problem.affine
-    grid = TimeGrid(1.0, FREEZE_BLOCK + 8)
+    grid = TimeGrid(FREEZE_BLOCK + 8)
     randomized = grid.random_nodes([NodeStream(SeedSpec(13, r)) for r in range(5)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     direct = solve(problem, grid, RBE, block)
@@ -627,8 +625,8 @@ def test_affine_step_at_a_root_keeps_the_state_and_counts_one():
     # f(t, x) = 1 - x vanishes at the start x = 1: the direct step keeps x
     # bit for bit and counts one step, where damped Newton, whose start
     # already meets the tolerance, counts none
-    p = OdeProblem(lambda t, x: 1.0 - x, 1.0, 1.0, lambda t, x: -1.0, affine=True)
-    grid = TimeGrid(1.0, 4)
+    p = OdeProblem(lambda t, x: 1.0 - x, 1.0, lambda t, x: -1.0, affine=True)
+    grid = TimeGrid(4)
     block = np.concatenate([one_row(grid, RBE, SeedSpec(3, 0)), one_row(grid, BE)])
     direct = solve(p, grid, RBE, block)
     damped = solve(dataclasses.replace(p, affine=False), grid, RBE, block)

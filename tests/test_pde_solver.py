@@ -30,7 +30,6 @@ def zero_problem():
         nonlinearity=lambda u: np.zeros_like(u),
         nonlinearity_prime=lambda u: np.zeros_like(u),
         initial=lambda x: np.zeros_like(x),
-        final_time=1.0,
     )
 
 
@@ -84,7 +83,7 @@ def test_step_residual_below_tolerance():
 
 
 def test_solve_zero_problem():
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     traj = pde_solve(zero_problem(), Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                      grid.random_nodes([NodeStream(SeedSpec(1, 0))]))
     assert np.array_equal(traj.states, np.zeros_like(traj.states))
@@ -94,7 +93,7 @@ def test_solve_zero_problem():
 def test_solve_initial_field_is_projection():
     problem, _ = heat_problem()
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     traj = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
                      grid.nodes()[None, 1:])
     assert np.array_equal(traj.states[0, 0],
@@ -102,7 +101,7 @@ def test_solve_initial_field_is_projection():
 
 
 def test_solve_rejects_explicit_scheme():
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     with pytest.raises(ValueError, match="explicit"):
         pde_solve(zero_problem(), Mesh(7), grid, StepScheme.RANDOMIZED_FORWARD_EULER,
                   grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
@@ -114,10 +113,9 @@ def test_autonomous_data_randomized_equals_classical():
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.sin(np.pi * x) / np.pi**2,
-        final_time=1.0,
     )
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 16)
+    grid = TimeGrid(16)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                   grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
     b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
@@ -132,7 +130,7 @@ def test_monotone_contraction_of_paired_trajectories():
         initial=lambda x: 0.4 * np.sin(2 * np.pi * x) + np.sin(np.pi * x) / np.pi**2,
     )
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 32)
+    grid = TimeGrid(32)
     mass = assemble_mass(mesh)
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                   grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
@@ -147,7 +145,7 @@ def test_monotone_contraction_of_paired_trajectories():
 def test_nodes_shared_between_paired_runs():
     problem, _ = heat_problem()
     mesh = Mesh(15)
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     a_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
     b_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
     a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, a_nodes)
@@ -162,7 +160,7 @@ def test_nodes_shared_between_paired_runs():
 def test_benchmark_regression_single_replica():
     problem, saw = heat_problem(exponent=5)
     mesh = Mesh(63)
-    grid = TimeGrid(1.0, 256)
+    grid = TimeGrid(256)
     traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                      grid.random_nodes([NodeStream(SeedSpec(42, 0))]))
     err = l2_error(mesh, traj.states[-1, 0], lambda x: pde_exact(saw, 1.0, x))
@@ -173,7 +171,7 @@ def test_benchmark_regression_single_replica():
 def test_energy_bound_check():
     problem, _ = heat_problem()
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 32)
+    grid = TimeGrid(32)
     traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                      grid.random_nodes([NodeStream(SeedSpec(7, 0))]))
     report = energy_bound_check(traj, problem)
@@ -181,7 +179,7 @@ def test_energy_bound_check():
     assert report.right_side_data > 0
     assert not report.flagged
 
-    grid = TimeGrid(1.0, 4)
+    grid = TimeGrid(4)
     batch = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                       grid.random_nodes([NodeStream(SeedSpec(7, r)) for r in range(2)]))
     with pytest.raises(ValueError, match="single replica"):
@@ -201,7 +199,7 @@ def test_energy_stable_under_refinement():
     mesh = Mesh(31)
     vals = []
     for n_steps in (32, 64):
-        grid = TimeGrid(1.0, n_steps)
+        grid = TimeGrid(n_steps)
         traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
                          grid.random_nodes([NodeStream(SeedSpec(11, 0))]))
         vals.append(energy_bound_check(traj, problem).max_state_energy)
@@ -215,7 +213,6 @@ def autonomous_problem():
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.sin(np.pi * x) / np.pi**2,
-        final_time=1.0,
     )
 
 
@@ -228,7 +225,7 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     # without t; 40 steps cover two full blocks and a partial one
     problem = problem_fn()
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 40)
+    grid = TimeGrid(40)
     nodes = one_row(grid, scheme, SeedSpec(5, 0))
     path = pde_solve(problem, mesh, grid, scheme, nodes)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
@@ -246,12 +243,11 @@ def swinging_problem():
         nonlinearity=lambda u: u**3,
         nonlinearity_prime=lambda u: 3.0 * u**2,
         initial=lambda x: np.sin(np.pi * x),
-        final_time=1.0,
     )
 
 
 def test_constant_forcing_equals_array_of_ones():
-    grid = TimeGrid(1.0, 8)
+    grid = TimeGrid(8)
     block = one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER, SeedSpec(5, 0))
     ones = dataclasses.replace(swinging_problem(), forcing=lambda t, x: np.ones_like(x))
     constant = dataclasses.replace(ones, forcing=lambda t, x: 1.0)
@@ -263,7 +259,7 @@ def test_constant_forcing_equals_array_of_ones():
 def test_batch_replicas_equal_single_solves():
     problem = swinging_problem()
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 37)
+    grid = TimeGrid(37)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
     replicas = range(2, 7)
     block = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas])
@@ -284,7 +280,7 @@ def test_batch_replicas_equal_single_solves():
 
 def test_solve_rejects_empty_stream_batch():
     with pytest.raises(ValueError):
-        pde_solve(zero_problem(), Mesh(7), TimeGrid(1.0, 4),
+        pde_solve(zero_problem(), Mesh(7), TimeGrid(4),
                   StepScheme.RANDOMIZED_BACKWARD_EULER, np.empty((0, 4)))
 
 
@@ -293,7 +289,7 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     # and keeps its fields and Newton counts, and theirs stay as they were
     problem = swinging_problem()
     mesh = Mesh(31)
-    grid = TimeGrid(1.0, 37)
+    grid = TimeGrid(37)
     randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
     block = np.concatenate([grid.nodes()[None, 1:], randomized])
     batch = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER, block)
@@ -314,7 +310,7 @@ def test_newton_counts_of_a_two_row_batch():
     # the two replicas converge in different iterations of some steps
     problem = swinging_problem()
     mesh = Mesh(15)
-    grid = TimeGrid(1.0, 16)
+    grid = TimeGrid(16)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
     rows = [one_row(grid, scheme, SeedSpec(3, r)) for r in range(2)]
     counts = assert_counts_are_each_rows_own(
@@ -332,7 +328,7 @@ PINNED_PDE_BITS = (
 
 
 def test_pde_solve_bits_are_pinned():
-    grid = TimeGrid(1.0, 37)
+    grid = TimeGrid(37)
     randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
     path = pde_solve(swinging_problem(), Mesh(31), grid,

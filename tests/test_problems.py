@@ -127,19 +127,19 @@ def test_array_arguments_match_scalar_calls_bitwise():
 
 @pytest.mark.parametrize("lam", [2.0, -1000.0])
 def test_frozen_rhs_matches_rhs_bitwise(lam):
-    # the edge-case times, frozen as a whole and as a (steps, rows) block
-    # the way solve freezes them, then subset as Newton does
+    # the edge-case times, frozen as a whole, one at a time and as a
+    # (steps, rows) block the way solve freezes them, then subset as
+    # Newton does
     rng = np.random.default_rng(3)
     t = edge_case_times(rng)
     x = rng.normal(size=t.size)
     spec = ProtheroRobinsonSpec(lam, SAW)
     problem = prothero_robinson_problem(spec)
-    freeze, rhs_frozen = problem.split
+    freeze, rhs_frozen = problem.freeze, problem.rhs
     expected = lam * (x - sawtooth_g(SAW, t)) + sawtooth_gdot(SAW, t)
-    assert problem.rhs(t, x).tolist() == expected.tolist()
     assert rhs_frozen(freeze(t), x).tolist() == expected.tolist()
     for j in (0, 64, 65, 128, 300):
-        assert rhs_frozen(freeze(t[j]), x[j]) == expected[j] == problem.rhs(t[j], x[j])
+        assert rhs_frozen(freeze(t[j]), x[j]) == expected[j]
     nodes = np.stack([t, t[::-1]])  # (R, N), as solve gets them
     states, values = np.stack([x, x[::-1]]), np.stack([expected, expected[::-1]])
     frozen = freeze(nodes.T)
@@ -267,9 +267,10 @@ def test_benchmark_jacobians_match_finite_differences():
         time_integral_problem(),
     ):
         for t, x in ((0.13, 0.7), (0.5, -2.0), (0.96, 3.1)):
+            c = problem.freeze(t)
             dx = sqrt_eps * (1.0 + abs(x))
-            fd = (problem.rhs(t, x + dx) - problem.rhs(t, x)) / dx
-            assert abs(problem.jacobian(t, x) - fd) <= 10 * sqrt_eps * (1 + abs(fd))
+            fd = (problem.rhs(c, x + dx) - problem.rhs(c, x)) / dx
+            assert abs(problem.jacobian(c, x) - fd) <= 10 * sqrt_eps * (1 + abs(fd))
 
 
 def test_spec_validation():
