@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from randstep.fem1d import (
+    LOAD_POINTS,
+    NONLINEARITY_POINTS,
     Mesh,
     TriDiag,
     _element_values,
@@ -365,27 +367,44 @@ def kernel_digests():
             for name, a in outputs.items()}
 
 
-# the loads, L2 errors and forcing energy are taken with the 4-point rule,
-# the nonlinearity and its Jacobian with the 2-point rule
+# the Gauss rule each kernel integrates with
+KERNEL_RULE = {
+    "load_vector": LOAD_POINTS,
+    "assemble_nonlinearity": NONLINEARITY_POINTS,
+    "jacobian.sub": NONLINEARITY_POINTS,
+    "jacobian.diag": NONLINEARITY_POINTS,
+    "jacobian.sup": NONLINEARITY_POINTS,
+    "l2_error": LOAD_POINTS,
+    "forcing_energy": LOAD_POINTS,
+}
+
 PINNED_KERNEL_BITS = {
-    "load_vector":
-        "58f658b3aca4fca7b998ea0ecdda81d146ae7eb98656d671113a378b6df8f7c0",
-    "assemble_nonlinearity":
-        "34f61911e709781b4ea12053d88f7ca6563b32361bdcbe060d3a0152bca80151",
-    "jacobian.sub":
-        "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
-    "jacobian.diag":
-        "54d02dceb6d488b98c0636cf4b68d961f12d8f00108e004eb699b8e41afd390c",
-    "jacobian.sup":
-        "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
-    "l2_error":
-        "e74c9b62acafbdc5cc52359a27216aa464ed1557bdfaa43a0515270fd5f5b31c",
-    "forcing_energy":
-        "f424f51cfdcf253377b4c92d369ab5bcd72a23f2e76ee58a1bb23a0cf21e1187",
+    2: {
+        "assemble_nonlinearity":
+            "34f61911e709781b4ea12053d88f7ca6563b32361bdcbe060d3a0152bca80151",
+        "jacobian.sub":
+            "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
+        "jacobian.diag":
+            "54d02dceb6d488b98c0636cf4b68d961f12d8f00108e004eb699b8e41afd390c",
+        "jacobian.sup":
+            "affcd7bced21614d3a2ad4d41593ce766212bdb58f5da7c3a6bff213ea78f9fc",
+    },
+    4: {
+        "load_vector":
+            "58f658b3aca4fca7b998ea0ecdda81d146ae7eb98656d671113a378b6df8f7c0",
+        "l2_error":
+            "e74c9b62acafbdc5cc52359a27216aa464ed1557bdfaa43a0515270fd5f5b31c",
+        "forcing_energy":
+            "f424f51cfdcf253377b4c92d369ab5bcd72a23f2e76ee58a1bb23a0cf21e1187",
+    },
 }
 
 
-def test_fem_kernel_bits_are_pinned():
-    # every bit of the quadrature kernels, so a change of their layout or
-    # summation order shows here before it reaches a golden
-    assert kernel_digests() == PINNED_KERNEL_BITS
+@pytest.mark.parametrize("quad_points", [2, 4])
+def test_fem_kernel_bits_are_pinned(quad_points):
+    # every bit of the kernels on the quad_points-point rule, so a change of
+    # their layout or summation order shows here before it reaches a golden
+    pinned = PINNED_KERNEL_BITS[quad_points]
+    assert set(pinned) == {k for k, q in KERNEL_RULE.items() if q == quad_points}
+    digests = kernel_digests()
+    assert {k: digests[k] for k in pinned} == pinned
