@@ -26,9 +26,15 @@ NONLINEARITY_POINTS = 2
 
 
 @lru_cache(maxsize=None)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1]; numpy.polynomial loads on first use."""
+    return np.polynomial.legendre.leggauss(points)
+
+
+@lru_cache(maxsize=None)
 def _gauss_01(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped to the unit interval."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = _gauss_legendre(points)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 

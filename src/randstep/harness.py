@@ -40,7 +40,7 @@ from .ode_solver import (
     solve,
 )
 from .pde_solver import STEP_BLOCK, pde_solve
-from .rand_nodes import DEFAULT_MASTER_SEED, NodeStream, SeedSpec, TimeGrid
+from .rand_nodes import DEFAULT_MASTER_SEED, NodeStream, TimeGrid, check_seed
 
 
 class ErrorMode(Enum):
@@ -66,9 +66,10 @@ class ExperimentSpec:
 
     Construction resolves the id through ``_setup``, so a parameter that
     the problem refuses raises here, before any worker process starts, as
-    do an implicit scheme at a step size with k*nu >= 1 and a sweep whose
-    largest batch needs more than physical memory.  ``residual_study``
-    takes a spec with no schemes.
+    do a seed that ``rand_nodes.check_seed`` refuses, an implicit scheme
+    at a step size with k*nu >= 1 and a sweep whose largest batch needs
+    more than physical memory.  ``residual_study`` takes a spec with no
+    schemes.
     """
 
     problem: str
@@ -85,7 +86,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mc_replicas < 1:
             raise ValueError(f"need at least one replica, got {self.mc_replicas}")
-        SeedSpec(self.master_seed)  # rejects a seed outside 0..2^64-1
+        check_seed(self.master_seed)
         if not self.step_exponents:
             raise ValueError("need at least one step exponent")
         if min(self.step_exponents) < 0:
@@ -172,8 +173,7 @@ def _batch_nodes(spec, schemes, grid, lo, hi):
     blocks, rows, start = [], {}, 0
     for scheme in schemes:
         if scheme.is_randomized:
-            streams = [NodeStream(SeedSpec(spec.master_seed, r)) for r in range(lo, hi)]
-            blocks.append(grid.random_nodes(streams))
+            blocks.append(grid.random_nodes(spec.master_seed, range(lo, hi)))
         else:
             blocks.append(grid.nodes()[None, 1:])
         rows[scheme] = range(start, start + len(blocks[-1]))
@@ -197,21 +197,21 @@ def _by_scheme(errors, rows):
     return {s: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
 
 
-def _ode_errors(problem, grid, path):
+def _ode_errors(problem, path):
     """(final, max) absolute errors of every row of an ODE batch."""
     # error of every row at every grid point, in place of the states
     diff = path.states
-    diff -= problem.exact(grid.nodes())[:, None]
+    diff -= problem.exact(path.grid.nodes())[:, None]
     np.abs(diff, out=diff)
     # a view of the last row would keep the whole path alive in the result
     return diff[-1].copy(), diff.max(axis=0)
 
 
-def _pde_errors(problem, mesh, grid, path):
+def _pde_errors(problem, mesh, path):
     """(final, max) L2 errors of the (R, m) fields of every row of a PDE
     batch; the exact solution of a block of time nodes serves every row."""
     fields = path.states
-    times = grid.nodes()
+    times = path.grid.nodes()
     errs = np.empty(fields.shape[:2])
     for n in range(0, len(times), STEP_BLOCK):
         t = times[n : n + STEP_BLOCK, None, None, None]
@@ -225,9 +225,9 @@ def _setup(spec: ExperimentSpec):
     """(problem, march, errors) of the spec's problem id: the one place an
     id is resolved.
 
-    ``march(grid, scheme, nodes)`` solves a batch, ``errors(grid, path)``
-    gives its per-row (final, max) errors.  Building the problem checks
-    every parameter that the id reads.
+    ``march(scheme, nodes)`` solves a batch, ``errors(path)`` gives its
+    per-row (final, max) errors.  Building the problem checks every
+    parameter that the id reads.
     """
     if spec.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
         raise ValueError(f"unknown problem id {spec.problem!r}")
@@ -259,13 +259,12 @@ def _chunk(spec, schemes, exponent, lo, hi):
     of replicas lo..hi-1, the classical scheme those of its one path.
     """
     problem, march, errors = _setup(spec)
-    grid = TimeGrid(2**exponent)
-    nodes, rows = _batch_nodes(spec, schemes, grid, lo, hi)
+    nodes, rows = _batch_nodes(spec, schemes, TimeGrid(2**exponent), lo, hi)
     try:
-        path = march(grid, schemes[0], nodes)
+        path = march(schemes[0], nodes)
     except (NonConvergence, ValueError) as err:
         raise _batch_failure(err, rows, exponent, lo) from err
-    final, worst = errors(grid, path)
+    final, worst = errors(path)
     return _by_scheme((final, worst, path.newton_iteration_counts.mean(axis=0)), rows)
 
 
@@ -522,12 +521,12 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
             # each replica seeds its stream once: every grid's nodes come
             # from a prefix of the same draws, as a fresh stream gives them
             taus = np.array([
-                NodeStream(SeedSpec(spec.master_seed, r)).taus(longest)
+                NodeStream(spec.master_seed, r).taus(longest)
                 for r in range(lo, min(lo + RESIDUAL_BLOCK, replicas))
             ])
             for i, (grid, v) in enumerate(zip(grids, exact_grids)):
                 xi = grid.nodes_from_taus(taus[:, : grid.steps])
-                rho = local_residual(problem, v, xi, grid.step_size)
+                rho = local_residual(problem, v, xi)
                 # a row-wise cumsum adds in step order, as the scalar recursion does
                 sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
     rows = [

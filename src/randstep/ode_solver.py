@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .fem1d import _gauss_legendre
 from .rand_nodes import TimeGrid
 
 #: Newton's tolerance on a row: norm(residual) <= ABS_TOL + REL_TOL * s.
@@ -134,9 +135,20 @@ class Trajectory:
     Row r's Newton iteration counts are column r of the (N, R) counts.
     """
 
-    grid: TimeGrid
     states: np.ndarray  # (N+1, R); (N+1, R, m) for the PDE
     newton_iteration_counts: np.ndarray  # (N, R); zeros if explicit
+
+    @property
+    def grid(self) -> TimeGrid:
+        return TimeGrid(len(self.states) - 1)
+
+
+def _node_grid(nodes) -> TimeGrid:
+    """TimeGrid(N) of an (R, N) node block, a 2-D ndarray with R, N >= 1."""
+    if isinstance(nodes, np.ndarray) and nodes.ndim == 2 and nodes.size:
+        return TimeGrid(nodes.shape[1])
+    got = nodes.shape if isinstance(nodes, np.ndarray) else type(nodes).__name__
+    raise ValueError(f"need an (R, N) node block with R, N >= 1, got {got}")
 
 
 def check_step_restriction(k: float, nu: float) -> None:
@@ -271,25 +283,20 @@ def _newton_scalar(parts, at, u_prev, affine):
     return _damped_newton(*parts, u_prev, (at, u_prev))
 
 
-def solve(
-    problem: OdeProblem,
-    grid: TimeGrid,
-    scheme: StepScheme,
-    nodes: np.ndarray,
-) -> Trajectory:
+def solve(problem: OdeProblem, scheme: StepScheme, nodes: np.ndarray) -> Trajectory:
     """March the selected one-step rule over an (R, N) block of nodes.
 
-    The R rows march together, row r as column r of an (R,) state, and
-    step n of row r evaluates f at nodes[r, n-1].  Rows from
-    ``TimeGrid.random_nodes`` march randomized replicas and a row of grid
-    points t_1..t_N the classical scheme, so one batch can hold both;
-    ``scheme`` only chooses between implicit and explicit steps.  Every
-    row gets the same bits as when marched alone.  The problem's
-    ``freeze`` takes the nodes of FREEZE_BLOCK steps at once (a node
-    outside its domain raises there), and Newton evaluates only f's
-    state dependence.  ``_march`` names the step and row of a failure.
+    The block's width N fixes k = 1/N.  The R rows march together, row r as
+    column r of an (R,) state, and step n of row r evaluates f at
+    nodes[r, n-1].  Rows from ``TimeGrid.random_nodes`` march randomized
+    replicas and a row of grid points t_1..t_N the classical scheme, so
+    one batch can hold both; ``scheme`` only chooses between implicit and
+    explicit steps.  Every row gets the same bits as when marched alone.
+    The problem's ``freeze`` takes the nodes of FREEZE_BLOCK steps at once
+    (a node outside its domain raises there), and Newton evaluates only
+    f's state dependence.  ``_march`` names the step and row of a failure.
     """
-    k = grid.step_size
+    k = _node_grid(nodes).step_size
     freeze, rhs = problem.freeze, problem.rhs
     if scheme.is_implicit:
         check_step_restriction(k, problem.one_sided_constant)
@@ -303,11 +310,11 @@ def solve(
             return u + k * rhs(at, u), 0
 
     u0 = np.asarray(problem.initial_value, dtype=float)
-    states, counts = _march(grid, nodes, u0, FREEZE_BLOCK, freeze, step)
-    return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
+    states, counts = _march(nodes, u0, FREEZE_BLOCK, freeze, step)
+    return Trajectory(states=states, newton_iteration_counts=counts)
 
 
-def _march(grid, nodes, u0, width, freeze, step):
+def _march(nodes, u0, width, freeze, step):
     """The (N+1, R, ...) path and (N, R) iteration counts of an (R, N) block.
 
     Every row starts from the state ``u0`` and its step n evaluates at
@@ -318,11 +325,7 @@ def _march(grid, nodes, u0, width, freeze, step):
     to the finiteness check after the march: a NonConvergence of a step,
     or a non-finite state, is raised naming the step and the row.
     """
-    if not (isinstance(nodes, np.ndarray) and nodes.ndim == 2 and len(nodes)
-            and nodes.shape[1] == grid.steps):
-        got = nodes.shape if isinstance(nodes, np.ndarray) else type(nodes).__name__
-        raise ValueError(f"need an (R, {grid.steps}) node block with R >= 1, got {got}")
-    n_steps, rows = grid.steps, len(nodes)
+    rows, n_steps = nodes.shape
     states = np.empty((n_steps + 1, rows) + u0.shape)
     states[0] = u0
     counts = np.zeros((n_steps, rows), dtype=np.int64)
@@ -343,14 +346,14 @@ def _march(grid, nodes, u0, width, freeze, step):
     return states, counts
 
 
-def local_residual(problem, exact_at_grid, xi, k):
+def local_residual(problem, exact_at_grid, xi):
     """(..., N) defects k f(xi_n, V^n) - V^n + V^{n-1} of grid values V^0..V^N.
 
-    Entry n-1 of the last axis of ``xi`` is step n's node; one ``rhs``
-    call gets the (..., N) nodes' frozen data and the (N,) values
-    V^1..V^N.
+    Entry n-1 of the last axis of ``xi`` is step n's node, so that axis
+    fixes k = 1/N; one ``rhs`` call gets the (..., N) nodes' frozen data
+    and the (N,) values V^1..V^N.
     """
-    v = exact_at_grid
+    v, k = exact_at_grid, TimeGrid(xi.shape[-1]).step_size
     return k * problem.rhs(problem.freeze(xi), v[1:]) - v[1:] + v[:-1]
 
 
@@ -374,7 +377,7 @@ def conditional_mean_residual(problem, grid: TimeGrid, panels: int):
         raise ValueError("panels must be at least 1")
     t = grid.nodes()
     exact, freeze, rhs = problem.exact, problem.freeze, problem.rhs
-    nodes, weights = np.polynomial.legendre.leggauss(4)
+    nodes, weights = _gauss_legendre(4)
     width = max(1, QUAD_BLOCK // (panels * 4))
     means = np.empty(grid.steps)
     for lo in range(0, grid.steps, width):

@@ -30,7 +30,7 @@ from .fem1d import (
     load_vector,
     tridiag_solve,
 )
-from .ode_solver import StepScheme, Trajectory, _damped_newton, _march
+from .ode_solver import StepScheme, Trajectory, _damped_newton, _march, _node_grid
 from .rand_nodes import TimeGrid
 
 
@@ -94,26 +94,22 @@ def _newton_fem(parts, rhs, u_start):
 
 
 def pde_solve(
-    problem: PdeProblem,
-    mesh: Mesh,
-    grid: TimeGrid,
-    scheme: StepScheme,
-    nodes: np.ndarray,
+    problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes: np.ndarray
 ) -> Trajectory:
     """March the scheme from U^0 = P_h u0 over an (R, N) block of nodes.
 
-    As for ``ode_solver.solve``, the R rows march together as an (R, m)
-    field, row r evaluating the forcing of step n at nodes[r, n-1], so
-    randomized replicas and the classical row of grid points can share
-    one batch.  Every row gets the same bits as when marched alone.  The
-    loads of STEP_BLOCK steps are assembled at once, before their Newton
-    solves.  ``_march`` names the step and row of a failure.  Returns an
-    ``ode_solver.Trajectory`` whose (N+1, R, m) ``states`` hold the
-    nodal coefficients of each row's U^n.
+    As for ``ode_solver.solve``, the block's width fixes k, the R rows
+    march together as an (R, m) field, row r evaluating the forcing of
+    step n at nodes[r, n-1], so randomized replicas and the classical row
+    of grid points can share one batch.  Every row gets the same bits as
+    when marched alone.  The loads of STEP_BLOCK steps are assembled at
+    once, before their Newton solves.  ``_march`` names the step and row
+    of a failure.  Returns an ``ode_solver.Trajectory`` whose (N+1, R, m)
+    ``states`` hold the nodal coefficients of each row's U^n.
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
-    k = grid.step_size
+    k = _node_grid(nodes).step_size
     m = mesh.interior_nodes
     mass = assemble_mass(mesh)
     parts = _fem_parts(mass.plus(assemble_stiffness(mesh), scale=k), k, mesh, problem)
@@ -129,8 +125,8 @@ def pde_solve(
         return _newton_fem(parts, mass.matvec(u) + load, u)
 
     u0 = l2_project(mesh, problem.initial)
-    states, counts = _march(grid, nodes, u0, STEP_BLOCK, loads, step)
-    return Trajectory(grid=grid, states=states, newton_iteration_counts=counts)
+    states, counts = _march(nodes, u0, STEP_BLOCK, loads, step)
+    return Trajectory(states=states, newton_iteration_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,6 @@ class EnergyReport:
     dissipation_sum: float
     initial_energy: float
     forcing_energy: float
-    flagged: bool
 
     @property
     def left_side(self) -> float:
@@ -158,6 +153,10 @@ class EnergyReport:
     @property
     def right_side_data(self) -> float:
         return 1.0 + self.initial_energy + self.forcing_energy
+
+    @property
+    def flagged(self) -> bool:
+        return self.left_side > ENERGY_FLAG_FACTOR * self.right_side_data
 
 
 #: Growth beyond this multiple of the right-side data flags instability.
@@ -208,14 +207,10 @@ def energy_bound_check(trajectory: Trajectory, problem: PdeProblem) -> EnergyRep
     increment = float(squared(np.diff(fields, axis=0), mass).sum())
     k = trajectory.grid.step_size
     dissipation = k * float(squared(u, assemble_stiffness(mesh)).sum())
-    f_energy = forcing_energy(problem, mesh, trajectory.grid)
-    left = max_state + increment + dissipation
-    right = 1.0 + initial_energy + f_energy
     return EnergyReport(
         max_state_energy=max_state,
         increment_sum=increment,
         dissipation_sum=dissipation,
         initial_energy=initial_energy,
-        forcing_energy=f_energy,
-        flagged=left > ENERGY_FLAG_FACTOR * right,
+        forcing_energy=forcing_energy(problem, mesh, trajectory.grid),
     )

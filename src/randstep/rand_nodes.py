@@ -1,14 +1,15 @@
 """Reproducible uniform draws and randomized temporal evaluation nodes.
 
-Every Monte Carlo replica owns its own substream of uniforms tau_n in
-[0, 1).  Substreams are derived from a 64-bit master seed through
-seed-sequence mixing (never by seed + index arithmetic), so the full
-matrix of nodes xi_n across replicas is a pure function of the master
-seed and the time grid.
+Every Monte Carlo replica r owns its own substream of uniforms tau_n in
+[0, 1), addressed by the pair (master_seed, r).  Substreams are derived
+from a 64-bit master seed through seed-sequence mixing (never by seed +
+index arithmetic), so the full matrix of nodes xi_n across replicas is
+a pure function of the master seed and the step count N.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +20,16 @@ DEFAULT_MASTER_SEED = 42
 _UINT64_SPAN = 2**64
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Address of one draw substream: (master seed, replica index)."""
-
-    master_seed: int
-    replica_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= int(self.master_seed) < _UINT64_SPAN:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if int(self.replica_index) < 0:
-            raise ValueError("replica_index must be nonnegative")
+def check_seed(master_seed, replica=0) -> None:
+    """Refuse a substream address (master_seed, replica) with ValueError
+    unless both are integers, 0 <= master_seed < 2^64 and replica >= 0."""
+    try:
+        master_seed, replica = operator.index(master_seed), operator.index(replica)
+    except TypeError as err:
+        raise ValueError(f"master_seed and replica must be integers: {err}") from None
+    if not (0 <= master_seed < _UINT64_SPAN and replica >= 0):
+        raise ValueError("need an unsigned 64-bit master_seed and a nonnegative "
+                         f"replica, got {master_seed}, {replica}")
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,13 @@ class TimeGrid:
         the endpoint N/N is exactly 1."""
         return np.arange(self.steps + 1) / self.steps
 
-    def random_nodes(self, streams) -> np.ndarray:
-        """(R, N) block of randomized nodes xi_n; row r draws from streams[r].
-
-        Each stream supplies its next N draws, which ``nodes_from_taus``
-        maps to nodes.  The block costs R*N*8 bytes.
-        """
-        block = np.empty((len(streams), self.steps))
-        for row, stream in zip(block, streams):
-            row[:] = stream.taus(self.steps)
+    def random_nodes(self, master_seed, replicas) -> np.ndarray:
+        """(len(replicas), N) block of randomized nodes xi_n: row i maps the
+        first N draws of the substream (master_seed, replicas[i]) by
+        ``nodes_from_taus``, in place.  The block costs 8*N bytes per replica."""
+        block = np.empty((len(replicas), self.steps))
+        for row, replica in zip(block, replicas):
+            row[:] = NodeStream(master_seed, replica).taus(self.steps)
         return self.nodes_from_taus(block, out=block)
 
     def nodes_from_taus(self, taus, out=None) -> np.ndarray:
@@ -78,17 +75,16 @@ class TimeGrid:
 
 
 class NodeStream:
-    """Deterministic uniform stream over [0, 1) for a single replica.
+    """Deterministic uniform stream over [0, 1) of replica ``replica``.
 
     Backed by the counter-based Philox generator keyed through a seed
-    sequence, so the d-th draw is a pure function of (seed, d).  Streams
-    are value-like: create one per worker, never share.
+    sequence, so the d-th draw is a pure function of (master_seed,
+    replica, d).  Streams are value-like: create one per worker, never share.
     """
 
-    def __init__(self, seed: SeedSpec):
-        sequence = np.random.SeedSequence(
-            seed.master_seed, spawn_key=(seed.replica_index,)
-        )
+    def __init__(self, master_seed: int, replica: int = 0):
+        check_seed(master_seed, replica)
+        sequence = np.random.SeedSequence(master_seed, spawn_key=(replica,))
         self._gen = np.random.Generator(np.random.Philox(sequence))
 
     def taus(self, count: int) -> np.ndarray:

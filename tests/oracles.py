@@ -11,7 +11,6 @@ from randstep.fem1d import Mesh, load_vector
 from randstep.harness import _loglog_fit
 from randstep.ode_solver import _newton_parts, _newton_scalar, check_step_restriction
 from randstep.pde_solver import _fem_parts, _newton_fem
-from randstep.rand_nodes import NodeStream, SeedSpec
 
 
 def grid_node(grid, n):
@@ -40,11 +39,12 @@ def node(grid, n, tau):
     return xi
 
 
-def one_row(grid, scheme, seed=SeedSpec(1, 0)):
-    """The node block of one path: drawn from ``seed``'s stream for a
-    randomized scheme, the grid points t_1..t_N for the classical one."""
+def one_row(grid, scheme, master_seed=1, replica=0):
+    """The node block of one path: drawn from the substream (master_seed,
+    replica) for a randomized scheme, the grid points t_1..t_N for the
+    classical one."""
     if scheme.is_randomized:
-        return grid.random_nodes([NodeStream(seed)])
+        return grid.random_nodes(master_seed, [replica])
     return grid.nodes()[None, 1:]
 
 

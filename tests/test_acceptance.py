@@ -33,7 +33,7 @@ from randstep.problems import (
     pde_w,
     pde_wdot,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import TimeGrid
 
 from oracles import dense, fit_residual_slopes, table_row
 
@@ -264,8 +264,8 @@ def test_criterion_8_structural_invariants(tmp_path):
     )
     grid = TimeGrid(64)
     ode_gap = np.abs(
-        solve(ode, grid, RBE, grid.random_nodes([NodeStream(SeedSpec(42, 0))])).states
-        - solve(ode, grid, BE, grid.nodes()[None, 1:]).states
+        solve(ode, RBE, grid.random_nodes(42, [0])).states
+        - solve(ode, BE, grid.nodes()[None, 1:]).states
     ).max()
 
     # autonomous PDE: time-independent forcing, monotone nonlinearity
@@ -277,10 +277,10 @@ def test_criterion_8_structural_invariants(tmp_path):
     )
     mesh = Mesh(31)
     pgrid = TimeGrid(32)
-    drawn = pgrid.random_nodes([NodeStream(SeedSpec(42, 0))])
+    drawn = pgrid.random_nodes(42, [0])
     pde_gap = np.abs(
-        pde_solve(pde, mesh, pgrid, RBE, drawn).states
-        - pde_solve(pde, mesh, pgrid, BE, pgrid.nodes()[None, 1:]).states
+        pde_solve(pde, mesh, RBE, drawn).states
+        - pde_solve(pde, mesh, BE, pgrid.nodes()[None, 1:]).states
     ).max()
 
     # monotone contraction of paired PDE trajectories (shared nodes/data)
@@ -289,9 +289,9 @@ def test_criterion_8_structural_invariants(tmp_path):
     other = dataclasses.replace(
         pde, initial=lambda x: 0.5 * np.sin(3 * np.pi * x)
     )
-    nodes = pgrid.random_nodes([NodeStream(SeedSpec(7, 0))])
-    a = pde_solve(pde, mesh, pgrid, RBE, nodes)
-    b = pde_solve(other, mesh, pgrid, RBE, nodes)
+    nodes = pgrid.random_nodes(7, [0])
+    a = pde_solve(pde, mesh, RBE, nodes)
+    b = pde_solve(other, mesh, RBE, nodes)
     mass = assemble_mass(mesh)
     dist = np.array([np.sqrt(d @ mass.matvec(d)) for d in (a.states - b.states)[:, 0]])
     contraction_ok = bool(np.all(np.diff(dist) <= 1e-12))

@@ -27,7 +27,7 @@ from randstep.problems import (
     sawtooth_g,
     sawtooth_gdot,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import TimeGrid
 
 
 def test_ode_sweep_row_count(tmp_path, capsys):
@@ -411,8 +411,8 @@ def test_very_stiff_affine_sweep_is_solved(tmp_path, lam, K, n):
     for row in read_error_csv(out).for_scheme("rbe"):
         grid = TimeGrid(row.steps)
         k = grid.step_size
-        nodes = grid.random_nodes([NodeStream(SeedSpec(42, r)) for r in range(4)])
-        path = solve(problem, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+        nodes = grid.random_nodes(42, range(4))
+        path = solve(problem, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
         # closed form of one step: U^n = (U^{n-1} + k(g' - lam g)) / (1 - k lam)
         u = np.full(4, problem.initial_value)
         for step, xi in enumerate(nodes.T, start=1):

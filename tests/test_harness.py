@@ -61,7 +61,7 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     from randstep.fem1d import Mesh, l2_error
     from randstep.harness import _rms, _rms_stderr
     from randstep.pde_solver import PdeProblem, pde_solve
-    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+    from randstep.rand_nodes import TimeGrid
 
     zeros = np.zeros(7)
     assert _rms(zeros) == 0.0
@@ -75,8 +75,7 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     )
     mesh = Mesh(9)
     grid = TimeGrid(4)
-    traj = pde_solve(problem, mesh, grid, RBE,
-                     grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
+    traj = pde_solve(problem, mesh, RBE, grid.random_nodes(0, [0]))
     errs = np.array(
         [l2_error(mesh, f, lambda x: np.zeros_like(x)) for f in traj.states]
     )
@@ -168,6 +167,9 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="once"):
         ExperimentSpec("time-integral", (RBE, BE, RBE), (0,), 2)
+    # int(1.5) is 1, but a stream keyed by 1.5 does not exist
+    with pytest.raises(ValueError, match="integers"):
+        ExperimentSpec("time-integral", (RBE,), (2,), 2, master_seed=1.5)
     for problem in ("semilinear-heat", "prothero-robinson"):
         with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
             ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)
@@ -277,10 +279,10 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     # only at replica 5's node of step 2, so exactly one replica fails
     from randstep import harness
     from randstep.ode_solver import OdeProblem
-    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+    from randstep.rand_nodes import NodeStream, TimeGrid
 
     grid = TimeGrid(4)
-    tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
+    tau = NodeStream(42, 5).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
     def rhs(t, x):
@@ -301,10 +303,10 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     from randstep import harness
     from randstep.fem1d import Mesh
     from randstep.pde_solver import PdeProblem
-    from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+    from randstep.rand_nodes import NodeStream, TimeGrid
 
     grid = TimeGrid(4)
-    tau = NodeStream(SeedSpec(42, 5)).taus(4)[1]
+    tau = NodeStream(42, 5).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
     problem = PdeProblem(

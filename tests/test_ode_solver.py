@@ -26,7 +26,7 @@ from randstep.problems import (
     prothero_robinson_problem,
     time_integral_problem,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import NodeStream, TimeGrid
 
 from oracles import assert_counts_are_each_rows_own, grid_node, node, one_row, step_once
 
@@ -95,17 +95,17 @@ def test_step_restriction_error_and_warning():
     )
     grid = TimeGrid(2)
     with pytest.raises(StepRestrictionViolated):
-        solve(stiff, grid, RBE, one_row(grid, RBE))
+        solve(stiff, RBE, one_row(grid, RBE))
     grid = TimeGrid(5)
     with pytest.warns(StepSizeWarning):
-        solve(stiff, grid, RBE, one_row(grid, RBE))
+        solve(stiff, RBE, one_row(grid, RBE))
     # nu <= 0 imposes no restriction, even at k = 1
     soft = OdeProblem(lambda t, x: -x, 1.0, lambda t, x: -1.0,
                       one_sided_constant=-5.0)
     grid = TimeGrid(1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", StepSizeWarning)
-        solve(soft, grid, RBE, one_row(grid, RBE))
+        solve(soft, RBE, one_row(grid, RBE))
 
 
 def test_newton_nonconvergence_reported():
@@ -139,7 +139,7 @@ def test_explicit_step_examples():
 def test_solve_constant_state(scheme):
     p = OdeProblem(lambda t, x: 0.0, 3.0, lambda t, x: 0.0)
     grid = TimeGrid(16)
-    traj = solve(p, grid, scheme, one_row(grid, scheme))
+    traj = solve(p, scheme, one_row(grid, scheme))
     assert np.all(traj.states == 3.0)
     assert traj.states[0, 0] == 3.0
 
@@ -149,9 +149,9 @@ def test_solve_randomized_riemann_sum_exact():
     # Riemann sum, bitwise (left-to-right accumulation)
     p = time_integral_problem()
     grid = TimeGrid(32)
-    nodes = grid.random_nodes([NodeStream(SeedSpec(3, 1))])
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
-    taus = NodeStream(SeedSpec(3, 1)).taus(32)
+    nodes = grid.random_nodes(3, [1])
+    traj = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+    taus = NodeStream(3, 1).taus(32)
     u = 0.0
     expected = [0.0]
     k = grid.step_size
@@ -169,11 +169,10 @@ def test_solve_variance_single_step():
     # T = 1, N = 1, f(t) = t: E[(U^1 - 1/2)^2] = Var U(0,1) = 1/12
     p = time_integral_problem()
     grid = TimeGrid(1)
+    rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
     sq = np.array(
         [
-            (solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                   one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                           SeedSpec(42, r))).states[1, 0] - 0.5) ** 2
+            (solve(p, rbe, one_row(grid, rbe, 42, r)).states[1, 0] - 0.5) ** 2
             for r in range(20_000)
         ]
     )
@@ -188,8 +187,8 @@ def test_autonomous_reduction_to_classical():
     )
     grid = TimeGrid(64)
     rbe, be = StepScheme.RANDOMIZED_BACKWARD_EULER, StepScheme.CLASSICAL_BACKWARD_EULER
-    a = solve(p, grid, rbe, one_row(grid, rbe, SeedSpec(8, 0)))
-    b = solve(p, grid, be, one_row(grid, be))
+    a = solve(p, rbe, one_row(grid, rbe, 8, 0))
+    b = solve(p, be, one_row(grid, be))
     assert np.abs(a.states - b.states).max() < 1e-10
     assert a.states.shape == b.states.shape == (65, 1)
 
@@ -198,8 +197,8 @@ def test_one_step_consistency_invariant():
     saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(32)
-    nodes = grid.random_nodes([NodeStream(SeedSpec(5, 3))])
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+    nodes = grid.random_nodes(5, [3])
+    traj = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
     k = grid.step_size
     for n in range(1, 33):
         u_n = traj.states[n, 0]
@@ -212,16 +211,15 @@ def test_linear_problem_single_newton_iteration():
     saw = SawtoothSpec(6)
     p = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, saw))
     grid = TimeGrid(64)
-    traj = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                 grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
+    traj = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(5, [0]))
     assert np.all(traj.newton_iteration_counts == 1)
 
 
 def test_solve_requires_a_node_block():
     p = OdeProblem(lambda t, x: 0.0, 0.0, lambda t, x: 0.0)
-    for nodes in (None, NodeStream(SeedSpec(1, 0))):
+    for nodes in (None, NodeStream(1, 0)):
         with pytest.raises(ValueError, match="node block"):
-            solve(p, TimeGrid(4), StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+            solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
 
 
 def test_nonconvergence_carries_step_index():
@@ -235,7 +233,7 @@ def test_nonconvergence_carries_step_index():
     p = OdeProblem(flaky, 1.0, lambda t, x: -1.0 if t < 0.5 else 2.0 * x)
     grid = TimeGrid(4)
     with pytest.raises(NonConvergence) as err:
-        solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
+        solve(p, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
     assert err.value.step == 2
 
 
@@ -246,7 +244,7 @@ def test_newton_iteration_limit_names_step_and_row():
                    jacobian=lambda t, x: np.where(t == 0.7, -19.0, -1.0))
     nodes = np.array([[0.1, 0.6], [0.2, 0.7], [0.3, 0.8]])
     with pytest.raises(NonConvergence) as err:
-        solve(p, TimeGrid(2), RBE, nodes)
+        solve(p, RBE, nodes)
     assert str(err.value) == (
         f"step 2: residual 1.498e-04 above tolerance after {MAX_ITERATIONS} iterations"
     )
@@ -256,14 +254,14 @@ def test_newton_iteration_limit_names_step_and_row():
 def test_local_residual_definition():
     p = OdeProblem(lambda t, x: 0.0, 1.0, lambda t, x: 0.0)
     vals = np.full(9, 1.7)
-    assert (local_residual(p, vals, np.full(8, 0.41), 0.125) == 0.0).all()
+    assert (local_residual(p, vals, np.full(8, 0.41)) == 0.0).all()
 
     q = time_integral_problem()
     grid = TimeGrid(8)
     exact = np.array([q.exact(grid_node(grid, n)) for n in range(9)])
     k = grid.step_size
     xi = grid.nodes()[:-1] + 0.3 * k
-    rho = local_residual(q, exact, np.stack([xi, xi[::-1]]), k)
+    rho = local_residual(q, exact, np.stack([xi, xi[::-1]]))
     assert rho.shape == (2, 8)
     # state-independent f: rho_n = k f(xi_n) - int_{t_{n-1}}^{t_n} f
     expected = k * xi - np.diff(exact)
@@ -388,16 +386,16 @@ def test_batched_solve_matches_single_replicas_bitwise():
     p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(4)
-    seeds = [SeedSpec(11, r) for r in range(6)]
-    block = grid.random_nodes([NodeStream(s) for s in seeds])
-    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    block = grid.random_nodes(11, range(6))
+    batch = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
     assert batch.states.shape == (5, 6) and block.shape == (6, 4)
+    assert batch.grid == TimeGrid(4)
     assert batch.newton_iteration_counts.shape == (4, 6)
     damped = []
-    for r, seed in enumerate(seeds):
+    for r in range(6):
         calls.clear()
-        nodes = grid.random_nodes([NodeStream(seed)])
-        one = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
+        nodes = grid.random_nodes(11, [r])
+        one = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
         assert np.array_equal(one.states[:, 0], batch.states[:, r])
         assert np.array_equal(nodes[0], block[r])
         assert np.array_equal(one.newton_iteration_counts[:, 0],
@@ -410,21 +408,20 @@ def test_batched_solve_matches_single_replicas_bitwise():
 
 def test_batched_nonconvergence_names_replica():
     grid = TimeGrid(4)
-    streams = [NodeStream(SeedSpec(3, r)) for r in range(5)]
-    target = grid.random_nodes([NodeStream(SeedSpec(3, 2))])[0, 0]
+    target = grid.random_nodes(3, [2])[0, 0]
     # x = 1 + (x^2 + 10)/4 has no root: only replica 2's first node sees it
     p = OdeProblem(lambda t, x: np.where(t == target, x * x + 10.0, -x), 1.0,
                    lambda t, x: np.where(t == target, 2.0 * x, -1.0))
     with pytest.raises(NonConvergence) as err:
-        solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(streams))
+        solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, grid.random_nodes(3, range(5)))
     assert (err.value.step, err.value.replica) == (1, 2)
 
 
 def test_random_nodes_match_scalar_rule():
     grid = TimeGrid(64)
-    block = grid.random_nodes([NodeStream(SeedSpec(4, r)) for r in range(3)])
+    block = grid.random_nodes(4, range(3))
     for r in range(3):
-        taus = NodeStream(SeedSpec(4, r)).taus(64)
+        taus = NodeStream(4, r).taus(64)
         assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
     assert grid.nodes().tolist() == [grid_node(grid, n) for n in range(65)]
 
@@ -439,15 +436,15 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(8)
-    randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(4)])
+    randomized = grid.random_nodes(11, range(4))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    batch = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    alone = solve(p, grid, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
+    batch = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    alone = solve(p, StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
     assert np.array_equal(batch.states[:, 4:], alone.states)
     assert np.array_equal(batch.newton_iteration_counts[:, 4:],
                           alone.newton_iteration_counts)
     assert alone.newton_iteration_counts.max() > alone.newton_iteration_counts.min()
-    replicas = solve(p, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, randomized)
+    replicas = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, randomized)
     assert np.array_equal(batch.states[:, :4], replicas.states)
     assert np.array_equal(batch.newton_iteration_counts[:, :4],
                           replicas.newton_iteration_counts)
@@ -457,10 +454,10 @@ def test_solve_rejects_bad_node_blocks():
     p = linear_decay()
     grid = TimeGrid(4)
     rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
-    for bad in (np.empty((0, 4)), np.zeros((2, 3)), np.zeros(4),
-                [NodeStream(SeedSpec(1, 0))], np.zeros((2, 4)).tolist()):
+    for bad in (np.empty((0, 4)), np.empty((2, 0)), np.zeros(4),
+                [NodeStream(1, 0)], np.zeros((2, 4)).tolist()):
         with pytest.raises(ValueError, match="node block"):
-            solve(p, grid, rbe, bad)
+            solve(p, rbe, bad)
 
 
 def test_solve_off_block_length_matches_implicit_steps_bitwise():
@@ -471,10 +468,10 @@ def test_solve_off_block_length_matches_implicit_steps_bitwise():
     )
     grid = TimeGrid(2 * FREEZE_BLOCK + 22)
     k = grid.step_size
-    randomized = grid.random_nodes([NodeStream(SeedSpec(5, r)) for r in range(3)])
+    randomized = grid.random_nodes(5, range(3))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    batch = solve(problem, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    explicit = solve(problem, grid, StepScheme.RANDOMIZED_FORWARD_EULER, block)
+    batch = solve(problem, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    explicit = solve(problem, StepScheme.RANDOMIZED_FORWARD_EULER, block)
     for row, nodes in enumerate(block):  # three rbe rows, then the be row
         u = v = problem.initial_value
         implicit_path, explicit_path = [u], [v]
@@ -507,9 +504,9 @@ def test_split_problem_marches_like_unsplit_bitwise():
         freeze=lambda t: (-500.0 * (1.0 + t))[..., None],
     )
     grid = TimeGrid(FREEZE_BLOCK + 7)
-    block = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
-    a = solve(plain, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    b = solve(split, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    block = grid.random_nodes(11, range(5))
+    a = solve(plain, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    b = solve(split, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.newton_iteration_counts, b.newton_iteration_counts)
     counts = b.newton_iteration_counts
@@ -525,12 +522,12 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
     grid = TimeGrid(FREEZE_BLOCK + 10)
-    block = grid.random_nodes([NodeStream(SeedSpec(2, r)) for r in range(3)])
+    block = grid.random_nodes(2, range(3))
     block[1, step] = bad
     for scheme in (StepScheme.RANDOMIZED_BACKWARD_EULER,
                    StepScheme.RANDOMIZED_FORWARD_EULER):
         with pytest.raises(ValueError, match="outside"):
-            solve(problem, grid, scheme, block)
+            solve(problem, scheme, block)
 
 
 # float.hex() of the final states and the sum of Newton counts of a damped
@@ -554,9 +551,9 @@ def test_solve_bits_are_pinned(kind):
     p = OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(4)
-    randomized = grid.random_nodes([NodeStream(SeedSpec(11, r)) for r in range(5)])
+    randomized = grid.random_nodes(11, range(5))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    path = solve(p, grid, RFE if kind == "batch-rfe" else RBE, block)
+    path = solve(p, RFE if kind == "batch-rfe" else RBE, block)
     counts = path.newton_iteration_counts
     if kind == "batch":
         assert (counts.min(axis=1) < counts.max(axis=1)).any()
@@ -577,14 +574,14 @@ def test_newton_counts_of_rows_that_finish_apart():
     p = OdeProblem(rhs, 20.0,
                    jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
     grid = TimeGrid(4)
-    rows = [one_row(grid, RBE, SeedSpec(11, r)) for r in range(5)] + [one_row(grid, BE)]
+    rows = [one_row(grid, RBE, 11, r) for r in range(5)] + [one_row(grid, BE)]
     counts = assert_counts_are_each_rows_own(
-        lambda nodes: solve(p, grid, RBE, nodes), grid, rows)
+        lambda nodes: solve(p, RBE, nodes), grid, rows)
     assert (counts.min(axis=1) < counts.max(axis=1)).any()
     damped = []
     for r, nodes in enumerate(rows):
         calls.clear()
-        solve(p, grid, RBE, nodes)
+        solve(p, RBE, nodes)
         # one call per step and one per full Newton step; more means halvings
         damped.append(len(calls) > grid.steps + counts[:, r].sum())
     assert any(damped)
@@ -594,9 +591,9 @@ def test_newton_counts_of_rows_that_finish_together():
     # Prothero-Robinson is linear in x: every row converges in one iteration
     problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, SawtoothSpec(6)))
     grid = TimeGrid(16)
-    rows = [one_row(grid, RBE, SeedSpec(7, r)) for r in range(3)] + [one_row(grid, BE)]
+    rows = [one_row(grid, RBE, 7, r) for r in range(3)] + [one_row(grid, BE)]
     counts = assert_counts_are_each_rows_own(
-        lambda nodes: solve(problem, grid, RBE, nodes), grid, rows)
+        lambda nodes: solve(problem, RBE, nodes), grid, rows)
     assert (counts == 1).all()
 
 
@@ -612,10 +609,10 @@ def test_affine_step_equals_damped_newton_bitwise(problem_id, lam):
         problem = prothero_robinson_problem(ProtheroRobinsonSpec(lam, SawtoothSpec(6)))
     assert problem.affine
     grid = TimeGrid(FREEZE_BLOCK + 8)
-    randomized = grid.random_nodes([NodeStream(SeedSpec(13, r)) for r in range(5)])
+    randomized = grid.random_nodes(13, range(5))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    direct = solve(problem, grid, RBE, block)
-    damped = solve(dataclasses.replace(problem, affine=False), grid, RBE, block)
+    direct = solve(problem, RBE, block)
+    damped = solve(dataclasses.replace(problem, affine=False), RBE, block)
     assert direct.states.tobytes() == damped.states.tobytes()
     assert np.array_equal(direct.newton_iteration_counts, damped.newton_iteration_counts)
     assert (direct.newton_iteration_counts == 1).all()
@@ -627,9 +624,9 @@ def test_affine_step_at_a_root_keeps_the_state_and_counts_one():
     # already meets the tolerance, counts none
     p = OdeProblem(lambda t, x: 1.0 - x, 1.0, lambda t, x: -1.0, affine=True)
     grid = TimeGrid(4)
-    block = np.concatenate([one_row(grid, RBE, SeedSpec(3, 0)), one_row(grid, BE)])
-    direct = solve(p, grid, RBE, block)
-    damped = solve(dataclasses.replace(p, affine=False), grid, RBE, block)
+    block = np.concatenate([one_row(grid, RBE, 3, 0), one_row(grid, BE)])
+    direct = solve(p, RBE, block)
+    damped = solve(dataclasses.replace(p, affine=False), RBE, block)
     assert direct.states.tobytes() == damped.states.tobytes() == np.ones((5, 2)).tobytes()
     assert (direct.newton_iteration_counts == 1).all()
     assert (damped.newton_iteration_counts == 0).all()

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from randstep.fem1d import Mesh, assemble_mass, assemble_stiffness, l2_error, l2_project
-from randstep.ode_solver import ABS_TOL, REL_TOL, StepScheme
-from randstep.pde_solver import PdeProblem, energy_bound_check, pde_solve
+from randstep.ode_solver import ABS_TOL, REL_TOL, StepScheme, Trajectory
+from randstep.pde_solver import (
+    ENERGY_FLAG_FACTOR,
+    PdeProblem,
+    energy_bound_check,
+    pde_solve,
+)
 from randstep.problems import (
     SawtoothSpec,
     TruncatedPowerSpec,
     pde_exact,
     semilinear_heat_problem,
 )
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import TimeGrid
 
 from oracles import assert_counts_are_each_rows_own, dense, one_row, pde_step
 
@@ -84,8 +89,8 @@ def test_step_residual_below_tolerance():
 
 def test_solve_zero_problem():
     grid = TimeGrid(8)
-    traj = pde_solve(zero_problem(), Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                     grid.random_nodes([NodeStream(SeedSpec(1, 0))]))
+    traj = pde_solve(zero_problem(), Mesh(15), StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes(1, [0]))
     assert np.array_equal(traj.states, np.zeros_like(traj.states))
     assert energy_bound_check(traj, zero_problem()).left_side == 0.0
 
@@ -94,7 +99,7 @@ def test_solve_initial_field_is_projection():
     problem, _ = heat_problem()
     mesh = Mesh(31)
     grid = TimeGrid(4)
-    traj = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+    traj = pde_solve(problem, mesh, StepScheme.CLASSICAL_BACKWARD_EULER,
                      grid.nodes()[None, 1:])
     assert np.array_equal(traj.states[0, 0],
                           l2_project(mesh, problem.initial))
@@ -103,8 +108,8 @@ def test_solve_initial_field_is_projection():
 def test_solve_rejects_explicit_scheme():
     grid = TimeGrid(4)
     with pytest.raises(ValueError, match="explicit"):
-        pde_solve(zero_problem(), Mesh(7), grid, StepScheme.RANDOMIZED_FORWARD_EULER,
-                  grid.random_nodes([NodeStream(SeedSpec(0, 0))]))
+        pde_solve(zero_problem(), Mesh(7), StepScheme.RANDOMIZED_FORWARD_EULER,
+                  grid.random_nodes(0, [0]))
 
 
 def test_autonomous_data_randomized_equals_classical():
@@ -116,9 +121,9 @@ def test_autonomous_data_randomized_equals_classical():
     )
     mesh = Mesh(31)
     grid = TimeGrid(16)
-    a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  grid.random_nodes([NodeStream(SeedSpec(5, 0))]))
-    b = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+    a = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                  grid.random_nodes(5, [0]))
+    b = pde_solve(problem, mesh, StepScheme.CLASSICAL_BACKWARD_EULER,
                   grid.nodes()[None, 1:])
     assert np.abs(a.states - b.states).max() <= 10 * (ABS_TOL + REL_TOL)
 
@@ -132,10 +137,10 @@ def test_monotone_contraction_of_paired_trajectories():
     mesh = Mesh(31)
     grid = TimeGrid(32)
     mass = assemble_mass(mesh)
-    a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
-    b = pde_solve(other, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                  grid.random_nodes([NodeStream(SeedSpec(9, 0))]))
+    a = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                  grid.random_nodes(9, [0]))
+    b = pde_solve(other, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                  grid.random_nodes(9, [0]))
     dist = np.array(
         [np.sqrt(d @ mass.matvec(d)) for d in (a.states - b.states)[:, 0]]
     )
@@ -146,10 +151,10 @@ def test_nodes_shared_between_paired_runs():
     problem, _ = heat_problem()
     mesh = Mesh(15)
     grid = TimeGrid(8)
-    a_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
-    b_nodes = grid.random_nodes([NodeStream(SeedSpec(3, 2))])
-    a = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, a_nodes)
-    b = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER, b_nodes)
+    a_nodes = grid.random_nodes(3, [2])
+    b_nodes = grid.random_nodes(3, [2])
+    a = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER, a_nodes)
+    b = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER, b_nodes)
     assert np.array_equal(a_nodes, b_nodes)
     assert np.array_equal(a.states, b.states)
     k = grid.step_size
@@ -161,8 +166,8 @@ def test_benchmark_regression_single_replica():
     problem, saw = heat_problem(exponent=5)
     mesh = Mesh(63)
     grid = TimeGrid(256)
-    traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                     grid.random_nodes([NodeStream(SeedSpec(42, 0))]))
+    traj = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes(42, [0]))
     err = l2_error(mesh, traj.states[-1, 0], lambda x: pde_exact(saw, 1.0, x))
     assert err < 1e-2  # sanity ceiling
     assert err == pytest.approx(HEAT_REGRESSION_L2, rel=1e-9)
@@ -172,26 +177,36 @@ def test_energy_bound_check():
     problem, _ = heat_problem()
     mesh = Mesh(31)
     grid = TimeGrid(32)
-    traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                     grid.random_nodes([NodeStream(SeedSpec(7, 0))]))
+    traj = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes(7, [0]))
+    assert traj.grid == grid
     report = energy_bound_check(traj, problem)
     assert np.isfinite(report.left_side)
     assert report.right_side_data > 0
     assert not report.flagged
 
     grid = TimeGrid(4)
-    batch = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                      grid.random_nodes([NodeStream(SeedSpec(7, r)) for r in range(2)]))
+    batch = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                      grid.random_nodes(7, range(2)))
     with pytest.raises(ValueError, match="single replica"):
         energy_bound_check(batch, problem)
 
-    zero_traj = pde_solve(zero_problem(), Mesh(7), grid,
-                          StepScheme.CLASSICAL_BACKWARD_EULER, grid.nodes()[None, 1:])
+    zero_traj = pde_solve(zero_problem(), Mesh(7), StepScheme.CLASSICAL_BACKWARD_EULER,
+                          grid.nodes()[None, 1:])
     zero_report = energy_bound_check(zero_traj, zero_problem())
     assert zero_report.max_state_energy == 0.0
     assert zero_report.increment_sum == 0.0
     assert zero_report.dissipation_sum == 0.0
     assert not zero_report.flagged
+
+    # a path that grows to about 1e4 from rest: the data are 1 + 0 + 0
+    grown = np.zeros((5, 1, 7))
+    grown[1:] = 1e4
+    report = energy_bound_check(Trajectory(grown, np.zeros((4, 1), dtype=np.int64)),
+                                zero_problem())
+    assert report.right_side_data == 1.0
+    assert report.left_side > ENERGY_FLAG_FACTOR * report.right_side_data
+    assert report.flagged
 
 
 def test_energy_stable_under_refinement():
@@ -200,8 +215,8 @@ def test_energy_stable_under_refinement():
     vals = []
     for n_steps in (32, 64):
         grid = TimeGrid(n_steps)
-        traj = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
-                         grid.random_nodes([NodeStream(SeedSpec(11, 0))]))
+        traj = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
+                         grid.random_nodes(11, [0]))
         vals.append(energy_bound_check(traj, problem).max_state_energy)
     assert abs(vals[1] - vals[0]) < 0.5 * vals[0]
 
@@ -226,8 +241,8 @@ def test_solve_equals_loop_of_steps(problem_fn, scheme):
     problem = problem_fn()
     mesh = Mesh(31)
     grid = TimeGrid(40)
-    nodes = one_row(grid, scheme, SeedSpec(5, 0))
-    path = pde_solve(problem, mesh, grid, scheme, nodes)
+    nodes = one_row(grid, scheme, 5, 0)
+    path = pde_solve(problem, mesh, scheme, nodes)
     mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
     u = path.states[0, 0]
     for n, xi in enumerate(nodes[0].tolist(), start=1):
@@ -248,10 +263,10 @@ def swinging_problem():
 
 def test_constant_forcing_equals_array_of_ones():
     grid = TimeGrid(8)
-    block = one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER, SeedSpec(5, 0))
+    block = one_row(grid, StepScheme.RANDOMIZED_BACKWARD_EULER, 5, 0)
     ones = dataclasses.replace(swinging_problem(), forcing=lambda t, x: np.ones_like(x))
     constant = dataclasses.replace(ones, forcing=lambda t, x: 1.0)
-    paths = [pde_solve(p, Mesh(15), grid, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    paths = [pde_solve(p, Mesh(15), StepScheme.RANDOMIZED_BACKWARD_EULER, block)
              for p in (constant, ones)]
     assert np.array_equal(paths[0].states, paths[1].states)
 
@@ -262,14 +277,14 @@ def test_batch_replicas_equal_single_solves():
     grid = TimeGrid(37)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
     replicas = range(2, 7)
-    block = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in replicas])
-    batch = pde_solve(problem, mesh, grid, scheme, block)
+    block = grid.random_nodes(3, replicas)
+    batch = pde_solve(problem, mesh, scheme, block)
     assert batch.states.shape == (38, 5, 31)
     assert batch.newton_iteration_counts.shape == (37, 5)
     counts = set()
     for col, r in enumerate(replicas):
-        nodes = grid.random_nodes([NodeStream(SeedSpec(3, r))])
-        alone = pde_solve(problem, mesh, grid, scheme, nodes)
+        nodes = grid.random_nodes(3, [r])
+        alone = pde_solve(problem, mesh, scheme, nodes)
         assert np.array_equal(batch.states[:, col], alone.states[:, 0])
         assert np.array_equal(batch.newton_iteration_counts[:, col],
                               alone.newton_iteration_counts[:, 0])
@@ -280,8 +295,8 @@ def test_batch_replicas_equal_single_solves():
 
 def test_solve_rejects_empty_stream_batch():
     with pytest.raises(ValueError):
-        pde_solve(zero_problem(), Mesh(7), TimeGrid(4),
-                  StepScheme.RANDOMIZED_BACKWARD_EULER, np.empty((0, 4)))
+        pde_solve(zero_problem(), Mesh(7), StepScheme.RANDOMIZED_BACKWARD_EULER,
+                  np.empty((0, 4)))
 
 
 def test_classical_row_beside_replicas_equals_classical_alone():
@@ -290,16 +305,16 @@ def test_classical_row_beside_replicas_equals_classical_alone():
     problem = swinging_problem()
     mesh = Mesh(31)
     grid = TimeGrid(37)
-    randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
+    randomized = grid.random_nodes(3, range(3))
     block = np.concatenate([grid.nodes()[None, 1:], randomized])
-    batch = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER, block)
-    alone = pde_solve(problem, mesh, grid, StepScheme.CLASSICAL_BACKWARD_EULER,
+    batch = pde_solve(problem, mesh, StepScheme.CLASSICAL_BACKWARD_EULER, block)
+    alone = pde_solve(problem, mesh, StepScheme.CLASSICAL_BACKWARD_EULER,
                       grid.nodes()[None, 1:])
     assert np.array_equal(batch.states[:, :1], alone.states)
     assert np.array_equal(batch.newton_iteration_counts[:, :1],
                           alone.newton_iteration_counts)
     assert len(set(alone.newton_iteration_counts[:, 0].tolist())) > 1
-    replicas = pde_solve(problem, mesh, grid, StepScheme.RANDOMIZED_BACKWARD_EULER,
+    replicas = pde_solve(problem, mesh, StepScheme.RANDOMIZED_BACKWARD_EULER,
                          randomized)
     assert np.array_equal(batch.states[:, 1:], replicas.states)
     assert np.array_equal(batch.newton_iteration_counts[:, 1:],
@@ -312,9 +327,9 @@ def test_newton_counts_of_a_two_row_batch():
     mesh = Mesh(15)
     grid = TimeGrid(16)
     scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
-    rows = [one_row(grid, scheme, SeedSpec(3, r)) for r in range(2)]
+    rows = [one_row(grid, scheme, 3, r) for r in range(2)]
     counts = assert_counts_are_each_rows_own(
-        lambda nodes: pde_solve(problem, mesh, grid, scheme, nodes), grid, rows)
+        lambda nodes: pde_solve(problem, mesh, scheme, nodes), grid, rows)
     assert (counts[:, 0] != counts[:, 1]).any()
 
 
@@ -329,10 +344,10 @@ PINNED_PDE_BITS = (
 
 def test_pde_solve_bits_are_pinned():
     grid = TimeGrid(37)
-    randomized = grid.random_nodes([NodeStream(SeedSpec(3, r)) for r in range(3)])
+    randomized = grid.random_nodes(3, range(3))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    path = pde_solve(swinging_problem(), Mesh(31), grid,
-                     StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    path = pde_solve(swinging_problem(), Mesh(31), StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     block)
     assert path.states.shape == (38, 4, 31)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                     for a in (path.states, path.newton_iteration_counts))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randstep.rand_nodes import NodeStream, SeedSpec, TimeGrid
+from randstep.rand_nodes import NodeStream, TimeGrid
 
 from oracles import grid_node, node
 
@@ -15,14 +15,14 @@ FIRST_DRAWS_R1 = [0.7731546279295569, 0.42403653009372955, 0.014303936083175706]
 
 
 def test_same_seed_identical_draws():
-    a = NodeStream(SeedSpec(123, 5)).taus(1000)
-    b = NodeStream(SeedSpec(123, 5)).taus(1000)
+    a = NodeStream(123, 5).taus(1000)
+    b = NodeStream(123, 5).taus(1000)
     assert np.array_equal(a, b)
 
 
 def test_recorded_first_draws():
-    assert NodeStream(SeedSpec(42, 0)).taus(3).tolist() == FIRST_DRAWS_R0
-    assert NodeStream(SeedSpec(42, 1)).taus(3).tolist() == FIRST_DRAWS_R1
+    assert NodeStream(42, 0).taus(3).tolist() == FIRST_DRAWS_R0
+    assert NodeStream(42, 1).taus(3).tolist() == FIRST_DRAWS_R1
 
 
 def test_replicas_differ():
@@ -30,8 +30,8 @@ def test_replicas_differ():
 
 
 def test_bulk_and_scalar_draws_agree():
-    bulk = NodeStream(SeedSpec(9, 2)).taus(51)
-    s = NodeStream(SeedSpec(9, 2))
+    bulk = NodeStream(9, 2).taus(51)
+    s = NodeStream(9, 2)
     scalar = np.concatenate([s.taus(1) for _ in range(50)])
     assert np.array_equal(bulk[:50], scalar)
     # the 50 single draws advanced the stream by 50
@@ -40,38 +40,40 @@ def test_bulk_and_scalar_draws_agree():
 
 def test_first_draw_mean_over_replicas():
     draws = np.array(
-        [NodeStream(SeedSpec(42, r)).taus(1)[0] for r in range(10_000)]
+        [NodeStream(42, r).taus(1)[0] for r in range(10_000)]
     )
     # CLT bound for U(0,1): 3 standard errors with Var = 1/12
     assert abs(draws.mean() - 0.5) <= 3.0 / math.sqrt(12.0 * 10_000)
 
 
 def test_draw_range_and_variance():
-    draws = NodeStream(SeedSpec(7, 0)).taus(100_000)
+    draws = NodeStream(7, 0).taus(100_000)
     assert draws.min() >= 0.0 and draws.max() < 1.0
     assert abs(draws.var() - 1.0 / 12.0) <= 0.05 / 12.0
 
 
 def test_kolmogorov_smirnov_uniform():
-    draws = NodeStream(SeedSpec(2024, 0)).taus(10_000)
+    draws = NodeStream(2024, 0).taus(10_000)
     statistic = stats.kstest(draws, "uniform").statistic
     # 1% critical value for n = 10^4
     assert statistic < 1.628 / math.sqrt(10_000)
 
 
 def test_substream_correlation_low():
-    a = NodeStream(SeedSpec(42, 0)).taus(2000)
-    b = NodeStream(SeedSpec(42, 1)).taus(2000)
+    a = NodeStream(42, 0).taus(2000)
+    b = NodeStream(42, 1).taus(2000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
-def test_seed_spec_validation():
+def test_node_stream_validation():
     with pytest.raises(ValueError):
-        SeedSpec(-1, 0)
+        NodeStream(-1, 0)
     with pytest.raises(ValueError):
-        SeedSpec(2**64, 0)
+        NodeStream(2**64, 0)
     with pytest.raises(ValueError):
-        SeedSpec(0, -3)
+        NodeStream(0, -3)
+    with pytest.raises(ValueError, match="integers"):
+        NodeStream(1.5)
 
 
 def test_grid_nodes_exact():
@@ -115,7 +117,7 @@ def test_node_stays_inside_interval():
 def test_mean_node_first_interval():
     grid = TimeGrid(2)
     vals = np.array(
-        [node(grid, 1, NodeStream(SeedSpec(42, r)).taus(1)[0]) for r in range(10_000)]
+        [node(grid, 1, NodeStream(42, r).taus(1)[0]) for r in range(10_000)]
     )
     stderr = 0.5 / math.sqrt(12.0 * vals.size)
     assert abs(vals.mean() - 0.25) <= 3 * stderr
@@ -127,7 +129,7 @@ def test_node_matrix_pure_function_of_seed():
         return np.array(
             [
                 [node(grid, n, tau) for n, tau in
-                 enumerate(NodeStream(SeedSpec(master, r)).taus(16), start=1)]
+                 enumerate(NodeStream(master, r).taus(16), start=1)]
                 for r in range(4)
             ]
         )
@@ -139,10 +141,17 @@ def test_node_matrix_pure_function_of_seed():
 def test_draws_of_a_shorter_grid_are_a_prefix():
     # residual_study draws each replica's longest grid once and gives every
     # shorter grid a prefix: that must equal a fresh stream's draws
-    seed = SeedSpec(42, 3)
-    longest = NodeStream(seed).taus(256)
+    longest = NodeStream(42, 3).taus(256)
     for n in range(4, 9):
-        assert np.array_equal(longest[: 2**n], NodeStream(seed).taus(2**n))
+        assert np.array_equal(longest[: 2**n], NodeStream(42, 3).taus(2**n))
+
+
+def test_random_nodes_rows_depend_only_on_their_replica():
+    # a PDE batch with lo > 0 draws replicas lo..hi-1 alone
+    grid = TimeGrid(16)
+    whole = grid.random_nodes(42, range(8))
+    assert whole.shape == (8, 16)
+    assert np.array_equal(grid.random_nodes(42, range(3, 8)), whole[3:])
 
 
 def test_nodes_from_taus_match_scalar_rule():
