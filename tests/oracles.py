@@ -1,7 +1,8 @@
 """Test oracles shared by the solver, harness and FEM tests: the scalar
-grid point and node rules, single steps of the ODE and PDE schemes, dense
-tridiagonal matrices, one-path node blocks, the per-row Newton counts of
-a batch, an error table's row and the residual study's slopes."""
+grid point and node rules, numpy's own per-replica uniform stream, single
+steps of the ODE and PDE schemes, dense tridiagonal matrices, one-path
+node blocks, the per-row Newton counts of a batch, an error table's row
+and the residual study's slopes."""
 
 import math
 
@@ -37,6 +38,13 @@ def node(grid, n, tau):
     if xi >= t_next:
         xi = math.nextafter(t_next, t_prev)
     return xi
+
+
+def numpy_taus(master_seed, replica, count):
+    """The first ``count`` draws of the substream (master_seed, replica) as
+    numpy builds it alone: a Philox keyed by a spawned seed sequence."""
+    sequence = np.random.SeedSequence(master_seed, spawn_key=(replica,))
+    return np.random.Generator(np.random.Philox(sequence)).random(count)
 
 
 def one_row(grid, scheme, master_seed=1, replica=0):

@@ -170,6 +170,9 @@ def test_spec_validation():
     # int(1.5) is 1, but a stream keyed by 1.5 does not exist
     with pytest.raises(ValueError, match="integers"):
         ExperimentSpec("time-integral", (RBE,), (2,), 2, master_seed=1.5)
+    # operator.index(True) is 1: a bool seed once ran as seed 1
+    with pytest.raises(ValueError, match="integers"):
+        ExperimentSpec("time-integral", (RBE,), (2,), 2, master_seed=True)
     for problem in ("semilinear-heat", "prothero-robinson"):
         with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
             ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)
@@ -282,7 +285,7 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     from randstep.rand_nodes import NodeStream, TimeGrid
 
     grid = TimeGrid(4)
-    tau = NodeStream(42, 5).taus(4)[1]
+    tau = NodeStream(42, [5]).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
     def rhs(t, x):
@@ -306,7 +309,7 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     from randstep.rand_nodes import NodeStream, TimeGrid
 
     grid = TimeGrid(4)
-    tau = NodeStream(42, 5).taus(4)[1]
+    tau = NodeStream(42, [5]).taus(4)[1]
     target = grid_node(grid, 1) + grid.step_size * tau
 
     problem = PdeProblem(

@@ -151,7 +151,7 @@ def test_solve_randomized_riemann_sum_exact():
     grid = TimeGrid(32)
     nodes = grid.random_nodes(3, [1])
     traj = solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
-    taus = NodeStream(3, 1).taus(32)
+    taus = NodeStream(3, [1]).taus(32)
     u = 0.0
     expected = [0.0]
     k = grid.step_size
@@ -217,7 +217,7 @@ def test_linear_problem_single_newton_iteration():
 
 def test_solve_requires_a_node_block():
     p = OdeProblem(lambda t, x: 0.0, 0.0, lambda t, x: 0.0)
-    for nodes in (None, NodeStream(1, 0)):
+    for nodes in (None, NodeStream(1, [0])):
         with pytest.raises(ValueError, match="node block"):
             solve(p, StepScheme.RANDOMIZED_BACKWARD_EULER, nodes)
 
@@ -421,7 +421,7 @@ def test_random_nodes_match_scalar_rule():
     grid = TimeGrid(64)
     block = grid.random_nodes(4, range(3))
     for r in range(3):
-        taus = NodeStream(4, r).taus(64)
+        taus = NodeStream(4, [r]).taus(64)
         assert block[r].tolist() == [node(grid, n, taus[n - 1]) for n in range(1, 65)]
     assert grid.nodes().tolist() == [grid_node(grid, n) for n in range(65)]
 
@@ -455,7 +455,7 @@ def test_solve_rejects_bad_node_blocks():
     grid = TimeGrid(4)
     rbe = StepScheme.RANDOMIZED_BACKWARD_EULER
     for bad in (np.empty((0, 4)), np.empty((2, 0)), np.zeros(4),
-                [NodeStream(1, 0)], np.zeros((2, 4)).tolist()):
+                [NodeStream(1, [0])], np.zeros((2, 4)).tolist()):
         with pytest.raises(ValueError, match="node block"):
             solve(p, rbe, bad)
 

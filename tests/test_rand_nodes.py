@@ -4,25 +4,29 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randstep.rand_nodes import NodeStream, TimeGrid
+from randstep.rand_nodes import NodeStream, TimeGrid, check_seed
 
-from oracles import grid_node, node
+from oracles import grid_node, node, numpy_taus
 
 # regression values recorded from the first verified run (Philox keyed by
 # SeedSequence(42, spawn_key=(replica,)))
 FIRST_DRAWS_R0 = [0.2197435513325704, 0.45619347566841584, 0.18398429463748722]
 FIRST_DRAWS_R1 = [0.7731546279295569, 0.42403653009372955, 0.014303936083175706]
 
+# seeds and replicas at the edges of the one- and two-word entropy encodings
+SEEDS = [0, 1, 42, 2017, 2**32 - 1, 2**32, 2**64 - 1]
+REPLICAS = [0, 1, 2, 31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
 
 def test_same_seed_identical_draws():
-    a = NodeStream(123, 5).taus(1000)
-    b = NodeStream(123, 5).taus(1000)
+    a = NodeStream(123, [5]).taus(1000)
+    b = NodeStream(123, [5]).taus(1000)
     assert np.array_equal(a, b)
 
 
 def test_recorded_first_draws():
-    assert NodeStream(42, 0).taus(3).tolist() == FIRST_DRAWS_R0
-    assert NodeStream(42, 1).taus(3).tolist() == FIRST_DRAWS_R1
+    assert NodeStream(42, [0]).taus(3).tolist() == FIRST_DRAWS_R0
+    assert NodeStream(42, [1]).taus(3).tolist() == FIRST_DRAWS_R1
 
 
 def test_replicas_differ():
@@ -30,8 +34,8 @@ def test_replicas_differ():
 
 
 def test_bulk_and_scalar_draws_agree():
-    bulk = NodeStream(9, 2).taus(51)
-    s = NodeStream(9, 2)
+    bulk = NodeStream(9, [2]).taus(51)
+    s = NodeStream(9, [2])
     scalar = np.concatenate([s.taus(1) for _ in range(50)])
     assert np.array_equal(bulk[:50], scalar)
     # the 50 single draws advanced the stream by 50
@@ -39,41 +43,80 @@ def test_bulk_and_scalar_draws_agree():
 
 
 def test_first_draw_mean_over_replicas():
-    draws = np.array(
-        [NodeStream(42, r).taus(1)[0] for r in range(10_000)]
-    )
+    draws = NodeStream(42, range(10_000)).taus(1)
     # CLT bound for U(0,1): 3 standard errors with Var = 1/12
     assert abs(draws.mean() - 0.5) <= 3.0 / math.sqrt(12.0 * 10_000)
 
 
 def test_draw_range_and_variance():
-    draws = NodeStream(7, 0).taus(100_000)
+    draws = NodeStream(7, [0]).taus(100_000)
     assert draws.min() >= 0.0 and draws.max() < 1.0
     assert abs(draws.var() - 1.0 / 12.0) <= 0.05 / 12.0
 
 
 def test_kolmogorov_smirnov_uniform():
-    draws = NodeStream(2024, 0).taus(10_000)
+    draws = NodeStream(2024, [0]).taus(10_000)
     statistic = stats.kstest(draws, "uniform").statistic
     # 1% critical value for n = 10^4
     assert statistic < 1.628 / math.sqrt(10_000)
 
 
 def test_substream_correlation_low():
-    a = NodeStream(42, 0).taus(2000)
-    b = NodeStream(42, 1).taus(2000)
+    a = NodeStream(42, [0]).taus(2000)
+    b = NodeStream(42, [1]).taus(2000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 def test_node_stream_validation():
     with pytest.raises(ValueError):
-        NodeStream(-1, 0)
+        NodeStream(-1, [0])
     with pytest.raises(ValueError):
-        NodeStream(2**64, 0)
+        NodeStream(2**64, [0])
     with pytest.raises(ValueError):
-        NodeStream(0, -3)
+        NodeStream(0, [-3])
     with pytest.raises(ValueError, match="integers"):
-        NodeStream(1.5)
+        NodeStream(1.5, [0])
+    # a replica of 2^64 would need a third entropy word; no sweep reaches one
+    with pytest.raises(ValueError, match="64-bit"):
+        NodeStream(0, [1, 2**64])
+    with pytest.raises(ValueError, match="integers"):
+        NodeStream(0, [2.0])
+    # operator.index(True) is 1: a bool seed or replica once ran as 1
+    for seed, replicas in ((True, [0]), (False, [0]), (0, [True]), (0, [np.True_])):
+        with pytest.raises(ValueError, match="integers"):
+            NodeStream(seed, replicas)
+    with pytest.raises(ValueError):
+        check_seed(True)
+    assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_match_numpy_per_replica(seed):
+    for count in (1, 3, 4, 5, 256):
+        block = NodeStream(seed, REPLICAS).taus(count).reshape(len(REPLICAS), count)
+        for row, replica in zip(block, REPLICAS):
+            assert np.array_equal(row, numpy_taus(seed, replica, count)), (replica, count)
+    # a one-replica stream keeps the shape of numpy's (count,) array
+    assert NodeStream(seed, [REPLICAS[-1]]).taus(5).shape == (5,)
+
+
+@pytest.mark.parametrize("splits", [(3, 6), (1, 1, 2, 5), (4, 4, 1), (0, 5, 0, 4), (7, 2)])
+def test_rows_resume_across_buffer_boundaries(splits):
+    # Philox draws four words per counter value: a call that ends inside a
+    # block must hand the next call that block's remaining words
+    stream = NodeStream(2017, REPLICAS)
+    parts = [stream.taus(count).reshape(len(REPLICAS), count) for count in splits]
+    whole = NodeStream(2017, REPLICAS).taus(sum(splits)).reshape(len(REPLICAS), -1)
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+def test_row_does_not_depend_on_its_block():
+    alone = NodeStream(42, [7]).taus(9)
+    for block in ([7, 0], [3, 7, 2**40], [7] * 3, list(range(40))):
+        rows = NodeStream(42, block).taus(9).reshape(len(block), 9)
+        assert np.array_equal(rows[block.index(7)], alone)
+    # an empty block draws nothing
+    assert NodeStream(42, []).taus(5).shape == (0,)
 
 
 def test_grid_nodes_exact():
@@ -86,6 +129,14 @@ def test_grid_nodes_exact():
         grid_node(odd, 4)
     with pytest.raises(ValueError):
         TimeGrid(0)
+
+
+def test_grid_refuses_non_integer_steps():
+    # TimeGrid(2.5).nodes() ran past 1 and its random_nodes raised TypeError
+    for steps in (2.5, np.float64(4.0), True, "4", None):
+        with pytest.raises(ValueError, match="positive integer"):
+            TimeGrid(steps)
+    assert TimeGrid(np.int64(4)).nodes().tolist() == TimeGrid(4).nodes().tolist()
 
 
 def test_node_examples():
@@ -116,9 +167,7 @@ def test_node_stays_inside_interval():
 
 def test_mean_node_first_interval():
     grid = TimeGrid(2)
-    vals = np.array(
-        [node(grid, 1, NodeStream(42, r).taus(1)[0]) for r in range(10_000)]
-    )
+    vals = np.array([node(grid, 1, tau) for tau in NodeStream(42, range(10_000)).taus(1)])
     stderr = 0.5 / math.sqrt(12.0 * vals.size)
     assert abs(vals.mean() - 0.25) <= 3 * stderr
 
@@ -129,7 +178,7 @@ def test_node_matrix_pure_function_of_seed():
         return np.array(
             [
                 [node(grid, n, tau) for n, tau in
-                 enumerate(NodeStream(master, r).taus(16), start=1)]
+                 enumerate(NodeStream(master, [r]).taus(16), start=1)]
                 for r in range(4)
             ]
         )
@@ -141,9 +190,9 @@ def test_node_matrix_pure_function_of_seed():
 def test_draws_of_a_shorter_grid_are_a_prefix():
     # residual_study draws each replica's longest grid once and gives every
     # shorter grid a prefix: that must equal a fresh stream's draws
-    longest = NodeStream(42, 3).taus(256)
+    longest = NodeStream(42, [3]).taus(256)
     for n in range(4, 9):
-        assert np.array_equal(longest[: 2**n], NodeStream(42, 3).taus(2**n))
+        assert np.array_equal(longest[: 2**n], NodeStream(42, [3]).taus(2**n))
 
 
 def test_random_nodes_rows_depend_only_on_their_replica():
