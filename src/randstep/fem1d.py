@@ -242,16 +242,24 @@ def l2_error(mesh: Mesh, field, exact: Callable):
     return np.sqrt(np.where(sq <= 0.0, 0.0, sq))
 
 
-def assemble_nonlinearity(mesh: Mesh, b: Callable, field) -> np.ndarray:
-    """(int b(u_h) psi_i dx)_i with NONLINEARITY_POINTS-point Gauss per element."""
-    bu = _at_points(b, _element_values(mesh, field, NONLINEARITY_POINTS))
+def assemble_nonlinearity(mesh: Mesh, b: Callable, field, values=None) -> np.ndarray:
+    """(int b(u_h) psi_i dx)_i with NONLINEARITY_POINTS-point Gauss per element;
+    ``values`` may hold the field's P1 values at those points, computed once
+    for both kernels at one field."""
+    if values is None:
+        values = _element_values(mesh, field, NONLINEARITY_POINTS)
+    bu = _at_points(b, values)
     return _hat_moments(mesh, bu, NONLINEARITY_POINTS)
 
 
-def assemble_nonlinearity_jacobian(mesh: Mesh, b_prime: Callable, field) -> TriDiag:
-    """Exact derivative of the quadrature-evaluated nonlinearity vector."""
+def assemble_nonlinearity_jacobian(mesh: Mesh, b_prime: Callable, field,
+                                   values=None) -> TriDiag:
+    """Exact derivative of the quadrature-evaluated nonlinearity vector;
+    ``values`` as for ``assemble_nonlinearity``."""
     rule = _hat_rule(NONLINEARITY_POINTS)
-    bp = _at_points(b_prime, _element_values(mesh, field, NONLINEARITY_POINTS))
+    if values is None:
+        values = _element_values(mesh, field, NONLINEARITY_POINTS)
+    bp = _at_points(b_prime, values)
     h = mesh.spacing
     w_ll, w_rr, w_lr = h * _qsum(bp, rule.products)
     diag = w_rr[..., :-1] + w_ll[..., 1:]

@@ -268,8 +268,14 @@ def _chunk(spec, schemes, exponent, lo, hi):
     return _by_scheme((final, worst, path.newton_iteration_counts.mean(axis=0)), rows)
 
 
-#: Bytes of stored fields per PDE batch.  A cell whose paths need more
-#: (paper scale) is planned as several batches; desk scale is one batch.
+#: Unknowns (replicas times mesh_dof) per PDE batch, near the least cost
+#: per row-step: ``pde_solve`` at N = 256, best of 3, took 82-97, 76, 80, 79
+#: and 89 us per row-step with 8, 16, 24, 32 and 64 rows at dof 500, and 36,
+#: 28, 25 and 27 us with 16, 32, 64 and 128 rows at dof 127.
+PDE_BATCH_UNKNOWNS = 8192
+
+#: Bytes of stored fields per PDE batch, the tighter cap for long paths
+#: (8 replicas at paper scale's n = 11).
 PDE_BATCH_BYTES = 64 * 2**20
 
 
@@ -279,7 +285,8 @@ def _plan(spec):
     A task is one batch as the solver marches it: the schemes of one group
     (implicit, or explicit) at one step size, over replicas lo..hi-1.  An
     ODE cell is one task; a PDE cell is divided into batches of at most
-    PDE_BATCH_BYTES of stored fields, with the classical row in the first.
+    PDE_BATCH_UNKNOWNS unknowns and PDE_BATCH_BYTES of stored fields, with
+    the classical row in the first.
     """
     groups = {}  # implicit or not -> schemes, in order of first appearance
     for scheme in spec.schemes:
@@ -292,7 +299,8 @@ def _plan(spec):
             width = replicas or 1
             if spec.problem == "semilinear-heat":
                 path_bytes = (2**exponent + 1) * spec.mesh_dof * 8
-                width = max(1, PDE_BATCH_BYTES // path_bytes)
+                width = max(1, min(PDE_BATCH_UNKNOWNS // spec.mesh_dof,
+                                   PDE_BATCH_BYTES // path_bytes))
             for lo in range(0, replicas, width) or [0]:
                 batch = schemes if lo == 0 else randomized
                 tasks.append((batch, exponent, lo, min(lo + width, replicas)))

@@ -18,8 +18,10 @@ import numpy as np
 
 from .fem1d import (
     LOAD_POINTS,
+    NONLINEARITY_POINTS,
     Mesh,
     _element_points,
+    _element_values,
     _gauss_01,
     _weighted_sum,
     assemble_mass,
@@ -68,15 +70,27 @@ def _fem_parts(system, k, mesh, problem):
 
     The one datum of a step is the (R, m) right-hand side; the update
     solves with the tridiagonal Jacobian and the norm is the max norm.
+    Each iterate is evaluated once: a residual at the last residual's
+    iterate (a step starts at the last step's root) reuses its operator
+    value system @ U + k N(U), and the Jacobian there its P1 values at the
+    Gauss points, with the bits of evaluating afresh.
     """
     b = problem.nonlinearity
     b_prime = problem.nonlinearity_prime
+    # Keyed by array identity: sound because ``_damped_newton`` writes into
+    # a trial iterate only after the damped rows' residual replaced the entry.
+    last = [None, None, None]  # iterate, operator value, element values
 
     def residual(u, rhs):
-        return system.matvec(u) + k * assemble_nonlinearity(mesh, b, u) - rhs
+        if u is not last[0]:
+            values = _element_values(mesh, u, NONLINEARITY_POINTS)
+            op = system.matvec(u) + k * assemble_nonlinearity(mesh, b, u, values)
+            last[:] = u, op, values
+        return last[1] - rhs
 
     def update(u, r, rhs):
-        jac = system.plus(assemble_nonlinearity_jacobian(mesh, b_prime, u), scale=k)
+        values = last[2] if u is last[0] else None
+        jac = system.plus(assemble_nonlinearity_jacobian(mesh, b_prime, u, values), scale=k)
         return tridiag_solve(jac, r)
 
     return residual, update, lambda r: np.abs(r).max(axis=1)

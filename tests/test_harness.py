@@ -351,6 +351,21 @@ def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_pde_batches_capped_by_unknowns():
+    # a paper-shaped cell (dof 500) is planned in batches of 8192 // 500 =
+    # 16 replicas, the be row in the first; the desk fig2 shape, 50
+    # replicas of 127 unknowns, stays one batch
+    from randstep import harness
+
+    spec = ExperimentSpec("semilinear-heat", (RBE, BE), (6,), 200, master_seed=42,
+                          sawtooth_exponent=9, mesh_dof=500)
+    assert harness._plan(spec) == [((RBE, BE) if lo == 0 else (RBE,), 6, lo, min(lo + 16, 200))
+                                   for lo in range(0, 200, 16)]
+    desk = ExperimentSpec("semilinear-heat", (RBE, BE), (9,), 50, master_seed=42,
+                          sawtooth_exponent=7, mesh_dof=127)
+    assert harness._plan(desk) == [((RBE, BE), 9, 0, 50)]
+
+
 def test_failing_classical_row_named_in_experiment_error(monkeypatch):
     # x = u + k*(x^2 + 10) has no root at k = 1/4; the rhs switches to it
     # only at the grid point t_2, which only the classical row evaluates

@@ -333,6 +333,30 @@ def test_newton_counts_of_a_two_row_batch():
     assert (counts[:, 0] != counts[:, 1]).any()
 
 
+def test_each_newton_iterate_is_evaluated_once():
+    # undamped, one row: b at U^0 and at each iteration's trial, whose
+    # value is also the next step's first residual, and b' at each
+    # iterate whose residual failed the tolerance
+    problem, _ = heat_problem(exponent=3)
+    calls = {"b": 0, "b_prime": 0}
+
+    def counted(name, fn):
+        def wrapped(u):
+            calls[name] += 1
+            return fn(u)
+        return wrapped
+
+    problem = dataclasses.replace(
+        problem, nonlinearity=counted("b", problem.nonlinearity),
+        nonlinearity_prime=counted("b_prime", problem.nonlinearity_prime))
+    grid = TimeGrid(16)
+    path = pde_solve(problem, Mesh(15), StepScheme.RANDOMIZED_BACKWARD_EULER,
+                     grid.random_nodes(42, [0]))
+    iterations = int(path.newton_iteration_counts.sum())
+    assert iterations >= grid.steps
+    assert calls == {"b": 1 + iterations, "b_prime": iterations}
+
+
 # sha256 of states.tobytes() and newton_iteration_counts.tobytes() of three
 # damped rbe replicas and the be row, rendered before the ODE and PDE step
 # loops were merged into one
