@@ -1,9 +1,11 @@
 """Uniform P1 finite elements on (0, 1) with homogeneous Dirichlet ends.
 
-All operators are tridiagonal; solves go through LAPACK's tridiagonal
-elimination.  Fields, bands and right-hand sides may carry leading batch
-axes (one row per replica); every batch row gets exactly the bits it
-would get alone.  Exact entries on a uniform mesh with spacing h:
+All operators are symmetric tridiagonal (the mass and stiffness matrices,
+and the Jacobian of the monotone nonlinearity), stored as a diagonal and
+one off-diagonal band; solves go through LAPACK's tridiagonal elimination.
+Fields, bands and right-hand sides may carry leading batch axes (one row
+per replica); every batch row gets exactly the bits it would get alone.
+Exact entries on a uniform mesh with spacing h:
 
     mass       diag 2h/3, off-diagonal h/6
     stiffness  diag 2/h,  off-diagonal -1/h
@@ -72,51 +74,38 @@ class Mesh:
 
 @dataclass
 class TriDiag:
-    """Tridiagonal matrix stored as (sub, diag, sup) bands.
+    """Symmetric tridiagonal matrix stored as its diagonal (m) and its
+    off-diagonal band (m-1), which lies both below and above the diagonal.
 
     Bands with leading batch axes hold one matrix per batch row.
     """
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
 
     def __post_init__(self):
-        m = self.diag.shape[-1]
-        if self.sub.shape[-1:] != (m - 1,) or self.sup.shape[-1:] != (m - 1,):
-            raise ValueError("band lengths must be m-1, m, m-1")
-
-    @property
-    def size(self) -> int:
-        return self.diag.shape[-1]
+        if self.off.shape[-1:] != (self.diag.shape[-1] - 1,):
+            raise ValueError("band lengths must be m, m-1")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with x along its last axis; batch axes broadcast."""
         y = self.diag * x
-        y[..., :-1] += self.sup * x[..., 1:]
-        y[..., 1:] += self.sub * x[..., :-1]
+        y[..., :-1] += self.off * x[..., 1:]
+        y[..., 1:] += self.off * x[..., :-1]
         return y
 
     def plus(self, other: "TriDiag", scale: float = 1.0) -> "TriDiag":
-        return TriDiag(
-            self.sub + scale * other.sub,
-            self.diag + scale * other.diag,
-            self.sup + scale * other.sup,
-        )
+        return TriDiag(self.diag + scale * other.diag, self.off + scale * other.off)
 
 
 def assemble_mass(mesh: Mesh) -> TriDiag:
     m, h = mesh.interior_nodes, mesh.spacing
-    return TriDiag(
-        np.full(m - 1, h / 6.0), np.full(m, 2.0 * h / 3.0), np.full(m - 1, h / 6.0)
-    )
+    return TriDiag(np.full(m, 2.0 * h / 3.0), np.full(m - 1, h / 6.0))
 
 
 def assemble_stiffness(mesh: Mesh) -> TriDiag:
     m, h = mesh.interior_nodes, mesh.spacing
-    return TriDiag(
-        np.full(m - 1, -1.0 / h), np.full(m, 2.0 / h), np.full(m - 1, -1.0 / h)
-    )
+    return TriDiag(np.full(m, 2.0 / h), np.full(m - 1, -1.0 / h))
 
 
 def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
@@ -132,17 +121,16 @@ def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
     from scipy.linalg import lapack
 
     rhs = np.asarray(rhs, dtype=float)
-    m = matrix.size
-    if m == 1:
+    if matrix.diag.shape[-1] == 1:
         if np.any(matrix.diag == 0.0):
             raise np.linalg.LinAlgError("singular 1x1 system")
         return rhs / matrix.diag
     shape = max(rhs.shape, matrix.diag.shape, key=len)
-    # rows sub, diag, sup, rhs; each block's last sub/sup entry stays 0
+    # rows sub, diag, sup, rhs; each block's last sub/sup entry stays 0.
+    # dgtsv overwrites its sub and sup rows, so each gets its own copy of off
     system = np.zeros((4,) + shape)
-    system[0, ..., :-1] = matrix.sub
+    system[0:3:2, ..., :-1] = matrix.off
     system[1] = matrix.diag
-    system[2, ..., :-1] = matrix.sup
     system[3] = rhs
     flat = system.reshape(4, -1)
     _, _, _, x, info = lapack.dgtsv(flat[0, :-1], flat[1], flat[2, :-1], flat[3],
@@ -262,6 +250,4 @@ def assemble_nonlinearity_jacobian(mesh: Mesh, b_prime: Callable, field,
     bp = _at_points(b_prime, values)
     h = mesh.spacing
     w_ll, w_rr, w_lr = h * _qsum(bp, rule.products)
-    diag = w_rr[..., :-1] + w_ll[..., 1:]
-    off = w_lr[..., 1:-1]
-    return TriDiag(off, diag, off.copy())
+    return TriDiag(w_rr[..., :-1] + w_ll[..., 1:], w_lr[..., 1:-1])

@@ -40,7 +40,8 @@ from .ode_solver import (
     solve,
 )
 from .pde_solver import STEP_BLOCK, pde_solve
-from .rand_nodes import DEFAULT_MASTER_SEED, NodeStream, TimeGrid, check_seed
+from .rand_nodes import (DEFAULT_MASTER_SEED, NodeStream, TimeGrid, check_seed,
+                         is_integer)
 
 
 class ErrorMode(Enum):
@@ -66,7 +67,8 @@ class ExperimentSpec:
 
     Construction resolves the id through ``_setup``, so a parameter that
     the problem refuses raises here, before any worker process starts, as
-    do a seed that ``rand_nodes.check_seed`` refuses, an implicit scheme
+    do a replica count or step exponent that is a bool or not an integer,
+    a seed that ``rand_nodes.check_seed`` refuses, an implicit scheme
     at a step size with k*nu >= 1 and a sweep whose largest batch needs
     more than physical memory.  ``residual_study`` takes a spec with no
     schemes.
@@ -84,11 +86,15 @@ class ExperimentSpec:
     mesh_dof: Optional[int] = None
 
     def __post_init__(self):
+        if not is_integer(self.mc_replicas):
+            raise ValueError(f"mc_replicas must be an integer, got {self.mc_replicas!r}")
         if self.mc_replicas < 1:
             raise ValueError(f"need at least one replica, got {self.mc_replicas}")
         check_seed(self.master_seed)
         if not self.step_exponents:
             raise ValueError("need at least one step exponent")
+        if not all(map(is_integer, self.step_exponents)):
+            raise ValueError(f"step exponents must be integers, got {self.step_exponents!r}")
         if min(self.step_exponents) < 0:
             raise ValueError(
                 f"step exponents must be at least 0, got {min(self.step_exponents)}"

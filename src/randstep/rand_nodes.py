@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -42,17 +41,23 @@ _XSHIFT = 16
 _PHILOX_WORDS = 4
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (``operator.index`` takes it) and
+    not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _unsigned(value, name) -> int:
     """``value`` as an int; ValueError unless it is an integer, not a
     bool, in 0..2^64-1."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if 0 <= value < _UINT64_SPAN:
-                return value
+    if is_integer(value) and 0 <= operator.index(value) < _UINT64_SPAN:
+        return operator.index(value)
     raise ValueError(f"{name} must be integers in 0..2^64-1 (unsigned 64-bit), "
                      f"got {value!r}")
 
@@ -137,7 +142,7 @@ class TimeGrid:
 
     def __post_init__(self):
         steps = self.steps
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        if not is_integer(steps) or steps < 1:
             raise ValueError(f"steps must be a positive integer, got {steps!r}")
 
     @property

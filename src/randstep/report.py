@@ -35,8 +35,8 @@ def render_svg_loglog(table: ErrorTable, error_mode: ErrorMode = ErrorMode.FINAL
         pts = sorted(
             (r.exponent, r.error(error_mode)) for r in table.for_scheme(scheme)
         )
-        if any(err <= 0.0 for _, err in pts):
-            raise ValueError(f"scheme {scheme}: errors must be positive to plot")
+        if not all(0.0 < err < math.inf for _, err in pts):
+            raise ValueError(f"scheme {scheme}: errors must be positive and finite to plot")
         series[scheme] = [(n, math.log2(err)) for n, err in pts]
 
     xs = [x for pts in series.values() for x, _ in pts]

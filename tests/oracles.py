@@ -76,7 +76,7 @@ def pde_step(mass, stiffness, k, xi, u_prev, problem):
         (M + k S) U + k N(U) = M U_prev + k F(xi)
 
     assembled for this step alone, and solved by ``pde_solver``'s Newton."""
-    mesh = Mesh(mass.size)
+    mesh = Mesh(mass.diag.shape[-1])
     u0 = np.asarray(u_prev, dtype=float)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
     parts = _fem_parts(mass.plus(stiffness, scale=k), k, mesh, problem)
@@ -87,10 +87,7 @@ def pde_step(mass, stiffness, k, xi, u_prev, problem):
 
 def dense(t):
     """The dense matrix of a ``TriDiag``."""
-    out = np.diag(t.diag)
-    if t.size > 1:
-        out += np.diag(t.sub, -1) + np.diag(t.sup, 1)
-    return out
+    return np.diag(t.diag) + np.diag(t.off, -1) + np.diag(t.off, 1)
 
 
 def assert_counts_are_each_rows_own(march, grid, rows):

@@ -175,9 +175,9 @@ def test_criterion_6_fem_oracles():
     stiff = assemble_stiffness(mesh)
     entries_ok = (
         np.allclose(mass.diag, 2 * h / 3, rtol=1e-14)
-        and np.allclose(mass.sub, h / 6, rtol=1e-14)
+        and np.allclose(mass.off, h / 6, rtol=1e-14)
         and np.allclose(stiff.diag, 2 / h, rtol=1e-14)
-        and np.allclose(stiff.sub, -1 / h, rtol=1e-14)
+        and np.allclose(stiff.off, -1 / h, rtol=1e-14)
     )
 
     def dense_gauss_solve(a, b):
@@ -198,9 +198,9 @@ def test_criterion_6_fem_oracles():
     rng = np.random.default_rng(2024)
     solver_ok = True
     for m in (8, 21, 40, 64):
-        sub = rng.uniform(0.1, 0.8, m - 1)
+        off = rng.uniform(0.1, 0.8, m - 1)
         diag = rng.uniform(2.2, 3.5, m)
-        a = TriDiag(sub, diag, sub.copy())
+        a = TriDiag(diag, off)
         rhs = rng.normal(size=m)
         gap = np.abs(tridiag_solve(a, rhs) - dense_gauss_solve(dense(a), rhs))
         solver_ok = solver_ok and gap.max() < 1e-10

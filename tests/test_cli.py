@@ -454,6 +454,23 @@ def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+# the squares of the finite rfe errors (about 1e196) overflow in harness._rms
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_infinite_error_svg_is_usage_error(tmp_path, capsys):
+    # the explicit steps stay finite, but their rms overflows to inf: the
+    # CSV holds the inf row, and the chart refuses it
+    out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    code = main(["ode", "--problem", "prothero-robinson", "--lambda=-5.7e7",
+                 "--scheme", "rbe,rfe", "--n", "4:5", "--mc", "2", "--workers", "1",
+                 "--out", str(out), "--svg", str(svg)])
+    assert code == 1
+    assert "\nrfe,32,3.1250000000000000e-02,2,inf," in out.read_text()
+    err = capsys.readouterr().err
+    assert err.count("randstep: error:") == 1 and "scheme rfe" in err
+    assert "Traceback" not in err
+    assert not svg.exists()
+
+
 def test_figure_rate_fits_follow_error_mode(tmp_path, monkeypatch, fig1_left_desk):
     # --error-mode max fits the max-over-grid errors; the figure fits used
     # to take the final-time errors whatever the mode

@@ -173,6 +173,16 @@ def test_spec_validation():
     # operator.index(True) is 1: a bool seed once ran as seed 1
     with pytest.raises(ValueError, match="integers"):
         ExperimentSpec("time-integral", (RBE,), (2,), 2, master_seed=True)
+    # replica counts and step exponents likewise: True once ran as one
+    # replica (each row reporting replicas=True) or as n = 1, and 2.5
+    # replicas died with a TypeError in the planner
+    for replicas in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="mc_replicas must be an integer"):
+            ExperimentSpec("time-integral", (RBE,), (2,), replicas)
+    for exponents in ((True, 2), (1, 2.5), (np.bool_(True),)):
+        with pytest.raises(ValueError, match="step exponents must be integers"):
+            ExperimentSpec("time-integral", (RBE,), exponents, 2)
+    assert ExperimentSpec("time-integral", (RBE,), (np.int64(2),), np.int64(2)).mc_replicas == 2
     for problem in ("semilinear-heat", "prothero-robinson"):
         with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
             ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)

@@ -60,6 +60,18 @@ def test_nonpositive_errors_rejected():
         render_svg_loglog(ErrorTable(rows))
 
 
+@pytest.mark.parametrize("error", [float("inf"), float("nan")])
+def test_non_finite_errors_rejected(error):
+    # an infinite rms once reached math.floor and raised OverflowError
+    rows = [
+        ErrorRow("rbe", 16, 1 / 16, 1, 0.2, 0.2, 0.0, 1.0),
+        ErrorRow("rfe", 16, 1 / 16, 1, 0.1, 0.1, 0.0, 0.0),
+        ErrorRow("rfe", 32, 1 / 32, 1, error, error, 0.0, 0.0),
+    ]
+    with pytest.raises(ValueError, match="scheme rfe: errors must be positive and finite"):
+        render_svg_loglog(ErrorTable(rows))
+
+
 def test_emit_writes_standalone_svg(tmp_path):
     path = tmp_path / "chart.svg"
     emit_svg_loglog(two_row_table(("rbe", "be")), path)
