@@ -75,8 +75,8 @@ def _add_common(sub):
         "--workers",
         type=_positive_int,
         default=harness.default_workers(),
-        help="worker processes, each marching one step size's batch at a time "
-        "(default: available cores)",
+        help="worker processes, each marching one lockstep batch of step sizes "
+        "at a time (default: available cores)",
     )
     sub.add_argument(
         "--error-mode",

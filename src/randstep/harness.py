@@ -19,11 +19,12 @@ Rate fits are written as: scheme,window_lo,window_hi,slope,intercept,residual
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from . import problems
 from .fem1d import Mesh, l2_error
 from .ode_solver import (
+    FREEZE_BLOCK,
     NonConvergence,
     OdeProblem,
     StepRestrictionViolated,
@@ -67,7 +69,8 @@ class ExperimentSpec:
 
     Construction resolves the id through ``_setup``, so a parameter that
     the problem refuses raises here, before any worker process starts, as
-    do a replica count or step exponent that is a bool or not an integer,
+    do a replica count, step exponent, sawtooth exponent or mesh_dof that
+    is a bool or not an integer,
     a seed that ``rand_nodes.check_seed`` refuses, an implicit scheme
     at a step size with k*nu >= 1 and a sweep whose largest batch needs
     more than physical memory.  ``residual_study`` takes a spec with no
@@ -105,6 +108,10 @@ class ExperimentSpec:
             raise ValueError("step exponents must be strictly increasing")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValueError("each scheme may appear only once")
+        for name in ("sawtooth_exponent", "mesh_dof"):
+            value = getattr(self, name)
+            if value is not None and not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mesh_dof is not None and self.mesh_dof < 1:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
         # the PDE has no step restriction
@@ -169,71 +176,111 @@ class RateFit:
     residual: float
 
 
-def _batch_nodes(spec, schemes, grid, lo, hi):
-    """The (rows, N) evaluation nodes of one batch, and each scheme's rows.
+def _batch_nodes(spec, schemes, exponents, lo, hi):
+    """The cells of one lockstep batch, finest step size first: a
+    (exponent, scheme, nodes) triple per scheme and step size.
 
-    A randomized scheme holds one row per replica lo..hi-1, drawn from
-    the replica's substream; the classical scheme holds one row of grid
-    points, its one path for every replica.
+    A randomized scheme's nodes hold one row per replica lo..hi-1, drawn
+    from the replica's substream; the classical scheme's one row of grid
+    points is its one path for every replica.
     """
-    blocks, rows, start = [], {}, 0
-    for scheme in schemes:
-        if scheme.is_randomized:
-            blocks.append(grid.random_nodes(spec.master_seed, range(lo, hi)))
-        else:
-            blocks.append(grid.nodes()[None, 1:])
-        rows[scheme] = range(start, start + len(blocks[-1]))
-        start += len(blocks[-1])
-    return np.concatenate(blocks), rows
+    cells = []
+    for exponent in sorted(exponents, reverse=True):
+        grid = TimeGrid(2**exponent)
+        for scheme in schemes:
+            if scheme.is_randomized:
+                nodes = grid.random_nodes(spec.master_seed, range(lo, hi))
+            else:
+                nodes = grid.nodes()[None, 1:]
+            cells.append((exponent, scheme, nodes))
+    return cells
 
 
-def _batch_failure(err, rows, exponent, lo):
-    """ExperimentError naming the scheme and replica of a batch's failing row."""
+def _positions(cells):
+    """The batch rows of each (exponent, scheme) of ``cells``, in order."""
+    rows, start = {}, 0
+    for exponent, scheme, nodes in cells:
+        rows[exponent, scheme] = range(start, start + len(nodes))
+        start += len(nodes)
+    return rows
+
+
+def _batch_failure(err, cells, lo):
+    """ExperimentError naming the cell and replica of a batch's failing row."""
     pos = getattr(err, "replica", None) or 0
-    scheme = next(s for s, r in rows.items() if pos in r)
-    replica = lo + pos - rows[scheme].start if scheme.is_randomized else 0
+    (exponent, scheme), rows = next(
+        (cell, r) for cell, r in _positions(cells).items() if pos in r)
+    replica = lo + pos - rows.start if scheme.is_randomized else 0
     step = getattr(err, "step", None)
     return ExperimentError(
         f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {err}"
     )
 
 
-def _by_scheme(errors, rows):
-    """Split per-row (final, max, mean-newton) errors into each scheme's rows."""
-    return {s: tuple(e[r.start : r.stop] for e in errors) for s, r in rows.items()}
+class _RowErrors:
+    """The sweep's reducer of a lockstep march (see ``ode_solver._march``):
+    each row's final and largest error and its Newton iterations.
+
+    The rows are those of ``_batch_nodes``: an equal number for each step
+    size, finest first.  ``errors(first, states, steps)`` gives the
+    (times, rows) errors of the states U^first.. of the rows of the step
+    counts ``steps``.  ``newton_iteration_counts`` holds the iterations of
+    each lockstep step, summed over the batch's rows.
+    """
+
+    def __init__(self, errors, cells):
+        self.errors = errors
+        self.steps = np.array(sorted({2**e for e, _, _ in cells}, reverse=True))
+        rows = sum(len(nodes) for _, _, nodes in cells)
+        self.per_size = rows // len(self.steps)
+        self.final = np.empty(rows)
+        self.worst = np.full(rows, -np.inf)
+        self.iterations = np.zeros(rows, dtype=np.int64)
+        self.newton_iteration_counts = np.zeros(self.steps[0], dtype=np.int64)
+
+    def __call__(self, first, states, counts):
+        rows = states.shape[1]
+        errs = self.errors(first, states, self.steps[: rows // self.per_size])
+        np.maximum(self.worst[:rows], errs.max(axis=0), out=self.worst[:rows])
+        # a row's last block ends at its last step
+        self.final[:rows] = errs[-1]
+        self.iterations[:rows] += counts.sum(axis=0)
+        stop = first + len(states) - 1
+        self.newton_iteration_counts[stop - len(counts) : stop] = counts.sum(axis=1)
+
+    def by_cell(self, cells):
+        """Each (scheme, exponent)'s (final, max, mean Newton iterations) per row."""
+        steps = np.repeat([2**e for e, _, nodes in cells], [len(n) for _, _, n in cells])
+        means = self.iterations / steps
+        return {(scheme, exponent): (self.final[r], self.worst[r], means[r])
+                for (exponent, scheme), r in _positions(cells).items()}
 
 
-def _ode_errors(problem, path):
-    """(final, max) absolute errors of every row of an ODE batch."""
-    # error of every row at every grid point, in place of the states
-    diff = path.states
-    diff -= problem.exact(path.grid.nodes())[:, None]
-    np.abs(diff, out=diff)
-    # a view of the last row would keep the whole path alive in the result
-    return diff[-1].copy(), diff.max(axis=0)
+def _ode_errors(problem, first, states, steps):
+    """Absolute errors of the (times, rows) ODE states U^first..; the
+    exact solution is evaluated once per step size."""
+    times = np.arange(first, first + len(states))[:, None] / steps
+    diff = states.reshape(len(states), len(steps), -1) - problem.exact(times)[..., None]
+    return np.abs(diff, out=diff).reshape(states.shape)
 
 
-def _pde_errors(problem, mesh, path):
-    """(final, max) L2 errors of the (R, m) fields of every row of a PDE
-    batch; the exact solution of a block of time nodes serves every row."""
-    fields = path.states
-    times = path.grid.nodes()
-    errs = np.empty(fields.shape[:2])
-    for n in range(0, len(times), STEP_BLOCK):
-        t = times[n : n + STEP_BLOCK, None, None, None]
-        errs[n : n + STEP_BLOCK] = l2_error(
-            mesh, fields[n : n + STEP_BLOCK], lambda x: problem.exact(t, x)
-        )
-    return errs[-1], errs.max(axis=0)
+def _pde_errors(problem, mesh, first, states, steps):
+    """L2 errors of the (times, rows, m) fields U^first..; the exact
+    solution at a (time, step size) serves every row of that step size."""
+    times = (np.arange(first, first + len(states))[:, None] / steps)[..., None, None, None]
+    fields = states.reshape(len(states), len(steps), -1, states.shape[-1])
+    errs = l2_error(mesh, fields, lambda x: problem.exact(times, x))
+    return errs.reshape(states.shape[:2])
 
 
 def _setup(spec: ExperimentSpec):
     """(problem, march, errors) of the spec's problem id: the one place an
     id is resolved.
 
-    ``march(scheme, nodes)`` solves a batch, ``errors(path)`` gives its
-    per-row (final, max) errors.  Building the problem checks every
-    parameter that the id reads.
+    ``march(scheme, nodes, reduce)`` solves a batch, ``errors(first,
+    states, steps)`` gives the per-row errors of a block of its states
+    (see ``_RowErrors``).  Building the problem checks every parameter
+    that the id reads.
     """
     if spec.problem not in ("prothero-robinson", "time-integral", "semilinear-heat"):
         raise ValueError(f"unknown problem id {spec.problem!r}")
@@ -257,42 +304,95 @@ def _setup(spec: ExperimentSpec):
     return problem, partial(solve, problem), partial(_ode_errors, problem)
 
 
-def _chunk(spec, schemes, exponent, lo, hi):
-    """Per-replica (final, max, mean-newton) errors of one batch, by scheme.
+#: glibc's malloc options M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the
+#: values a sweep sets (see ``_keep_freed_heap``).
+_MALLOPT = ((-3, 32 * 2**20), (-1, 64 * 2**20))
 
-    ``schemes`` is the tuple of schemes that march together as one batch:
-    implicit ones, or one explicit.  A randomized scheme gives the errors
-    of replicas lo..hi-1, the classical scheme those of its one path.
+
+@lru_cache(maxsize=None)
+def _keep_freed_heap():
+    """Have glibc keep freed heap memory for reuse, where it has mallopt.
+
+    A batch frees its block temporaries after every block of steps.  By
+    default glibc maps arrays above an adaptive threshold on their own,
+    and returns a free heap top above twice that threshold to the system,
+    so each block touches fresh pages again: 15,254 minor page faults per
+    pde-heat sweep, and 532,000 for the 8 step sizes of 16 paper-scale
+    fig2 replicas, against 115 and 44,000 at the parent commit, whose
+    stored paths raised the threshold.  Fixing the thresholds at 32 and
+    64 MiB brought them to 8 and 7,000, with the same peak RSS.  Where
+    there is no mallopt this does nothing.
     """
-    problem, march, errors = _setup(spec)
-    nodes, rows = _batch_nodes(spec, schemes, TimeGrid(2**exponent), lo, hi)
     try:
-        path = march(schemes[0], nodes)
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for option, value in _MALLOPT:
+        mallopt(option, value)
+
+
+def _chunk(spec, schemes, exponents, lo, hi):
+    """Per-replica (final, max, mean-newton) errors of one lockstep batch,
+    by (scheme, exponent).
+
+    ``schemes`` is the tuple of schemes that march together, implicit ones
+    or one explicit, at every step size of ``exponents``.  A randomized
+    scheme gives the errors of replicas lo..hi-1, the classical scheme
+    those of its one path.  A failing batch is marched again one step
+    size at a time, coarsest first, so that it raises the error of the
+    first failing cell in the order a sweep of one step size at a time
+    meets them.
+    """
+    _keep_freed_heap()
+    problem, march, errors = _setup(spec)
+    cells = _batch_nodes(spec, schemes, exponents, lo, hi)
+
+    def run(cells):
+        return march(schemes[0], [nodes for _, _, nodes in cells], _RowErrors(errors, cells))
+
+    try:
+        reduced = run(cells)
     except (NonConvergence, ValueError) as err:
-        raise _batch_failure(err, rows, exponent, lo) from err
-    final, worst = errors(path)
-    return _by_scheme((final, worst, path.newton_iteration_counts.mean(axis=0)), rows)
+        for exponent in sorted(exponents):
+            own = [cell for cell in cells if cell[0] == exponent]
+            try:
+                run(own)
+            except (NonConvergence, ValueError) as cell_err:
+                raise _batch_failure(cell_err, own, lo) from cell_err
+        raise _batch_failure(err, cells, lo) from err
+    return reduced.by_cell(cells)
 
 
-#: Unknowns (replicas times mesh_dof) per PDE batch, near the least cost
-#: per row-step: ``pde_solve`` at N = 256, best of 3, took 82-97, 76, 80, 79
-#: and 89 us per row-step with 8, 16, 24, 32 and 64 rows at dof 500, and 36,
-#: 28, 25 and 27 us with 16, 32, 64 and 128 rows at dof 127.
+#: Unknowns (rows times mesh_dof) per PDE batch, near the least cost per
+#: row-step: ``pde_solve`` at N = 256, best of 3, took 82-97, 76, 80, 79 and
+#: 89 us per row-step with 8, 16, 24, 32 and 64 rows at dof 500, and 36, 28,
+#: 25 and 27 us with 16, 32, 64 and 128 rows at dof 127.  A batch takes
+#: PDE_BATCH_UNKNOWNS // mesh_dof replicas, and marches as many step sizes of
+#: them in lockstep as this cap holds, at least one: in a paper-shaped
+#: lockstep batch of 16 replicas and 8 step sizes at dof 500, a row-step
+#: took 127 us with 17 rows live and 137, 144, 199, 214 and 412 us with
+#: 34, 68, 85, 102 and 136.
 PDE_BATCH_UNKNOWNS = 8192
 
-#: Bytes of stored fields per PDE batch, the tighter cap for long paths
-#: (8 replicas at paper scale's n = 11).
-PDE_BATCH_BYTES = 64 * 2**20
+#: float64 temporaries per unknown of a block of steps at the peak of a
+#: batch: around ``run_mc`` of a semilinear-heat rbe,be task at n = 4:5
+#: with 2 replicas, ru_maxrss rose by 13.8 blocks of states at dof 20,000
+#: and 11.6 at dof 100,000.
+BLOCK_TEMPORARIES = 16
 
 
 def _plan(spec):
-    """The sweep's tasks, (schemes, exponent, lo, hi), in the order run.
+    """The sweep's tasks, (schemes, exponents, lo, hi), in the order run.
 
-    A task is one batch as the solver marches it: the schemes of one group
-    (implicit, or explicit) at one step size, over replicas lo..hi-1.  An
-    ODE cell is one task; a PDE cell is divided into batches of at most
-    PDE_BATCH_UNKNOWNS unknowns and PDE_BATCH_BYTES of stored fields, with
-    the classical row in the first.
+    A task is one lockstep batch as the solver marches it: the schemes of
+    one group (implicit, or explicit) at the step sizes of ``exponents``,
+    over replicas lo..hi-1.  The ODE marches each group as one task of
+    every step size.  The PDE divides a group into batches of
+    PDE_BATCH_UNKNOWNS // mesh_dof replicas, with the classical row in
+    the first, and its step sizes, finest first, into spans whose rows
+    hold at most PDE_BATCH_UNKNOWNS unknowns, at least one step size each;
+    coarser spans come first.
     """
     groups = {}  # implicit or not -> schemes, in order of first appearance
     for scheme in spec.schemes:
@@ -301,34 +401,39 @@ def _plan(spec):
     for schemes in map(tuple, groups.values()):
         randomized = tuple(s for s in schemes if s.is_randomized)
         replicas = spec.mc_replicas if randomized else 0
-        for exponent in spec.step_exponents:
-            width = replicas or 1
-            if spec.problem == "semilinear-heat":
-                path_bytes = (2**exponent + 1) * spec.mesh_dof * 8
-                width = max(1, min(PDE_BATCH_UNKNOWNS // spec.mesh_dof,
-                                   PDE_BATCH_BYTES // path_bytes))
+        width, span = replicas or 1, len(spec.step_exponents)
+        if spec.problem == "semilinear-heat":
+            width = max(1, PDE_BATCH_UNKNOWNS // spec.mesh_dof)
+            rows = min(width, replicas) + len(schemes) - len(randomized)
+            span = max(1, PDE_BATCH_UNKNOWNS // (rows * spec.mesh_dof))
+        every = spec.step_exponents
+        # spans cut from the finest end, run coarsest first
+        spans = [every[max(0, i - span) : i] for i in range(len(every), 0, -span)]
+        for exponents in reversed(spans):
             for lo in range(0, replicas, width) or [0]:
                 batch = schemes if lo == 0 else randomized
-                tasks.append((batch, exponent, lo, min(lo + width, replicas)))
+                tasks.append((batch, exponents, lo, min(lo + width, replicas)))
     return tasks
 
 
 def _task_size(task):
     """Steps times rows of a task: its share of the sweep's work."""
-    schemes, exponent, lo, hi = task
-    return 2**exponent * sum(hi - lo if s.is_randomized else 1 for s in schemes)
+    schemes, exponents, lo, hi = task
+    return sum(2**n for n in exponents) * sum(hi - lo if s.is_randomized else 1 for s in schemes)
 
 
 def _task_bytes(spec, task):
-    """Bytes of a task's arrays: the (R, N) node block and Newton counts,
-    the (N+1, R, m) path, m = 1 for the ODE, and one more (R, N) block
-    for the temporaries.  Around ``run_mc`` of a prothero-robinson rbe,be
-    task at n = 17 with 20 replicas, ru_maxrss rose by 3.3 to 3.5 (R, N)
-    blocks, against the 3 that the stored arrays take."""
-    steps = 2 ** task[1]
-    rows = _task_size(task) // steps
-    m = spec.mesh_dof if spec.problem == "semilinear-heat" else 1
-    return 8 * rows * (3 * steps + (steps + 1) * m)
+    """Bytes of a task's arrays: its node blocks, one (R, N) block per step
+    size, and BLOCK_TEMPORARIES float64 temporaries per unknown of a block
+    of steps in which every row marches (an upper bound on every block).
+    Around ``run_mc`` of a prothero-robinson rbe,be task at n = 17 with 20
+    replicas, and at n = 12:17, ru_maxrss rose by 1.05 node blocks."""
+    schemes, exponents, lo, hi = task
+    rows = len(exponents) * _task_size(task) // sum(2**n for n in exponents)
+    block, m = FREEZE_BLOCK, 1
+    if spec.problem == "semilinear-heat":
+        block, m = STEP_BLOCK, spec.mesh_dof
+    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * block * rows * m)
 
 
 def physical_memory() -> float:
@@ -383,16 +488,16 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     solution (absolute value for the ODE, quadrature L2 norm for the
     PDE), at the final time and maximal over the grid.  The Monte Carlo
     standard error of the rms estimate comes from the sample variance of
-    e_r^2 via the delta method.  The implicit schemes of one step size
-    march as one batch, and the explicit scheme as another; the rows
-    follow the order of ``spec.schemes``.
+    e_r^2 via the delta method.  The implicit schemes march as one
+    lockstep batch of every step size, and the explicit scheme as
+    another (see ``_plan``); the rows follow the order of ``spec.schemes``.
     """
     tasks = _plan(spec)
     results = _run_tasks(_chunk, spec, tasks, workers)
     parts = {}  # (scheme, exponent) -> errors of each batch, in replica order
-    for (_, exponent, _, _), errors in zip(tasks, results):
-        for scheme, part in errors.items():
-            parts.setdefault((scheme, exponent), []).append(part)
+    for errors in results:
+        for cell, part in errors.items():
+            parts.setdefault(cell, []).append(part)
     rows: list[ErrorRow] = []
     for scheme in spec.schemes:
         # the classical scheme's one path stands for every replica

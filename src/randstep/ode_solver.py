@@ -37,8 +37,8 @@ MAX_ITERATIONS = 50
 #: Damped Newton halves the update at most this many times per iteration.
 MAX_DAMPING_HALVINGS = 30
 
-#: Steps whose nodes ``solve`` freezes at once; a block's frozen data are
-#: (block, R, ...) temporaries, so longer blocks cost memory.
+#: Steps whose nodes ``solve`` freezes at once (see ``_march``); a block's
+#: frozen data are (block, R, ...) temporaries, so longer blocks cost memory.
 FREEZE_BLOCK = 64
 
 #: Quadrature points that ``conditional_mean_residual`` evaluates at once:
@@ -130,25 +130,53 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """Computed paths of an (R, N) node block: states[n, r] = U^n of row r.
+    """Computed paths of a batch: states[n, r] = U^n of row r.
 
-    Row r's Newton iteration counts are column r of the (N, R) counts.
+    Row r's Newton iteration counts are column r of the (N, R) counts,
+    N the most steps of any row.  As the reducer of a march it stores
+    every state it is handed; a row of fewer steps holds NaN states and
+    zero counts past its last step.
     """
 
     states: np.ndarray  # (N+1, R); (N+1, R, m) for the PDE
     newton_iteration_counts: np.ndarray  # (N, R); zeros if explicit
 
+    @classmethod
+    def empty(cls, steps: int, rows: int, shape=()) -> "Trajectory":
+        """A path of ``rows`` rows and ``steps`` steps, not yet computed."""
+        return cls(np.full((steps + 1, rows) + shape, np.nan),
+                   np.zeros((steps, rows), dtype=np.int64))
+
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(len(self.states) - 1)
 
+    def __call__(self, first, states, counts):
+        """Store a block of a march's states and counts (see ``_march``)."""
+        rows, stop = states.shape[1], first + len(states)
+        self.states[first:stop, :rows] = states
+        self.newton_iteration_counts[stop - 1 - len(counts) : stop - 1, :rows] = counts
 
-def _node_grid(nodes) -> TimeGrid:
-    """TimeGrid(N) of an (R, N) node block, a 2-D ndarray with R, N >= 1."""
-    if isinstance(nodes, np.ndarray) and nodes.ndim == 2 and nodes.size:
-        return TimeGrid(nodes.shape[1])
-    got = nodes.shape if isinstance(nodes, np.ndarray) else type(nodes).__name__
-    raise ValueError(f"need an (R, N) node block with R, N >= 1, got {got}")
+
+def _node_blocks(nodes):
+    """The (R_i, N_i) node blocks of ``nodes`` and the (R,) step sizes of
+    their rows.
+
+    ``nodes`` is one block, a 2-D ndarray with R, N >= 1, or a list or
+    tuple of such blocks whose widths N do not increase.
+    """
+    blocks = list(nodes) if isinstance(nodes, (list, tuple)) else [nodes]
+    if not blocks:
+        raise ValueError("need an (R, N) node block with R, N >= 1, got no block")
+    for block in blocks:
+        if not (isinstance(block, np.ndarray) and block.ndim == 2 and block.size):
+            got = block.shape if isinstance(block, np.ndarray) else type(block).__name__
+            raise ValueError(f"need an (R, N) node block with R, N >= 1, got {got}")
+    widths = [block.shape[1] for block in blocks]
+    if any(b > a for a, b in zip(widths, widths[1:])):
+        raise ValueError(f"node block widths must not increase, got {widths}")
+    k = np.repeat([TimeGrid(n).step_size for n in widths], [len(b) for b in blocks])
+    return blocks, k
 
 
 def check_step_restriction(k: float, nu: float) -> None:
@@ -171,8 +199,10 @@ def check_step_restriction(k: float, nu: float) -> None:
 def _damped_newton(residual, update, norm, x, data, scale=None):
     """Damped Newton for residual(x, *data) = 0, one row of x per replica.
 
-    ``x`` holds one row per replica and ``data`` a tuple of arrays whose
-    first axis runs over the same rows; ``update(x, r, *data)`` returns
+    ``x`` holds one row per replica and ``data`` a tuple of arrays, or
+    of batches such as ``fem1d.TriDiag`` that index like them, whose first
+    axis runs over the same rows, or of floats that every row shares;
+    ``update(x, r, *data)`` returns
     the Newton step for the residual r, and ``norm`` maps rows to their
     (R,) norms.  A row has converged once norm(r) <= ABS_TOL + REL_TOL *
     s, with s = norm(x), or the row's ``scale`` when one is given, and
@@ -216,7 +246,7 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
             roots[live[done]], iters[live[done]] = x[done], it
             keep = ~done
             live, x, r, rnorm = live[keep], x[keep], r[keep], rnorm[keep]
-            data = tuple(a[keep] for a in data)
+            data = tuple(_rows(a, keep) for a in data)
             tol = None if tol is None else tol[keep]
         try:
             delta = update(x, r, *data)
@@ -232,7 +262,7 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
             for _ in range(MAX_DAMPING_HALVINGS):
                 alpha *= 0.5
                 xb = x[retry] - alpha * delta[retry]
-                rb = residual(xb, *(a[retry] for a in data))
+                rb = residual(xb, *(_rows(a, retry) for a in data))
                 nb = norm(rb)
                 xt[retry], rt[retry], rtnorm[retry] = xb, rb, nb
                 retry = retry[~(nb < rnorm[retry])]
@@ -243,21 +273,26 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
         x, r, rnorm = xt, rt, rtnorm
 
 
-def _newton_parts(rhs, jac, k):
+def _rows(datum, index):
+    """The rows ``index`` of a step's datum; a float is every row's."""
+    return datum if isinstance(datum, float) else datum[index]
+
+
+def _newton_parts(rhs, jac):
     """(residual, update, norm) of the step equation x = u_prev + k*rhs(c, x).
 
-    The data of a step are the rows' frozen data c and previous states.
-    A row's update divides by its derivative 1 - k*jac(c, x).
+    The data of a step are the rows' frozen data c, previous states and
+    step sizes k.  A row's update divides by its derivative 1 - k*jac(c, x).
     """
 
-    def residual(x, c, u_prev):
+    def residual(x, c, u_prev, k):
         return x - u_prev - k * rhs(c, x)
 
-    def update(x, r, c, u_prev):
+    def update(x, r, c, u_prev, k):
         deriv = 1.0 - k * jac(c, x)
         singular = deriv == 0.0
-        # a Jacobian callback returning a float gives a plain bool here
-        if singular is not False and np.any(singular):
+        # a float k and a Jacobian callback returning a float give a plain bool
+        if singular is True or singular is not False and singular.any():
             raise NonConvergence("singular Newton derivative",
                                  replica=np.flatnonzero(singular)[0])
         return r / deriv
@@ -265,85 +300,127 @@ def _newton_parts(rhs, jac, k):
     return residual, update, np.abs
 
 
-def _newton_scalar(parts, at, u_prev, affine):
+def _newton_scalar(parts, at, u_prev, k, affine):
     """One implicit step of every row: ``_damped_newton`` on the
     ``_newton_parts``, or for an ``affine`` problem one Newton step.
 
-    ``at`` holds the rows' frozen data; the initial guess is
-    u_prev, an O(k)-accurate predictor.  For an ``affine`` problem one
-    Newton step is the root up to rounding, so the step is Newton's
-    first iterate from u_prev, bit for bit ((u - u) - k*f is exactly
-    -(k*f)), with the count 1 for every row; its residual is not tested.
-    A row whose start already meets the tolerance therefore takes the
-    step with count 1, where damped Newton keeps u_prev with count 0.
+    ``at`` holds the rows' frozen data and ``k`` their step sizes; the
+    initial guess is u_prev, an O(k)-accurate predictor.  For an
+    ``affine`` problem one Newton step is the root up to rounding, so the
+    step is Newton's first iterate from u_prev, bit for bit ((u - u) - k*f
+    is exactly -(k*f)), with the count 1 for every row; its residual is
+    not tested.  A row whose start already meets the tolerance therefore
+    takes the step with count 1, where damped Newton keeps u_prev with
+    count 0.
     """
+    data = (at, u_prev, k)
     if affine:
         residual, update, _ = parts
-        return u_prev - update(u_prev, residual(u_prev, at, u_prev), at, u_prev), 1
-    return _damped_newton(*parts, u_prev, (at, u_prev))
+        return u_prev - update(u_prev, residual(u_prev, *data), *data), 1
+    return _damped_newton(*parts, u_prev, data)
 
 
-def solve(problem: OdeProblem, scheme: StepScheme, nodes: np.ndarray) -> Trajectory:
-    """March the selected one-step rule over an (R, N) block of nodes.
+def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
+    """March the selected one-step rule over node blocks; returns ``reduce``.
 
-    The block's width N fixes k = 1/N.  The R rows march together, row r as
-    column r of an (R,) state, and step n of row r evaluates f at
-    nodes[r, n-1].  Rows from ``TimeGrid.random_nodes`` march randomized
-    replicas and a row of grid points t_1..t_N the classical scheme, so
-    one batch can hold both; ``scheme`` only chooses between implicit and
+    ``nodes`` is an (R, N) block, or a list of blocks whose widths N do
+    not increase (see ``_march``).  A block's width N fixes its rows'
+    k = 1/N, and step n of row r evaluates f at the row's n-th node.  Rows
+    from ``TimeGrid.random_nodes`` march randomized replicas and a row of
+    grid points t_1..t_N the classical scheme, so one batch can hold both,
+    at every step size; ``scheme`` only chooses between implicit and
     explicit steps.  Every row gets the same bits as when marched alone.
-    The problem's ``freeze`` takes the nodes of FREEZE_BLOCK steps at once
-    (a node outside its domain raises there), and Newton evaluates only
-    f's state dependence.  ``_march`` names the step and row of a failure.
+    The problem's ``freeze`` takes the nodes of up to FREEZE_BLOCK steps at
+    once (a node outside its domain raises there), and Newton evaluates only
+    f's state dependence.  ``reduce`` receives the march's states (see
+    ``_march``); by default a ``Trajectory`` stores them all.
+    ``_march`` names the step and row of a failure.
     """
-    k = _node_grid(nodes).step_size
+    blocks, k = _node_blocks(nodes)
     freeze, rhs = problem.freeze, problem.rhs
     if scheme.is_implicit:
-        check_step_restriction(k, problem.one_sided_constant)
-        parts = _newton_parts(rhs, problem.jacobian, k)
+        # coarsest first, as a sweep of one step size at a time meets them
+        for step_size in np.unique(k)[::-1]:
+            check_step_restriction(float(step_size), problem.one_sided_constant)
+        parts = _newton_parts(rhs, problem.jacobian)
         affine = problem.affine
 
-        def step(at, u):
-            return _newton_scalar(parts, at, u, affine)
+        def step(at, u, k):
+            return _newton_scalar(parts, at, u, k, affine)
     else:
-        def step(at, u):
+        def step(at, u, k):
             return u + k * rhs(at, u), 0
 
+    if reduce is None:
+        reduce = Trajectory.empty(blocks[0].shape[1], len(k))
     u0 = np.asarray(problem.initial_value, dtype=float)
-    states, counts = _march(nodes, u0, FREEZE_BLOCK, freeze, step)
-    return Trajectory(states=states, newton_iteration_counts=counts)
+    _march(blocks, k, u0, FREEZE_BLOCK, freeze, step, reduce)
+    return reduce
 
 
-def _march(nodes, u0, width, freeze, step):
-    """The (N+1, R, ...) path and (N, R) iteration counts of an (R, N) block.
+def _march(blocks, k, u0, width, freeze, step, reduce):
+    """March every row of the node ``blocks`` in lockstep from the state ``u0``.
 
-    Every row starts from the state ``u0`` and its step n evaluates at
-    nodes[r, n-1].  ``freeze`` maps the (steps, R) nodes of ``width``
-    steps at a time to per-step data, and ``step(data, u)`` maps the
-    data of step n and the (R, ...) state U^{n-1} to U^n and the rows'
-    (R,) iteration counts, or one count for all rows.  Overflow is left
-    to the finiteness check after the march: a NonConvergence of a step,
-    or a non-finite state, is raised naming the step and the row.
+    ``blocks`` are (R_i, N_i) node arrays whose widths do not increase,
+    and ``k`` the (R,) or (R, 1) step sizes of their rows, in order.  Step
+    n advances every row with N_i >= n, a prefix of the rows, and a row
+    retires after its own N_i steps.
+
+    The steps go in blocks.  ``freeze`` maps a block's (steps, rows) nodes
+    to per-step data.  A block holds at most ``width`` steps of the rows
+    that march every step, and fewer steps where more rows are live, so
+    its temporaries stay the size of a batch of one step size; it ends
+    early where a row retires inside it.  ``step(data, u, k)`` maps the
+    data of step n, the (rows, ...) state U^{n-1} and the rows' step
+    sizes, one float where they are all equal, to U^n and the rows'
+    (rows,) iteration counts, or one count for all rows.  After each
+    block ``reduce(first, states, counts)`` receives the states U^first..
+    of the block's rows, the first block's beginning with U^0, and the
+    iteration counts of the steps to the last len(counts) of them.
+
+    Overflow is left to a finiteness check: a NonConvergence of a step
+    raises at once, and the first non-finite state, in step order then
+    row order, raises after the march; either names the step and the row.
     """
-    rows, n_steps = nodes.shape
-    states = np.empty((n_steps + 1, rows) + u0.shape)
-    states[0] = u0
-    counts = np.zeros((n_steps, rows), dtype=np.int64)
-    u = states[0]
+    widths = [block.shape[1] for block in blocks]
+    rows = np.cumsum([len(block) for block in blocks])
+    full = rows[widths.count(widths[0]) - 1]  # the rows that march every step
+    u = np.empty((rows[-1],) + u0.shape)
+    u[...] = u0
+    live, lo, bad = len(blocks), 0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_steps, width):
-            for n, data in enumerate(freeze(nodes[:, lo : lo + width].T), start=lo + 1):
+        while lo < widths[0]:
+            while widths[live - 1] <= lo:
+                live -= 1
+            r = rows[live - 1]
+            hi = min(lo + max(1, width * full // r), widths[live - 1])
+            if r < len(u):
+                u = u[:r]
+            nodes = np.concatenate([b[:, lo:hi].T for b in blocks[:live]], axis=1)
+            head = int(lo == 0)  # the first block's states begin with U^0
+            states = np.empty((hi - lo + head, r) + u0.shape)
+            if head:
+                states[0] = u
+            counts = np.zeros((hi - lo, r), dtype=np.int64)
+            # a float where every live row has one step size: cheaper
+            # arithmetic, with the same bits
+            k_live = k[:r] if widths[live - 1] < widths[0] else float(k.flat[0])
+            for n, data in enumerate(freeze(nodes), start=lo + 1):
                 try:
-                    u, counts[n - 1] = step(data, u)
+                    u, counts[n - lo - 1] = step(data, u, k_live)
                 except NonConvergence as err:
                     raise NonConvergence(f"step {n}: {err}", step=n,
                                          replica=err.replica) from err
-                states[n] = u
-    finite = np.isfinite(states).reshape(n_steps + 1, rows, -1).all(axis=2)
-    if not finite.all():
-        n, row = (int(i) for i in np.argwhere(~finite)[0])
+                states[n - lo - 1 + head] = u
+            if bad is None and not np.isfinite(states).all():
+                finite = np.isfinite(states).reshape(len(states), r, -1).all(axis=2)
+                i, row = (int(i) for i in np.argwhere(~finite)[0])
+                bad = (lo + 1 - head + i, row)
+            reduce(lo + 1 - head, states, counts)
+            lo = hi
+    if bad is not None:
+        n, row = bad
         raise NonConvergence(f"step {n}: non-finite state", step=n, replica=row)
-    return states, counts
 
 
 def local_residual(problem, exact_at_grid, xi):

@@ -32,7 +32,7 @@ from .fem1d import (
     load_vector,
     tridiag_solve,
 )
-from .ode_solver import StepScheme, Trajectory, _damped_newton, _march, _node_grid
+from .ode_solver import StepScheme, Trajectory, _damped_newton, _march, _node_blocks
 from .rand_nodes import TimeGrid
 
 
@@ -43,8 +43,8 @@ class PdeProblem:
     ``forcing(t, x)``, ``initial(x)`` and ``exact(t, x)`` must accept
     numpy arrays of spatial points; ``nonlinearity`` and its derivative
     act pointwise.  ``pde_solve`` passes ``t`` to ``forcing`` as an array
-    of shape (steps, replicas, 1, 1), and the sweep passes it to
-    ``exact`` as one of shape (times, 1, 1, 1); both broadcast against
+    of shape (steps, rows, 1, 1), and the sweep passes it to ``exact`` as
+    one of shape (times, step sizes, 1, 1, 1); both broadcast against
     the (q, m+1) array of quadrature points, Gauss point by element.  A
     forcing that ignores ``t`` may return the points' shape or a
     constant.  Time runs over [0, 1].  With the H^1 seminorm as the
@@ -65,10 +65,11 @@ class PdeProblem:
 STEP_BLOCK = 16
 
 
-def _fem_parts(system, k, mesh, problem):
+def _fem_parts(mesh, problem):
     """(residual, update, norm) of system @ U + k N(U) = rhs for ``_damped_newton``.
 
-    The one datum of a step is the (R, m) right-hand side; the update
+    The data of a step are the rows' (R, m) right-hand sides, their
+    systems M + kS and their (R, 1) step sizes k; the update
     solves with the tridiagonal Jacobian and the norm is the max norm.
     Each iterate is evaluated once: a residual at the last residual's
     iterate (a step starts at the last step's root) reuses its operator
@@ -78,69 +79,76 @@ def _fem_parts(system, k, mesh, problem):
     b = problem.nonlinearity
     b_prime = problem.nonlinearity_prime
     # Keyed by array identity: sound because ``_damped_newton`` writes into
-    # a trial iterate only after the damped rows' residual replaced the entry.
+    # a trial iterate only after the damped rows' residual replaced the
+    # entry, and an iterate's rows, so their systems, never change.
     last = [None, None, None]  # iterate, operator value, element values
 
-    def residual(u, rhs):
+    def residual(u, rhs, system, k):
         if u is not last[0]:
             values = _element_values(mesh, u, NONLINEARITY_POINTS)
             op = system.matvec(u) + k * assemble_nonlinearity(mesh, b, u, values)
             last[:] = u, op, values
         return last[1] - rhs
 
-    def update(u, r, rhs):
+    def update(u, r, rhs, system, k):
         values = last[2] if u is last[0] else None
-        jac = system.plus(assemble_nonlinearity_jacobian(mesh, b_prime, u, values), scale=k)
-        return tridiag_solve(jac, r)
+        jac = assemble_nonlinearity_jacobian(mesh, b_prime, u, values)
+        return tridiag_solve(system.plus(jac, scale=k), r)
 
     return residual, update, lambda r: np.abs(r).max(axis=1)
 
 
-def _newton_fem(parts, rhs, u_start):
+def _newton_fem(parts, rhs, u_start, system, k):
     """One implicit step of every row: ``_damped_newton`` on ``parts``.
 
-    ``rhs`` and ``u_start`` are (R, m); returns (U, iterations) with
-    iterations (R,).  A row's tolerance scales with the norm of its
-    right-hand side.
+    ``rhs`` and ``u_start`` are (R, m), ``system`` holds the rows'
+    matrices M + kS and ``k`` their (R, 1) step sizes; returns (U,
+    iterations) with iterations (R,).  A row's tolerance scales with the
+    norm of its right-hand side.
     """
     norm = parts[2]
-    return _damped_newton(*parts, u_start, (rhs,), scale=norm(rhs))
+    return _damped_newton(*parts, u_start, (rhs, system, k), scale=norm(rhs))
 
 
-def pde_solve(
-    problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes: np.ndarray
-) -> Trajectory:
-    """March the scheme from U^0 = P_h u0 over an (R, N) block of nodes.
+def pde_solve(problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes, reduce=None):
+    """March the scheme from U^0 = P_h u0 over node blocks; returns ``reduce``.
 
-    As for ``ode_solver.solve``, the block's width fixes k, the R rows
-    march together as an (R, m) field, row r evaluating the forcing of
-    step n at nodes[r, n-1], so randomized replicas and the classical row
-    of grid points can share one batch.  Every row gets the same bits as
-    when marched alone.  The loads of STEP_BLOCK steps are assembled at
-    once, before their Newton solves.  ``_march`` names the step and row
-    of a failure.  Returns an ``ode_solver.Trajectory`` whose (N+1, R, m)
-    ``states`` hold the nodal coefficients of each row's U^n.
+    As for ``ode_solver.solve``, ``nodes`` is an (R, N) block or a list of
+    blocks whose widths N do not increase, a block's width fixes its rows'
+    k, and the rows march together as an (R, m) field, row r evaluating
+    the forcing of step n at its n-th node, so randomized replicas and the
+    classical row of grid points, at every step size, can share one
+    batch.  Every row gets the same bits as when marched alone.  The loads
+    of up to STEP_BLOCK steps are assembled at once, before their Newton
+    solves.  ``reduce`` receives blocks of the rows' U^n, as (steps, rows,
+    m) nodal coefficients (see ``ode_solver._march``); by default an
+    ``ode_solver.Trajectory`` stores them all.  ``_march`` names the step
+    and row of a failure.
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
-    k = _node_grid(nodes).step_size
+    blocks, k = _node_blocks(nodes)
+    k = k[:, None]
     m = mesh.interior_nodes
     mass = assemble_mass(mesh)
-    parts = _fem_parts(mass.plus(assemble_stiffness(mesh), scale=k), k, mesh, problem)
+    system = mass.plus(assemble_stiffness(mesh), scale=k)
+    parts = _fem_parts(mesh, problem)
     forcing = problem.forcing
 
     def loads(t):
+        rows = t.shape[1]
         t = t[..., None, None]
         load = load_vector(mesh, lambda x: forcing(t, x))
         # a forcing that ignores t gives one load for every step and row
-        return k * np.broadcast_to(load, t.shape[:2] + (m,))
+        return k[:rows] * np.broadcast_to(load, t.shape[:2] + (m,))
 
-    def step(load, u):
-        return _newton_fem(parts, mass.matvec(u) + load, u)
+    def step(load, u, k):
+        return _newton_fem(parts, mass.matvec(u) + load, u, system[: len(u)], k)
 
-    u0 = l2_project(mesh, problem.initial)
-    states, counts = _march(nodes, u0, STEP_BLOCK, loads, step)
-    return Trajectory(states=states, newton_iteration_counts=counts)
+    if reduce is None:
+        reduce = Trajectory.empty(blocks[0].shape[1], len(k), (m,))
+    _march(blocks, k, l2_project(mesh, problem.initial), STEP_BLOCK, loads, step, reduce)
+    return reduce
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ def step_once(problem, t, u, k, scheme):
     if not scheme.is_implicit:
         return (u + k * problem.rhs(at, u))[0]
     check_step_restriction(k, problem.one_sided_constant)
-    parts = _newton_parts(problem.rhs, problem.jacobian, k)
-    return _newton_scalar(parts, at, u, problem.affine)[0][0]
+    parts = _newton_parts(problem.rhs, problem.jacobian)
+    return _newton_scalar(parts, at, u, np.array([k]), problem.affine)[0][0]
 
 
 def pde_step(mass, stiffness, k, xi, u_prev, problem):
@@ -79,8 +79,9 @@ def pde_step(mass, stiffness, k, xi, u_prev, problem):
     mesh = Mesh(mass.diag.shape[-1])
     u0 = np.asarray(u_prev, dtype=float)
     rhs = mass.matvec(u0) + k * load_vector(mesh, lambda x: problem.forcing(xi, x))
-    parts = _fem_parts(mass.plus(stiffness, scale=k), k, mesh, problem)
-    u, _ = _newton_fem(parts, rhs[None], u0[None])
+    k = np.array([[k]])
+    u, _ = _newton_fem(_fem_parts(mesh, problem), rhs[None], u0[None],
+                       mass.plus(stiffness, scale=k), k)
     # a converged start iterate comes back as is: a view of the caller's u_prev
     return u[0].copy()
 

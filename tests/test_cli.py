@@ -188,14 +188,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 _CHUNK = harness._chunk
+_MAIN_PID = os.getpid()
 
 
-def _chunk_killed_at_n5(spec, schemes, exponent, lo, hi):
-    """``harness._chunk``, except that the batch at n = 5 ends its process
-    with SIGKILL, as the OOM killer would."""
-    if exponent == 5:
+def _chunk_killed_if_implicit(spec, schemes, exponents, lo, hi):
+    """``harness._chunk``, except that the implicit batch ends its pool
+    worker process with SIGKILL, as the OOM killer would."""
+    if schemes[0].is_implicit and os.getpid() != _MAIN_PID:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _CHUNK(spec, schemes, exponent, lo, hi)
+    return _CHUNK(spec, schemes, exponents, lo, hi)
 
 
 def test_killed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -211,9 +212,10 @@ def test_killed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
             super().__init__(max_workers, mp_context=fork)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
-    monkeypatch.setattr(harness, "_chunk", _chunk_killed_at_n5)
+    monkeypatch.setattr(harness, "_chunk", _chunk_killed_if_implicit)
     out = tmp_path / "x.csv"
-    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe,be",
+    # rbe and rfe are two tasks, so the sweep runs in a pool of two
+    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe,rfe",
                  "--n", "3:6", "--mc", "4", "--workers", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("randstep: error: a worker process died: ")
@@ -534,12 +536,12 @@ def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, what", [
     (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "40:40",
-      "--mc", "2", "--workers", "1"], "the largest batch needs 70368744177680 bytes"),
+      "--mc", "2", "--workers", "1"], "the largest batch needs 17592186060800 bytes"),
     (["residual", "--K", "30", "--n", "4:5", "--mc", "2"],
      "the residual study needs 25769803808 bytes"),
     (["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--n", "3:3", "--mc", "2",
       "--dof", "100000000000", "--workers", "1"],
-     "the largest batch needs 7200000000192 bytes"),
+     "the largest batch needs 204800000000064 bytes"),
 ], ids=["ode", "residual", "pde"])
 def test_size_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv, what):
     # each asked numpy for 8 GiB to 32 TiB and ended in a MemoryError

@@ -183,6 +183,13 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="step exponents must be integers"):
             ExperimentSpec("time-integral", (RBE,), exponents, 2)
     assert ExperimentSpec("time-integral", (RBE,), (np.int64(2),), np.int64(2)).mc_replicas == 2
+    # and the sawtooth exponent and mesh size: True was taken as 1, and 2.5
+    # died with a bare TypeError
+    for name, value in (("sawtooth_exponent", True), ("sawtooth_exponent", 2.5),
+                        ("mesh_dof", True), ("mesh_dof", 2.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentSpec("semilinear-heat", (RBE,), (2,), 2,
+                           **{"sawtooth_exponent": 3, "mesh_dof": 7, name: value})
     for problem in ("semilinear-heat", "prothero-robinson"):
         with pytest.raises(ValueError, match=f"{problem} needs sawtooth_exponent"):
             ExperimentSpec(problem, (RBE,), (2,), 2, mesh_dof=7)
@@ -306,7 +313,7 @@ def test_failing_replica_named_in_experiment_error(monkeypatch):
     monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
     spec = ExperimentSpec("time-integral", (RBE,), (2,), 8, master_seed=42)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._chunk(spec, (RBE,), 2, 3, 8)
+        harness._chunk(spec, (RBE,), (2,), 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
@@ -333,47 +340,101 @@ def test_failing_pde_replica_named_in_experiment_error(monkeypatch):
     spec = ExperimentSpec("semilinear-heat", (RBE,), (2,), 8, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=7)
     with pytest.raises(harness.ExperimentError) as err:
-        harness._chunk(spec, (RBE,), 2, 3, 8)
+        harness._chunk(spec, (RBE,), (2,), 3, 8)
     assert str(err.value).startswith("scheme=rbe k=2^-2 replica=5 step=2: ")
 
 
 def test_pde_chunk_in_several_batches_matches_one_batch(monkeypatch):
-    # a cell whose stored paths pass PDE_BATCH_BYTES is planned as several
-    # batch tasks; that must not change any replica's errors
+    # a group whose rows pass PDE_BATCH_UNKNOWNS is planned as several
+    # batch tasks, by replicas and by step sizes; that must not change any
+    # replica's errors
     from randstep import harness
 
-    spec = ExperimentSpec("semilinear-heat", (RBE,), (3,), 5, master_seed=42,
+    spec = ExperimentSpec("semilinear-heat", (RBE,), (2, 3), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
 
     def cell():
         tasks = harness._plan(spec)
-        parts = [harness._chunk(spec, *task)[RBE] for task in tasks]
-        return tasks, [np.concatenate(e) for e in zip(*parts)]
+        parts = [harness._chunk(spec, *task) for task in tasks]
+        return tasks, {n: [np.concatenate(e) for e in
+                           zip(*(p[RBE, n] for p in parts if (RBE, n) in p))]
+                       for n in (2, 3)}
 
     tasks, whole = cell()
-    assert tasks == [((RBE,), 3, 0, 5)]
-    # 8 steps of 15 unknowns: room for two replicas per batch
-    monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
+    assert tasks == [((RBE,), (2, 3), 0, 5)]
+    # room for two replicas of 15 unknowns per batch, at one step size
+    monkeypatch.setattr(harness, "PDE_BATCH_UNKNOWNS", 2 * 15)
     tasks, split = cell()
-    assert tasks == [((RBE,), 3, 0, 2), ((RBE,), 3, 2, 4), ((RBE,), 3, 4, 5)]
-    for a, b in zip(whole, split):
-        assert a.shape == (5,)
-        assert np.array_equal(a, b)
+    assert tasks == [((RBE,), (n,), lo, min(lo + 2, 5)) for n in (2, 3) for lo in (0, 2, 4)]
+    for n in (2, 3):
+        for a, b in zip(whole[n], split[n]):
+            assert a.shape == (5,)
+            assert np.array_equal(a, b)
 
 
 def test_pde_batches_capped_by_unknowns():
-    # a paper-shaped cell (dof 500) is planned in batches of 8192 // 500 =
-    # 16 replicas, the be row in the first; the desk fig2 shape, 50
-    # replicas of 127 unknowns, stays one batch
+    # a paper-shaped group (dof 500) is planned in batches of 8192 // 500 =
+    # 16 replicas, the be row in the first, and 17 rows of 500 unknowns
+    # fill a batch at one step size; so do the 51 rows of desk fig2 at dof
+    # 127.  The pde-heat shape, 4 rows of 127 unknowns, marches all 7 step
+    # sizes in one lockstep batch, and 10 replicas 5 of them, finest first.
     from randstep import harness
 
-    spec = ExperimentSpec("semilinear-heat", (RBE, BE), (6,), 200, master_seed=42,
-                          sawtooth_exponent=9, mesh_dof=500)
-    assert harness._plan(spec) == [((RBE, BE) if lo == 0 else (RBE,), 6, lo, min(lo + 16, 200))
-                                   for lo in range(0, 200, 16)]
-    desk = ExperimentSpec("semilinear-heat", (RBE, BE), (9,), 50, master_seed=42,
-                          sawtooth_exponent=7, mesh_dof=127)
-    assert harness._plan(desk) == [((RBE, BE), 9, 0, 50)]
+    def plan(exponents, replicas, dof):
+        return harness._plan(ExperimentSpec(
+            "semilinear-heat", (RBE, BE), exponents, replicas, master_seed=42,
+            sawtooth_exponent=7, mesh_dof=dof))
+
+    exponents = tuple(range(4, 12))
+    assert plan(exponents, 200, 500) == [
+        ((RBE, BE) if lo == 0 else (RBE,), (n,), lo, min(lo + 16, 200))
+        for n in exponents for lo in range(0, 200, 16)]
+    assert plan((3, 9), 50, 127) == [((RBE, BE), (3,), 0, 50), ((RBE, BE), (9,), 0, 50)]
+    heat = tuple(range(3, 10))
+    assert plan(heat, 3, 127) == [((RBE, BE), heat, 0, 3)]
+    assert plan(heat, 10, 127) == [((RBE, BE), (3, 4), 0, 10),
+                                   ((RBE, BE), (5, 6, 7, 8, 9), 0, 10)]
+
+
+@pytest.mark.parametrize("problem, schemes", [
+    ("prothero-robinson", (RBE, BE)),
+    ("prothero-robinson", (StepScheme.RANDOMIZED_FORWARD_EULER,)),
+    ("semilinear-heat", (RBE, BE)),
+], ids=["ode-rbe-be", "ode-rfe", "pde-rbe-be"])
+def test_lockstep_chunk_equals_each_step_size_alone(problem, schemes):
+    # a lockstep batch of n = 2, 3 and 7, whose coarse rows retire inside
+    # the first block of steps, gives every row the errors and Newton
+    # means of its step size marched alone
+    from randstep import harness
+
+    spec = ExperimentSpec(problem, schemes, (2, 3, 7), 3, master_seed=42, lam=-2.0,
+                          sawtooth_exponent=3, mesh_dof=7)
+    lockstep = harness._chunk(spec, schemes, (2, 3, 7), 0, 3)
+    assert sorted(lockstep, key=str) == sorted(
+        ((s, n) for s in schemes for n in (2, 3, 7)), key=str)
+    for n in (2, 3, 7):
+        alone = harness._chunk(spec, schemes, (n,), 0, 3)
+        for scheme in schemes:
+            for a, b in zip(lockstep[scheme, n], alone[scheme, n]):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_sweep_reducer_counts_lockstep_steps_and_every_rows_iterations():
+    # the sweep's reducer keeps no (N, R) array: its Newton counts are one
+    # total per lockstep step, over every row of the batch
+    from randstep import harness
+
+    spec = ExperimentSpec("semilinear-heat", (RBE, BE), (2, 3, 5), 2, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=7)
+    problem, march, errors = harness._setup(spec)
+    cells = harness._batch_nodes(spec, (RBE, BE), (2, 3, 5), 0, 2)
+    nodes = [c[2] for c in cells]
+    reduced = march(RBE, nodes, harness._RowErrors(errors, cells))
+    path = march(RBE, nodes)
+    assert reduced.newton_iteration_counts.shape == (32,)
+    assert np.array_equal(reduced.newton_iteration_counts,
+                          path.newton_iteration_counts.sum(axis=1))
+    assert np.array_equal(reduced.iterations, path.newton_iteration_counts.sum(axis=0))
 
 
 def test_failing_classical_row_named_in_experiment_error(monkeypatch):
@@ -422,25 +483,26 @@ def test_fused_chunk_equals_separate_chunks(problem):
 
     spec = ExperimentSpec(problem, (RBE, BE), (4,), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
-    fused = harness._chunk(spec, (RBE, BE), 4, 0, 5)
-    assert list(fused) == [RBE, BE]
+    fused = harness._chunk(spec, (RBE, BE), (4,), 0, 5)
+    assert list(fused) == [(RBE, 4), (BE, 4)]
     for scheme, lo, hi in ((RBE, 0, 5), (BE, 0, 0)):
-        for a, b in zip(fused[scheme], harness._chunk(spec, (scheme,), 4, lo, hi)[scheme]):
+        alone = harness._chunk(spec, (scheme,), (4,), lo, hi)[scheme, 4]
+        for a, b in zip(fused[scheme, 4], alone):
             assert a.shape == (hi - lo if scheme is RBE else 1,)
             assert np.array_equal(a, b)
 
 
 def test_split_pde_cell_worker_invariant(monkeypatch):
-    # the classical row rides in the first of a cell's batch tasks; at one
-    # worker or two the CSV is the one of the unsplit cells
+    # the classical row rides in the first of a group's batch tasks; at one
+    # worker or two the CSV is the one of the unsplit group
     from randstep import harness
 
     spec = ExperimentSpec("semilinear-heat", (RBE, BE), (2, 3), 5, master_seed=42,
                           sawtooth_exponent=3, mesh_dof=15)
     whole = render_error_csv(run_mc(spec, workers=1))
-    # room for two replicas per batch at n = 3, three at n = 2
-    monkeypatch.setattr(harness, "PDE_BATCH_BYTES", 2 * 9 * 15 * 8)
-    assert len(harness._plan(spec)) == 5
+    # room for two replicas per batch, at one step size
+    monkeypatch.setattr(harness, "PDE_BATCH_UNKNOWNS", 2 * 15)
+    assert len(harness._plan(spec)) == 6
     assert render_error_csv(run_mc(spec, workers=1)) == whole
     assert render_error_csv(run_mc(spec, workers=2)) == whole
 
@@ -493,11 +555,14 @@ def test_pool_only_for_several_tasks(monkeypatch):
 
     # _run_tasks imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    one = ExperimentSpec("time-integral", (RBE, BE), (3,), 4, master_seed=1)
-    assert harness._plan(one) == [((RBE, BE), 3, 0, 4)]
+    # every step size of the implicit group is one lockstep task
+    one = ExperimentSpec("time-integral", (RBE, BE), (3, 4), 4, master_seed=1)
+    assert harness._plan(one) == [((RBE, BE), (3, 4), 0, 4)]
     run_mc(one, workers=4)
     assert pools == []
-    two = ExperimentSpec("time-integral", (RBE, BE), (3, 4), 4, master_seed=1)
+    # the explicit scheme is a task of its own
+    two = ExperimentSpec("time-integral", (RBE, StepScheme.RANDOMIZED_FORWARD_EULER),
+                         (3, 4), 4, master_seed=1)
     assert render_error_csv(run_mc(two, workers=4)) == render_error_csv(run_mc(two))
     assert pools == [2]
 

@@ -406,6 +406,69 @@ def test_batched_solve_matches_single_replicas_bitwise():
     assert len(np.unique(batch.newton_iteration_counts)) > 1
 
 
+def atan_problem():
+    # x + k*c(t)*atan(x) = u overshoots from a large start: damped Newton
+    # steps, and iteration counts that differ between rows
+    return OdeProblem(lambda t, x: -50.0 * (1.0 + t) * np.arctan(x), 20.0,
+                      jacobian=lambda t, x: -50.0 * (1.0 + t) / (1.0 + x * x))
+
+
+def lockstep_blocks(exponents, replicas, seed=11):
+    """The node blocks of a lockstep batch, finest step size first: the
+    randomized rows of ``replicas`` and the row of grid points per size."""
+    blocks = []
+    for n in sorted(exponents, reverse=True):
+        grid = TimeGrid(2**n)
+        blocks += [grid.random_nodes(seed, range(replicas)), grid.nodes()[None, 1:]]
+    return blocks
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (atan_problem, RBE), (atan_problem, RFE),
+    (lambda: prothero_robinson_problem(ProtheroRobinsonSpec(-2.0, SawtoothSpec(4))), RBE),
+], ids=["atan-rbe", "atan-rfe", "prothero-robinson-rbe"])
+def test_lockstep_rows_equal_each_step_size_alone(problem, scheme):
+    # N = 4 and N = 8 retire inside the first FREEZE_BLOCK block of the
+    # N = 128 rows; every row keeps the bits and counts of its own step
+    # size marched alone, and holds NaN and zero counts past its last step
+    p = problem()
+    blocks = lockstep_blocks((2, 3, 7), 3)
+    batch = solve(p, scheme, blocks)
+    assert batch.states.shape == (129, 12)
+    assert batch.newton_iteration_counts.shape == (128, 12)
+    start = 0
+    for block in blocks:
+        n, rows = block.shape[1], slice(start, start + len(block))
+        alone = solve(p, scheme, block)
+        assert batch.states[: n + 1, rows].tobytes() == alone.states.tobytes()
+        assert np.isnan(batch.states[n + 1 :, rows]).all()
+        assert np.array_equal(batch.newton_iteration_counts[:n, rows],
+                              alone.newton_iteration_counts)
+        assert not batch.newton_iteration_counts[n:, rows].any()
+        start += len(block)
+    if scheme is RBE and p.affine is False:
+        assert len(np.unique(batch.newton_iteration_counts[:4])) > 2
+
+
+def test_singular_newton_derivative_names_step_and_row():
+    # 1 - k*2 is 0 at k = 1/2: alone, k and the Jacobian are floats; in a
+    # lockstep batch beside k = 1/4 the derivative is an array
+    p = OdeProblem(lambda t, x: 2.0 * x, 1.0, lambda t, x: 2.0)
+    coarse, fine = TimeGrid(2).nodes()[None, 1:], TimeGrid(4).random_nodes(1, range(3))
+    for nodes, row in ((coarse, 0), ([fine, coarse], 3)):
+        with pytest.raises(NonConvergence, match="step 1: singular Newton derivative") as err:
+            solve(p, RBE, nodes)
+        assert (err.value.step, err.value.replica) == (1, row)
+
+
+def test_lockstep_blocks_must_not_widen():
+    grid = TimeGrid(4)
+    with pytest.raises(ValueError, match="must not increase"):
+        solve(linear_decay(), RBE, [grid.nodes()[None, 1:], TimeGrid(8).nodes()[None, 1:]])
+    with pytest.raises(ValueError, match="node block"):
+        solve(linear_decay(), RBE, [])
+
+
 def test_batched_nonconvergence_names_replica():
     grid = TimeGrid(4)
     target = grid.random_nodes(3, [2])[0, 0]

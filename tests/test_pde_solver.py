@@ -293,6 +293,31 @@ def test_batch_replicas_equal_single_solves():
     assert len(counts) == len(replicas)  # no two replicas iterated alike
 
 
+def test_lockstep_rows_equal_each_step_size_alone():
+    # N = 4 and N = 8 retire inside the first STEP_BLOCK block of the
+    # N = 32 rows; every row keeps the fields and Newton counts of its own
+    # step size marched alone
+    problem = swinging_problem()
+    mesh = Mesh(15)
+    scheme = StepScheme.RANDOMIZED_BACKWARD_EULER
+    blocks = []
+    for n in (5, 3, 2):
+        grid = TimeGrid(2**n)
+        blocks += [grid.random_nodes(3, range(2)), grid.nodes()[None, 1:]]
+    batch = pde_solve(problem, mesh, scheme, blocks)
+    assert batch.states.shape == (33, 9, 15)
+    start = 0
+    for block in blocks:
+        n, rows = block.shape[1], slice(start, start + len(block))
+        alone = pde_solve(problem, mesh, scheme, block)
+        assert batch.states[: n + 1, rows].tobytes() == alone.states.tobytes()
+        assert np.isnan(batch.states[n + 1 :, rows]).all()
+        assert np.array_equal(batch.newton_iteration_counts[:n, rows],
+                              alone.newton_iteration_counts)
+        start += len(block)
+    assert len(np.unique(batch.newton_iteration_counts[:4])) > 2
+
+
 def test_solve_rejects_empty_stream_batch():
     with pytest.raises(ValueError):
         pde_solve(zero_problem(), Mesh(7), StepScheme.RANDOMIZED_BACKWARD_EULER,
