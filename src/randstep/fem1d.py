@@ -154,25 +154,17 @@ def _padded(field) -> np.ndarray:
     return c_ext
 
 
-#: Field values from which ``_element_values`` at more than two Gauss
-#: points writes one point's row at a time into one array: at 4 points,
-#: (rows, 127) fields took 84, 165 and 723 us with the broadcast and 106,
-#: 147 and 310 us per point at 4,064, 8,128 and 16,256 values.  At 2 points
-#: the broadcast stays faster.
-POINTWISE_VALUES = 8192
-
-
 def _element_values(mesh: Mesh, field, points: int) -> np.ndarray:
     """P1 values at the Gauss points, quadrature-major: shape (..., q, m+1).
 
-    Small fields, and every field at two points, broadcast over the point
-    axis; larger ones write each point's row into one array, with the
-    same bits (see POINTWISE_VALUES).
+    Two points broadcast over the point axis; more write each point's row
+    into one array, which is faster on a sweep's blocks of fields at four
+    points, with the same bits.
     """
     rule = _hat_rule(points)
     c_ext = _padded(field)
     left, right = c_ext[..., None, :-1], c_ext[..., None, 1:]
-    if points <= 2 or np.size(field) < POINTWISE_VALUES:
+    if points <= 2:
         return left * rule.one_minus_s + right * rule.s
     values = np.empty(c_ext.shape[:-1] + (points, c_ext.shape[-1] - 1))
     for j in range(points):
@@ -249,14 +241,7 @@ def l2_error(mesh: Mesh, field, exact: Callable):
     """
     s, w = _gauss_01(LOAD_POINTS)
     x = _element_points(mesh, s)
-    diff = _element_values(mesh, field, LOAD_POINTS)
-    ref = np.asarray(exact(x), dtype=float)
-    # in place where ``exact`` adds no axes: two fewer temporaries of the
-    # values' size, with the same bits
-    if np.broadcast_shapes(diff.shape, ref.shape) == diff.shape:
-        diff -= ref
-    else:
-        diff = diff - ref
+    diff = _element_values(mesh, field, LOAD_POINTS) - np.asarray(exact(x), dtype=float)
     diff *= diff
     sq = mesh.spacing * _weighted_sum(diff, w)
     # clips tiny negative round-off in the quadrature sums; NaN stays NaN

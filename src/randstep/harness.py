@@ -4,9 +4,10 @@ A sweep's problem id is resolved in one place, ``_setup``: it builds the
 problem (the scalar ODE or the Galerkin PDE) with its solver and its
 error reduction, for the spec's checks and for every batch alike.
 
-Replica r always consumes the substream (master_seed, r), and reductions
-run over arrays assembled in ascending replica order, so results are
-byte-identical across reruns and across worker counts: a pool runs the
+Replica r always consumes the substream (master_seed, r), every row of
+a batch gets the bits it gets alone, and reductions run over arrays
+assembled in ascending replica order, so results are byte-identical
+across reruns and across worker counts: a pool runs shares of the
 batches that one worker runs (see ``_plan``), largest first.
 
 CSV schema (one row per (scheme, step size), '.' decimal, 17 significant
@@ -19,12 +20,11 @@ Rate fits are written as: scheme,window_lo,window_hi,slope,intercept,residual
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -304,34 +304,6 @@ def _setup(spec: ExperimentSpec):
     return problem, partial(solve, problem), partial(_ode_errors, problem)
 
 
-#: glibc's malloc options M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the
-#: values a sweep sets (see ``_keep_freed_heap``).
-_MALLOPT = ((-3, 32 * 2**20), (-1, 64 * 2**20))
-
-
-@lru_cache(maxsize=None)
-def _keep_freed_heap():
-    """Have glibc keep freed heap memory for reuse, where it has mallopt.
-
-    A batch frees its block temporaries after every block of steps.  By
-    default glibc maps arrays above an adaptive threshold on their own,
-    and returns a free heap top above twice that threshold to the system,
-    so each block touches fresh pages again: 15,254 minor page faults per
-    pde-heat sweep, and 532,000 for the 8 step sizes of 16 paper-scale
-    fig2 replicas, against 115 and 44,000 at the parent commit, whose
-    stored paths raised the threshold.  Fixing the thresholds at 32 and
-    64 MiB brought them to 8 and 7,000, with the same peak RSS.  Where
-    there is no mallopt this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for option, value in _MALLOPT:
-        mallopt(option, value)
-
-
 def _chunk(spec, schemes, exponents, lo, hi):
     """Per-replica (final, max, mean-newton) errors of one lockstep batch,
     by (scheme, exponent).
@@ -344,7 +316,6 @@ def _chunk(spec, schemes, exponents, lo, hi):
     first failing cell in the order a sweep of one step size at a time
     meets them.
     """
-    _keep_freed_heap()
     problem, march, errors = _setup(spec)
     cells = _batch_nodes(spec, schemes, exponents, lo, hi)
 
@@ -382,34 +353,46 @@ PDE_BATCH_UNKNOWNS = 8192
 BLOCK_TEMPORARIES = 16
 
 
-def _plan(spec):
+def _plan(spec, workers=1):
     """The sweep's tasks, (schemes, exponents, lo, hi), in the order run.
 
     A task is one lockstep batch as the solver marches it: the schemes of
     one group (implicit, or explicit) at the step sizes of ``exponents``,
-    over replicas lo..hi-1.  The ODE marches each group as one task of
-    every step size.  The PDE divides a group into batches of
-    PDE_BATCH_UNKNOWNS // mesh_dof replicas, with the classical row in
-    the first, and its step sizes, finest first, into spans whose rows
-    hold at most PDE_BATCH_UNKNOWNS unknowns, at least one step size each;
-    coarser spans come first.
+    over replicas lo..hi-1, with the classical row in the first batch of
+    its group.  The ODE marches a group's every step size in one batch,
+    unless a pool has more ``workers`` than there are groups: then each
+    group is cut into at least ceil(workers / groups) pieces, first its
+    finest step size, which holds about half of its row-steps, apart from
+    the coarser ones, then each of those into shares of the replicas.  A
+    piece marches every step size of its span in lockstep, so more pieces
+    cost more steps: one per group is the least work.  The PDE
+    divides a group into batches of PDE_BATCH_UNKNOWNS // mesh_dof
+    replicas, and its step sizes, finest first, into spans whose rows hold
+    at most PDE_BATCH_UNKNOWNS unknowns, at least one step size each.
+    Coarser step sizes come first.
     """
     groups = {}  # implicit or not -> schemes, in order of first appearance
     for scheme in spec.schemes:
         groups.setdefault(scheme.is_implicit, []).append(scheme)
+    every = spec.step_exponents
     tasks = []
     for schemes in map(tuple, groups.values()):
         randomized = tuple(s for s in schemes if s.is_randomized)
         replicas = spec.mc_replicas if randomized else 0
-        width, span = replicas or 1, len(spec.step_exponents)
+        width, spans = replicas or 1, [every]
         if spec.problem == "semilinear-heat":
             width = max(1, PDE_BATCH_UNKNOWNS // spec.mesh_dof)
             rows = min(width, replicas) + len(schemes) - len(randomized)
             span = max(1, PDE_BATCH_UNKNOWNS // (rows * spec.mesh_dof))
-        every = spec.step_exponents
-        # spans cut from the finest end, run coarsest first
-        spans = [every[max(0, i - span) : i] for i in range(len(every), 0, -span)]
-        for exponents in reversed(spans):
+            # cut from the finest end
+            spans = [every[max(0, i - span) : i] for i in range(len(every), 0, -span)][::-1]
+        elif workers > len(groups):
+            # ceil(workers / groups) pieces: the finest step size apart,
+            # then shares of the replicas
+            pieces = -(-workers // len(groups))
+            spans = [every[:-1], every[-1:]] if len(every) > 1 else [every]
+            width = -(-width // -(-pieces // len(spans)))
+        for exponents in spans:
             for lo in range(0, replicas, width) or [0]:
                 batch = schemes if lo == 0 else randomized
                 tasks.append((batch, exponents, lo, min(lo + width, replicas)))
@@ -424,16 +407,18 @@ def _task_size(task):
 
 def _task_bytes(spec, task):
     """Bytes of a task's arrays: its node blocks, one (R, N) block per step
-    size, and BLOCK_TEMPORARIES float64 temporaries per unknown of a block
-    of steps in which every row marches (an upper bound on every block).
+    size, and BLOCK_TEMPORARIES float64 temporaries per unknown of the
+    largest block of steps, which ``ode_solver._march`` caps at the block
+    width of its finest step size's rows (or all of its steps, if fewer).
     Around ``run_mc`` of a prothero-robinson rbe,be task at n = 17 with 20
     replicas, and at n = 12:17, ru_maxrss rose by 1.05 node blocks."""
     schemes, exponents, lo, hi = task
-    rows = len(exponents) * _task_size(task) // sum(2**n for n in exponents)
+    rows = sum(hi - lo if s.is_randomized else 1 for s in schemes)  # per step size
     block, m = FREEZE_BLOCK, 1
     if spec.problem == "semilinear-heat":
         block, m = STEP_BLOCK, spec.mesh_dof
-    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * block * rows * m)
+    steps = min(block, 2 ** max(exponents))
+    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * rows * m)
 
 
 def physical_memory() -> float:
@@ -491,9 +476,17 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     e_r^2 via the delta method.  The implicit schemes march as one
     lockstep batch of every step size, and the explicit scheme as
     another (see ``_plan``); the rows follow the order of ``spec.schemes``.
+    A failing sweep raises the error of one worker at any worker count.
     """
-    tasks = _plan(spec)
-    results = _run_tasks(_chunk, spec, tasks, workers)
+    tasks = _plan(spec, workers)
+    try:
+        results = _run_tasks(_chunk, spec, tasks, workers)
+    except ExperimentError:
+        # a pool's share of a group's replicas can meet a finer failing
+        # cell first: the one-worker batches name the cell a sweep reports
+        if tasks != _plan(spec):
+            _run_tasks(_chunk, spec, _plan(spec), 1)
+        raise
     parts = {}  # (scheme, exponent) -> errors of each batch, in replica order
     for errors in results:
         for cell, part in errors.items():

@@ -340,8 +340,8 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     freeze, rhs = problem.freeze, problem.rhs
     if scheme.is_implicit:
         # coarsest first, as a sweep of one step size at a time meets them
-        for step_size in np.unique(k)[::-1]:
-            check_step_restriction(float(step_size), problem.one_sided_constant)
+        for steps in sorted({block.shape[1] for block in blocks}):
+            check_step_restriction(TimeGrid(steps).step_size, problem.one_sided_constant)
         parts = _newton_parts(rhs, problem.jacobian)
         affine = problem.affine
 

@@ -541,7 +541,7 @@ def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
      "the residual study needs 25769803808 bytes"),
     (["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--n", "3:3", "--mc", "2",
       "--dof", "100000000000", "--workers", "1"],
-     "the largest batch needs 204800000000064 bytes"),
+     "the largest batch needs 102400000000064 bytes"),
 ], ids=["ode", "residual", "pde"])
 def test_size_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv, what):
     # each asked numpy for 8 GiB to 32 TiB and ended in a MemoryError

@@ -555,16 +555,65 @@ def test_pool_only_for_several_tasks(monkeypatch):
 
     # _run_tasks imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    # every step size of the implicit group is one lockstep task
-    one = ExperimentSpec("time-integral", (RBE, BE), (3, 4), 4, master_seed=1)
-    assert harness._plan(one) == [((RBE, BE), (3, 4), 0, 4)]
+    # the classical scheme alone at one step size is one task at any
+    # worker count
+    one = ExperimentSpec("time-integral", (BE,), (3,), 4, master_seed=1)
+    assert harness._plan(one, 4) == [((BE,), (3,), 0, 0)]
     run_mc(one, workers=4)
     assert pools == []
-    # the explicit scheme is a task of its own
-    two = ExperimentSpec("time-integral", (RBE, StepScheme.RANDOMIZED_FORWARD_EULER),
-                         (3, 4), 4, master_seed=1)
-    assert render_error_csv(run_mc(two, workers=4)) == render_error_csv(run_mc(two))
+    # every step size of the implicit group is one lockstep task; a pool
+    # of two marches the finest apart, and of three also shares of the
+    # replicas
+    two = ExperimentSpec("time-integral", (RBE, BE), (2, 3, 4), 4, master_seed=1)
+    assert harness._plan(two) == [((RBE, BE), (2, 3, 4), 0, 4)]
+    assert harness._plan(two, 2) == [((RBE, BE), (2, 3), 0, 4), ((RBE, BE), (4,), 0, 4)]
+    assert harness._plan(two, 3) == [
+        ((RBE, BE), (2, 3), 0, 2), ((RBE,), (2, 3), 2, 4),
+        ((RBE, BE), (4,), 0, 2), ((RBE,), (4,), 2, 4)]
+    assert render_error_csv(run_mc(two, workers=2)) == render_error_csv(run_mc(two))
     assert pools == [2]
+    # the explicit scheme is a group of its own, so two groups fill a pool
+    # of two, and a pool of four marches each group's finest step apart
+    three = ExperimentSpec("time-integral", (RBE, StepScheme.RANDOMIZED_FORWARD_EULER),
+                           (3, 4), 4, master_seed=1)
+    assert harness._plan(three, 2) == harness._plan(three)
+    assert len(harness._plan(three)) == 2
+    assert len(harness._plan(three, 4)) == 4
+    assert render_error_csv(run_mc(three, workers=4)) == render_error_csv(run_mc(three))
+    assert pools == [2, 4]
+
+
+def test_pool_shares_raise_the_in_process_error(monkeypatch):
+    # rbe fails at replica 3's first node at n = 2 and at replica 0's
+    # first node at n = 3.  One batch reports the coarser cell; a pool of
+    # three marches n = 2, 3 in two replica shares, the first of which
+    # meets only the n = 3 failure, and must report it too.
+    from randstep import harness
+    from randstep.ode_solver import OdeProblem
+    from randstep.rand_nodes import TimeGrid
+
+    bad = [TimeGrid(4).random_nodes(42, [3])[0, 0], TimeGrid(8).random_nodes(42, [0])[0, 0]]
+
+    def rhs(t, x):
+        return np.where(np.isin(t, bad), x * x + 10.0, -x)
+
+    def jacobian(t, x):
+        return np.where(np.isin(t, bad), 2.0 * x, -1.0)
+
+    problem = OdeProblem(rhs, 1.0, jacobian, exact=lambda t: 0.0 * t)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
+    spec = ExperimentSpec("time-integral", (RBE,), (2, 3, 4), 4, master_seed=42)
+    assert harness._plan(spec, 3)[:2] == [((RBE,), (2, 3), 0, 2), ((RBE,), (2, 3), 2, 4)]
+    with pytest.raises(harness.ExperimentError) as err:
+        harness._chunk(spec, (RBE,), (2, 3), 0, 2)
+    assert str(err.value).startswith("scheme=rbe k=2^-3 replica=0 step=1: ")
+    messages = []
+    for workers in (1, 3):
+        with pytest.raises(harness.ExperimentError) as err:
+            run_mc(spec, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0].startswith("scheme=rbe k=2^-2 replica=3 step=1: ")
+    assert messages[1] == messages[0]
 
 
 def test_default_workers_counts_usable_cores(monkeypatch):
