@@ -4,11 +4,11 @@ A sweep's problem id is resolved in one place, ``_setup``: it builds the
 problem (the scalar ODE or the Galerkin PDE) with its solver and its
 error reduction, for the spec's checks and for every batch alike.
 
-Replica r always consumes the substream (master_seed, r), every row of
-a batch gets the bits it gets alone, and reductions run over arrays
-assembled in ascending replica order, so results are byte-identical
-across reruns and across worker counts: a pool runs shares of the
-batches that one worker runs (see ``_plan``), largest first.
+Replica r always consumes the substream (master_seed, r), drawn once
+per batch, every row of a batch gets the bits it gets alone, and
+reductions run in ascending replica order, so results are byte-identical
+across reruns and worker counts: a pool runs shares of the one-worker
+batches (see ``_plan``).  ``run_mc`` alone picks a failing sweep's cell.
 
 CSV schema (one row per (scheme, step size), '.' decimal, 17 significant
 digits in scientific notation):
@@ -42,8 +42,8 @@ from .ode_solver import (
     solve,
 )
 from .pde_solver import STEP_BLOCK, pde_solve
-from .rand_nodes import (DEFAULT_MASTER_SEED, NodeStream, TimeGrid, check_seed,
-                         is_integer)
+from .rand_nodes import (DEFAULT_MASTER_SEED, TimeGrid, check_seed, is_integer,
+                         random_node_blocks)
 
 
 class ErrorMode(Enum):
@@ -156,11 +156,7 @@ class ErrorTable:
         return [r for r in self.rows if r.scheme == scheme]
 
     def schemes(self) -> list[str]:
-        seen = []
-        for row in self.rows:
-            if row.scheme not in seen:
-                seen.append(row.scheme)
-        return seen
+        return list(dict.fromkeys(r.scheme for r in self.rows))
 
 
 @dataclass(frozen=True)
@@ -180,20 +176,21 @@ def _batch_nodes(spec, schemes, exponents, lo, hi):
     """The cells of one lockstep batch, finest step size first: a
     (exponent, scheme, nodes) triple per scheme and step size.
 
-    A randomized scheme's nodes hold one row per replica lo..hi-1, drawn
-    from the replica's substream; the classical scheme's one row of grid
-    points is its one path for every replica.
+    A randomized scheme's nodes hold one row per replica lo..hi-1, every
+    step size's from one draw (``random_node_blocks``); the classical
+    scheme's one row of grid points is its one path for every replica.
     """
-    cells = []
-    for exponent in sorted(exponents, reverse=True):
-        grid = TimeGrid(2**exponent)
-        for scheme in schemes:
-            if scheme.is_randomized:
-                nodes = grid.random_nodes(spec.master_seed, range(lo, hi))
-            else:
-                nodes = grid.nodes()[None, 1:]
-            cells.append((exponent, scheme, nodes))
-    return cells
+    exponents = sorted(exponents, reverse=True)
+    grids = [TimeGrid(2**n) for n in exponents]
+    drawn = (random_node_blocks(spec.master_seed, range(lo, hi), grids)
+             if any(scheme.is_randomized for scheme in schemes) else None)
+    return [(n, scheme, drawn[i] if scheme.is_randomized else grid.nodes()[None, 1:])
+            for i, (n, grid) in enumerate(zip(exponents, grids)) for scheme in schemes]
+
+
+def _rows(schemes, lo, hi):
+    """Rows of a batch per step size: replicas lo..hi-1, or one classical."""
+    return sum(hi - lo if s.is_randomized else 1 for s in schemes)
 
 
 def _positions(cells):
@@ -221,18 +218,18 @@ class _RowErrors:
     """The sweep's reducer of a lockstep march (see ``ode_solver._march``):
     each row's final and largest error and its Newton iterations.
 
-    The rows are those of ``_batch_nodes``: an equal number for each step
-    size, finest first.  ``errors(first, states, steps)`` gives the
-    (times, rows) errors of the states U^first.. of the rows of the step
-    counts ``steps``.  ``newton_iteration_counts`` holds the iterations of
-    each lockstep step, summed over the batch's rows.
+    The rows are those of ``_batch_nodes``: ``per_size`` for each step
+    size of ``exponents``, finest first.  ``errors(first, states, steps)``
+    gives the (times, rows) errors of the states U^first.. of the rows of
+    the step counts ``steps``.  ``newton_iteration_counts`` holds the
+    iterations of each lockstep step, summed over the batch's rows.
     """
 
-    def __init__(self, errors, cells):
+    def __init__(self, errors, exponents, per_size):
         self.errors = errors
-        self.steps = np.array(sorted({2**e for e, _, _ in cells}, reverse=True))
-        rows = sum(len(nodes) for _, _, nodes in cells)
-        self.per_size = rows // len(self.steps)
+        self.steps = 2 ** np.array(sorted(exponents, reverse=True), dtype=np.int64)
+        self.per_size = per_size
+        rows = per_size * len(self.steps)
         self.final = np.empty(rows)
         self.worst = np.full(rows, -np.inf)
         self.iterations = np.zeros(rows, dtype=np.int64)
@@ -250,8 +247,7 @@ class _RowErrors:
 
     def by_cell(self, cells):
         """Each (scheme, exponent)'s (final, max, mean Newton iterations) per row."""
-        steps = np.repeat([2**e for e, _, nodes in cells], [len(n) for _, _, n in cells])
-        means = self.iterations / steps
+        means = self.iterations / np.repeat(self.steps, self.per_size)
         return {(scheme, exponent): (self.final[r], self.worst[r], means[r])
                 for (exponent, scheme), r in _positions(cells).items()}
 
@@ -311,28 +307,18 @@ def _chunk(spec, schemes, exponents, lo, hi):
     ``schemes`` is the tuple of schemes that march together, implicit ones
     or one explicit, at every step size of ``exponents``.  A randomized
     scheme gives the errors of replicas lo..hi-1, the classical scheme
-    those of its one path.  A failing batch is marched again one step
-    size at a time, coarsest first, so that it raises the error of the
-    first failing cell in the order a sweep of one step size at a time
-    meets them.
+    those of its one path.  A failing batch raises an ExperimentError
+    naming the cell, replica and step of the row its lockstep march
+    stopped at; which cell a sweep reports is ``run_mc``'s rule.
     """
     problem, march, errors = _setup(spec)
     cells = _batch_nodes(spec, schemes, exponents, lo, hi)
-
-    def run(cells):
-        return march(schemes[0], [nodes for _, _, nodes in cells], _RowErrors(errors, cells))
-
+    reduce = _RowErrors(errors, exponents, _rows(schemes, lo, hi))
     try:
-        reduced = run(cells)
+        march(schemes[0], [nodes for _, _, nodes in cells], reduce)
     except (NonConvergence, ValueError) as err:
-        for exponent in sorted(exponents):
-            own = [cell for cell in cells if cell[0] == exponent]
-            try:
-                run(own)
-            except (NonConvergence, ValueError) as cell_err:
-                raise _batch_failure(cell_err, own, lo) from cell_err
         raise _batch_failure(err, cells, lo) from err
-    return reduced.by_cell(cells)
+    return reduce.by_cell(cells)
 
 
 #: Unknowns (rows times mesh_dof) per PDE batch, near the least cost per
@@ -382,7 +368,7 @@ def _plan(spec, workers=1):
         width, spans = replicas or 1, [every]
         if spec.problem == "semilinear-heat":
             width = max(1, PDE_BATCH_UNKNOWNS // spec.mesh_dof)
-            rows = min(width, replicas) + len(schemes) - len(randomized)
+            rows = _rows(schemes, 0, min(width, replicas))  # of the first batch
             span = max(1, PDE_BATCH_UNKNOWNS // (rows * spec.mesh_dof))
             # cut from the finest end
             spans = [every[max(0, i - span) : i] for i in range(len(every), 0, -span)][::-1]
@@ -402,7 +388,7 @@ def _plan(spec, workers=1):
 def _task_size(task):
     """Steps times rows of a task: its share of the sweep's work."""
     schemes, exponents, lo, hi = task
-    return sum(2**n for n in exponents) * sum(hi - lo if s.is_randomized else 1 for s in schemes)
+    return sum(2**n for n in exponents) * _rows(schemes, lo, hi)
 
 
 def _task_bytes(spec, task):
@@ -413,12 +399,11 @@ def _task_bytes(spec, task):
     Around ``run_mc`` of a prothero-robinson rbe,be task at n = 17 with 20
     replicas, and at n = 12:17, ru_maxrss rose by 1.05 node blocks."""
     schemes, exponents, lo, hi = task
-    rows = sum(hi - lo if s.is_randomized else 1 for s in schemes)  # per step size
     block, m = FREEZE_BLOCK, 1
     if spec.problem == "semilinear-heat":
         block, m = STEP_BLOCK, spec.mesh_dof
     steps = min(block, 2 ** max(exponents))
-    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * rows * m)
+    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * _rows(schemes, lo, hi) * m)
 
 
 def physical_memory() -> float:
@@ -442,10 +427,8 @@ def _refuse_above_memory(needed, what):
 def _run_tasks(chunk_fn, spec, tasks, workers):
     """Each task's result, in task order, from up to ``workers`` processes.
 
-    With a pool every task is submitted at once, largest first, and the
-    results are still taken in task order: the first failing task in that
-    order raises, as it does in-process, and the tasks not yet started
-    are cancelled.
+    With a pool every task is submitted at once, largest first; a failure
+    cancels the tasks not yet started.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -476,16 +459,16 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     e_r^2 via the delta method.  The implicit schemes march as one
     lockstep batch of every step size, and the explicit scheme as
     another (see ``_plan``); the rows follow the order of ``spec.schemes``.
-    A failing sweep raises the error of one worker at any worker count.
+    On an ExperimentError, at any worker count, the sweep marches the
+    one-worker plan in-process one step size at a time, coarsest first,
+    and raises the first cell that fails.
     """
-    tasks = _plan(spec, workers)
     try:
-        results = _run_tasks(_chunk, spec, tasks, workers)
+        results = _run_tasks(_chunk, spec, _plan(spec, workers), workers)
     except ExperimentError:
-        # a pool's share of a group's replicas can meet a finer failing
-        # cell first: the one-worker batches name the cell a sweep reports
-        if tasks != _plan(spec):
-            _run_tasks(_chunk, spec, _plan(spec), 1)
+        for schemes, exponents, lo, hi in _plan(spec):
+            for n in exponents:
+                _chunk(spec, schemes, (n,), lo, hi)
         raise
     parts = {}  # (scheme, exponent) -> errors of each batch, in replica order
     for errors in results:
@@ -515,16 +498,26 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
     return ErrorTable(rows)
 
 
+def _squares(errors: np.ndarray):
+    """(scale, sq) with errors^2 = scale^2 * sq: the scale is 1 unless the
+    mean square overflows while every error is finite, then the largest |e|."""
+    with np.errstate(over="ignore"):
+        if math.isfinite(np.mean(errors * errors)) or not np.isfinite(errors).all():
+            return 1.0, errors * errors
+    scale = float(np.abs(errors).max())
+    return scale, np.square(errors / scale)
+
+
 def _rms(errors: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(errors * errors)))
+    scale, sq = _squares(errors)
+    return scale * math.sqrt(sq.mean())
 
 
 def _rms_stderr(errors: np.ndarray) -> float:
-    if errors.size < 2:
+    # one replica, or a deterministic scheme: no MC spread
+    if errors.size < 2 or np.all(errors == errors[0]):
         return 0.0
-    if np.all(errors == errors[0]):  # deterministic scheme: no MC spread
-        return 0.0
-    sq = errors * errors
+    scale, sq = _squares(errors)
     mean_sq = float(sq.mean())
     if mean_sq == 0.0:
         return 0.0
@@ -532,7 +525,7 @@ def _rms_stderr(errors: np.ndarray) -> float:
         return math.inf
     # delta method, normalized so huge error magnitudes cannot overflow
     z = sq / mean_sq
-    rms = math.sqrt(mean_sq)
+    rms = scale * math.sqrt(mean_sq)
     return float(rms * z.std(ddof=1) / (2.0 * np.sqrt(sq.size)))
 
 
@@ -629,21 +622,16 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     means = [conditional_mean_residual(problem, grid, count)
              for count, grid in zip(panels, grids)]
     exact_grids = [problem.exact(grid.nodes()) for grid in grids]
-    longest = grids[-1].steps
     sum_sq = np.empty((len(grids), replicas))
     # overflow is left to the finiteness check on the columns below
     with np.errstate(over="ignore"):
         for lo in range(0, replicas, RESIDUAL_BLOCK):
-            # one stream per block, drawn once at the longest grid: every
-            # grid's nodes come from a prefix of the same draws, as a fresh
-            # stream gives them
             block = range(lo, min(lo + RESIDUAL_BLOCK, replicas))
-            taus = NodeStream(spec.master_seed, block).taus(longest).reshape(len(block), longest)
-            for i, (grid, v) in enumerate(zip(grids, exact_grids)):
-                xi = grid.nodes_from_taus(taus[:, : grid.steps])
+            nodes = random_node_blocks(spec.master_seed, block, grids)
+            for i, (xi, v) in enumerate(zip(nodes, exact_grids)):
                 rho = local_residual(problem, v, xi)
                 # a row-wise cumsum adds in step order, as the scalar recursion does
-                sum_sq[i, lo : lo + len(taus)] = np.cumsum(rho * rho, axis=1)[:, -1]
+                sum_sq[i, lo : lo + len(block)] = np.cumsum(rho * rho, axis=1)[:, -1]
     rows = [
         ResidualRow(exponent=exponent, step_size=grid.step_size,
                     rms_residual=float(np.sqrt(path_sq.mean())),

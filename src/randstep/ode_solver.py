@@ -326,10 +326,10 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     ``nodes`` is an (R, N) block, or a list of blocks whose widths N do
     not increase (see ``_march``).  A block's width N fixes its rows'
     k = 1/N, and step n of row r evaluates f at the row's n-th node.  Rows
-    from ``TimeGrid.random_nodes`` march randomized replicas and a row of
-    grid points t_1..t_N the classical scheme, so one batch can hold both,
-    at every step size; ``scheme`` only chooses between implicit and
-    explicit steps.  Every row gets the same bits as when marched alone.
+    of ``rand_nodes.random_node_blocks`` march randomized replicas and a
+    row of grid points t_1..t_N the classical scheme, so one batch holds
+    both, at every step size; ``scheme`` only picks implicit or explicit
+    steps.  Every row gets the same bits as when marched alone.
     The problem's ``freeze`` takes the nodes of up to FREEZE_BLOCK steps at
     once (a node outside its domain raises there), and Newton evaluates only
     f's state dependence.  ``reduce`` receives the march's states (see

@@ -157,10 +157,8 @@ class TimeGrid:
     def random_nodes(self, master_seed, replicas) -> np.ndarray:
         """(len(replicas), N) block of randomized nodes xi_n: row i maps the
         first N draws of the substream (master_seed, replicas[i]) by
-        ``nodes_from_taus``, in place.  The block costs 8*N bytes per replica."""
-        taus = NodeStream(master_seed, replicas).taus(self.steps)
-        block = taus.reshape(-1, self.steps)
-        return self.nodes_from_taus(block, out=block)
+        ``nodes_from_taus``.  The one-grid case of ``random_node_blocks``."""
+        return random_node_blocks(master_seed, replicas, [self])[0]
 
     def nodes_from_taus(self, taus, out=None) -> np.ndarray:
         """Randomized nodes xi_n = t_{n-1} + k*tau_n of (..., N) draws.
@@ -217,3 +215,16 @@ class NodeStream:
             self._gen.random(out=row)
         self._drawn += count
         return out.reshape(-1)
+
+
+def random_node_blocks(master_seed, replicas, grids) -> list[np.ndarray]:
+    """The (len(replicas), N) randomized node block of each of ``grids``,
+    from one ``NodeStream`` drawn once to the most steps: a grid of N steps
+    maps each row's first N draws, as a stream of its own would, and the
+    finest grid maps all the draws in place, last, so no copy is held."""
+    finest = max(grids, key=lambda grid: grid.steps)
+    taus = NodeStream(master_seed, replicas).taus(finest.steps).reshape(-1, finest.steps)
+    blocks = {grid: grid.nodes_from_taus(taus[:, : grid.steps])
+              for grid in grids if grid != finest}
+    blocks[finest] = finest.nodes_from_taus(taus, out=taus)
+    return [blocks[grid] for grid in grids]

@@ -458,19 +458,26 @@ def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
 
 # the squares of the finite rfe errors (about 1e196) overflow in harness._rms
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_infinite_error_svg_is_usage_error(tmp_path, capsys):
-    # the explicit steps stay finite, but their rms overflows to inf: the
-    # CSV holds the inf row, and the chart refuses it
+def test_finite_errors_whose_squares_overflow_give_finite_rms(tmp_path, capsys):
+    # the explicit steps stay finite, near 1e196, so their squares
+    # overflow: the rms, its stderr and the chart stay finite, with no
+    # overflow warning; they used to read inf and the chart refused them
+    import warnings
+
     out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
-    code = main(["ode", "--problem", "prothero-robinson", "--lambda=-5.7e7",
-                 "--scheme", "rbe,rfe", "--n", "4:5", "--mc", "2", "--workers", "1",
-                 "--out", str(out), "--svg", str(svg)])
-    assert code == 1
-    assert "\nrfe,32,3.1250000000000000e-02,2,inf," in out.read_text()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ode", "--problem", "prothero-robinson", "--lambda=-5.7e7",
+                     "--scheme", "rbe,rfe", "--n", "4:5", "--mc", "2", "--workers", "1",
+                     "--out", str(out), "--svg", str(svg)])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    row = read_error_csv(out).rows[-1]
+    assert (row.scheme, row.steps) == ("rfe", 32)
+    assert 1e150 < row.rms_error_final < np.inf and 0 < row.mc_stderr_final < np.inf
     err = capsys.readouterr().err
-    assert err.count("randstep: error:") == 1 and "scheme rfe" in err
-    assert "Traceback" not in err
-    assert not svg.exists()
+    assert "RuntimeWarning" not in err and "randstep: error:" not in err
+    assert svg.exists()
 
 
 def test_figure_rate_fits_follow_error_mode(tmp_path, monkeypatch, fig1_left_desk):

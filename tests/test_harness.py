@@ -82,6 +82,27 @@ def test_zero_errors_reduce_to_exact_zero_rms():
     assert _rms(errs) == 0.0
 
 
+def test_rms_of_finite_errors_whose_squares_overflow_is_finite():
+    # below overflow the rms keeps its plain arithmetic, bit for bit;
+    # above it the errors are scaled by the largest, with no warning
+    import warnings
+
+    from randstep.harness import _rms, _rms_stderr
+
+    e = np.random.default_rng(0).random(9) * 1e150
+    assert _rms(e) == float(np.sqrt(np.mean(e * e)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rms(np.array([3e200, 4e200])) == pytest.approx(5e200 / math.sqrt(2), rel=1e-15)
+        big = e * 1e50
+        assert _rms(big) == pytest.approx(_rms(e) * 1e50, rel=1e-14)
+        assert _rms_stderr(big) == pytest.approx(_rms_stderr(e) * 1e50, rel=1e-12)
+    # a non-finite error stays non-finite
+    assert _rms(np.array([1.0, np.inf])) == np.inf
+    assert _rms_stderr(np.array([1.0, np.inf])) == np.inf
+    assert math.isnan(_rms(np.array([1.0, np.nan])))
+
+
 def test_fit_rate_exact_power_laws():
     rows1 = [
         ErrorRow("x", 2**n, 2.0**-n, 1, 0.37 * 2.0**-n, 0.37 * 2.0**-n, 0.0, 1.0)
@@ -419,6 +440,59 @@ def test_lockstep_chunk_equals_each_step_size_alone(problem, schemes):
                 assert a.tobytes() == b.tobytes()
 
 
+def test_batch_draws_its_nodes_once(monkeypatch):
+    # one NodeStream draws a batch's replicas once, at its finest step
+    # size; every step size's block is the one its grid draws alone.  A
+    # batch without a randomized scheme draws nothing.
+    from randstep import harness, rand_nodes
+    from randstep.rand_nodes import TimeGrid
+
+    spec = ExperimentSpec("prothero-robinson", (RBE, BE), (2, 3, 7), 8, master_seed=42,
+                          sawtooth_exponent=3)
+    alone = {n: TimeGrid(2**n).random_nodes(42, range(3, 8)) for n in (2, 3, 7)}
+    streams = []
+
+    class Counted(rand_nodes.NodeStream):
+        def __init__(self, master_seed, replicas):
+            streams.append(list(replicas))
+            super().__init__(master_seed, replicas)
+
+    monkeypatch.setattr(rand_nodes, "NodeStream", Counted)
+    cells = harness._batch_nodes(spec, (RBE, BE), (2, 3, 7), 3, 8)
+    assert streams == [[3, 4, 5, 6, 7]]
+    assert [cell[:2] for cell in cells] == [(n, s) for n in (7, 3, 2) for s in (RBE, BE)]
+    for n, scheme, nodes in cells:
+        if scheme is RBE:
+            assert nodes.tobytes() == alone[n].tobytes()
+        else:
+            assert nodes.tobytes() == TimeGrid(2**n).nodes()[None, 1:].tobytes()
+    streams.clear()
+    harness._batch_nodes(spec, (BE,), (2, 3, 7), 0, 0)
+    assert streams == []
+
+
+def test_batch_nodes_map_the_finest_draws_in_place():
+    # the batch's traced peak is its node blocks and a small margin (numpy's
+    # 64 KiB ufunc buffer and the stream's keys); a finest block mapped out
+    # of place would add its 256 KiB of draws
+    import tracemalloc
+
+    from randstep import harness
+
+    spec = ExperimentSpec("prothero-robinson", (RBE, BE), (2, 3, 7), 256, master_seed=42,
+                          sawtooth_exponent=3)
+    harness._batch_nodes(spec, (RBE,), (2, 3, 7), 0, 256)
+    tracemalloc.start()
+    try:
+        cells = harness._batch_nodes(spec, (RBE,), (2, 3, 7), 0, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(nodes.nbytes for _, _, nodes in cells)
+    assert nbytes == 8 * 256 * (4 + 8 + 128)
+    assert peak <= nbytes + 128 * 1024
+
+
 def test_sweep_reducer_counts_lockstep_steps_and_every_rows_iterations():
     # the sweep's reducer keeps no (N, R) array: its Newton counts are one
     # total per lockstep step, over every row of the batch
@@ -429,7 +503,7 @@ def test_sweep_reducer_counts_lockstep_steps_and_every_rows_iterations():
     problem, march, errors = harness._setup(spec)
     cells = harness._batch_nodes(spec, (RBE, BE), (2, 3, 5), 0, 2)
     nodes = [c[2] for c in cells]
-    reduced = march(RBE, nodes, harness._RowErrors(errors, cells))
+    reduced = march(RBE, nodes, harness._RowErrors(errors, (2, 3, 5), 3))
     path = march(RBE, nodes)
     assert reduced.newton_iteration_counts.shape == (32,)
     assert np.array_equal(reduced.newton_iteration_counts,
@@ -505,6 +579,39 @@ def test_split_pde_cell_worker_invariant(monkeypatch):
     assert len(harness._plan(spec)) == 6
     assert render_error_csv(run_mc(spec, workers=1)) == whole
     assert render_error_csv(run_mc(spec, workers=2)) == whole
+
+
+def test_split_pde_failure_in_second_batch_worker_invariant(monkeypatch):
+    # the forcing is NaN only at replica 3's node of step 2 at n = 3; with
+    # two replicas per batch that row is in the second replica batch of
+    # the n = 3 step size, and one worker and two name the same cell
+    from randstep import harness
+    from randstep.fem1d import Mesh
+    from randstep.pde_solver import PdeProblem
+    from randstep.rand_nodes import TimeGrid
+
+    target = TimeGrid(8).random_nodes(42, [3])[0, 1]
+    problem = PdeProblem(
+        forcing=lambda t, x: np.where(t == target, np.nan, 0.0) + 0.0 * x,
+        nonlinearity=lambda u: u**3,
+        nonlinearity_prime=lambda u: 3.0 * u**2,
+        initial=lambda x: np.zeros_like(x),
+        exact=lambda t, x: 0.0 * t * x,
+    )
+    monkeypatch.setattr(harness, "_setup", _pde_setup(problem, Mesh(7)))
+    spec = ExperimentSpec("semilinear-heat", (RBE,), (2, 3), 5, master_seed=42,
+                          sawtooth_exponent=3, mesh_dof=7)
+    # room for two replicas per batch, at one step size
+    monkeypatch.setattr(harness, "PDE_BATCH_UNKNOWNS", 2 * 7)
+    assert harness._plan(spec)[3:5] == [((RBE,), (3,), 0, 2), ((RBE,), (3,), 2, 4)]
+    harness._chunk(spec, (RBE,), (3,), 0, 2)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(harness.ExperimentError) as err:
+            run_mc(spec, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0].startswith("scheme=rbe k=2^-3 replica=3 step=2: ")
+    assert messages[1] == messages[0]
 
 
 def test_two_failing_cells_raise_the_in_process_error(monkeypatch):
