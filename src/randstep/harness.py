@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
@@ -37,6 +38,8 @@ from .ode_solver import (
     OdeProblem,
     StepRestrictionViolated,
     StepScheme,
+    StepSizeWarning,
+    check_step_restriction,
     conditional_mean_residual,
     local_residual,
     solve,
@@ -73,8 +76,10 @@ class ExperimentSpec:
     is a bool or not an integer,
     a seed that ``rand_nodes.check_seed`` refuses, an implicit scheme
     at a step size with k*nu >= 1 and a sweep whose largest batch needs
-    more than physical memory.  ``residual_study`` takes a spec with no
-    schemes.
+    more than physical memory.  An implicit scheme at a step size with
+    k*nu >= 1/4 warns here, once for each such step size, coarsest first,
+    in the process that plans the sweep; its batches do not warn again.
+    ``residual_study`` takes a spec with no schemes.
     """
 
     problem: str
@@ -122,6 +127,9 @@ class ExperimentSpec:
                 raise StepRestrictionViolated(
                     f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(self.step_exponents)}"
                 )
+            for n in self.step_exponents:
+                # names the line that builds the spec, past the generated __init__
+                check_step_restriction(2.0**-n, nu, stacklevel=3)
         _refuse_above_memory(
             max((_task_bytes(self, task) for task in _plan(self)), default=0),
             "the largest batch")
@@ -315,7 +323,10 @@ def _chunk(spec, schemes, exponents, lo, hi):
     cells = _batch_nodes(spec, schemes, exponents, lo, hi)
     reduce = _RowErrors(errors, exponents, _rows(schemes, lo, hi))
     try:
-        march(schemes[0], [nodes for _, _, nodes in cells], reduce)
+        with warnings.catch_warnings():
+            # the spec warned once for each step size as it was built
+            warnings.simplefilter("ignore", StepSizeWarning)
+            march(schemes[0], [nodes for _, _, nodes in cells], reduce)
     except (NonConvergence, ValueError) as err:
         raise _batch_failure(err, cells, lo) from err
     return reduce.by_cell(cells)

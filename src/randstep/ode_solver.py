@@ -11,8 +11,10 @@ drawn uniformly from the n-th step interval [t_{n-1}, t_n).  The implicit
 solve uses damped Newton iteration; under the one-sided Lipschitz
 restriction k*nu < 1 the per-step root is unique.  A problem that is
 affine in the state takes Newton's first iterate as its step, since
-that is the root up to rounding.  ``pde_solver``, the systems case,
-shares the Newton core and the step loop.
+that is the root up to rounding.  The solvers hand each block of up to
+FREEZE_BLOCK steps to one stepper call (see ``_march``), whose
+per-step loop for an affine or explicit step is three in-place ufuncs.
+``pde_solver``, the systems case, shares the Newton core and the march.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class OdeProblem:
     ``affine`` declares f affine in x, f(t, x) = a(t) x + b(t), so that
     one Newton step from any start is the step's root up to rounding:
     an implicit step is then that one step, with count 1, and no
-    residual is tested (see ``_newton_scalar``).
+    residual is tested (see ``_newton_scalar``).  An affine problem's
+    ``jacobian(c, x)`` is then a(c), independent of x: it is called once
+    per block of steps, with the block's (steps, rows, ...) frozen data.
     """
 
     rhs: Callable
@@ -179,8 +183,9 @@ def _node_blocks(nodes):
     return blocks, k
 
 
-def check_step_restriction(k: float, nu: float) -> None:
-    """Reject k*nu >= 1, warn at k*nu >= 1/4; no-op for nu <= 0."""
+def check_step_restriction(k: float, nu: float, stacklevel: int = 2) -> None:
+    """Reject k*nu >= 1, warn at k*nu >= 1/4 (at the caller's ``stacklevel``,
+    as ``warnings.warn`` counts it); no-op for nu <= 0."""
     if nu <= 0.0:
         return
     knu = k * nu
@@ -192,7 +197,7 @@ def check_step_restriction(k: float, nu: float) -> None:
         warnings.warn(
             f"k*nu = {knu:.6g} >= 1/4; outside the stability hypothesis",
             StepSizeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
 
 
@@ -300,24 +305,55 @@ def _newton_parts(rhs, jac):
     return residual, update, np.abs
 
 
-def _newton_scalar(parts, at, u_prev, k, affine):
-    """One implicit step of every row: ``_damped_newton`` on the
-    ``_newton_parts``, or for an ``affine`` problem one Newton step.
+def _newton_scalar(problem, data, u, k, out, counts):
+    """The implicit steps of a block, a ``step`` of ``_march``.
 
-    ``at`` holds the rows' frozen data and ``k`` their step sizes; the
-    initial guess is u_prev, an O(k)-accurate predictor.  For an
-    ``affine`` problem one Newton step is the root up to rounding, so the
-    step is Newton's first iterate from u_prev, bit for bit ((u - u) - k*f
-    is exactly -(k*f)), with the count 1 for every row; its residual is
-    not tested.  A row whose start already meets the tolerance therefore
-    takes the step with count 1, where damped Newton keeps u_prev with
-    count 0.
+    Step j solves x = u_prev + k*f(c, x) from the O(k)-accurate predictor
+    u_prev: by ``_damped_newton`` on the ``_newton_parts``, or for an
+    ``affine`` problem by Newton's first iterate, the root up to rounding:
+    u_prev + (k*f)/d with d = 1 - k*a(c), bit for bit for a finite u_prev
+    ((u - u) - k*f is exactly -(k*f)), with the count 1 and no residual
+    test, so a row whose start already meets the tolerance counts 1 where
+    damped Newton keeps u_prev and counts 0.  One ``jacobian`` call gives
+    the block's d, and a zero d raises before any step, naming its first
+    step and row in step order, then row order.
     """
-    data = (at, u_prev, k)
-    if affine:
-        residual, update, _ = parts
-        return u_prev - update(u_prev, residual(u_prev, *data), *data), 1
-    return _damped_newton(*parts, u_prev, data)
+    rhs, jac = problem.rhs, problem.jacobian
+    if not problem.affine:
+        parts = _newton_parts(rhs, jac)
+        return _each_step(lambda at, u: _damped_newton(*parts, u, (at, u, k)),
+                          data, u, out, counts)
+    d = np.broadcast_to(1.0 - k * jac(data, u), counts.shape)
+    singular = np.argwhere(d == 0.0)
+    if len(singular):
+        j, row = singular[0]
+        raise NonConvergence("singular Newton derivative", step=int(j), replica=int(row))
+    counts[...] = 1
+    # the callbacks' results are never written into: rhs may return its
+    # frozen data, which may be the nodes themselves
+    buf = np.empty_like(u)
+    for at, dj, o in zip(data, d, out):
+        np.multiply(k, rhs(at, u), out=buf)
+        buf /= dj
+        u = np.add(u, buf, out=o)
+    # a view of ``out`` would keep the block's states alive into the next
+    return u.copy()
+
+
+def _each_step(newton, data, u, out, counts):
+    """March a block one ``newton(at, u)`` per step, which maps step j's
+    frozen data and the rows' states to their next states and iteration
+    counts; returns the last state, the object ``newton`` returned.  A
+    NonConvergence leaves with ``step`` set to j.
+    """
+    for j, at in enumerate(data):
+        try:
+            u, counts[j] = newton(at, u)
+        except NonConvergence as err:
+            err.step = j
+            raise
+        out[j] = u
+    return u
 
 
 def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
@@ -331,30 +367,36 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     both, at every step size; ``scheme`` only picks implicit or explicit
     steps.  Every row gets the same bits as when marched alone.
     The problem's ``freeze`` takes the nodes of up to FREEZE_BLOCK steps at
-    once (a node outside its domain raises there), and Newton evaluates only
-    f's state dependence.  ``reduce`` receives the march's states (see
+    once (a node outside its domain raises there), and one stepper call
+    marches that block: ``_newton_scalar`` for an implicit scheme, and for
+    the explicit one u + k*f per step, in place.  The steps evaluate only
+    f's state dependence, one ``rhs`` call per step for an affine problem
+    or an explicit scheme.  ``reduce`` receives the march's states (see
     ``_march``); by default a ``Trajectory`` stores them all.
     ``_march`` names the step and row of a failure.
     """
     blocks, k = _node_blocks(nodes)
-    freeze, rhs = problem.freeze, problem.rhs
     if scheme.is_implicit:
         # coarsest first, as a sweep of one step size at a time meets them
         for steps in sorted({block.shape[1] for block in blocks}):
             check_step_restriction(TimeGrid(steps).step_size, problem.one_sided_constant)
-        parts = _newton_parts(rhs, problem.jacobian)
-        affine = problem.affine
 
-        def step(at, u, k):
-            return _newton_scalar(parts, at, u, k, affine)
+        def step(data, u, k, out, counts):
+            return _newton_scalar(problem, data, u, k, out, counts)
     else:
-        def step(at, u, k):
-            return u + k * rhs(at, u), 0
+        rhs = problem.rhs
+
+        def step(data, u, k, out, counts):
+            buf = np.empty_like(u)
+            for at, o in zip(data, out):
+                np.multiply(k, rhs(at, u), out=buf)
+                u = np.add(u, buf, out=o)
+            return u.copy()  # as in ``_newton_scalar``
 
     if reduce is None:
         reduce = Trajectory.empty(blocks[0].shape[1], len(k))
     u0 = np.asarray(problem.initial_value, dtype=float)
-    _march(blocks, k, u0, FREEZE_BLOCK, freeze, step, reduce)
+    _march(blocks, k, u0, FREEZE_BLOCK, problem.freeze, step, reduce)
     return reduce
 
 
@@ -367,20 +409,24 @@ def _march(blocks, k, u0, width, freeze, step, reduce):
     retires after its own N_i steps.
 
     The steps go in blocks.  ``freeze`` maps a block's (steps, rows) nodes
-    to per-step data.  A block holds at most ``width`` steps of the rows
-    that march every step, and fewer steps where more rows are live, so
-    its temporaries stay the size of a batch of one step size; it ends
-    early where a row retires inside it.  ``step(data, u, k)`` maps the
-    data of step n, the (rows, ...) state U^{n-1} and the rows' step
-    sizes, one float where they are all equal, to U^n and the rows'
-    (rows,) iteration counts, or one count for all rows.  After each
-    block ``reduce(first, states, counts)`` receives the states U^first..
-    of the block's rows, the first block's beginning with U^0, and the
-    iteration counts of the steps to the last len(counts) of them.
+    to its frozen data, step by step.  A block holds at most ``width``
+    steps of the rows that march every step, and fewer steps where more
+    rows are live, so its temporaries stay the size of a batch of one
+    step size; it ends early where a row retires inside it.
+    ``step(data, u, k, out, counts)`` marches a block: from the block's
+    frozen data, the (rows, ...) states U^lo and the rows' step sizes,
+    one float where they are all equal, it writes U^{lo+1+j} to
+    ``out[j]`` and the rows' iteration counts of that step to
+    ``counts[j]``, and returns U^hi, the object that the next block
+    starts from.  After each block ``reduce(first, states, counts)``
+    receives the states U^first.. of the block's rows, the first block's
+    beginning with U^0, and the iteration counts of the steps to the last
+    len(counts) of them.
 
-    Overflow is left to a finiteness check: a NonConvergence of a step
-    raises at once, and the first non-finite state, in step order then
-    row order, raises after the march; either names the step and the row.
+    Overflow is left to a finiteness check: a NonConvergence, which a
+    ``step`` raises with the index j of its step in the block, raises at
+    once, and the first non-finite state, in step order then row order,
+    raises after the march; either names the step and the row.
     """
     widths = [block.shape[1] for block in blocks]
     rows = np.cumsum([len(block) for block in blocks])
@@ -405,13 +451,13 @@ def _march(blocks, k, u0, width, freeze, step, reduce):
             # a float where every live row has one step size: cheaper
             # arithmetic, with the same bits
             k_live = k[:r] if widths[live - 1] < widths[0] else float(k.flat[0])
-            for n, data in enumerate(freeze(nodes), start=lo + 1):
-                try:
-                    u, counts[n - lo - 1] = step(data, u, k_live)
-                except NonConvergence as err:
-                    raise NonConvergence(f"step {n}: {err}", step=n,
-                                         replica=err.replica) from err
-                states[n - lo - 1 + head] = u
+            data = freeze(nodes)
+            try:
+                u = step(data, u, k_live, states[head:], counts)
+            except NonConvergence as err:
+                n = lo + 1 + err.step
+                raise NonConvergence(f"step {n}: {err}", step=n,
+                                     replica=err.replica) from err
             if bad is None and not np.isfinite(states).all():
                 finite = np.isfinite(states).reshape(len(states), r, -1).all(axis=2)
                 i, row = (int(i) for i in np.argwhere(~finite)[0])

@@ -32,7 +32,8 @@ from .fem1d import (
     load_vector,
     tridiag_solve,
 )
-from .ode_solver import StepScheme, Trajectory, _damped_newton, _march, _node_blocks
+from .ode_solver import (StepScheme, Trajectory, _damped_newton, _each_step, _march,
+                         _node_blocks)
 from .rand_nodes import TimeGrid
 
 
@@ -119,11 +120,13 @@ def pde_solve(problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes, reduce
     the forcing of step n at its n-th node, so randomized replicas and the
     classical row of grid points, at every step size, can share one
     batch.  Every row gets the same bits as when marched alone.  The loads
-    of up to STEP_BLOCK steps are assembled at once, before their Newton
-    solves.  ``reduce`` receives blocks of the rows' U^n, as (steps, rows,
-    m) nodal coefficients (see ``ode_solver._march``); by default an
-    ``ode_solver.Trajectory`` stores them all.  ``_march`` names the step
-    and row of a failure.
+    of up to STEP_BLOCK steps are assembled at once; one stepper call then
+    runs their Newton solves, one ``_newton_fem`` per step, and hands the
+    last iterate itself to the next block, so that the residual cache of
+    ``_fem_parts`` still holds.  ``reduce`` receives blocks of the rows'
+    U^n, as (steps, rows, m) nodal coefficients (see
+    ``ode_solver._march``); by default an ``ode_solver.Trajectory`` stores
+    them all.  ``_march`` names the step and row of a failure.
     """
     if scheme is StepScheme.RANDOMIZED_FORWARD_EULER:
         raise ValueError("no explicit scheme is defined for the PDE benchmark")
@@ -142,8 +145,10 @@ def pde_solve(problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes, reduce
         # a forcing that ignores t gives one load for every step and row
         return k[:rows] * np.broadcast_to(load, t.shape[:2] + (m,))
 
-    def step(load, u, k):
-        return _newton_fem(parts, mass.matvec(u) + load, u, system[: len(u)], k)
+    def step(loads, u, k, out, counts):
+        live = system[: len(u)]
+        return _each_step(lambda load, u: _newton_fem(parts, mass.matvec(u) + load, u, live, k),
+                          loads, u, out, counts)
 
     if reduce is None:
         reduce = Trajectory.empty(blocks[0].shape[1], len(k), (m,))

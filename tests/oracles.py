@@ -10,7 +10,7 @@ import numpy as np
 
 from randstep.fem1d import Mesh, load_vector
 from randstep.harness import _loglog_fit
-from randstep.ode_solver import _newton_parts, _newton_scalar, check_step_restriction
+from randstep.ode_solver import _newton_scalar, check_step_restriction
 from randstep.pde_solver import _fem_parts, _newton_fem
 
 
@@ -59,14 +59,15 @@ def one_row(grid, scheme, master_seed=1, replica=0):
 def step_once(problem, t, u, k, scheme):
     """One step of ``scheme`` from the float u with step size k and f
     evaluated at the float t, as a one-row batch: for an implicit scheme
-    the step restriction and ``_newton_scalar`` on the ``_newton_parts``,
-    for the explicit one u + k*f; a float."""
-    at, u = problem.freeze(np.array([t])), np.array([float(u)])
+    the step restriction and ``_newton_scalar`` on a one-step block, for
+    the explicit one u + k*f; a float."""
+    at, u = problem.freeze(np.array([[t]])), np.array([float(u)])
     if not scheme.is_implicit:
-        return (u + k * problem.rhs(at, u))[0]
+        return (u + k * problem.rhs(at[0], u))[0]
     check_step_restriction(k, problem.one_sided_constant)
-    parts = _newton_parts(problem.rhs, problem.jacobian)
-    return _newton_scalar(parts, at, u, np.array([k]), problem.affine)[0][0]
+    out, counts = np.empty((1, 1)), np.zeros((1, 1), dtype=np.int64)
+    _newton_scalar(problem, at, u, np.array([k]), out, counts)
+    return out[0, 0]
 
 
 def pde_step(mass, stiffness, k, xi, u_prev, problem):

@@ -187,6 +187,26 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_step_size_warning_once_per_step_size_at_every_worker_count(tmp_path):
+    # k*nu >= 1/4 at n = 3 and 4: the sweep warns once for each, in the
+    # process that plans it; each pool worker used to warn for its share
+    # of the replicas
+    stderr = {}
+    for workers in ("1", "4"):
+        proc = _python("-m", "randstep", "ode", "--problem", "prothero-robinson",
+                       "--scheme", "rbe,be", "--n", "3:6", "--mc", "8", "--lambda", "7.99",
+                       "--workers", workers, "--out", str(tmp_path / f"w{workers}.csv"))
+        assert proc.returncode == 0, proc.stderr
+        stderr[workers] = proc.stderr
+    assert stderr["1"] == stderr["4"]
+    warned = [line for line in stderr["1"].splitlines() if "StepSizeWarning" in line]
+    assert [line.split("StepSizeWarning: ")[1] for line in warned] == [
+        "k*nu = 0.99875 >= 1/4; outside the stability hypothesis",
+        "k*nu = 0.499375 >= 1/4; outside the stability hypothesis",
+    ]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
+
+
 _CHUNK = harness._chunk
 _MAIN_PID = os.getpid()
 

@@ -693,3 +693,76 @@ def test_affine_step_at_a_root_keeps_the_state_and_counts_one():
     assert direct.states.tobytes() == damped.states.tobytes() == np.ones((5, 2)).tobytes()
     assert (direct.newton_iteration_counts == 1).all()
     assert (damped.newton_iteration_counts == 0).all()
+
+
+def test_failure_after_the_first_block_names_absolute_step_and_row():
+    # a damped problem's row 2 meets a rootless step at n = FREEZE_BLOCK + 5,
+    # in the second block of its march: the lockstep batch and the row
+    # marched alone name the same step and message
+    fine = TimeGrid(2 * FREEZE_BLOCK)
+    block = fine.random_nodes(3, range(5))
+    target = block[2, FREEZE_BLOCK + 4]
+    # x = u + k*(x^2 + 1e5) has no root at k = 1/128: only that node sees it
+    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 1e5, -np.arctan(x)), 1.0,
+                   lambda t, x: np.where(t == target, 2.0 * x, -1.0 / (1.0 + x * x)))
+    coarse = TimeGrid(FREEZE_BLOCK // 2).random_nodes(3, range(5))
+    with pytest.raises(NonConvergence) as batch:
+        solve(p, RBE, [block, coarse])
+    with pytest.raises(NonConvergence) as alone:
+        solve(p, RBE, block[2:3])
+    assert (batch.value.step, batch.value.replica) == (FREEZE_BLOCK + 5, 2)
+    assert (alone.value.step, alone.value.replica) == (FREEZE_BLOCK + 5, 0)
+    assert str(batch.value) == str(alone.value)
+    assert str(batch.value).startswith(f"step {FREEZE_BLOCK + 5}: ")
+
+
+def read_only_affine_problem():
+    # f(t, x) = -3x + t, returned as a read-only view
+    return OdeProblem(lambda t, x: np.broadcast_to(-3.0 * x + t, np.shape(x)), 1.0,
+                      lambda t, x: -3.0, affine=True)
+
+
+@pytest.mark.parametrize("problem", [read_only_affine_problem, time_integral_problem],
+                         ids=["read-only-rhs", "time-integral"])
+def test_affine_block_steps_equal_damped_newton_and_leave_the_data(problem):
+    # rows of three step sizes march with one k per row, then the finest
+    # alone with one float k; time-integral's rhs returns its frozen data,
+    # the nodes themselves.  Neither rhs result is written into
+    calls = {"rhs": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    p = problem()
+    p = dataclasses.replace(p, rhs=counted("rhs", p.rhs),
+                            jacobian=counted("jacobian", p.jacobian))
+    blocks = lockstep_blocks((2, 3, 7), 3)
+    kept = [b.copy() for b in blocks]
+    direct = solve(p, RBE, blocks)
+    # one rhs call per step; one jacobian call per block, of which the
+    # march of widths 128, 8 and 4 with four rows each has four
+    assert calls == {"rhs": 128, "jacobian": 4}
+    damped = solve(dataclasses.replace(p, affine=False), RBE, blocks)
+    assert direct.states.tobytes() == damped.states.tobytes()
+    assert np.array_equal(direct.newton_iteration_counts, damped.newton_iteration_counts)
+    assert all(b.tobytes() == c.tobytes() for b, c in zip(blocks, kept))
+
+
+def test_explicit_block_steps_equal_single_steps_bitwise():
+    # every row of a lockstep rfe batch, k per row while coarser rows are
+    # live and one float k after, equals its own loop of single steps
+    p = atan_problem()
+    blocks = lockstep_blocks((2, 3, 7), 3)
+    batch = solve(p, RFE, blocks)
+    row = 0
+    for block in blocks:
+        k = TimeGrid(block.shape[1]).step_size
+        for nodes in block:
+            path = [p.initial_value]
+            for t in nodes:
+                path.append(rfe_step(p, t, path[-1], k))
+            assert batch.states[: len(path), row].tobytes() == np.array(path).tobytes()
+            row += 1
