@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import BrokenExecutor
 
 from . import harness, report
@@ -197,6 +199,22 @@ def _ode_settings(args) -> dict:
     return settings
 
 
+def _check_outputs(args):
+    """Raise, before any compute, the OSError that writing an output path
+    would raise for want of a writable directory, naming the path."""
+    for path in filter(None, (args.out, getattr(args, "svg", None),
+                              getattr(args, "rates_out", None))):
+        parent = os.path.dirname(path) or os.curdir
+        try:
+            os.stat(parent)
+            code = (errno.ENOTDIR if not os.path.isdir(parent) else
+                    0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES)
+        except OSError as err:
+            code = err.errno
+        if code:
+            raise OSError(code, os.strerror(code), path)
+
+
 def _echo(config: dict) -> None:
     print("config:", " ".join(f"{k}={v}" for k, v in config.items()), flush=True)
 
@@ -249,7 +267,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
+    # one line per warning, for the program's run only
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"randstep: warning: {message}\n"
     try:
+        _check_outputs(args)
         return _dispatch(args)
     except (NonConvergence, StepRestrictionViolated, harness.ExperimentError) as err:
         print(f"randstep: numerical failure: {err}", file=sys.stderr)
@@ -264,6 +286,8 @@ def main(argv=None) -> int:
         print(f"randstep: error: out of memory: {str(err) or 'allocation failed'}",
               file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def _dispatch(args) -> int:

@@ -308,6 +308,16 @@ def _setup(spec: ExperimentSpec):
     return problem, partial(solve, problem), partial(_ode_errors, problem)
 
 
+def _preload(spec):
+    """Import what each task of the spec would import lazily, so that the
+    workers of a pool forked after this inherit it: numpy.random for the
+    node draws, scipy.linalg's lapack for ``fem1d.tridiag_solve``."""
+    if any(scheme.is_randomized for scheme in spec.schemes):
+        import numpy.random  # noqa: F401
+    if spec.problem == "semilinear-heat":
+        from scipy.linalg import lapack  # noqa: F401
+
+
 def _chunk(spec, schemes, exponents, lo, hi):
     """Per-replica (final, max, mean-newton) errors of one lockstep batch,
     by (scheme, exponent).
@@ -438,8 +448,8 @@ def _refuse_above_memory(needed, what):
 def _run_tasks(chunk_fn, spec, tasks, workers):
     """Each task's result, in task order, from up to ``workers`` processes.
 
-    With a pool every task is submitted at once, largest first; a failure
-    cancels the tasks not yet started.
+    A pool's workers fork after ``_preload``; every task is submitted at
+    once, largest first, and a failure cancels the tasks not yet started.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -448,6 +458,7 @@ def _run_tasks(chunk_fn, spec, tasks, workers):
     # concurrent.futures.process
     from concurrent.futures import ProcessPoolExecutor
 
+    _preload(spec)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             task: pool.submit(chunk_fn, spec, *task)

@@ -1,19 +1,24 @@
 """Check the paper-scale figures against the acceptance brackets.
 
-Runs ``fig1-left``, ``fig1-right`` and ``fig2`` at ``--scale paper`` on
-two workers, checks each against its entry of ``test_acceptance.BRACKETS``
-(the one place the brackets are kept) and prints a Markdown table of the
+Runs the named figures (default ``fig1-left``, ``fig1-right`` and
+``fig2``) at ``--scale paper`` on two workers and ``--seed`` (default
+42), checks each against its entry of ``test_acceptance.BRACKETS`` (the
+one place the brackets are kept) and prints a Markdown table of the
 slopes, wall times and failed checks.  Exits 1 if a check fails.
 
     PYTHONPATH=src python tests/paper_scale.py >> "$GITHUB_STEP_SUMMARY"
+    PYTHONPATH=src python tests/paper_scale.py --seed 2017 fig1-left fig1-right
 
-It takes about 80 s on two cores, most of it ``fig2``.
+All three take about 55 s on two cores, most of it ``fig2``; the two
+``fig1`` figures about 3 s.
 """
 
+import argparse
 import sys
 import time
 
 from randstep.harness import FIGURES, reproduce_figure
+from randstep.rand_nodes import DEFAULT_MASTER_SEED
 
 from test_acceptance import BRACKETS
 
@@ -27,16 +32,24 @@ def _summary(result) -> str:
 
 
 def main() -> int:
-    print("| figure | wall s | slopes | failed checks |")
-    print("| --- | --- | --- | --- |")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    parser.add_argument("figures", nargs="*", metavar="figure",
+                        help=f"any of {', '.join(FIGURES)} (default: all)")
+    args = parser.parse_args()
+    unknown = [name for name in args.figures if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown figures: {', '.join(unknown)}")
+    print("| figure | seed | wall s | slopes | failed checks |")
+    print("| --- | --- | --- | --- | --- |")
     failed = 0
-    for name in FIGURES:
+    for name in args.figures or FIGURES:
         start = time.perf_counter()
-        table, result = reproduce_figure(name, "paper", workers=2)
+        table, result = reproduce_figure(name, "paper", args.seed, workers=2)
         seconds = time.perf_counter() - start
         bad = [check for check, ok in BRACKETS[name](table, result).items() if not ok]
         failed += len(bad)
-        print(f"| {name} | {seconds:.1f} | {_summary(result)} | "
+        print(f"| {name} | {args.seed} | {seconds:.1f} | {_summary(result)} | "
               f"{'; '.join(bad) or 'none'} |", flush=True)
     return 1 if failed else 0
 

@@ -187,6 +187,57 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_loads_neither_node_draws_nor_scipy():
+    # the pool's parent imports them only when it is about to fork
+    proc = _python("-c", "import sys, randstep.cli; randstep.cli.build_parser(); "
+                   "print('numpy.random' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
+
+
+def test_one_worker_ode_sweep_never_loads_scipy(tmp_path):
+    proc = _python("-c", "import sys, randstep.cli; randstep.cli.main(["
+                   "'ode', '--problem', 'prothero-robinson', '--scheme', 'rbe,be,rfe', "
+                   f"'--n', '3:5', '--mc', '2', '--workers', '1', '--out', '{tmp_path / 'x.csv'}']); "
+                   "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+#: Marches ``spec`` on two workers; each pool worker prints, at the entry
+#: of each of its tasks, whether ``module`` is loaded.
+_WORKER_PROBE = r"""
+import os, sys
+from randstep import harness
+from randstep.harness import ExperimentSpec
+from randstep.ode_solver import StepScheme
+
+PARENT, CHUNK = os.getpid(), harness._chunk
+
+def probe(spec, *task):
+    if os.getpid() != PARENT:
+        os.write(1, b"%r\n" % ({module!r} in sys.modules))  # one write per line
+    return CHUNK(spec, *task)
+
+harness._chunk = probe
+harness.run_mc(ExperimentSpec({spec}), workers=2)
+"""
+
+
+@pytest.mark.parametrize("module, spec", [
+    ("numpy.random", "'prothero-robinson', (StepScheme('rbe'), StepScheme('rfe')), (3, 4), 2, "
+     "sawtooth_exponent=4"),
+    ("scipy.linalg", "'semilinear-heat', (StepScheme('rbe'), StepScheme('be')), (2, 3), 2, "
+     "sawtooth_exponent=3, mesh_dof=4096"),
+], ids=["ode-node-draws", "pde-lapack"])
+def test_pool_workers_inherit_what_their_tasks_import(module, spec):
+    # the parent imports it before the pool forks; each worker used to
+    # import it again at its first task, in every pooled sweep
+    proc = _python("-c", _WORKER_PROBE.format(module=module, spec=spec))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "True"]
+
+
 def test_step_size_warning_once_per_step_size_at_every_worker_count(tmp_path):
     # k*nu >= 1/4 at n = 3 and 4: the sweep warns once for each, in the
     # process that plans it; each pool worker used to warn for its share
@@ -199,11 +250,13 @@ def test_step_size_warning_once_per_step_size_at_every_worker_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         stderr[workers] = proc.stderr
     assert stderr["1"] == stderr["4"]
-    warned = [line for line in stderr["1"].splitlines() if "StepSizeWarning" in line]
-    assert [line.split("StepSizeWarning: ")[1] for line in warned] == [
-        "k*nu = 0.99875 >= 1/4; outside the stability hypothesis",
-        "k*nu = 0.499375 >= 1/4; outside the stability hypothesis",
+    # one line each; they used to name a source line of cli.py and print it
+    warned = [line for line in stderr["1"].splitlines() if "warning" in line]
+    assert warned == [
+        "randstep: warning: k*nu = 0.99875 >= 1/4; outside the stability hypothesis",
+        "randstep: warning: k*nu = 0.499375 >= 1/4; outside the stability hypothesis",
     ]
+    assert "spec = ExperimentSpec(" not in stderr["1"]
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
 
 
@@ -550,6 +603,30 @@ def test_allocation_failure_is_usage_error(tmp_path, capsys, monkeypatch, error,
     err = capsys.readouterr().err
     assert err == f"randstep: error: out of memory: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "2:3", "--mc", "2",
+      "--workers", "1"], "--out"),
+    (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "2:3", "--mc", "2",
+      "--workers", "1"], "--svg"),
+    (["fig1-left", "--workers", "1"], "--rates-out"),
+], ids=["out", "svg", "rates-out"])
+def test_unwritable_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch, argv, flag):
+    # a missing --out directory failed after the whole sweep (51 s on
+    # paper fig2), and a missing --svg one after the CSV was written
+    from randstep import harness
+
+    def run_mc(spec, workers=1):
+        pytest.fail("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_mc", run_mc)
+    missing = str(tmp_path / "missing" / "x")
+    paths = {"--out": str(tmp_path / "x.csv"), flag: missing}
+    assert main(argv + [arg for item in paths.items() for arg in item]) == 1
+    err = capsys.readouterr().err
+    assert err == f"randstep: error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
