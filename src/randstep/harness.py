@@ -217,8 +217,10 @@ def _batch_failure(err, cells, lo):
         (cell, r) for cell, r in _positions(cells).items() if pos in r)
     replica = lo + pos - rows.start if scheme.is_randomized else 0
     step = getattr(err, "step", None)
+    # the march's own message already begins with its step
+    message = str(err).removeprefix(f"step {step}: ")
     return ExperimentError(
-        f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {err}"
+        f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {message}"
     )
 
 

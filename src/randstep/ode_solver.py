@@ -19,9 +19,11 @@ per-step loop for an affine or explicit step is three in-place ufuncs.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -329,12 +331,19 @@ def _newton_scalar(problem, data, u, k, out, counts):
         j, row = singular[0]
         raise NonConvergence("singular Newton derivative", step=int(j), replica=int(row))
     counts[...] = 1
+    return _direct_steps(rhs, d, data, u, k, out)
+
+
+def _direct_steps(rhs, d, data, u, k, out, counts=None):
+    """March a block by u + (k*f)/d_j per step in place, one ``rhs`` call
+    each; with ``d`` None it is the explicit step, whose counts stay 0."""
     # the callbacks' results are never written into: rhs may return its
     # frozen data, which may be the nodes themselves
     buf = np.empty_like(u)
-    for at, dj, o in zip(data, d, out):
+    for at, dj, o in zip(data, itertools.repeat(None) if d is None else d, out):
         np.multiply(k, rhs(at, u), out=buf)
-        buf /= dj
+        if dj is not None:
+            buf /= dj
         u = np.add(u, buf, out=o)
     # a view of ``out`` would keep the block's states alive into the next
     return u.copy()
@@ -368,8 +377,8 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     steps.  Every row gets the same bits as when marched alone.
     The problem's ``freeze`` takes the nodes of up to FREEZE_BLOCK steps at
     once (a node outside its domain raises there), and one stepper call
-    marches that block: ``_newton_scalar`` for an implicit scheme, and for
-    the explicit one u + k*f per step, in place.  The steps evaluate only
+    marches that block: ``_newton_scalar`` for an implicit scheme and
+    ``_direct_steps`` for the explicit one.  The steps evaluate only
     f's state dependence, one ``rhs`` call per step for an affine problem
     or an explicit scheme.  ``reduce`` receives the march's states (see
     ``_march``); by default a ``Trajectory`` stores them all.
@@ -380,19 +389,9 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
         # coarsest first, as a sweep of one step size at a time meets them
         for steps in sorted({block.shape[1] for block in blocks}):
             check_step_restriction(TimeGrid(steps).step_size, problem.one_sided_constant)
-
-        def step(data, u, k, out, counts):
-            return _newton_scalar(problem, data, u, k, out, counts)
+        step = partial(_newton_scalar, problem)
     else:
-        rhs = problem.rhs
-
-        def step(data, u, k, out, counts):
-            buf = np.empty_like(u)
-            for at, o in zip(data, out):
-                np.multiply(k, rhs(at, u), out=buf)
-                u = np.add(u, buf, out=o)
-            return u.copy()  # as in ``_newton_scalar``
-
+        step = partial(_direct_steps, problem.rhs, None)
     if reduce is None:
         reduce = Trajectory.empty(blocks[0].shape[1], len(k))
     u0 = np.asarray(problem.initial_value, dtype=float)

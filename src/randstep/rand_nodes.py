@@ -192,28 +192,22 @@ class NodeStream:
         self._keys = _philox_keys(seed, replicas).tolist()
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
-        self._drawn = 0
 
     def taus(self, count: int) -> np.ndarray:
-        """Next ``count`` draws of every replica, replica-major: a flat
+        """The first ``count`` draws of every replica, replica-major: a flat
         array of replicas * count values whose (replicas, count) view has
-        replica i's draws in row i.  Each row continues where the last
-        call left it, so taus(a) then taus(b) give the rows of taus(a + b)."""
+        replica i's draws in row i."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         out = np.empty((len(self._keys), count))
-        counter, skip = divmod(self._drawn, _PHILOX_WORDS)
-        # an empty buffer: a row's next draw computes the block at counter + 1
-        philox = {"counter": [counter, 0, 0, 0]}
+        # an empty buffer: a row's first draw computes the block at counter 1
+        philox = {"counter": [0, 0, 0, 0]}
         state = {"bit_generator": "Philox", "state": philox, "buffer": [0] * _PHILOX_WORDS,
                  "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
         for key, row in zip(self._keys, out):
             philox["key"] = key
             self._bits.state = state
-            if skip:
-                self._bits.random_raw(skip, output=False)
             self._gen.random(out=row)
-        self._drawn += count
         return out.reshape(-1)
 
 

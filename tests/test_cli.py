@@ -515,18 +515,19 @@ def test_residual_overflow_is_numerical_failure(tmp_path, capsys):
 def test_explicit_overflow_is_numerical_failure(tmp_path, capsys):
     # a finite but huge stiffness overflows the explicit steps to inf, then
     # nan; the sweep used to exit 0 and write nan/inf columns, then warned
-    # about the overflow before its own message
+    # about the overflow before its own message, and named the step twice
     out = tmp_path / "x.csv"
-    code = main(
-        ["ode", "--problem", "prothero-robinson", "--lambda=-1e308", "--K", "4",
-         "--scheme", "rfe", "--n", "2:3", "--mc", "2", "--workers", "1",
-         "--out", str(out)]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "scheme=rfe" in err and "step=" in err and "non-finite" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for workers in ("1", "2"):
+        code = main(
+            ["ode", "--problem", "prothero-robinson", "--lambda=-1e308", "--K", "4",
+             "--scheme", "rfe", "--n", "2:3", "--mc", "2", "--workers", workers,
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scheme=rfe" in err and err.endswith(" step=2: non-finite state\n"), workers
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # the squares of the finite rfe errors (about 1e196) overflow in harness._rms

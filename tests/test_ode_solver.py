@@ -716,6 +716,19 @@ def test_failure_after_the_first_block_names_absolute_step_and_row():
     assert str(batch.value).startswith(f"step {FREEZE_BLOCK + 5}: ")
 
 
+def counted(problem, calls):
+    """``problem`` with its rhs and jacobian calls counted in ``calls``."""
+
+    def count(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(problem, rhs=count("rhs", problem.rhs),
+                               jacobian=count("jacobian", problem.jacobian))
+
+
 def read_only_affine_problem():
     # f(t, x) = -3x + t, returned as a read-only view
     return OdeProblem(lambda t, x: np.broadcast_to(-3.0 * x + t, np.shape(x)), 1.0,
@@ -729,16 +742,7 @@ def test_affine_block_steps_equal_damped_newton_and_leave_the_data(problem):
     # alone with one float k; time-integral's rhs returns its frozen data,
     # the nodes themselves.  Neither rhs result is written into
     calls = {"rhs": 0, "jacobian": 0}
-
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    p = problem()
-    p = dataclasses.replace(p, rhs=counted("rhs", p.rhs),
-                            jacobian=counted("jacobian", p.jacobian))
+    p = counted(problem(), calls)
     blocks = lockstep_blocks((2, 3, 7), 3)
     kept = [b.copy() for b in blocks]
     direct = solve(p, RBE, blocks)
@@ -753,16 +757,24 @@ def test_affine_block_steps_equal_damped_newton_and_leave_the_data(problem):
 
 def test_explicit_block_steps_equal_single_steps_bitwise():
     # every row of a lockstep rfe batch, k per row while coarser rows are
-    # live and one float k after, equals its own loop of single steps
-    p = atan_problem()
+    # live and one float k after, equals its own loop of single steps;
+    # time-integral's rhs returns its frozen data, the nodes themselves,
+    # and no rhs result is written into
     blocks = lockstep_blocks((2, 3, 7), 3)
-    batch = solve(p, RFE, blocks)
-    row = 0
-    for block in blocks:
-        k = TimeGrid(block.shape[1]).step_size
-        for nodes in block:
-            path = [p.initial_value]
-            for t in nodes:
-                path.append(rfe_step(p, t, path[-1], k))
-            assert batch.states[: len(path), row].tobytes() == np.array(path).tobytes()
-            row += 1
+    kept = [b.copy() for b in blocks]
+    for p in (atan_problem(), time_integral_problem()):
+        calls = {"rhs": 0, "jacobian": 0}
+        batch = solve(counted(p, calls), RFE, blocks)
+        # one rhs call per lockstep step, and neither jacobian nor Newton
+        assert calls == {"rhs": 128, "jacobian": 0}
+        assert not batch.newton_iteration_counts.any()
+        assert all(b.tobytes() == c.tobytes() for b, c in zip(blocks, kept))
+        row = 0
+        for block in blocks:
+            k = TimeGrid(block.shape[1]).step_size
+            for nodes in block:
+                path = [p.initial_value]
+                for t in nodes:
+                    path.append(rfe_step(p, t, path[-1], k))
+                assert batch.states[: len(path), row].tobytes() == np.array(path).tobytes()
+                row += 1
