@@ -34,11 +34,13 @@ from . import problems
 from .fem1d import Mesh, l2_error
 from .ode_solver import (
     FREEZE_BLOCK,
+    FREEZE_FLOOR,
     NonConvergence,
     OdeProblem,
     StepRestrictionViolated,
     StepScheme,
     StepSizeWarning,
+    block_steps,
     check_step_restriction,
     conditional_mean_residual,
     local_residual,
@@ -417,16 +419,17 @@ def _task_size(task):
 def _task_bytes(spec, task):
     """Bytes of a task's arrays: its node blocks, one (R, N) block per step
     size, and BLOCK_TEMPORARIES float64 temporaries per unknown of the
-    largest block of steps, which ``ode_solver._march`` caps at the block
-    width of its finest step size's rows (or all of its steps, if fewer).
+    largest block of steps, the ``ode_solver.block_steps`` of its finest
+    step size's rows alone (or all of their steps, if fewer): a block
+    where coarser rows are live as well holds no more row-steps.
     Around ``run_mc`` of a prothero-robinson rbe,be task at n = 17 with 20
     replicas, and at n = 12:17, ru_maxrss rose by 1.05 node blocks."""
     schemes, exponents, lo, hi = task
-    block, m = FREEZE_BLOCK, 1
+    rows, width, floor, m = _rows(schemes, lo, hi), FREEZE_BLOCK, FREEZE_FLOOR, 1
     if spec.problem == "semilinear-heat":
-        block, m = STEP_BLOCK, spec.mesh_dof
-    steps = min(block, 2 ** max(exponents))
-    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * _rows(schemes, lo, hi) * m)
+        width, floor, m = STEP_BLOCK, 0, spec.mesh_dof
+    steps = min(block_steps(rows, rows, width, floor), 2 ** max(exponents))
+    return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * rows * m)
 
 
 def physical_memory() -> float:

@@ -11,9 +11,11 @@ drawn uniformly from the n-th step interval [t_{n-1}, t_n).  The implicit
 solve uses damped Newton iteration; under the one-sided Lipschitz
 restriction k*nu < 1 the per-step root is unique.  A problem that is
 affine in the state takes Newton's first iterate as its step, since
-that is the root up to rounding.  The solvers hand each block of up to
-FREEZE_BLOCK steps to one stepper call (see ``_march``), whose
-per-step loop for an affine or explicit step is three in-place ufuncs.
+that is the root up to rounding.  The solvers hand each block of steps
+to one stepper call (see ``_march``): for the ODE, FREEZE_BLOCK steps of
+the rows that march every step, or FREEZE_FLOOR row-steps where those
+are more.  Its per-step loop for an affine or explicit step is three
+in-place ufuncs.
 ``pde_solver``, the systems case, shares the Newton core and the march.
 """
 
@@ -41,9 +43,16 @@ MAX_ITERATIONS = 50
 #: Damped Newton halves the update at most this many times per iteration.
 MAX_DAMPING_HALVINGS = 30
 
-#: Steps whose nodes ``solve`` freezes at once (see ``_march``); a block's
-#: frozen data are (block, R, ...) temporaries, so longer blocks cost memory.
+#: Steps of the rows that march every step whose nodes ``solve`` freezes
+#: at once (see ``block_steps``); a block's frozen data are (block, R, ...)
+#: temporaries, so longer blocks cost memory.
 FREEZE_BLOCK = 64
+
+#: Row-steps that an ODE block holds at least, 64 KiB per float64
+#: temporary: each block pays a fixed cost (about 77 us on a shared
+#: 2-core Xeon), so a batch of few rows marches in longer blocks.  From
+#: 128 rows per step size on, FREEZE_BLOCK steps are as many row-steps.
+FREEZE_FLOOR = 2**13
 
 #: Quadrature points that ``conditional_mean_residual`` evaluates at once:
 #: 512 KiB per temporary.  The residual study's 4 * 2^K points per grid
@@ -375,13 +384,13 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     row of grid points t_1..t_N the classical scheme, so one batch holds
     both, at every step size; ``scheme`` only picks implicit or explicit
     steps.  Every row gets the same bits as when marched alone.
-    The problem's ``freeze`` takes the nodes of up to FREEZE_BLOCK steps at
-    once (a node outside its domain raises there), and one stepper call
-    marches that block: ``_newton_scalar`` for an implicit scheme and
-    ``_direct_steps`` for the explicit one.  The steps evaluate only
-    f's state dependence, one ``rhs`` call per step for an affine problem
-    or an explicit scheme.  ``reduce`` receives the march's states (see
-    ``_march``); by default a ``Trajectory`` stores them all.
+    The problem's ``freeze`` takes the nodes of a block of steps at once
+    (see ``block_steps``; a node outside its domain raises there), and
+    one stepper call marches that block: ``_newton_scalar`` for an
+    implicit scheme and ``_direct_steps`` for the explicit one.  The steps
+    evaluate only f's state dependence, one ``rhs`` call per step for an
+    affine problem or an explicit scheme.  ``reduce`` receives the march's
+    states (see ``_march``); by default a ``Trajectory`` stores them all.
     ``_march`` names the step and row of a failure.
     """
     blocks, k = _node_blocks(nodes)
@@ -395,11 +404,18 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
     if reduce is None:
         reduce = Trajectory.empty(blocks[0].shape[1], len(k))
     u0 = np.asarray(problem.initial_value, dtype=float)
-    _march(blocks, k, u0, FREEZE_BLOCK, problem.freeze, step, reduce)
+    _march(blocks, k, u0, FREEZE_BLOCK, problem.freeze, step, reduce, FREEZE_FLOOR)
     return reduce
 
 
-def _march(blocks, k, u0, width, freeze, step, reduce):
+def block_steps(rows, full, width, floor):
+    """Steps of a block of ``rows`` live rows, ``full`` of which march
+    every step: it holds ``width`` steps of the ``full`` rows or
+    ``floor`` row-steps, whichever is more, and at least one step."""
+    return max(1, max(width * full, floor) // rows)
+
+
+def _march(blocks, k, u0, width, freeze, step, reduce, floor=0):
     """March every row of the node ``blocks`` in lockstep from the state ``u0``.
 
     ``blocks`` are (R_i, N_i) node arrays whose widths do not increase,
@@ -408,10 +424,11 @@ def _march(blocks, k, u0, width, freeze, step, reduce):
     retires after its own N_i steps.
 
     The steps go in blocks.  ``freeze`` maps a block's (steps, rows) nodes
-    to its frozen data, step by step.  A block holds at most ``width``
-    steps of the rows that march every step, and fewer steps where more
-    rows are live, so its temporaries stay the size of a batch of one
-    step size; it ends early where a row retires inside it.
+    to its frozen data, step by step.  A block holds ``block_steps``:
+    ``width`` steps of the rows that march every step, or ``floor``
+    row-steps where those are more, and fewer steps where more rows are
+    live, so its temporaries stay the size of a batch of one step size;
+    it ends early where a row retires inside it.
     ``step(data, u, k, out, counts)`` marches a block: from the block's
     frozen data, the (rows, ...) states U^lo and the rows' step sizes,
     one float where they are all equal, it writes U^{lo+1+j} to
@@ -438,7 +455,7 @@ def _march(blocks, k, u0, width, freeze, step, reduce):
             while widths[live - 1] <= lo:
                 live -= 1
             r = rows[live - 1]
-            hi = min(lo + max(1, width * full // r), widths[live - 1])
+            hi = min(lo + block_steps(r, full, width, floor), widths[live - 1])
             if r < len(u):
                 u = u[:r]
             nodes = np.concatenate([b[:, lo:hi].T for b in blocks[:live]], axis=1)

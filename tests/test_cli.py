@@ -640,8 +640,10 @@ def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, what", [
+    # 8 * (2 rows * 2^40 nodes + 16 temporaries * 2 rows * 4096 steps): a
+    # block of 2 rows holds the FREEZE_FLOOR of 2^13 row-steps
     (["ode", "--problem", "prothero-robinson", "--scheme", "rbe", "--n", "40:40",
-      "--mc", "2", "--workers", "1"], "the largest batch needs 17592186060800 bytes"),
+      "--mc", "2", "--workers", "1"], "the largest batch needs 17592187092992 bytes"),
     (["residual", "--K", "30", "--n", "4:5", "--mc", "2"],
      "the residual study needs 25769803808 bytes"),
     (["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--n", "3:3", "--mc", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -438,6 +439,38 @@ def test_lockstep_chunk_equals_each_step_size_alone(problem, schemes):
         for scheme in schemes:
             for a, b in zip(lockstep[scheme, n], alone[scheme, n]):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("schemes, exponents, replicas, exact", [
+    ((RBE, BE), tuple(range(4, 13)), 20, True),
+    ((RBE, BE), tuple(range(4, 11)), 200, True),
+    ((StepScheme.RANDOMIZED_FORWARD_EULER,), (4, 5, 6), 1, False),
+], ids=["ode-stiff", "desk-fig1", "one-row"])
+def test_memory_refusal_prices_the_largest_block(monkeypatch, schemes, exponents,
+                                                 replicas, exact):
+    # ExperimentSpec refuses a sweep by _task_bytes, so it must price at
+    # least the largest block that a task's march freezes: ode-stiff's 21
+    # rows march 390 steps a block (8190 row-steps, FREEZE_FLOOR), desk
+    # fig1's 201 rows FREEZE_BLOCK steps, and a lone row's widest block,
+    # 16 steps of 3 rows, is below the 64 steps of it that are priced
+    from randstep import harness
+
+    spec = ExperimentSpec("prothero-robinson", schemes, exponents, replicas,
+                          master_seed=42, sawtooth_exponent=10)
+    problem, sizes = harness._setup(spec)[0], []
+
+    def freeze(t):
+        sizes.append(t.size)
+        return problem.freeze(t)
+
+    counted = dataclasses.replace(problem, freeze=freeze)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(counted))
+    for task in harness._plan(spec):
+        sizes.clear()
+        harness._chunk(spec, *task)
+        priced = harness._task_bytes(spec, task) - 8 * harness._task_size(task)
+        largest = 8 * harness.BLOCK_TEMPORARIES * max(sizes)
+        assert largest == priced if exact else largest < priced
 
 
 def test_batch_draws_its_nodes_once(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from randstep.ode_solver import (
     ABS_TOL,
     FREEZE_BLOCK,
+    FREEZE_FLOOR,
     MAX_ITERATIONS,
     NonConvergence,
     OdeProblem,
@@ -423,17 +424,44 @@ def lockstep_blocks(exponents, replicas, seed=11):
     return blocks
 
 
+def counted(problem, calls):
+    """``problem`` with the calls of each callback named in ``calls``
+    (``rhs``, ``jacobian``, ``freeze``) counted there."""
+
+    def count(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(problem, **{name: count(name, getattr(problem, name))
+                                           for name in calls})
+
+
+@pytest.fixture
+def no_floor(monkeypatch):
+    """Blocks of FREEZE_BLOCK steps of the rows that march every step, as
+    in a batch of 128 rows or more per step size: a test of few rows then
+    crosses block boundaries that FREEZE_FLOOR would merge."""
+    from randstep import ode_solver
+
+    monkeypatch.setattr(ode_solver, "FREEZE_FLOOR", 0)
+
+
 @pytest.mark.parametrize("problem, scheme", [
     (atan_problem, RBE), (atan_problem, RFE),
     (lambda: prothero_robinson_problem(ProtheroRobinsonSpec(-2.0, SawtoothSpec(4))), RBE),
 ], ids=["atan-rbe", "atan-rfe", "prothero-robinson-rbe"])
-def test_lockstep_rows_equal_each_step_size_alone(problem, scheme):
+def test_lockstep_rows_equal_each_step_size_alone(problem, scheme, no_floor):
     # N = 4 and N = 8 retire inside the first FREEZE_BLOCK block of the
-    # N = 128 rows; every row keeps the bits and counts of its own step
-    # size marched alone, and holds NaN and zero counts past its last step
-    p = problem()
+    # N = 128 rows, which march steps [0, 4), [4, 8), [8, 72) and [72, 128);
+    # every row keeps the bits and counts of its own step size marched
+    # alone, and holds NaN and zero counts past its last step
+    calls = {"freeze": 0}
+    p = counted(problem(), calls)
     blocks = lockstep_blocks((2, 3, 7), 3)
     batch = solve(p, scheme, blocks)
+    assert calls["freeze"] == 4
     assert batch.states.shape == (129, 12)
     assert batch.newton_iteration_counts.shape == (128, 12)
     start = 0
@@ -523,9 +551,9 @@ def test_solve_rejects_bad_node_blocks():
             solve(p, rbe, bad)
 
 
-def test_solve_off_block_length_matches_implicit_steps_bitwise():
-    # N is not a multiple of FREEZE_BLOCK, so the last block is partial;
-    # the oracle freezes each node on its own and takes one step
+def test_solve_off_block_length_matches_implicit_steps_bitwise(no_floor):
+    # N is not a multiple of FREEZE_BLOCK, so the third and last block is
+    # partial; the oracle freezes each node on its own and takes one step
     problem = prothero_robinson_problem(
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
@@ -533,8 +561,10 @@ def test_solve_off_block_length_matches_implicit_steps_bitwise():
     k = grid.step_size
     randomized = grid.random_nodes(5, range(3))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    batch = solve(problem, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
-    explicit = solve(problem, StepScheme.RANDOMIZED_FORWARD_EULER, block)
+    calls = {"freeze": 0}
+    batch = solve(counted(problem, calls), StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    explicit = solve(counted(problem, calls), StepScheme.RANDOMIZED_FORWARD_EULER, block)
+    assert calls["freeze"] == 2 * 3
     for row, nodes in enumerate(block):  # three rbe rows, then the be row
         u = v = problem.initial_value
         implicit_path, explicit_path = [u], [v]
@@ -547,9 +577,10 @@ def test_solve_off_block_length_matches_implicit_steps_bitwise():
         assert explicit.states[:, row].tolist() == explicit_path
 
 
-def test_split_problem_marches_like_unsplit_bitwise():
+def test_split_problem_marches_like_unsplit_bitwise(no_floor):
     # damping and uneven iteration counts make Newton subset the frozen
-    # data with [keep] and [retry], as it subsets the times
+    # data with [keep] and [retry], as it subsets the times, in each of
+    # two blocks
     calls = []
 
     def rhs(t, x):
@@ -561,15 +592,17 @@ def test_split_problem_marches_like_unsplit_bitwise():
 
     plain = OdeProblem(rhs, 20.0,
                        jacobian=lambda t, x: -500.0 * (1.0 + t) / (1.0 + x * x))
-    split = OdeProblem(
+    blocks = {"freeze": 0}
+    split = counted(OdeProblem(
         rhs_frozen, 20.0,
         jacobian=lambda c, x: c[..., 0] / (1.0 + x * x),
         freeze=lambda t: (-500.0 * (1.0 + t))[..., None],
-    )
+    ), blocks)
     grid = TimeGrid(FREEZE_BLOCK + 7)
     block = grid.random_nodes(11, range(5))
     a = solve(plain, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
     b = solve(split, StepScheme.RANDOMIZED_BACKWARD_EULER, block)
+    assert blocks["freeze"] == 2
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.newton_iteration_counts, b.newton_iteration_counts)
     counts = b.newton_iteration_counts
@@ -580,7 +613,8 @@ def test_split_problem_marches_like_unsplit_bitwise():
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
 @pytest.mark.parametrize("step", [0, FREEZE_BLOCK + 3])
-def test_solve_rejects_a_node_outside_the_domain(bad, step):
+def test_solve_rejects_a_node_outside_the_domain(bad, step, no_floor):
+    # the node is frozen, and raises, in the first block or the second
     problem = prothero_robinson_problem(
         ProtheroRobinsonSpec(2.0, SawtoothSpec(6))
     )
@@ -589,8 +623,10 @@ def test_solve_rejects_a_node_outside_the_domain(bad, step):
     block[1, step] = bad
     for scheme in (StepScheme.RANDOMIZED_BACKWARD_EULER,
                    StepScheme.RANDOMIZED_FORWARD_EULER):
+        calls = {"freeze": 0}
         with pytest.raises(ValueError, match="outside"):
-            solve(problem, scheme, block)
+            solve(counted(problem, calls), scheme, block)
+        assert calls["freeze"] == 1 + (step >= FREEZE_BLOCK)
 
 
 # float.hex() of the final states and the sum of Newton counts of a damped
@@ -663,9 +699,10 @@ def test_newton_counts_of_rows_that_finish_together():
 @pytest.mark.parametrize("problem_id, lam", [
     ("prothero-robinson", 2.0), ("prothero-robinson", -1000.0), ("time-integral", None),
 ])
-def test_affine_step_equals_damped_newton_bitwise(problem_id, lam):
+def test_affine_step_equals_damped_newton_bitwise(problem_id, lam, no_floor):
     # the direct step of an affine problem is damped Newton's first iterate:
-    # the same states and counts on a batch of rbe replicas beside a be row
+    # the same states and counts on a batch of rbe replicas beside a be
+    # row, over two blocks
     if problem_id == "time-integral":
         problem = time_integral_problem()
     else:
@@ -674,7 +711,9 @@ def test_affine_step_equals_damped_newton_bitwise(problem_id, lam):
     grid = TimeGrid(FREEZE_BLOCK + 8)
     randomized = grid.random_nodes(13, range(5))
     block = np.concatenate([randomized, grid.nodes()[None, 1:]])
-    direct = solve(problem, RBE, block)
+    calls = {"freeze": 0}
+    direct = solve(counted(problem, calls), RBE, block)
+    assert calls["freeze"] == 2
     damped = solve(dataclasses.replace(problem, affine=False), RBE, block)
     assert direct.states.tobytes() == damped.states.tobytes()
     assert np.array_equal(direct.newton_iteration_counts, damped.newton_iteration_counts)
@@ -695,38 +734,29 @@ def test_affine_step_at_a_root_keeps_the_state_and_counts_one():
     assert (damped.newton_iteration_counts == 0).all()
 
 
-def test_failure_after_the_first_block_names_absolute_step_and_row():
+def test_failure_after_the_first_block_names_absolute_step_and_row(no_floor):
     # a damped problem's row 2 meets a rootless step at n = FREEZE_BLOCK + 5,
-    # in the second block of its march: the lockstep batch and the row
-    # marched alone name the same step and message
+    # in the second block of its march: steps [32, 96) of the lockstep
+    # batch, [64, 128) of the row alone.  Both name the same step and message
     fine = TimeGrid(2 * FREEZE_BLOCK)
     block = fine.random_nodes(3, range(5))
     target = block[2, FREEZE_BLOCK + 4]
     # x = u + k*(x^2 + 1e5) has no root at k = 1/128: only that node sees it
-    p = OdeProblem(lambda t, x: np.where(t == target, x * x + 1e5, -np.arctan(x)), 1.0,
-                   lambda t, x: np.where(t == target, 2.0 * x, -1.0 / (1.0 + x * x)))
+    calls = {"freeze": 0}
+    p = counted(OdeProblem(
+        lambda t, x: np.where(t == target, x * x + 1e5, -np.arctan(x)), 1.0,
+        lambda t, x: np.where(t == target, 2.0 * x, -1.0 / (1.0 + x * x))), calls)
     coarse = TimeGrid(FREEZE_BLOCK // 2).random_nodes(3, range(5))
     with pytest.raises(NonConvergence) as batch:
         solve(p, RBE, [block, coarse])
+    assert calls["freeze"] == 2
     with pytest.raises(NonConvergence) as alone:
         solve(p, RBE, block[2:3])
+    assert calls["freeze"] == 2 + 2
     assert (batch.value.step, batch.value.replica) == (FREEZE_BLOCK + 5, 2)
     assert (alone.value.step, alone.value.replica) == (FREEZE_BLOCK + 5, 0)
     assert str(batch.value) == str(alone.value)
     assert str(batch.value).startswith(f"step {FREEZE_BLOCK + 5}: ")
-
-
-def counted(problem, calls):
-    """``problem`` with its rhs and jacobian calls counted in ``calls``."""
-
-    def count(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    return dataclasses.replace(problem, rhs=count("rhs", problem.rhs),
-                               jacobian=count("jacobian", problem.jacobian))
 
 
 def read_only_affine_problem():
@@ -747,12 +777,49 @@ def test_affine_block_steps_equal_damped_newton_and_leave_the_data(problem):
     kept = [b.copy() for b in blocks]
     direct = solve(p, RBE, blocks)
     # one rhs call per step; one jacobian call per block, of which the
-    # march of widths 128, 8 and 4 with four rows each has four
-    assert calls == {"rhs": 128, "jacobian": 4}
+    # march of widths 128, 8 and 4 with four rows each has three: blocks
+    # end where N = 4 and N = 8 retire, and the four N = 128 rows march
+    # their last 120 steps in one, 480 row-steps below FREEZE_FLOOR
+    assert calls == {"rhs": 128, "jacobian": 3}
     damped = solve(dataclasses.replace(p, affine=False), RBE, blocks)
     assert direct.states.tobytes() == damped.states.tobytes()
     assert np.array_equal(direct.newton_iteration_counts, damped.newton_iteration_counts)
     assert all(b.tobytes() == c.tobytes() for b, c in zip(blocks, kept))
+
+
+@pytest.mark.parametrize("exponents, replicas, floored, plain", [
+    (range(4, 13), 20, 25, 132), ((4, 5, 9), 127, 10, 10),
+], ids=["ode-stiff", "128-rows"])
+def test_block_plan_of_few_and_many_rows(monkeypatch, exponents, replicas, floored, plain):
+    # ode-stiff's batch, 20 rbe replicas and the be row per step size,
+    # marches its 21 finest rows 8192 // 21 = 390 steps a block: 25 blocks,
+    # where FREEZE_BLOCK steps alone make 132.  At 128 rows FREEZE_BLOCK
+    # steps are FREEZE_FLOOR row-steps, so a batch that size or larger
+    # (the default and paper sweeps) marches the very blocks it did
+    # without the floor.  Either way the bits are those of the plain plan
+    from randstep import ode_solver
+
+    problem = prothero_robinson_problem(ProtheroRobinsonSpec(2.0, SawtoothSpec(10)))
+    sizes = []
+
+    def freeze(t):
+        sizes.append(t.size)
+        return problem.freeze(t)
+
+    p = dataclasses.replace(problem, freeze=freeze)
+    blocks = lockstep_blocks(exponents, replicas)
+    marches = {}
+    for floor in (FREEZE_FLOOR, 0):
+        monkeypatch.setattr(ode_solver, "FREEZE_FLOOR", floor)
+        sizes.clear()
+        marches[floor] = solve(p, RBE, blocks), list(sizes)
+    (a, floored_sizes), (b, plain_sizes) = marches.values()
+    assert (len(floored_sizes), len(plain_sizes)) == (floored, plain)
+    assert max(floored_sizes) <= max(FREEZE_FLOOR, FREEZE_BLOCK * (replicas + 1))
+    if floored == plain:
+        assert floored_sizes == plain_sizes
+    assert a.states.tobytes() == b.states.tobytes()
+    assert np.array_equal(a.newton_iteration_counts, b.newton_iteration_counts)
 
 
 def test_explicit_block_steps_equal_single_steps_bitwise():
