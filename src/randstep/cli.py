@@ -306,7 +306,7 @@ def _dispatch(args) -> int:
             **{"sawtooth_exponent" if k == "K" else k: v for k, v in settings.items()},
         )
         _echo(
-            dict(problem=args.problem, scheme=",".join(s.token for s in args.scheme),
+            dict(problem=args.problem, scheme=",".join(s.value for s in args.scheme),
                  **settings, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
                  seed=seed, error_mode=args.error_mode, workers=args.workers)
         )

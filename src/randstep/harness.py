@@ -1,8 +1,11 @@
 """Monte Carlo error estimation, rate fitting, and the benchmark sweeps.
 
-A sweep's problem id is resolved in one place, ``_setup``: it builds the
-problem (the scalar ODE or the Galerkin PDE) with its solver and its
-error reduction, for the spec's checks and for every batch alike.
+``_setup`` resolves a sweep's problem id: it builds the problem (the
+scalar ODE or the Galerkin PDE) with its solver and its error
+reduction, for the spec's checks and for every batch alike.  Three
+helpers also test for ``semilinear-heat``, for the PDE's own batch
+shape, block size and imports: ``_plan``, ``_task_bytes`` and
+``_preload``.
 
 Replica r always consumes the substream (master_seed, r), drawn once
 per batch, every row of a batch gets the bits it gets alone, and
@@ -37,7 +40,6 @@ from .ode_solver import (
     FREEZE_FLOOR,
     NonConvergence,
     OdeProblem,
-    StepRestrictionViolated,
     StepScheme,
     StepSizeWarning,
     block_steps,
@@ -123,12 +125,8 @@ class ExperimentSpec:
             raise ValueError(f"mesh_dof must be at least 1, got {self.mesh_dof}")
         # the PDE has no step restriction
         nu = getattr(_setup(self)[0], "one_sided_constant", 0.0)
-        if nu > 0 and any(s.is_implicit for s in self.schemes):
-            worst_k = 2.0 ** (-min(self.step_exponents))
-            if worst_k * nu >= 1.0:
-                raise StepRestrictionViolated(
-                    f"k*nu = {worst_k * nu:.3g} >= 1 for n = {min(self.step_exponents)}"
-                )
+        if any(s.is_implicit for s in self.schemes):
+            # increasing exponents: the coarsest k, the worst, comes first
             for n in self.step_exponents:
                 # names the line that builds the spec, past the generated __init__
                 check_step_restriction(2.0**-n, nu, stacklevel=3)
@@ -219,10 +217,8 @@ def _batch_failure(err, cells, lo):
         (cell, r) for cell, r in _positions(cells).items() if pos in r)
     replica = lo + pos - rows.start if scheme.is_randomized else 0
     step = getattr(err, "step", None)
-    # the march's own message already begins with its step
-    message = str(err).removeprefix(f"step {step}: ")
     return ExperimentError(
-        f"scheme={scheme.token} k=2^-{exponent} replica={replica} step={step}: {message}"
+        f"scheme={scheme.value} k=2^-{exponent} replica={replica} step={step}: {err.args[0]}"
     )
 
 
@@ -512,7 +508,7 @@ def run_mc(spec: ExperimentSpec, workers: int = 1) -> ErrorTable:
             )
             rows.append(
                 ErrorRow(
-                    scheme=scheme.token,
+                    scheme=scheme.value,
                     steps=2**exponent,
                     step_size=2.0 ** (-exponent),
                     replicas=spec.mc_replicas,

@@ -66,10 +66,6 @@ class StepScheme(Enum):
     RANDOMIZED_FORWARD_EULER = "rfe"
 
     @property
-    def token(self) -> str:
-        return self.value
-
-    @property
     def is_implicit(self) -> bool:
         return self is not StepScheme.RANDOMIZED_FORWARD_EULER
 
@@ -86,7 +82,11 @@ class StepScheme(Enum):
 
 
 class NonConvergence(RuntimeError):
-    """Newton failed to reduce the step residual below tolerance."""
+    """Newton failed to reduce the step residual below tolerance.
+
+    ``args[0]`` is the bare message; ``str`` prefixes ``step n: `` once
+    ``step`` is set.
+    """
 
     def __init__(
         self, message: str, step: Optional[int] = None, replica: Optional[int] = None
@@ -95,6 +95,10 @@ class NonConvergence(RuntimeError):
         self.step = step
         #: position of the failing replica in its batch, for batched solves
         self.replica = replica
+
+    def __str__(self):
+        message = self.args[0]
+        return message if self.step is None else f"step {self.step}: {message}"
 
 
 class StepRestrictionViolated(ValueError):
@@ -202,7 +206,7 @@ def check_step_restriction(k: float, nu: float, stacklevel: int = 2) -> None:
     knu = k * nu
     if knu >= 1.0:
         raise StepRestrictionViolated(
-            f"k*nu = {knu:.6g} >= 1; the implicit step may have no root"
+            f"k*nu = {knu:.6g} >= 1 at k = {k:.6g}; the implicit step may have no root"
         )
     if knu >= 0.25:
         warnings.warn(
@@ -217,9 +221,8 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
 
     ``x`` holds one row per replica and ``data`` a tuple of arrays, or
     of batches such as ``fem1d.TriDiag`` that index like them, whose first
-    axis runs over the same rows, or of floats that every row shares;
-    ``update(x, r, *data)`` returns
-    the Newton step for the residual r, and ``norm`` maps rows to their
+    axis runs over the same rows; ``update(x, r, *data)`` returns the
+    Newton step for the residual r, and ``norm`` maps rows to their
     (R,) norms.  A row has converged once norm(r) <= ABS_TOL + REL_TOL *
     s, with s = norm(x), or the row's ``scale`` when one is given, and
     fails if it has not after MAX_ITERATIONS iterations.  Returns (roots,
@@ -262,7 +265,7 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
             roots[live[done]], iters[live[done]] = x[done], it
             keep = ~done
             live, x, r, rnorm = live[keep], x[keep], r[keep], rnorm[keep]
-            data = tuple(_rows(a, keep) for a in data)
+            data = tuple(a[keep] for a in data)
             tol = None if tol is None else tol[keep]
         try:
             delta = update(x, r, *data)
@@ -278,7 +281,7 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
             for _ in range(MAX_DAMPING_HALVINGS):
                 alpha *= 0.5
                 xb = x[retry] - alpha * delta[retry]
-                rb = residual(xb, *(_rows(a, retry) for a in data))
+                rb = residual(xb, *(a[retry] for a in data))
                 nb = norm(rb)
                 xt[retry], rt[retry], rtnorm[retry] = xb, rb, nb
                 retry = retry[~(nb < rnorm[retry])]
@@ -287,11 +290,6 @@ def _damped_newton(residual, update, norm, x, data, scale=None):
             else:
                 fail("residual not reduced after damped retries", retry[0])
         x, r, rnorm = xt, rt, rtnorm
-
-
-def _rows(datum, index):
-    """The rows ``index`` of a step's datum; a float is every row's."""
-    return datum if isinstance(datum, float) else datum[index]
 
 
 def _newton_parts(rhs, jac):
@@ -307,8 +305,7 @@ def _newton_parts(rhs, jac):
     def update(x, r, c, u_prev, k):
         deriv = 1.0 - k * jac(c, x)
         singular = deriv == 0.0
-        # a float k and a Jacobian callback returning a float give a plain bool
-        if singular is True or singular is not False and singular.any():
+        if singular.any():
             raise NonConvergence("singular Newton derivative",
                                  replica=np.flatnonzero(singular)[0])
         return r / deriv
@@ -430,8 +427,8 @@ def _march(blocks, k, u0, width, freeze, step, reduce, floor=0):
     live, so its temporaries stay the size of a batch of one step size;
     it ends early where a row retires inside it.
     ``step(data, u, k, out, counts)`` marches a block: from the block's
-    frozen data, the (rows, ...) states U^lo and the rows' step sizes,
-    one float where they are all equal, it writes U^{lo+1+j} to
+    frozen data, the (rows, ...) states U^lo and the rows' step sizes
+    ``k[:rows]``, it writes U^{lo+1+j} to
     ``out[j]`` and the rows' iteration counts of that step to
     ``counts[j]``, and returns U^hi, the object that the next block
     starts from.  After each block ``reduce(first, states, counts)``
@@ -439,17 +436,19 @@ def _march(blocks, k, u0, width, freeze, step, reduce, floor=0):
     beginning with U^0, and the iteration counts of the steps to the last
     len(counts) of them.
 
-    Overflow is left to a finiteness check: a NonConvergence, which a
-    ``step`` raises with the index j of its step in the block, raises at
-    once, and the first non-finite state, in step order then row order,
-    raises after the march; either names the step and the row.
+    A NonConvergence, which a ``step`` raises with the index j of its
+    step in the block, leaves with ``step`` re-based to lo+1+j.  Overflow
+    is left to a finiteness check: the first block that holds a
+    non-finite state raises NonConvergence naming its first such step,
+    then row.  Blocks run in step order, so either names the march's
+    first failing step and its row.
     """
     widths = [block.shape[1] for block in blocks]
-    rows = np.cumsum([len(block) for block in blocks])
+    rows = list(itertools.accumulate(len(block) for block in blocks))
     full = rows[widths.count(widths[0]) - 1]  # the rows that march every step
     u = np.empty((rows[-1],) + u0.shape)
     u[...] = u0
-    live, lo, bad = len(blocks), 0, None
+    live, lo = len(blocks), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while lo < widths[0]:
             while widths[live - 1] <= lo:
@@ -464,25 +463,19 @@ def _march(blocks, k, u0, width, freeze, step, reduce, floor=0):
             if head:
                 states[0] = u
             counts = np.zeros((hi - lo, r), dtype=np.int64)
-            # a float where every live row has one step size: cheaper
-            # arithmetic, with the same bits
-            k_live = k[:r] if widths[live - 1] < widths[0] else float(k.flat[0])
             data = freeze(nodes)
             try:
-                u = step(data, u, k_live, states[head:], counts)
+                u = step(data, u, k[:r], states[head:], counts)
             except NonConvergence as err:
-                n = lo + 1 + err.step
-                raise NonConvergence(f"step {n}: {err}", step=n,
-                                     replica=err.replica) from err
-            if bad is None and not np.isfinite(states).all():
+                err.step += lo + 1
+                raise
+            if not np.isfinite(states).all():
                 finite = np.isfinite(states).reshape(len(states), r, -1).all(axis=2)
                 i, row = (int(i) for i in np.argwhere(~finite)[0])
-                bad = (lo + 1 - head + i, row)
+                raise NonConvergence("non-finite state", step=lo + 1 - head + i,
+                                     replica=row)
             reduce(lo + 1 - head, states, counts)
             lo = hi
-    if bad is not None:
-        n, row = bad
-        raise NonConvergence(f"step {n}: non-finite state", step=n, replica=row)
 
 
 def local_residual(problem, exact_at_grid, xi):

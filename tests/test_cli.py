@@ -19,7 +19,7 @@ from randstep.harness import (
     render_error_csv,
     render_rate_csv,
 )
-from randstep.ode_solver import StepScheme, solve
+from randstep.ode_solver import StepScheme, StepSizeWarning, solve
 from randstep.problems import (
     ProtheroRobinsonSpec,
     SawtoothSpec,
@@ -287,9 +287,11 @@ def test_killed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
     monkeypatch.setattr(harness, "_chunk", _chunk_killed_if_implicit)
     out = tmp_path / "x.csv"
-    # rbe and rfe are two tasks, so the sweep runs in a pool of two
-    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe,rfe",
-                 "--n", "3:6", "--mc", "4", "--workers", "2", "--out", str(out)]) == 1
+    # rbe and rfe are two tasks, so the sweep runs in a pool of two; k*nu
+    # is 1/4 at n = 3
+    with pytest.warns(StepSizeWarning):
+        assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe,rfe",
+                     "--n", "3:6", "--mc", "4", "--workers", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("randstep: error: a worker process died: ")
     assert err.count("\n") == 1
@@ -599,8 +601,10 @@ def test_allocation_failure_is_usage_error(tmp_path, capsys, monkeypatch, error,
 
     monkeypatch.setattr(harness, "run_mc", run_mc)
     out = tmp_path / "x.csv"
-    assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe",
-                 "--n", "2:3", "--mc", "2", "--workers", "1", "--out", str(out)]) == 1
+    # k*nu is 1/2 and 1/4 at n = 2 and 3
+    with pytest.warns(StepSizeWarning):
+        assert main(["ode", "--problem", "prothero-robinson", "--scheme", "rbe",
+                     "--n", "2:3", "--mc", "2", "--workers", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"randstep: error: out of memory: {message}\n"
     assert not out.exists()

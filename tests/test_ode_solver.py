@@ -370,7 +370,7 @@ def test_conditional_mean_residual_validation():
 
 def test_scheme_tokens():
     assert StepScheme.parse("rbe") is StepScheme.RANDOMIZED_BACKWARD_EULER
-    assert StepScheme.parse("be").token == "be"
+    assert StepScheme.parse("be").value == "be"
     with pytest.raises(ValueError):
         StepScheme.parse("euler")
 
@@ -479,8 +479,8 @@ def test_lockstep_rows_equal_each_step_size_alone(problem, scheme, no_floor):
 
 
 def test_singular_newton_derivative_names_step_and_row():
-    # 1 - k*2 is 0 at k = 1/2: alone, k and the Jacobian are floats; in a
-    # lockstep batch beside k = 1/4 the derivative is an array
+    # 1 - k*2 is 0 at k = 1/2, alone and in a lockstep batch beside k = 1/4;
+    # the Jacobian callback returns a float
     p = OdeProblem(lambda t, x: 2.0 * x, 1.0, lambda t, x: 2.0)
     coarse, fine = TimeGrid(2).nodes()[None, 1:], TimeGrid(4).random_nodes(1, range(3))
     for nodes, row in ((coarse, 0), ([fine, coarse], 3)):
@@ -759,6 +759,50 @@ def test_failure_after_the_first_block_names_absolute_step_and_row(no_floor):
     assert str(batch.value).startswith(f"step {FREEZE_BLOCK + 5}: ")
 
 
+@pytest.mark.parametrize("scheme", [RBE, RFE], ids=["affine-rbe", "rfe"])
+def test_every_block_steps_with_the_live_rows_step_sizes(monkeypatch, scheme):
+    # the affine and the explicit stepper alike get an (rows,) k, also in
+    # the last block, where only the finest step size is live
+    from randstep import ode_solver
+
+    seen, direct = [], ode_solver._direct_steps
+
+    def direct_steps(rhs, d, data, u, k, out, counts=None):
+        seen.append(k.copy())
+        assert isinstance(k, np.ndarray) and k.shape == u.shape
+        return direct(rhs, d, data, u, k, out, counts)
+
+    monkeypatch.setattr(ode_solver, "_direct_steps", direct_steps)
+    blocks = lockstep_blocks((2, 3, 7), 3)
+    solve(read_only_affine_problem(), scheme, blocks)
+    # blocks end where N = 4 and N = 8 retire, four rows per step size
+    k = np.repeat([2.0**-7, 2.0**-3, 2.0**-2], 4)
+    assert [s.tobytes() for s in seen] == [k[:r].tobytes() for r in (12, 8, 4)]
+
+
+def test_an_earlier_overflow_outranks_a_later_failure(no_floor):
+    # row 0 overflows at step 3, in the first block of FREEZE_BLOCK steps;
+    # row 1's derivative 1 - k*a is 0 at step 69, in the second.  The march
+    # stops at the first block, whose step 3 is the first failing step
+    fine = TimeGrid(2 * FREEZE_BLOCK)
+    block = fine.random_nodes(3, range(2))
+    overflow, singular = block[0, 2], block[1, FREEZE_BLOCK + 4]
+
+    def a(t):
+        return np.where(t == singular, 2.0 * FREEZE_BLOCK, -1.0)
+
+    calls = {"freeze": 0}
+    p = counted(OdeProblem(
+        lambda t, x: a(t) * x + np.where(t == overflow, 1e308, 0.0) * 10.0, 1.0,
+        lambda t, x: a(t), affine=True), calls)
+    with pytest.raises(NonConvergence) as err:
+        solve(p, RBE, block)
+    assert (err.value.step, err.value.replica) == (3, 0)
+    assert type(err.value.step) is int
+    assert str(err.value) == "step 3: non-finite state"
+    assert calls["freeze"] == 1
+
+
 def read_only_affine_problem():
     # f(t, x) = -3x + t, returned as a read-only view
     return OdeProblem(lambda t, x: np.broadcast_to(-3.0 * x + t, np.shape(x)), 1.0,
@@ -768,9 +812,9 @@ def read_only_affine_problem():
 @pytest.mark.parametrize("problem", [read_only_affine_problem, time_integral_problem],
                          ids=["read-only-rhs", "time-integral"])
 def test_affine_block_steps_equal_damped_newton_and_leave_the_data(problem):
-    # rows of three step sizes march with one k per row, then the finest
-    # alone with one float k; time-integral's rhs returns its frozen data,
-    # the nodes themselves.  Neither rhs result is written into
+    # rows of three step sizes march together, then the finest alone;
+    # time-integral's rhs returns its frozen data, the nodes themselves.
+    # Neither rhs result is written into
     calls = {"rhs": 0, "jacobian": 0}
     p = counted(problem(), calls)
     blocks = lockstep_blocks((2, 3, 7), 3)
@@ -823,8 +867,8 @@ def test_block_plan_of_few_and_many_rows(monkeypatch, exponents, replicas, floor
 
 
 def test_explicit_block_steps_equal_single_steps_bitwise():
-    # every row of a lockstep rfe batch, k per row while coarser rows are
-    # live and one float k after, equals its own loop of single steps;
+    # every row of a lockstep rfe batch, while coarser rows are live and
+    # after, equals its own loop of single steps;
     # time-integral's rhs returns its frozen data, the nodes themselves,
     # and no rhs result is written into
     blocks = lockstep_blocks((2, 3, 7), 3)
