@@ -50,7 +50,7 @@ from .ode_solver import (
 )
 from .pde_solver import STEP_BLOCK, pde_solve
 from .rand_nodes import (DEFAULT_MASTER_SEED, TimeGrid, check_seed, is_integer,
-                         random_node_blocks)
+                         random_node_blocks, stacked_random_nodes)
 
 
 class ErrorMode(Enum):
@@ -592,15 +592,14 @@ def _loglog_fit(window, step_sizes, values, what) -> RateFit:
 
 
 #: Replicas per block of the residual study: one NodeStream draws their
-#: nodes and one rhs call per step size evaluates their (block, N)
-#: residuals; the temporaries grow with it.  On the residual benchmark
-#: (2,000 replicas, N up to 256, 4 runs each at seeds 42 and 2017)
-#: sweep_s read 0.060 s at 32, 0.060 s at 64 and 0.052 s at 128, and peak
-#: RSS 40.0, 40.5 and 42.5 MiB.
+#: nodes and one rhs call evaluates every step of every step size of
+#: them; the temporaries grow with it.  On the residual benchmark (2,000
+#: replicas, N = 16..256, 2 runs at seed 42) sweep_s read 0.048 s at 32,
+#: 0.045 s at 64 and 0.044 s at 128, and peak RSS 39.7, 40.8 and 43.7 MiB.
 RESIDUAL_BLOCK = 32
 
 #: float64 temporaries per point at the peak of a residual-study block:
-#: 11.3 were measured per quadrature point, 7.4 per node.
+#: 10.8 were measured per quadrature point, 6.2 per node of the stacked block.
 RESIDUAL_TEMPORARIES = 12
 
 
@@ -610,6 +609,32 @@ class ResidualRow:
     step_size: float
     rms_residual: float  # sqrt( sum_n mean_r |rho_n|^2 )
     mean_residual: float  # max_n |E[rho_n]| by deterministic quadrature
+
+
+def _residual_sums(spec, problem, grids):
+    """(len(grids), replicas) sums over the steps of each replica's squared
+    local residuals, added in step order as the scalar recursion adds, from
+    one ``local_residual`` call per block of up to RESIDUAL_BLOCK replicas."""
+    exact = [problem.exact(grid.nodes()) for grid in grids]
+    # (sum N, 1) columns of k, V^{n-1} and V^n, grid by grid as the nodes' rows
+    k, before, after = (np.concatenate(parts)[:, None] for parts in (
+        [np.full(grid.steps, grid.step_size) for grid in grids],
+        [v[:-1] for v in exact], [v[1:] for v in exact]))
+    starts = np.cumsum([grid.steps for grid in grids])[:-1]
+    sum_sq = np.empty((len(grids), spec.mc_replicas))
+    # overflow is left to the caller's finiteness check
+    with np.errstate(over="ignore"):
+        for lo in range(0, spec.mc_replicas, RESIDUAL_BLOCK):
+            block = range(lo, min(lo + RESIDUAL_BLOCK, spec.mc_replicas))
+            rho = local_residual(problem, k, before, after,
+                                 stacked_random_nodes(spec.master_seed, block, grids))
+            rho *= rho
+            # numpy sums down the steps row by row, in step order, but a
+            # one-replica column pairwise: that one takes the cumsum
+            for i, sq in enumerate(np.split(rho, starts)):
+                sum_sq[i, lo : lo + len(block)] = (
+                    sq.sum(axis=0) if rho.shape[1] > 1 else np.cumsum(sq, axis=0)[-1])
+    return sum_sq
 
 
 def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
@@ -623,13 +648,14 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     analysis), so it scales like k^(1/2) on the stiff sawtooth
     benchmark; the conditional-mean column is evaluated by
     quadrature with panels aligned to the sawtooth breakpoints of the
-    spec's K and scales like k.  Per step size, one ``local_residual``
-    call gives the (block, N) residuals of up to RESIDUAL_BLOCK replicas
-    and one ``conditional_mean_residual`` call the (N,) means.  A study
-    whose sums of squares and the temporaries of its (RESIDUAL_BLOCK, N)
-    node block, or of one step's quadrature points, would need more than
-    physical memory raises ValueError before it allocates; a non-finite
-    column raises ExperimentError.
+    spec's K and scales like k.  Per block of replicas, one
+    ``local_residual`` call gives every step size's residuals on its
+    (sum N, block) step-major nodes; per step size, one
+    ``conditional_mean_residual`` call gives the (N,) means.  A study
+    whose sums of squares and the temporaries of that node block, or of
+    one step's quadrature points, would need more than physical memory
+    raises ValueError before it allocates; a non-finite column raises
+    ExperimentError.
     """
     problem = _setup(spec)[0]
     if not isinstance(problem, OdeProblem):
@@ -637,24 +663,15 @@ def residual_study(spec: ExperimentSpec) -> list[ResidualRow]:
     exponents, replicas = spec.step_exponents, spec.mc_replicas
     # one panel of 4 points per sawtooth interval; time-integral has one
     panels = [2 ** max((spec.sawtooth_exponent or 0) - n, 0) for n in exponents]
-    points = max(min(RESIDUAL_BLOCK, replicas) * 2 ** max(exponents), 4 * max(panels))
+    points = max(min(RESIDUAL_BLOCK, replicas) * sum(2**n for n in exponents),
+                 4 * max(panels))
     _refuse_above_memory(
         8 * (RESIDUAL_TEMPORARIES * points + len(exponents) * replicas),
         "the residual study")
     grids = [TimeGrid(2**n) for n in exponents]
     means = [conditional_mean_residual(problem, grid, count)
              for count, grid in zip(panels, grids)]
-    exact_grids = [problem.exact(grid.nodes()) for grid in grids]
-    sum_sq = np.empty((len(grids), replicas))
-    # overflow is left to the finiteness check on the columns below
-    with np.errstate(over="ignore"):
-        for lo in range(0, replicas, RESIDUAL_BLOCK):
-            block = range(lo, min(lo + RESIDUAL_BLOCK, replicas))
-            nodes = random_node_blocks(spec.master_seed, block, grids)
-            for i, (xi, v) in enumerate(zip(nodes, exact_grids)):
-                rho = local_residual(problem, v, xi)
-                # a row-wise cumsum adds in step order, as the scalar recursion does
-                sum_sq[i, lo : lo + len(block)] = np.cumsum(rho * rho, axis=1)[:, -1]
+    sum_sq = _residual_sums(spec, problem, grids)
     rows = [
         ResidualRow(exponent=exponent, step_size=grid.step_size,
                     rms_residual=float(np.sqrt(path_sq.mean())),

@@ -478,15 +478,11 @@ def _march(blocks, k, u0, width, freeze, step, reduce, floor=0):
             lo = hi
 
 
-def local_residual(problem, exact_at_grid, xi):
-    """(..., N) defects k f(xi_n, V^n) - V^n + V^{n-1} of grid values V^0..V^N.
-
-    Entry n-1 of the last axis of ``xi`` is step n's node, so that axis
-    fixes k = 1/N; one ``rhs`` call gets the (..., N) nodes' frozen data
-    and the (N,) values V^1..V^N.
-    """
-    v, k = exact_at_grid, TimeGrid(xi.shape[-1]).step_size
-    return k * problem.rhs(problem.freeze(xi), v[1:]) - v[1:] + v[:-1]
+def local_residual(problem, k, before, after, xi):
+    """Defects k f(xi, V^n) - V^n + V^{n-1} of steps of size k from
+    ``before`` = V^{n-1} to ``after`` = V^n at the nodes ``xi``, arrays
+    that broadcast, from one ``freeze`` call and one ``rhs`` call."""
+    return k * problem.rhs(problem.freeze(xi), after) - after + before
 
 
 def conditional_mean_residual(problem, grid: TimeGrid, panels: int):

@@ -167,11 +167,16 @@ class TimeGrid:
         even where k*tau rounds up; ``out`` may be ``taus`` itself.
         """
         t = self.nodes()
-        xi = np.multiply(taus, self.step_size, out=out)
-        xi += t[:-1]
-        # k*tau can round up to k: keep every node strictly below t_n
-        np.minimum(xi, np.nextafter(t[1:], t[:-1]), out=xi)
-        return xi
+        return _node_rule(taus, self.step_size, t[:-1], t[1:], out)
+
+
+def _node_rule(taus, k, t0, t1, out=None):
+    """Nodes t0 + k*tau of the draws ``taus``, kept strictly below t1 even
+    where k*tau rounds up to k; k, t0 and t1 broadcast against ``taus``."""
+    xi = np.multiply(taus, k, out=out)
+    xi += t0
+    np.minimum(xi, np.nextafter(t1, t0), out=xi)
+    return xi
 
 
 class NodeStream:
@@ -222,3 +227,16 @@ def random_node_blocks(master_seed, replicas, grids) -> list[np.ndarray]:
               for grid in grids if grid != finest}
     blocks[finest] = finest.nodes_from_taus(taus, out=taus)
     return [blocks[grid] for grid in grids]
+
+
+def stacked_random_nodes(master_seed, replicas, grids) -> np.ndarray:
+    """The (sum N, len(replicas)) step-major nodes of ``grids``: bit for bit
+    their ``random_node_blocks`` blocks, transposed and stacked grid after
+    grid, from one draw and one pass of the node rule."""
+    steps = [grid.steps for grid in grids]
+    taus = NodeStream(master_seed, replicas).taus(max(steps)).reshape(-1, max(steps))
+    j = np.concatenate([np.arange(count) for count in steps])  # the step within its grid
+    rows = taus.T[j]
+    # step j+1 of N steps: k = 1/N, and t_j and t_{j+1} as TimeGrid.nodes gives them
+    j, count = j[:, None], np.repeat(steps, steps)[:, None]
+    return _node_rule(rows, 1.0 / count, j / count, (j + 1) / count, out=rows)

@@ -1,9 +1,10 @@
 """Test oracles shared by the solver, harness and FEM tests: the scalar
 grid point and node rules, numpy's own per-replica uniform stream, single
 steps of the ODE and PDE schemes, dense tridiagonal matrices, one-path
-node blocks, the per-row Newton counts of a batch, an error table's row
-and the residual study's slopes."""
+node blocks, the per-row Newton counts of a batch, an error table's row,
+the residual study's slopes, and a problem whose callbacks are counted."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -121,3 +122,17 @@ def fit_residual_slopes(rows, window):
         _loglog_fit(window, steps, [getattr(r, column) for r in sel], column).slope
         for column in ("rms_residual", "mean_residual")
     )
+
+
+def counted(problem, calls):
+    """``problem`` with the calls of each callback named in ``calls``
+    (``rhs``, ``jacobian``, ``freeze``) counted there."""
+
+    def count(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(problem, **{name: count(name, getattr(problem, name))
+                                           for name in calls})

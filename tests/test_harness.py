@@ -271,6 +271,67 @@ def test_residual_study_blocks_do_not_change_bits(monkeypatch):
         residual_study(pde)
 
 
+@pytest.mark.parametrize("replicas, block", [(1, 32), (7, 1), (7, 2), (7, 3)])
+def test_residual_sums_add_each_replica_in_step_order(monkeypatch, replicas, block):
+    # each replica's sum of squares is bit for bit the per-grid row-wise
+    # cumsum over its (replicas, N) node block, whatever the block width:
+    # a sum that adds a one-replica block pairwise moves an ulp
+    from randstep import harness
+    from randstep.ode_solver import local_residual
+    from randstep.rand_nodes import TimeGrid
+
+    monkeypatch.setattr(harness, "RESIDUAL_BLOCK", block)
+    spec = ExperimentSpec("prothero-robinson", (), (2, 5, 7, 8), replicas, master_seed=42,
+                          lam=2.0, sawtooth_exponent=8)
+    problem = harness._setup(spec)[0]
+    grids = [TimeGrid(2**n) for n in spec.step_exponents]
+    sums = harness._residual_sums(spec, problem, grids)
+    for grid, got in zip(grids, sums):
+        v = problem.exact(grid.nodes())
+        rho = local_residual(problem, grid.step_size, v[:-1], v[1:],
+                             grid.random_nodes(42, range(replicas)))
+        assert got.tobytes() == np.cumsum(rho * rho, axis=1)[:, -1].tobytes()
+
+
+@pytest.mark.parametrize("replicas", [3, 70])
+def test_residual_memory_refusal_prices_the_largest_block(monkeypatch, replicas):
+    # the study prices the (sum N, block) step-major node block it
+    # freezes, up to twice the (block, N) block of its finest step size
+    from randstep import harness
+
+    spec = ExperimentSpec("prothero-robinson", (), (4, 5, 6, 7, 8), replicas,
+                          lam=2.0, sawtooth_exponent=6)
+    problem, sizes, priced = harness._setup(spec)[0], [], []
+
+    def freeze(t):
+        sizes.append(t.size)
+        return problem.freeze(t)
+
+    counted = dataclasses.replace(problem, freeze=freeze)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(counted))
+    monkeypatch.setattr(harness, "_refuse_above_memory", lambda needed, _: priced.append(needed))
+    residual_study(spec)
+    assert max(sizes) == min(replicas, harness.RESIDUAL_BLOCK) * (16 + 32 + 64 + 128 + 256)
+    assert priced == [8 * (harness.RESIDUAL_TEMPORARIES * max(sizes) + 5 * replicas)]
+
+
+def test_residual_study_calls_freeze_and_rhs_once_per_block(monkeypatch):
+    # 7 replicas in blocks of 3: one freeze and one rhs call per block for
+    # every step size's residuals, and the quadrature's one freeze and two
+    # rhs calls per step size
+    from randstep import harness
+    from oracles import counted
+
+    spec = ExperimentSpec("prothero-robinson", (), (2, 3, 5), 7, lam=2.0,
+                          sawtooth_exponent=4)
+    calls = {"freeze": 0, "rhs": 0}
+    problem = counted(harness._setup(spec)[0], calls)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(problem))
+    monkeypatch.setattr(harness, "RESIDUAL_BLOCK", 3)
+    residual_study(spec)
+    assert calls == {"freeze": 3 + 3, "rhs": 3 + 2 * 3}
+
+
 # --- desk-scale sweeps (session fixtures, shared with acceptance) ---
 
 

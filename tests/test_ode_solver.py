@@ -29,7 +29,8 @@ from randstep.problems import (
 )
 from randstep.rand_nodes import NodeStream, TimeGrid
 
-from oracles import assert_counts_are_each_rows_own, grid_node, node, one_row, step_once
+from oracles import (assert_counts_are_each_rows_own, counted, grid_node, node, one_row,
+                     step_once)
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -255,19 +256,29 @@ def test_newton_iteration_limit_names_step_and_row():
 def test_local_residual_definition():
     p = OdeProblem(lambda t, x: 0.0, 1.0, lambda t, x: 0.0)
     vals = np.full(9, 1.7)
-    assert (local_residual(p, vals, np.full(8, 0.41)) == 0.0).all()
+    assert (local_residual(p, 0.125, vals[:-1], vals[1:], np.full(8, 0.41)) == 0.0).all()
 
     q = time_integral_problem()
     grid = TimeGrid(8)
     exact = np.array([q.exact(grid_node(grid, n)) for n in range(9)])
     k = grid.step_size
     xi = grid.nodes()[:-1] + 0.3 * k
-    rho = local_residual(q, exact, np.stack([xi, xi[::-1]]))
+    rho = local_residual(q, k, exact[:-1], exact[1:], np.stack([xi, xi[::-1]]))
     assert rho.shape == (2, 8)
     # state-independent f: rho_n = k f(xi_n) - int_{t_{n-1}}^{t_n} f
     expected = k * xi - np.diff(exact)
     assert np.abs(rho[0] - expected).max() < 1e-15
     assert rho[1, 2] == k * xi[5] - exact[3] + exact[2]
+    # a step-major column of k per step: steps of 1/8 and then of 1/2
+    coarse = TimeGrid(2)
+    v = np.concatenate([exact, q.exact(coarse.nodes())])
+    ks = np.array([k] * 8 + [0.5] * 2)[:, None]
+    nodes = np.concatenate([xi, coarse.nodes()[:-1] + 0.3 * 0.5])[:, None] + [0.0, 0.01]
+    rho = local_residual(q, ks, np.delete(v, [8, 11])[:, None], np.delete(v, [0, 9])[:, None],
+                         nodes)
+    assert rho.shape == (10, 2)
+    assert rho[9, 1] == 0.5 * nodes[9, 1] - v[11] + v[10]
+    assert np.array_equal(rho[:8, 0], local_residual(q, k, exact[:-1], exact[1:], xi))
 
 
 def _per_step_conditional_mean(problem, exact, n, grid, quad_points, panels):
@@ -422,20 +433,6 @@ def lockstep_blocks(exponents, replicas, seed=11):
         grid = TimeGrid(2**n)
         blocks += [grid.random_nodes(seed, range(replicas)), grid.nodes()[None, 1:]]
     return blocks
-
-
-def counted(problem, calls):
-    """``problem`` with the calls of each callback named in ``calls``
-    (``rhs``, ``jacobian``, ``freeze``) counted there."""
-
-    def count(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    return dataclasses.replace(problem, **{name: count(name, getattr(problem, name))
-                                           for name in calls})
 
 
 @pytest.fixture
