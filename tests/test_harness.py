@@ -17,7 +17,7 @@ from randstep.harness import (
 )
 from randstep.ode_solver import StepRestrictionViolated, StepScheme, StepSizeWarning
 
-from oracles import fit_residual_slopes, grid_node, table_row
+from oracles import counted, fit_residual_slopes, grid_node, table_row
 
 RBE = StepScheme.RANDOMIZED_BACKWARD_EULER
 BE = StepScheme.CLASSICAL_BACKWARD_EULER
@@ -307,8 +307,8 @@ def test_residual_memory_refusal_prices_the_largest_block(monkeypatch, replicas)
         sizes.append(t.size)
         return problem.freeze(t)
 
-    counted = dataclasses.replace(problem, freeze=freeze)
-    monkeypatch.setattr(harness, "_setup", _ode_setup(counted))
+    sized = dataclasses.replace(problem, freeze=freeze)
+    monkeypatch.setattr(harness, "_setup", _ode_setup(sized))
     monkeypatch.setattr(harness, "_refuse_above_memory", lambda needed, _: priced.append(needed))
     residual_study(spec)
     assert max(sizes) == min(replicas, harness.RESIDUAL_BLOCK) * (16 + 32 + 64 + 128 + 256)
@@ -320,7 +320,6 @@ def test_residual_study_calls_freeze_and_rhs_once_per_block(monkeypatch):
     # every step size's residuals, and the quadrature's one freeze and two
     # rhs calls per step size
     from randstep import harness
-    from oracles import counted
 
     spec = ExperimentSpec("prothero-robinson", (), (2, 3, 5), 7, lam=2.0,
                           sawtooth_exponent=4)
