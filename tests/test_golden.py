@@ -31,6 +31,9 @@ CASES = {
     # short residual study
     "residual": ["residual", "--lambda", "2", "--K", "8", "--n", "4:6",
                  "--mc", "50", "--seed", "42"],
+    # rate fit of the fig1-left golden: int window, float fit columns
+    "fig1_left_rates": ["rates", "--in", str(GOLDEN / "fig1_left.csv"),
+                        "--scheme", "rbe", "--window", "4:8"],
 }
 
 
