@@ -3,8 +3,9 @@
 Every subcommand echoes its resolved configuration before computing,
 writes CSV (and optionally an SVG chart) and exits 0 on success, 1 on
 usage errors, failed allocations and dead worker processes, 2 on
-numerical failures.  The environment variable RANDSTEP_SEED overrides
---seed when set.
+numerical failures.  ``--seed`` alone sets a run's master seed.  Output
+paths are checked before anything is computed: each must name a
+distinct file in a writable directory, not a directory.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from . import harness, report
 from .harness import ErrorMode, ExperimentSpec
 from .ode_solver import NonConvergence, StepRestrictionViolated, StepScheme
 from .rand_nodes import DEFAULT_MASTER_SEED
-
-SEED_ENV_VAR = "RANDSTEP_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,14 +65,14 @@ def _parse_schemes(text: str) -> tuple[StepScheme, ...]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _add_seed_out(sub):
+    sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
+                     help=f"master seed (default {DEFAULT_MASTER_SEED})")
+    sub.add_argument("--out", required=True, help="output CSV path")
+
+
 def _add_common(sub):
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_MASTER_SEED,
-        help=f"master seed (default {DEFAULT_MASTER_SEED}; "
-        f"env {SEED_ENV_VAR} overrides)",
-    )
+    _add_seed_out(sub)
     sub.add_argument(
         "--workers",
         type=_positive_int,
@@ -87,7 +86,6 @@ def _add_common(sub):
         default="final",
         help="error functional for rate fits and plots (default final)",
     )
-    sub.add_argument("--out", required=True, help="output CSV path")
     sub.add_argument("--svg", default=None, help="optional SVG chart path")
 
 
@@ -144,10 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="step exponents lo:hi")
     res.add_argument("--mc", type=int, default=1000,
                      help="Monte Carlo replicas (default 1000)")
-    res.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                     help=f"master seed (default {DEFAULT_MASTER_SEED}; "
-                     f"env {SEED_ENV_VAR} overrides)")
-    res.add_argument("--out", required=True, help="output CSV path")
+    _add_seed_out(res)
 
     rates = subs.add_parser("rates", help="fit a convergence rate from a CSV")
     rates.add_argument("--in", dest="table", required=True,
@@ -171,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return args.seed
-
-
 #: The settings each ode problem reads, with their defaults.
 ODE_SETTINGS = {"prothero-robinson": dict(lam=2.0, K=10), "time-integral": {}}
 
@@ -200,19 +185,28 @@ def _ode_settings(args) -> dict:
 
 
 def _check_outputs(args):
-    """Raise, before any compute, the OSError that writing an output path
-    would raise for want of a writable directory, naming the path."""
-    for path in filter(None, (args.out, getattr(args, "svg", None),
-                              getattr(args, "rates_out", None))):
+    """Raise, before any compute, the OSError that opening an output path
+    for writing would raise, naming the path: its directory is missing or
+    not writable, or the path is a directory.  Two output flags whose
+    paths resolve to one file are a ValueError."""
+    seen = {}
+    for flag in ("--out", "--svg", "--rates-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
         parent = os.path.dirname(path) or os.curdir
         try:
             os.stat(parent)
             code = (errno.ENOTDIR if not os.path.isdir(parent) else
+                    errno.EISDIR if os.path.isdir(path) else
                     0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES)
         except OSError as err:
             code = err.errno
         if code:
             raise OSError(code, os.strerror(code), path)
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"{other} and {flag} name the same file {path!r}")
 
 
 def _echo(config: dict) -> None:
@@ -294,7 +288,6 @@ def _dispatch(args) -> int:
     command = args.command
 
     if command in ("ode", "pde"):
-        seed = _resolve_seed(args)
         settings = (_ode_settings(args) if command == "ode"
                     else dict(cap=args.R, power=args.ptilde, mesh_dof=args.dof, K=args.K))
         spec = ExperimentSpec(
@@ -302,25 +295,24 @@ def _dispatch(args) -> int:
             schemes=args.scheme,
             step_exponents=args.n,
             mc_replicas=args.mc,
-            master_seed=seed,
+            master_seed=args.seed,
             **{"sawtooth_exponent" if k == "K" else k: v for k, v in settings.items()},
         )
         _echo(
             dict(problem=args.problem, scheme=",".join(s.value for s in args.scheme),
                  **settings, n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc,
-                 seed=seed, error_mode=args.error_mode, workers=args.workers)
+                 seed=args.seed, error_mode=args.error_mode, workers=args.workers)
         )
         table = harness.run_mc(spec, workers=args.workers)
         _write_outputs(table, args)
         return 0
 
     if command == "residual":
-        seed = _resolve_seed(args)
         spec = ExperimentSpec(problem="prothero-robinson", schemes=(),
                               step_exponents=args.n, mc_replicas=args.mc,
-                              master_seed=seed, lam=args.lam, sawtooth_exponent=args.K)
+                              master_seed=args.seed, lam=args.lam, sawtooth_exponent=args.K)
         _echo(dict(problem="prothero-robinson", lam=args.lam, K=args.K,
-                   n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc, seed=seed))
+                   n=f"{args.n[0]}:{args.n[-1]}", mc=args.mc, seed=args.seed))
         rows = harness.residual_study(spec)
         harness.write_residual_csv(rows, args.out)
         print(f"wrote {args.out}")
@@ -345,12 +337,11 @@ def _dispatch(args) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    seed = _resolve_seed(args)
-    _echo(dict(figure=command, scale=args.scale, seed=seed,
+    _echo(dict(figure=command, scale=args.scale, seed=args.seed,
                error_mode=args.error_mode, workers=args.workers))
     fits_rates = harness.FIGURES[command].fits_rates
-    table, result = harness.reproduce_figure(command, args.scale, seed, args.workers,
-                                             ErrorMode(args.error_mode))
+    table, result = harness.reproduce_figure(command, args.scale, args.seed,
+                                             args.workers, ErrorMode(args.error_mode))
     for key, value in result.items():
         if fits_rates:
             scheme, name = key

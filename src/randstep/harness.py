@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from functools import partial
 from typing import Optional, Sequence
@@ -803,19 +803,18 @@ ERROR_CSV_HEADER = (
 RATE_CSV_HEADER = "scheme,window_lo,window_hi,slope,intercept,residual"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
+def _render_csv(header: str, rows) -> str:
+    """The header, then one line per row: a float as 17 significant digits
+    in scientific notation, anything else as ``str`` gives it."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{v:.16e}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def render_error_csv(table: ErrorTable) -> str:
-    lines = [ERROR_CSV_HEADER]
-    for r in table.rows:
-        lines.append(
-            f"{r.scheme},{r.steps},{_fmt(r.step_size)},{r.replicas},"
-            f"{_fmt(r.rms_error_final)},{_fmt(r.rms_error_max)},"
-            f"{_fmt(r.mc_stderr_final)},{_fmt(r.mean_newton_iters)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(ERROR_CSV_HEADER, map(astuple, table.rows))
 
 
 def write_error_csv(table: ErrorTable, path) -> None:
@@ -865,13 +864,9 @@ def read_error_csv(path) -> ErrorTable:
 
 
 def render_rate_csv(fits: dict) -> str:
-    lines = [RATE_CSV_HEADER]
-    for (scheme, _name), fit in fits.items():
-        lines.append(
-            f"{scheme},{fit.window[0]},{fit.window[1]},"
-            f"{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.residual)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(RATE_CSV_HEADER, (
+        (scheme, *fit.window, fit.slope, fit.intercept, fit.residual)
+        for (scheme, _name), fit in fits.items()))
 
 
 def write_rate_csv(fits: dict, path) -> None:
@@ -883,13 +878,7 @@ RESIDUAL_CSV_HEADER = "n,k,rms_residual,mean_residual"
 
 
 def render_residual_csv(rows: Sequence[ResidualRow]) -> str:
-    lines = [RESIDUAL_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.exponent},{_fmt(r.step_size)},"
-            f"{_fmt(r.rms_residual)},{_fmt(r.mean_residual)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(RESIDUAL_CSV_HEADER, map(astuple, rows))
 
 
 def write_residual_csv(rows: Sequence[ResidualRow], path) -> None:

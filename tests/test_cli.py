@@ -94,17 +94,21 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
-def test_env_var_overrides_seed(tmp_path, monkeypatch):
-    base = ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:1",
-            "--mc", "8", "--workers", "1"]
-    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    assert main(base + ["--seed", "1", "--out", str(a)]) == 0
+@pytest.mark.parametrize("argv", [
+    ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:1", "--mc", "8",
+     "--workers", "1"],
+    ["pde", "--problem", "semilinear-heat", "--scheme", "rbe", "--K", "4", "--dof", "15",
+     "--n", "2:3", "--mc", "2", "--workers", "1"],
+    ["residual", "--K", "6", "--n", "3:4", "--mc", "4"],
+], ids=["ode", "pde", "residual"])
+def test_seed_variable_in_the_environment_is_not_read(tmp_path, monkeypatch, argv):
+    # an exported RANDSTEP_SEED used to override every --seed
+    plain, exported = tmp_path / "plain.csv", tmp_path / "exported.csv"
+    monkeypatch.delenv("RANDSTEP_SEED", raising=False)
+    assert main(argv + ["--seed", "1", "--out", str(plain)]) == 0
     monkeypatch.setenv("RANDSTEP_SEED", "2")
-    assert main(base + ["--seed", "1", "--out", str(b)]) == 0
-    monkeypatch.delenv("RANDSTEP_SEED")
-    assert main(base + ["--seed", "2", "--out", str(c)]) == 0
-    assert a.read_bytes() != b.read_bytes()
-    assert b.read_bytes() == c.read_bytes()
+    assert main(argv + ["--seed", "1", "--out", str(exported)]) == 0
+    assert exported.read_bytes() == plain.read_bytes()
 
 
 def test_pde_subcommand(tmp_path):
@@ -159,7 +163,7 @@ def test_residual_subcommand(tmp_path):
 def test_help_documents_default_seed(capsys):
     assert main(["ode", "--help"]) == 0
     text = capsys.readouterr().out
-    assert "42" in text and "RANDSTEP_SEED" in text
+    assert "42" in text
 
 
 def _python(*args):
@@ -444,18 +448,6 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_non_integer_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
-    # in-process callers get exit code 1, not a SystemExit
-    monkeypatch.setenv("RANDSTEP_SEED", "abc")
-    out = tmp_path / "x.csv"
-    argv = ["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:2",
-            "--mc", "2", "--workers", "1", "--out", str(out)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("randstep: error: RANDSTEP_SEED='abc' is not an integer")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("lam, echoed", [("-1e3", "-1000.0"), ("-2.5e2", "-250.0")])
 def test_negative_lambda_in_exponent_notation(tmp_path, capsys, lam, echoed):
     # argparse took only -1000 and -1.5 for numbers: --lambda -1e3 exited 1
@@ -556,10 +548,9 @@ def test_finite_errors_whose_squares_overflow_give_finite_rms(tmp_path, capsys):
     assert svg.exists()
 
 
-def test_figure_rate_fits_follow_error_mode(tmp_path, monkeypatch, fig1_left_desk):
+def test_figure_rate_fits_follow_error_mode(tmp_path, fig1_left_desk):
     # --error-mode max fits the max-over-grid errors; the figure fits used
     # to take the final-time errors whatever the mode
-    monkeypatch.delenv("RANDSTEP_SEED", raising=False)
     out, rates = tmp_path / "t.csv", tmp_path / "r.csv"
     assert main(["fig1-left", "--workers", "1", "--error-mode", "max",
                  "--out", str(out), "--rates-out", str(rates)]) == 0
@@ -634,6 +625,45 @@ def test_unwritable_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:2", "--mc", "2",
+      "--workers", "1"], ("--out", "--svg")),
+    (["fig1-left", "--workers", "1"], ("--out", "--rates-out")),
+    (["fig1-left", "--workers", "1"], ("--svg", "--rates-out")),
+], ids=["out-svg", "out-rates-out", "svg-rates-out"])
+def test_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, argv, flags):
+    # --out f --rates-out f exited 0 and left only the rate CSV, and
+    # --out x --svg x only the SVG
+    def run_mc(spec, workers=1):
+        pytest.fail("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_mc", run_mc)
+    same = os.path.join(tmp_path, ".", "x.csv")
+    paths = {"--out": str(tmp_path / "y.csv"), flags[0]: str(tmp_path / "x.csv"),
+             flags[1]: same}
+    assert main(argv + [arg for item in paths.items() for arg in item]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"randstep: error: {flags[0]} and {flags[1]} name the same file '{same}'\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_directory_output_is_refused_before_the_sweep(tmp_path, capsys, flag):
+    # --svg <dir> echoed the config, ran the sweep and wrote the CSV, and
+    # only then failed with "Is a directory"
+    target, out = tmp_path / "d", tmp_path / "x.csv"
+    target.mkdir()
+    paths = {"--out": str(out), flag: str(target)}
+    assert main(["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:2",
+                 "--mc", "2", "--workers", "1"]
+                + [arg for item in paths.items() for arg in item]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"randstep: error: [Errno 21] Is a directory: '{target}'\n"
+    assert not out.exists() and not list(target.iterdir())
+
+
 def test_time_integral_echo_leaves_out_unread_settings(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["ode", "--problem", "time-integral", "--scheme", "rbe", "--n", "0:1",
@@ -660,7 +690,6 @@ def test_size_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, ar
     # is allocated, against a 1 GiB limit here
     from randstep import harness
 
-    monkeypatch.delenv("RANDSTEP_SEED", raising=False)
     monkeypatch.setattr(harness, "physical_memory", lambda: 2**30)
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
