@@ -5,7 +5,8 @@ writes CSV (and optionally an SVG chart) and exits 0 on success, 1 on
 usage errors, failed allocations and dead worker processes, 2 on
 numerical failures.  ``--seed`` alone sets a run's master seed.  Output
 paths are checked before anything is computed: each must name a
-distinct file in a writable directory, not a directory.
+distinct file in a writable directory, not a directory, and not the
+``rates`` input table.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def _check_outputs(args):
     """Raise, before any compute, the OSError that opening an output path
     for writing would raise, naming the path: its directory is missing or
     not writable, or the path is a directory.  Two output flags whose
-    paths resolve to one file are a ValueError."""
-    seen = {}
+    paths resolve to one file, or an output that resolves to the ``--in``
+    table, are a ValueError."""
+    table = getattr(args, "table", None)
+    seen = {os.path.realpath(table): "--in"} if table else {}
     for flag in ("--out", "--svg", "--rates-out"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if not path:

@@ -112,6 +112,15 @@ def assemble_stiffness(mesh: Mesh) -> TriDiag:
     return TriDiag(np.full(m, 2.0 / h), np.full(m - 1, -1.0 / h))
 
 
+@lru_cache(maxsize=None)
+def _dgtsv():
+    """LAPACK's dgtsv, imported on first use: scipy.linalg is most of the
+    package's import time, and only ``tridiag_solve`` uses it."""
+    from scipy.linalg import lapack
+
+    return lapack.dgtsv
+
+
 def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix @ x = rhs by LAPACK tridiagonal elimination (dgtsv).
 
@@ -120,25 +129,23 @@ def tridiag_solve(matrix: TriDiag, rhs: np.ndarray) -> np.ndarray:
     couplings between blocks are zero, so the elimination of every block
     performs exactly the operations of its own solve.
     """
-    # imported here, not at module level: scipy.linalg is most of the
-    # package's import time, and only this solve uses it
-    from scipy.linalg import lapack
-
     rhs = np.asarray(rhs, dtype=float)
     if matrix.diag.shape[-1] == 1:
         if np.any(matrix.diag == 0.0):
             raise np.linalg.LinAlgError("singular 1x1 system")
         return rhs / matrix.diag
     shape = max(rhs.shape, matrix.diag.shape, key=len)
-    # rows sub, diag, sup, rhs; each block's last sub/sup entry stays 0.
-    # dgtsv overwrites its sub and sup rows, so each gets its own copy of off
-    system = np.zeros((4,) + shape)
+    # rows sub, diag, sup, rhs; each block's last sub/sup entry is the zero
+    # coupling.  dgtsv overwrites its sub and sup rows, so each gets its
+    # own copy of off
+    system = np.empty((4,) + shape)
     system[0:3:2, ..., :-1] = matrix.off
+    system[0:3:2, ..., -1] = 0.0
     system[1] = matrix.diag
     system[3] = rhs
     flat = system.reshape(4, -1)
-    _, _, _, x, info = lapack.dgtsv(flat[0, :-1], flat[1], flat[2, :-1], flat[3],
-                                    True, True, True, True)
+    _, _, _, x, info = _dgtsv()(flat[0, :-1], flat[1], flat[2, :-1], flat[3],
+                                True, True, True, True)
     if info > 0:
         raise np.linalg.LinAlgError(f"zero pivot in tridiagonal solve (row {info})")
     if info < 0:

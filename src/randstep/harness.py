@@ -48,7 +48,7 @@ from .ode_solver import (
     local_residual,
     solve,
 )
-from .pde_solver import STEP_BLOCK, pde_solve
+from .pde_solver import STEP_BLOCK, STEP_FLOOR, pde_solve
 from .rand_nodes import (DEFAULT_MASTER_SEED, TimeGrid, check_seed, is_integer,
                          random_node_blocks, stacked_random_nodes)
 
@@ -356,7 +356,9 @@ PDE_BATCH_UNKNOWNS = 8192
 #: float64 temporaries per unknown of a block of steps at the peak of a
 #: batch: around ``run_mc`` of a semilinear-heat rbe,be task at n = 4:5
 #: with 2 replicas, ru_maxrss rose by 13.8 blocks of states at dof 20,000
-#: and 11.6 at dof 100,000.
+#: and 11.6 at dof 100,000.  Few-row tasks at dof 60 to 1,000, whose
+#: blocks hold STEP_FLOOR unknowns (256 KiB), rose by 14.0 to 20.4 blocks:
+#: at most about 1 MiB above the price.
 BLOCK_TEMPORARIES = 16
 
 
@@ -423,7 +425,8 @@ def _task_bytes(spec, task):
     schemes, exponents, lo, hi = task
     rows, width, floor, m = _rows(schemes, lo, hi), FREEZE_BLOCK, FREEZE_FLOOR, 1
     if spec.problem == "semilinear-heat":
-        width, floor, m = STEP_BLOCK, 0, spec.mesh_dof
+        m = spec.mesh_dof
+        width, floor = STEP_BLOCK, STEP_FLOOR // m
     steps = min(block_steps(rows, rows, width, floor), 2 ** max(exponents))
     return 8 * (_task_size(task) + BLOCK_TEMPORARIES * steps * rows * m)
 

@@ -408,7 +408,9 @@ def solve(problem: OdeProblem, scheme: StepScheme, nodes, reduce=None):
 def block_steps(rows, full, width, floor):
     """Steps of a block of ``rows`` live rows, ``full`` of which march
     every step: it holds ``width`` steps of the ``full`` rows or
-    ``floor`` row-steps, whichever is more, and at least one step."""
+    ``floor`` row-steps, whichever is more, and at least one step.  The
+    ODE's floor is FREEZE_FLOOR; the PDE's is ``pde_solver.STEP_FLOOR``
+    unknowns, STEP_FLOOR // m row-steps of m unknowns each."""
     return max(1, max(width * full, floor) // rows)
 
 

@@ -60,10 +60,19 @@ class PdeProblem:
     exact: Optional[Callable] = None
 
 
-#: Steps per block of forcing loads (and of time nodes per error
-#: evaluation in the sweeps).  A block holds (block, R, q, m+1) quadrature
+#: Steps of the rows that march every step per block of forcing loads
+#: (and of time nodes per error evaluation in the sweeps); see
+#: ``ode_solver.block_steps``.  A block holds (block, R, q, m+1) quadrature
 #: temporaries: longer blocks save numpy calls but cost memory.
 STEP_BLOCK = 16
+
+#: Unknowns (row-steps times mesh_dof) that a PDE block holds at least,
+#: 256 KiB per float64 temporary of its states: each block pays a fixed
+#: cost for its loads, L2 errors and march, so a batch of few rows
+#: marches in longer blocks.  ``pde_solve`` passes it to ``_march`` as
+#: STEP_FLOOR // m row-steps; from 2^11 / m rows per step size on,
+#: STEP_BLOCK steps are as many.
+STEP_FLOOR = 2**15
 
 
 def _fem_parts(mesh, problem):
@@ -87,14 +96,22 @@ def _fem_parts(mesh, problem):
     def residual(u, rhs, system, k):
         if u is not last[0]:
             values = _element_values(mesh, u, NONLINEARITY_POINTS)
-            op = system.matvec(u) + k * assemble_nonlinearity(mesh, b, u, values)
+            op = system.matvec(u)
+            nonlinear = assemble_nonlinearity(mesh, b, u, values)
+            nonlinear *= k
+            op += nonlinear
             last[:] = u, op, values
         return last[1] - rhs
 
     def update(u, r, rhs, system, k):
         values = last[2] if u is last[0] else None
         jac = assemble_nonlinearity_jacobian(mesh, b_prime, u, values)
-        return tridiag_solve(system.plus(jac, scale=k), r)
+        # system + k * jac in the fresh bands, the bits of system.plus(jac,
+        # scale=k): IEEE + and * commute
+        for band, add in ((jac.diag, system.diag), (jac.off, system.off)):
+            band *= k
+            band += add
+        return tridiag_solve(jac, r)
 
     return residual, update, lambda r: np.abs(r).max(axis=1)
 
@@ -119,11 +136,14 @@ def pde_solve(problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes, reduce
     k, and the rows march together as an (R, m) field, row r evaluating
     the forcing of step n at its n-th node, so randomized replicas and the
     classical row of grid points, at every step size, can share one
-    batch.  Every row gets the same bits as when marched alone.  The loads
-    of up to STEP_BLOCK steps are assembled at once; one stepper call then
-    runs their Newton solves, one ``_newton_fem`` per step, and hands the
-    last iterate itself to the next block, so that the residual cache of
-    ``_fem_parts`` still holds.  ``reduce`` receives blocks of the rows'
+    batch.  Every row gets the same bits as when marched alone.  A block
+    holds STEP_BLOCK steps of the rows that march every step, or
+    STEP_FLOOR unknowns where those are more (see
+    ``ode_solver.block_steps``), and its loads are assembled at once; one
+    stepper call then runs their Newton solves, one ``_newton_fem`` per
+    step, and hands the last iterate itself to the next block, so that
+    the residual cache of ``_fem_parts`` still holds.  No block boundary
+    moves a bit.  ``reduce`` receives blocks of the rows'
     U^n, as (steps, rows, m) nodal coefficients (see
     ``ode_solver._march``); by default an ``ode_solver.Trajectory`` stores
     them all.  ``_march`` names the step and row of a failure.
@@ -147,12 +167,18 @@ def pde_solve(problem: PdeProblem, mesh: Mesh, scheme: StepScheme, nodes, reduce
 
     def step(loads, u, k, out, counts):
         live = system[: len(u)]
-        return _each_step(lambda load, u: _newton_fem(parts, mass.matvec(u) + load, u, live, k),
-                          loads, u, out, counts)
+
+        def newton(load, u):
+            rhs = mass.matvec(u)
+            rhs += load
+            return _newton_fem(parts, rhs, u, live, k)
+
+        return _each_step(newton, loads, u, out, counts)
 
     if reduce is None:
         reduce = Trajectory.empty(blocks[0].shape[1], len(k), (m,))
-    _march(blocks, k, l2_project(mesh, problem.initial), STEP_BLOCK, loads, step, reduce)
+    _march(blocks, k, l2_project(mesh, problem.initial), STEP_BLOCK, loads, step, reduce,
+           STEP_FLOOR // m)
     return reduce
 
 

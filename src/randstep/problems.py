@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,32 +131,43 @@ def pr_rhs(spec: ProtheroRobinsonSpec, frozen, x):
     return spec.lam * (x - frozen[..., 0]) + frozen[..., 1]
 
 
+def _w_and_wdot(spec: SawtoothSpec, t):
+    """(w(t), w'(t)) from one lookup of the interval j of t: even j rises
+    toward w((j+1)P) = (j+1)P^2, odd j falls from w(jP) = jP^2 to zero."""
+    j, frac = _interval_index(t, spec.exponent)
+    p = spec.half_period
+    odd = j & 1
+    return (np.where(odd, j * (p * p) * (1.0 - frac), (j + 1) * (p * p) * frac),
+            np.where(odd, -j * p, (j + 1) * p))
+
+
 def pde_w(spec: SawtoothSpec, t):
     """w with w(i*P) = i*P^2 for odd i, 0 for even i, affine in between.
 
     t is a float or an array of times; the result is an array of its shape.
     """
-    j, frac = _interval_index(t, spec.exponent)
-    p2 = spec.half_period * spec.half_period
-    # even j: rising toward w((j+1)P) = (j+1)P^2; odd j: falling from
-    # w(jP) = jP^2 to zero
-    return np.where(j & 1, j * p2 * (1.0 - frac), (j + 1) * p2 * frac)
+    return _w_and_wdot(spec, t)[0]
 
 
 def pde_wdot(spec: SawtoothSpec, t):
     """a.e. derivative of w: i*P on [(i-1)P, iP) for odd i, -(i-1)P for even."""
-    j, _ = _interval_index(t, spec.exponent)
-    p = spec.half_period
-    return np.where(j & 1, -j * p, (j + 1) * p)
+    return _w_and_wdot(spec, t)[1]
 
 
 def b_trunc(spec: TruncatedPowerSpec, x):
     """b(x) = |x|^(power-2) x capped: R^(power-2) x for |x| > R.
 
     Continuous, nondecreasing, globally Lipschitz with constant
-    (power-1) R^(power-2).  Accepts scalars or arrays.
+    (power-1) R^(power-2).  Accepts scalars or arrays; an array runs the
+    chain in place on one fresh array, with the bits of the expression.
     """
-    return np.minimum(np.abs(x), spec.cap) ** (spec.power - 2.0) * x
+    if np.ndim(x) == 0:
+        return np.minimum(np.abs(x), spec.cap) ** (spec.power - 2.0) * x
+    b = np.abs(x)
+    np.minimum(b, spec.cap, out=b)
+    b **= spec.power - 2.0
+    b *= x
+    return b
 
 
 def b_trunc_prime(spec: TruncatedPowerSpec, x):
@@ -171,20 +183,56 @@ def pde_initial(x):
     return np.sin(np.pi * x) / np.pi**2
 
 
+def _x_factors(x):
+    """x^2 - x^3, 2 - 6x, sin(pi x) and sin(pi x)/pi^2 at the points x, read
+    only: cached by the points' values, which a sweep's every block shares."""
+    x = np.asarray(x, dtype=float)
+    return _cached_factors(x.shape, x.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _cached_factors(shape, points: bytes):
+    x = np.frombuffer(points).reshape(shape)
+    sine = np.sin(np.pi * x)
+    factors = (x**2 - x**3, 2.0 - 6.0 * x, sine, sine / np.pi**2)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def pde_exact(spec: SawtoothSpec, t, x):
     """u(t, x) = (x^2 - x^3) w(t) + pi^-2 sin(pi x); t may be an array
     that broadcasts against x."""
-    return (x**2 - x**3) * pde_w(spec, t) + np.sin(np.pi * x) / np.pi**2
+    w = pde_w(spec, t)
+    if np.ndim(x) == 0:
+        return (x**2 - x**3) * w + np.sin(np.pi * x) / np.pi**2
+    bump, _, _, s = _x_factors(x)
+    u = np.multiply(bump, w)
+    u += s
+    return u
 
 
 def pde_forcing(spec: SawtoothSpec, bspec: TruncatedPowerSpec, t, x):
     """Forcing manufactured so u_t - u_xx + b(u) = f with the u above;
-    t may be an array that broadcasts against x."""
-    w = pde_w(spec, t)
-    wdot = pde_wdot(spec, t)
-    bump = x**2 - x**3
-    u = bump * w + np.sin(np.pi * x) / np.pi**2
-    return bump * wdot - (2.0 - 6.0 * x) * w + np.sin(np.pi * x) + b_trunc(bspec, u)
+    t may be an array that broadcasts against x.
+
+    An array of points runs the expression's operations in its order, in
+    place on two fresh arrays and the one of ``b_trunc``.
+    """
+    w, wdot = _w_and_wdot(spec, t)
+    if np.ndim(x) == 0:
+        bump = x**2 - x**3
+        u = bump * w + np.sin(np.pi * x) / np.pi**2
+        return bump * wdot - (2.0 - 6.0 * x) * w + np.sin(np.pi * x) + b_trunc(bspec, u)
+    bump, slope, sine, s = _x_factors(x)
+    f = np.multiply(bump, wdot)
+    u = np.multiply(slope, w)
+    f -= u
+    f += sine
+    np.multiply(bump, w, out=u)
+    u += s
+    f += b_trunc(bspec, u)
+    return f
 
 
 def prothero_robinson_problem(spec: ProtheroRobinsonSpec) -> OdeProblem:

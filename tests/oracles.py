@@ -2,7 +2,8 @@
 grid point and node rules, numpy's own per-replica uniform stream, single
 steps of the ODE and PDE schemes, dense tridiagonal matrices, one-path
 node blocks, the per-row Newton counts of a batch, an error table's row,
-the residual study's slopes, and a problem whose callbacks are counted."""
+the residual study's slopes, a problem whose callbacks are counted, and
+the manufactured PDE's kernels as plain expressions."""
 
 import dataclasses
 import math
@@ -13,6 +14,7 @@ from randstep.fem1d import Mesh, load_vector
 from randstep.harness import _loglog_fit
 from randstep.ode_solver import _newton_scalar, check_step_restriction
 from randstep.pde_solver import _fem_parts, _newton_fem
+from randstep.problems import _interval_index
 
 
 def grid_node(grid, n):
@@ -136,3 +138,39 @@ def counted(problem, calls):
 
     return dataclasses.replace(problem, **{name: count(name, getattr(problem, name))
                                            for name in calls})
+
+
+def plain_w(spec, t):
+    """w(t) from its own interval lookup, as one expression."""
+    j, frac = _interval_index(t, spec.exponent)
+    p2 = spec.half_period * spec.half_period
+    return np.where(j & 1, j * p2 * (1.0 - frac), (j + 1) * p2 * frac)
+
+
+def plain_wdot(spec, t):
+    """w'(t) from its own interval lookup, as one expression."""
+    j, _ = _interval_index(t, spec.exponent)
+    p = spec.half_period
+    return np.where(j & 1, -j * p, (j + 1) * p)
+
+
+def plain_b_trunc(spec, x):
+    """b(x) = min(|x|, R)^(power-2) x as one expression: the bits that
+    ``problems.b_trunc`` keeps."""
+    return np.minimum(np.abs(x), spec.cap) ** (spec.power - 2.0) * x
+
+
+def plain_pde_exact(spec, t, x):
+    """(x^2 - x^3) w(t) + sin(pi x)/pi^2 as one expression: the bits that
+    ``problems.pde_exact`` keeps."""
+    return (x**2 - x**3) * plain_w(spec, t) + np.sin(np.pi * x) / np.pi**2
+
+
+def plain_pde_forcing(spec, bspec, t, x):
+    """The manufactured forcing as one expression, with every x-only factor
+    computed afresh: the bits that ``problems.pde_forcing`` keeps."""
+    w, wdot = plain_w(spec, t), plain_wdot(spec, t)
+    bump = x**2 - x**3
+    u = bump * w + np.sin(np.pi * x) / np.pi**2
+    return (bump * wdot - (2.0 - 6.0 * x) * w + np.sin(np.pi * x)
+            + plain_b_trunc(bspec, u))

@@ -648,6 +648,29 @@ def test_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, argv
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("relative", ["t.csv", os.path.join(".", "t.csv")])
+def test_rates_output_naming_its_input_is_refused(tmp_path, capsys, monkeypatch,
+                                                  relative):
+    # rates --in t.csv --out ./t.csv exited 0 and overwrote the error table
+    # with the one-row rate CSV
+    golden = Path(__file__).parent / "golden" / "fig1_left.csv"
+    table = tmp_path / "t.csv"
+    table.write_bytes(golden.read_bytes())
+
+    def read_error_csv(path):
+        pytest.fail("the table was read")
+
+    monkeypatch.setattr(harness, "read_error_csv", read_error_csv)
+    monkeypatch.chdir(tmp_path)
+    assert main(["rates", "--in", "t.csv", "--scheme", "rbe", "--window", "4:8",
+                 "--out", relative]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"randstep: error: --in and --out name the same file '{relative}'\n"
+    assert table.read_bytes() == golden.read_bytes()
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
 def test_directory_output_is_refused_before_the_sweep(tmp_path, capsys, flag):
     # --svg <dir> echoed the config, ran the sweep and wrote the CSV, and

@@ -501,30 +501,45 @@ def test_lockstep_chunk_equals_each_step_size_alone(problem, schemes):
                 assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("schemes, exponents, replicas, exact", [
-    ((RBE, BE), tuple(range(4, 13)), 20, True),
-    ((RBE, BE), tuple(range(4, 11)), 200, True),
-    ((StepScheme.RANDOMIZED_FORWARD_EULER,), (4, 5, 6), 1, False),
-], ids=["ode-stiff", "desk-fig1", "one-row"])
-def test_memory_refusal_prices_the_largest_block(monkeypatch, schemes, exponents,
+@pytest.mark.parametrize("problem, schemes, exponents, replicas, exact", [
+    ("prothero-robinson", (RBE, BE), tuple(range(4, 13)), 20, True),
+    ("prothero-robinson", (RBE, BE), tuple(range(4, 11)), 200, True),
+    ("prothero-robinson", (StepScheme.RANDOMIZED_FORWARD_EULER,), (4, 5, 6), 1, False),
+    ("semilinear-heat", (RBE, BE), tuple(range(3, 8)), 3, True),
+    ("semilinear-heat", (RBE, BE), (3, 4, 5), 50, True),
+], ids=["ode-stiff", "desk-fig1", "one-row", "pde-heat", "desk-fig2"])
+def test_memory_refusal_prices_the_largest_block(monkeypatch, problem, schemes, exponents,
                                                  replicas, exact):
     # ExperimentSpec refuses a sweep by _task_bytes, so it must price at
     # least the largest block that a task's march freezes: ode-stiff's 21
     # rows march 390 steps a block (8190 row-steps, FREEZE_FLOOR), desk
     # fig1's 201 rows FREEZE_BLOCK steps, and a lone row's widest block,
-    # 16 steps of 3 rows, is below the 64 steps of it that are priced
+    # 16 steps of 3 rows, is below the 64 steps of it that are priced.
+    # The PDE prices unknowns, row-steps times mesh_dof: pde-heat's 4 rows
+    # per step size march 64 steps a block (256 row-steps, the floor
+    # STEP_FLOOR // 127 = 258 rounded down), desk fig2's 51 rows STEP_BLOCK
+    # steps, above the floor
     from randstep import harness
+    from randstep.fem1d import Mesh
 
-    spec = ExperimentSpec("prothero-robinson", schemes, exponents, replicas,
-                          master_seed=42, sawtooth_exponent=10)
-    problem, sizes = harness._setup(spec)[0], []
+    pde = problem == "semilinear-heat"
+    spec = ExperimentSpec(problem, schemes, exponents, replicas, master_seed=42,
+                          sawtooth_exponent=7 if pde else 10, mesh_dof=127 if pde else None)
+    built, sizes = harness._setup(spec)[0], []
+    if pde:
+        def forcing(t, x):
+            sizes.append(np.size(t) * spec.mesh_dof)
+            return built.forcing(t, x)
 
-    def freeze(t):
-        sizes.append(t.size)
-        return problem.freeze(t)
+        monkeypatch.setattr(harness, "_setup", _pde_setup(
+            dataclasses.replace(built, forcing=forcing), Mesh(spec.mesh_dof)))
+    else:
+        def freeze(t):
+            sizes.append(t.size)
+            return built.freeze(t)
 
-    counted = dataclasses.replace(problem, freeze=freeze)
-    monkeypatch.setattr(harness, "_setup", _ode_setup(counted))
+        monkeypatch.setattr(harness, "_setup",
+                            _ode_setup(dataclasses.replace(built, freeze=freeze)))
     for task in harness._plan(spec):
         sizes.clear()
         harness._chunk(spec, *task)

@@ -318,6 +318,41 @@ def test_lockstep_rows_equal_each_step_size_alone():
     assert len(np.unique(batch.newton_iteration_counts[:4])) > 2
 
 
+def test_step_floor_keeps_the_bits_of_short_blocks(monkeypatch):
+    # a few-row lockstep batch at m = 31 marches STEP_FLOOR // 31 = 1057
+    # row-steps a block: 3 blocks, each ending where a step size retires,
+    # against 11 of STEP_BLOCK steps of the N = 128 rows without the floor.
+    # The states, Newton counts and nonlinearity calls are the same: the
+    # last iterate still reaches the next block's residual cache
+    from randstep import pde_solver
+
+    problem, _ = heat_problem(exponent=4)
+    calls = {"forcing": 0, "b": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    problem = dataclasses.replace(problem, forcing=counted("forcing", problem.forcing),
+                                  nonlinearity=counted("b", problem.nonlinearity))
+    blocks = []
+    for n in (7, 5, 3):
+        grid = TimeGrid(2**n)
+        blocks += [grid.random_nodes(5, range(2)), grid.nodes()[None, 1:]]
+    runs = []
+    for floor in (pde_solver.STEP_FLOOR, 0):
+        monkeypatch.setattr(pde_solver, "STEP_FLOOR", floor)
+        calls.update(forcing=0, b=0)
+        path = pde_solve(problem, Mesh(31), StepScheme.RANDOMIZED_BACKWARD_EULER, blocks)
+        runs.append((path.states.tobytes(), path.newton_iteration_counts.tobytes(),
+                     calls["forcing"], calls["b"]))
+    (states, counts, blocks_floor, b_floor), (states0, counts0, blocks0, b0) = runs
+    assert (blocks_floor, blocks0) == (3, 11)
+    assert states == states0 and counts == counts0 and b_floor == b0
+
+
 def test_solve_rejects_empty_stream_batch():
     with pytest.raises(ValueError):
         pde_solve(zero_problem(), Mesh(7), StepScheme.RANDOMIZED_BACKWARD_EULER,

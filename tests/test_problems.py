@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from randstep.fem1d import LOAD_POINTS, Mesh, _element_points, _gauss_01
 from randstep.problems import (
     ProtheroRobinsonSpec,
     SawtoothSpec,
@@ -20,6 +21,9 @@ from randstep.problems import (
     sawtooth_g,
     sawtooth_gdot,
 )
+from randstep.problems import _x_factors
+
+from oracles import plain_b_trunc, plain_pde_exact, plain_pde_forcing, plain_w, plain_wdot
 
 SAW = SawtoothSpec(6)
 P = SAW.half_period
@@ -256,6 +260,81 @@ def test_manufactured_solution_identity():
         u_xx = (2.0 - 6.0 * x) * w - math.sin(math.pi * x)
         resid = u_t - u_xx + b_trunc(BSPEC, u) - pde_forcing(PSAW, BSPEC, t, x)
         assert abs(resid) < 1e-12
+
+
+def _block_times(rng, *shape):
+    """Times of a block, random and grid-aligned, with t = 0 and t = 1."""
+    t = rng.uniform(0.0, 1.0, shape)
+    t.flat[:4] = 0.0, 1.0, 0.5, 3.0 / 128
+    return t
+
+
+@pytest.mark.parametrize("power", [4.0, 3.0, 2.5])
+@pytest.mark.parametrize("exponent", [7, 3])
+def test_in_place_kernels_keep_the_plain_bits(exponent, power):
+    # on the blocks that a sweep hands them, the in-place chains give the
+    # bytes of the plain expressions: the forcing at (steps, rows, 1, 1)
+    # times, the exact solution at (times, step sizes, 1, 1, 1) times, and
+    # b on a (steps, rows, 2, m+1) field that crosses the cap
+    rng = np.random.default_rng(32)
+    saw, bspec = SawtoothSpec(exponent), TruncatedPowerSpec(cap=0.5, power=power)
+    x = _element_points(Mesh(127), _gauss_01(LOAD_POINTS)[0])
+    t = _block_times(rng, 9, 28)[..., None, None]
+    field = rng.standard_normal((9, 28, 2, 128))
+    for got, want in (
+        (pde_forcing(saw, bspec, t, x), plain_pde_forcing(saw, bspec, t, x)),
+        (pde_exact(saw, t[..., None], x), plain_pde_exact(saw, t[..., None], x)),
+        (b_trunc(bspec, field), plain_b_trunc(bspec, field)),
+        (pde_w(saw, t), plain_w(saw, t)),
+        (pde_wdot(saw, t), plain_wdot(saw, t)),
+    ):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert (np.abs(field) > bspec.cap).any() and (np.abs(field) < bspec.cap).any()
+
+
+def test_kernels_of_dimension_zero_keep_the_plain_expression():
+    saw, bspec = SawtoothSpec(5), TruncatedPowerSpec(cap=0.5, power=4.0)
+    x = np.linspace(0.0, 1.0, 7)
+    for t in (0.0, 0.3, 1.0):
+        for xi in (0.0, 0.37, 1.0):
+            got = pde_forcing(saw, bspec, t, xi)
+            assert np.ndim(got) == 0 and got == plain_pde_forcing(saw, bspec, t, xi)
+            got = pde_exact(saw, t, xi)
+            assert np.ndim(got) == 0 and got == plain_pde_exact(saw, t, xi)
+        # a scalar time against an array of points
+        assert pde_forcing(saw, bspec, t, x).tobytes() == \
+            plain_pde_forcing(saw, bspec, t, x).tobytes()
+        assert pde_exact(saw, t, x).tobytes() == plain_pde_exact(saw, t, x).tobytes()
+    for u in (-2.0, 0.25, 3.0, np.float64(0.7)):
+        got = b_trunc(bspec, u)
+        assert np.ndim(got) == 0 and got == plain_b_trunc(bspec, u)
+
+
+def test_cached_factors_are_read_only_and_never_returned():
+    # a sweep's every block evaluates at one array of points; the x-only
+    # factors are computed for it once, and no result is a view of them
+    saw, bspec = SawtoothSpec(5), TruncatedPowerSpec(cap=10.0, power=4.0)
+    x = _element_points(Mesh(15), _gauss_01(LOAD_POINTS)[0])
+    factors = _x_factors(x)
+    assert _x_factors(x.copy()) is factors
+    for a in factors:
+        assert a.shape == x.shape and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    t = np.array([0.1, 0.6])[:, None, None]
+    for time in (0.0, 0.3, t):  # w(0) = 0 makes the exact solution sin(pi x)/pi^2
+        results = [pde_forcing(saw, bspec, time, x), pde_exact(saw, time, x),
+                   b_trunc(bspec, factors[0])]
+        for r in results:
+            assert r.flags.writeable
+            assert not any(np.shares_memory(r, a) for a in factors)
+        before = [r.copy() for r in results]
+        for r in results:
+            r[...] = np.nan
+        again = [pde_forcing(saw, bspec, time, x), pde_exact(saw, time, x),
+                 b_trunc(bspec, factors[0])]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, before))
 
 
 def test_benchmark_jacobians_match_finite_differences():
